@@ -99,7 +99,8 @@ type BlameResult struct {
 // RecordFilter lets callers transform or drop archived records at
 // judgment time. The accusation experiments use it to model colluders
 // who adapt their published results to whoever is being judged (§4.3);
-// returning false discards the record.
+// returning false discards the record. rec.Prober is a handle of the
+// engine's archive; filters resolve it with Archive.ProberID.
 type RecordFilter func(judged id.ID, rec tomography.ProbeRecord) (tomography.ProbeRecord, bool)
 
 // WitnessGrouping maps a prober to its witness group. Probers sharing
@@ -171,19 +172,21 @@ func (e *BlameEngine) SetWitnessGrouping(g WitnessGrouping) { e.group = g }
 // (1−a) when it saw it up, averaged over the probes. No probes means no
 // evidence the link was bad (confidence 0). It iterates the archive's
 // zero-copy window view and applies the self-exclusion rule inline, so
-// a judgment allocates nothing per link.
-func (e *BlameEngine) linkConfidence(judged id.ID, link topology.LinkID, at netsim.Time) LinkConfidence {
+// a judgment allocates nothing per link. self is the judged node's
+// archive handle (zero if it never probed), so the rule costs one
+// integer compare per record.
+func (e *BlameEngine) linkConfidence(judged id.ID, self tomography.ProberHandle, link topology.LinkID, at netsim.Time) LinkConfidence {
 	from := at.Add(-e.cfg.Delta)
 	to := at.Add(e.cfg.Delta)
 	recs := e.archive.Window(link, from, to)
 	lc := LinkConfidence{Link: link}
 	a := e.cfg.ProbeAccuracy
 	if e.group != nil {
-		return e.groupedConfidence(judged, recs, lc, a)
+		return e.groupedConfidence(judged, self, recs, lc, a)
 	}
 	var sum float64
 	for _, r := range recs {
-		if e.selfExclusion && r.Prober == judged {
+		if e.selfExclusion && r.Prober == self {
 			continue
 		}
 		if e.filter != nil {
@@ -213,7 +216,7 @@ func (e *BlameEngine) linkConfidence(judged id.ID, link topology.LinkID, at nets
 // kept in first-seen order — the archive window is deterministic — so
 // the floating-point summation order is fixed. Self-exclusion extends
 // to the judged node's whole group.
-func (e *BlameEngine) groupedConfidence(judged id.ID, recs []tomography.ProbeRecord, lc LinkConfidence, a float64) LinkConfidence {
+func (e *BlameEngine) groupedConfidence(judged id.ID, self tomography.ProberHandle, recs []tomography.ProbeRecord, lc LinkConfidence, a float64) LinkConfidence {
 	jg := e.group(judged)
 	type groupAcc struct {
 		sum float64
@@ -222,10 +225,10 @@ func (e *BlameEngine) groupedConfidence(judged id.ID, recs []tomography.ProbeRec
 	var accs []groupAcc
 	idx := make(map[id.ID]int, 8)
 	for _, r := range recs {
-		if e.selfExclusion && r.Prober == judged {
+		if e.selfExclusion && r.Prober == self {
 			continue
 		}
-		g := e.group(r.Prober)
+		g := e.group(e.archive.ProberID(r.Prober))
 		if e.selfExclusion && g == jg {
 			continue
 		}
@@ -270,9 +273,10 @@ func (e *BlameEngine) Blame(judged id.ID, path []topology.LinkID, at netsim.Time
 		return BlameResult{}, fmt.Errorf("core: blame over empty path")
 	}
 	res := BlameResult{Judged: judged, At: at, Evidence: make([]LinkConfidence, 0, len(path))}
+	self := e.archive.Handle(judged)
 	var orConf, orWorst float64
 	for _, l := range path {
-		lc := e.linkConfidence(judged, l, at)
+		lc := e.linkConfidence(judged, self, l, at)
 		res.Evidence = append(res.Evidence, lc)
 		res.TotalProbes += lc.Probes
 		if v := fuzzy.Clamp(lc.Confidence); v > orConf {

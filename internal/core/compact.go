@@ -71,13 +71,23 @@ type CompactSystem struct {
 	extBehavior map[uint32]Behavior
 
 	// Per-slab protocol state, all lazily sized by the build and
-	// appended on join. trees caches lazily materialized tomography
-	// trees and is invalidated in full on every churn event (rebuilds
-	// are deterministic, so contents always match a fresh build).
+	// appended on join.
 	msgSeq []uint64
 	fwdSeq []uint64
-	trees  []*tomography.Tree
-	sweeps []func()
+	// trees caches lazily materialized tomography trees; treeStale marks
+	// the cached ones a churn event has outdated. T_H is a function of
+	// H's attachment router (fixed for a slab's lifetime) and H's
+	// routing-peer sequence, so a tree goes stale exactly when the
+	// overlay reports that sequence changed (Compact.ApplyDeparture /
+	// ApplyJoin) — a few dozen slabs per event. Ring positions shifting
+	// under a tree do not outdate it: trees name peers by identifier and
+	// router, never by position. A stale tree stays in place until its
+	// next consult, when treeOfSlab patches it; what the cache returns
+	// always equals a fresh TreeOf. A departed slab's entry is dropped.
+	trees     []*tomography.Tree
+	treeStale []bool
+	treeStats TreeCacheStats
+	sweeps    []func()
 	// departedSlab remembers the slab of every departed identifier so
 	// cold verdict-window queries and equivalence tests can still key by
 	// slab after churn.
@@ -92,7 +102,8 @@ type CompactSystem struct {
 	// code runs in simulator callbacks on one goroutine; anything built
 	// here that escapes into a report or the archive is copied out
 	// exact-size first.
-	bfsScratch       topology.BFSScratch
+	treeScratch      tomography.PatchScratch
+	changedScratch   []uint32
 	obsScratch       []tomography.LinkObservation
 	peerScratch      []uint32
 	leafScratch      []tomography.Leaf
@@ -180,6 +191,7 @@ func BuildCompactSystem(cfg SystemConfig, rng stats.Rand) (*CompactSystem, error
 		msgSeq:       make([]uint64, n),
 		fwdSeq:       make([]uint64, n),
 		trees:        make([]*tomography.Tree, n),
+		treeStale:    make([]bool, n),
 		sweeps:       make([]func(), n),
 		rng:          rng,
 		met:          newSystemMetrics(cfg.Metrics),
@@ -395,13 +407,19 @@ func (cs *CompactSystem) TreeOf(i uint32, scratch *topology.BFSScratch) (*tomogr
 	return tomography.BuildTreeBFS(bfs, cs.NodeID(i), cs.Router(i), leaves)
 }
 
-// treeOfSlab returns slab p's cached tomography tree, materializing it
-// on first use after build or churn. Rebuilds are a pure function of
-// the immutable graph and the node's current routing peers, so the
-// cache never holds content a fresh build would not produce.
+// treeOfSlab returns slab p's tomography tree from the cache,
+// (re)building it when it is stale or was never built. There is one
+// build path: tomography.PatchTree keeps the path of every routing peer
+// the old tree already reached and searches the graph only until the
+// rest are found; a never-built tree is the patch of nothing. The
+// replacement is freshly allocated, so paths handed out from the old
+// tree — a SendMessage in flight across the churn event, the failure
+// injector's candidate set — stay intact.
 func (cs *CompactSystem) treeOfSlab(p uint32) (*tomography.Tree, error) {
-	if t := cs.trees[p]; t != nil {
-		return t, nil
+	old := cs.trees[p]
+	if old != nil && !cs.treeStale[p] {
+		cs.treeStats.Hits++
+		return old, nil
 	}
 	i := cs.ringOfSlab[p]
 	if i == overlay.NoIndex {
@@ -414,29 +432,43 @@ func (cs *CompactSystem) treeOfSlab(p uint32) (*tomography.Tree, error) {
 			Node: cs.Overlay.ID(j), Router: cs.routers[cs.slabOf[j]],
 		})
 	}
-	bfs, err := cs.Topo.BFSInto(&cs.bfsScratch, cs.routers[p])
+	tree, err := tomography.PatchTree(cs.Topo, &cs.treeScratch, old, cs.Overlay.ID(i), cs.routers[p], cs.leafScratch)
 	if err != nil {
 		return nil, fmt.Errorf("core: build tree for %s: %w", cs.Overlay.ID(i).Short(), err)
 	}
-	tree, err := tomography.BuildTreeBFS(bfs, cs.Overlay.ID(i), cs.routers[p], cs.leafScratch)
-	if err != nil {
-		return nil, fmt.Errorf("core: build tree for %s: %w", cs.Overlay.ID(i).Short(), err)
+	cs.trees[p], cs.treeStale[p] = tree, false
+	if old == nil {
+		cs.treeStats.Built++
+	} else {
+		cs.treeStats.Patched++
 	}
-	cs.trees[p] = tree
 	return tree, nil
 }
 
-// invalidateTrees drops every cached tree. Conservative but correct:
-// a churn event shifts ring indices and can change any node's derived
-// leaf set, and a rebuild is deterministic, so the only cost is the
-// lazy rebuild of trees that are actually consulted again. In-flight
-// paths captured from an old tree stay intact — BuildTreeBFS never
-// aliases old storage.
-func (cs *CompactSystem) invalidateTrees() {
-	for p := range cs.trees {
-		cs.trees[p] = nil
+// markTreesStale outdates the cached trees of the members at the given
+// ring positions — the ones a churn event reports as having a changed
+// routing-peer sequence. Slabs with nothing cached have nothing to mark.
+func (cs *CompactSystem) markTreesStale(ringPositions []uint32) {
+	for _, i := range ringPositions {
+		if p := cs.slabOf[i]; cs.trees[p] != nil && !cs.treeStale[p] {
+			cs.treeStale[p] = true
+			cs.treeStats.MarkedStale++
+		}
 	}
 }
+
+// TreeCacheStats counts what the tomography-tree cache has done since
+// the build.
+type TreeCacheStats struct {
+	Hits        uint64 // consults answered by a current cached tree
+	Patched     uint64 // stale trees rebuilt around their surviving paths
+	Built       uint64 // trees built from nothing (a slab's first consult)
+	MarkedStale uint64 // cached trees outdated by a churn event
+}
+
+// TreeCacheStats returns the tree cache's counters. Plain counts, not
+// registry series: the canonical metrics snapshot is unchanged by them.
+func (cs *CompactSystem) TreeCacheStats() TreeCacheStats { return cs.treeStats }
 
 // FailNode removes a node: the overlay repairs every survivor in ring
 // order through the index-based maintenance ops (the single FailNode
@@ -453,9 +485,11 @@ func (cs *CompactSystem) FailNode(failed id.ID) error {
 		return fmt.Errorf("core: refusing to shrink overlay below 4 nodes")
 	}
 	slab := cs.slabOf[k]
-	if err := cs.Overlay.ApplyDeparture(failed, cs.rng); err != nil {
+	changed, err := cs.Overlay.ApplyDeparture(failed, cs.rng, cs.changedScratch[:0])
+	if err != nil {
 		return err
 	}
+	cs.changedScratch = changed
 	cs.slabOf = append(cs.slabOf[:k], cs.slabOf[k+1:]...)
 	cs.ringOfSlab[slab] = overlay.NoIndex
 	for p, r := range cs.ringOfSlab {
@@ -467,7 +501,8 @@ func (cs *CompactSystem) FailNode(failed id.ID) error {
 		cs.departedSlab = make(map[id.ID]uint32)
 	}
 	cs.departedSlab[failed] = slab
-	cs.invalidateTrees()
+	cs.trees[slab] = nil
+	cs.markTreesStale(changed)
 	return nil
 }
 
@@ -483,10 +518,11 @@ func (cs *CompactSystem) JoinNode(router topology.RouterID) (id.ID, error) {
 	if err != nil {
 		return id.ID{}, err
 	}
-	k, err := cs.Overlay.ApplyJoin(cert.NodeID, cs.rng)
+	k, changed, err := cs.Overlay.ApplyJoin(cert.NodeID, cs.rng, cs.changedScratch[:0])
 	if err != nil {
 		return id.ID{}, err
 	}
+	cs.changedScratch = changed
 	slab := uint32(len(cs.routers))
 	cs.routers = append(cs.routers, router)
 	cs.pubKeys = append(cs.pubKeys, keys.Public...)
@@ -496,6 +532,7 @@ func (cs *CompactSystem) JoinNode(router topology.RouterID) (id.ID, error) {
 	cs.msgSeq = append(cs.msgSeq, 0)
 	cs.fwdSeq = append(cs.fwdSeq, 0)
 	cs.trees = append(cs.trees, nil)
+	cs.treeStale = append(cs.treeStale, false)
 	cs.sweeps = append(cs.sweeps, nil)
 	cs.slabOf = append(cs.slabOf, 0)
 	copy(cs.slabOf[k+1:], cs.slabOf[k:])
@@ -507,7 +544,7 @@ func (cs *CompactSystem) JoinNode(router topology.RouterID) (id.ID, error) {
 	}
 	cs.ringOfSlab = append(cs.ringOfSlab, k)
 	delete(cs.departedSlab, cert.NodeID)
-	cs.invalidateTrees()
+	cs.markTreesStale(changed)
 	if cs.probing {
 		if err := cs.scheduleProbe(slab); err != nil {
 			return id.ID{}, err
@@ -544,6 +581,6 @@ func (cs *CompactSystem) Footprint() int64 {
 	total += int64(len(cs.behaviorBits))
 	total += int64(len(cs.pubKeys) + len(cs.privKeys) + len(cs.certSigs))
 	total += int64(len(cs.msgSeq)+len(cs.fwdSeq)) * 8
-	total += int64(len(cs.trees)+len(cs.sweeps)) * 8
+	total += int64(len(cs.trees)+len(cs.sweeps))*8 + int64(len(cs.treeStale))
 	return total
 }

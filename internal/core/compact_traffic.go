@@ -55,7 +55,7 @@ func (cs *CompactSystem) KeyDir() KeyDirectory {
 // links up when a target is judged (framing it), links down when an
 // ally is (excusing it as a network fault).
 func (cs *CompactSystem) collusionFilter(judged id.ID, rec tomography.ProbeRecord) (tomography.ProbeRecord, bool) {
-	pi, ok := cs.Overlay.IndexOf(rec.Prober)
+	pi, ok := cs.Overlay.IndexOf(cs.Archive.ProberID(rec.Prober))
 	if !ok {
 		return rec, true
 	}

@@ -1,0 +1,243 @@
+package core
+
+import (
+	"fmt"
+	"math/rand/v2"
+	"reflect"
+	"testing"
+	"time"
+
+	"concilium/internal/overlay"
+	"concilium/internal/tomography"
+	"concilium/internal/topology"
+)
+
+// The tree cache's contract is one sentence — whatever treeOfSlab
+// returns equals a fresh TreeOf — and churn is what can break it: a
+// changed routing-peer sequence the overlay failed to report leaves a
+// wrong tree marked current, and a patch that keeps a path it should not
+// produces a wrong tree outright. TreeOf (full BFS, BuildTreeBFS) shares
+// no code with the patch path, so it is the oracle.
+
+// requireCoherentTrees consults every live slab's cached tree and
+// compares it with a fresh build. A tree replaced by the consult must
+// leave its predecessor untouched and share no path storage with it:
+// messages in flight and the failure injector still read the old paths.
+func requireCoherentTrees(t *testing.T, cs *CompactSystem, scratch *topology.BFSScratch, step int) {
+	t.Helper()
+	for p, i := range cs.ringOfSlab {
+		if i == overlay.NoIndex {
+			continue
+		}
+		old := cs.trees[p]
+		var oldCopy *tomography.Tree
+		if old != nil && cs.treeStale[p] {
+			c := *old
+			c.Leaves = make([]tomography.Leaf, len(old.Leaves))
+			for l, leaf := range old.Leaves {
+				leaf.Path = append([]topology.LinkID{}, leaf.Path...)
+				c.Leaves[l] = leaf
+			}
+			oldCopy = &c
+		}
+		got, err := cs.treeOfSlab(uint32(p))
+		if err != nil {
+			t.Fatalf("step %d slab %d: %v", step, p, err)
+		}
+		want, err := cs.TreeOf(i, scratch)
+		if err != nil {
+			t.Fatalf("step %d slab %d: fresh build: %v", step, p, err)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("step %d slab %d (%s): cached tree differs from a fresh build\ncached %d leaves %d links\nfresh  %d leaves %d links",
+				step, p, cs.Overlay.ID(i).Short(), len(got.Leaves), len(got.Links()), len(want.Leaves), len(want.Links()))
+		}
+		if oldCopy == nil {
+			continue
+		}
+		if got == old {
+			t.Fatalf("step %d slab %d: stale tree returned as current", step, p)
+		}
+		for l := range old.Leaves {
+			if !reflect.DeepEqual(old.Leaves[l], oldCopy.Leaves[l]) {
+				t.Fatalf("step %d slab %d: patch modified the old tree's leaf %d", step, p, l)
+			}
+			kept, ok := got.PathTo(old.Leaves[l].Node)
+			if ok && len(kept) > 0 && &kept[0] == &old.Leaves[l].Path[0] {
+				t.Fatalf("step %d slab %d: patched tree aliases the old tree's path storage", step, p)
+			}
+		}
+	}
+}
+
+// randomChurnEvent fails a random member or joins one at a random host.
+func randomChurnEvent(t *testing.T, cs *CompactSystem, hosts []topology.RouterID, pick *rand.Rand) {
+	t.Helper()
+	if pick.IntN(2) == 0 && cs.Size() > 16 {
+		alive := cs.AliveIDs()
+		if err := cs.FailNode(alive[pick.IntN(len(alive))]); err != nil {
+			t.Fatal(err)
+		}
+		return
+	}
+	if _, err := cs.JoinNode(hosts[pick.IntN(len(hosts))]); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestTreeCacheCoherentUnderChurn runs randomized op sequences — one to
+// three churn events, then a few sends that consult (and so patch) only
+// the trees on their routes, one of them with a FailNode firing while
+// the message is in flight, then probing time — and checks every live
+// slab against the oracle after every step. Seeds come from the test's
+// own generator so the property is not tuned to the suite's usual three.
+func TestTreeCacheCoherentUnderChurn(t *testing.T) {
+	t.Parallel()
+	seeds := rand.New(rand.NewPCG(0x7265655f636f6865, 0x72656e6365))
+	for run := 0; run < 8; run++ {
+		seed, medium := seeds.Uint64(), run%2 == 1
+		steps := 24
+		if medium {
+			steps = 10
+		}
+		t.Run(fmt.Sprintf("seed-%016x", seed), func(t *testing.T) {
+			t.Parallel()
+			cs, err := BuildCompactSystem(equivSystemConfig(medium), rand.New(rand.NewPCG(seed, seed^0x9e3779b97f4a7c15)))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := cs.StartProbing(); err != nil {
+				t.Fatal(err)
+			}
+			pick := rand.New(rand.NewPCG(seed, 3))
+			hosts := cs.Topo.EndHosts()
+			var scratch topology.BFSScratch
+			var midFlightErr error
+			requireCoherentTrees(t, cs, &scratch, -1)
+			for step := 0; step < steps; step++ {
+				for events := 1 + pick.IntN(3); events > 0; events-- {
+					randomChurnEvent(t, cs, hosts, pick)
+				}
+				for sends := 0; sends < 3; sends++ {
+					alive := cs.AliveIDs()
+					src, dst := alive[pick.IntN(len(alive))], alive[pick.IntN(len(alive))]
+					if sends == 1 {
+						// Never the endpoints: SendMessage rejects unknown
+						// ones before the event could fire.
+						victim := alive[pick.IntN(len(alive))]
+						if victim != src && victim != dst && cs.Size() > 16 {
+							err := cs.Sim.ScheduleAfter(time.Millisecond, func() {
+								if err := cs.FailNode(victim); err != nil {
+									midFlightErr = err
+								}
+							})
+							if err != nil {
+								t.Fatal(err)
+							}
+						}
+					}
+					if _, err := cs.SendMessage(src, dst); err != nil {
+						t.Fatalf("step %d: send: %v", step, err)
+					}
+				}
+				cs.Run(time.Duration(pick.IntN(20)) * time.Second)
+				if midFlightErr != nil {
+					t.Fatalf("step %d: mid-flight FailNode: %v", step, midFlightErr)
+				}
+				requireCoherentTrees(t, cs, &scratch, step)
+			}
+			st := cs.TreeCacheStats()
+			if st.Patched == 0 || st.MarkedStale < st.Patched {
+				t.Errorf("cache stats %+v: churn patched nothing, or patched more than it marked", st)
+			}
+		})
+	}
+}
+
+// TestTreeCacheInvalidatesSelectively pins what the change is for: one
+// churn event outdates the trees of the few members whose routing peers
+// changed, and everything else keeps answering from the cache.
+func TestTreeCacheInvalidatesSelectively(t *testing.T) {
+	t.Parallel()
+	cs, err := BuildCompactSystem(equivSystemConfig(true), rand.New(rand.NewPCG(0x73656c65, 0x63746976)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var scratch topology.BFSScratch
+	requireCoherentTrees(t, cs, &scratch, -1)
+	live := uint64(cs.Size())
+	if st := cs.TreeCacheStats(); st.Built != live || st.Patched != 0 || st.Hits != 0 || st.MarkedStale != 0 {
+		t.Fatalf("after first consult of %d slabs: %+v", live, st)
+	}
+	hosts := cs.Topo.EndHosts()
+	events := []func() error{
+		func() error { return cs.FailNode(cs.Overlay.ID(uint32(cs.Size() / 3))) },
+		func() error { _, err := cs.JoinNode(hosts[len(hosts)/2]); return err },
+	}
+	for e, event := range events {
+		before := cs.TreeCacheStats()
+		if err := event(); err != nil {
+			t.Fatal(err)
+		}
+		requireCoherentTrees(t, cs, &scratch, e)
+		after := cs.TreeCacheStats()
+		rebuilt := after.Patched + after.Built - before.Patched - before.Built
+		marked := after.MarkedStale - before.MarkedStale
+		hits := after.Hits - before.Hits
+		if rebuilt == 0 || rebuilt > live/4 {
+			t.Errorf("event %d: rebuilt %d of %d trees, want a small non-zero share", e, rebuilt, live)
+		}
+		// A join adds one never-built tree to the stale ones.
+		if built := after.Built - before.Built; rebuilt != marked+built || built > 1 {
+			t.Errorf("event %d: rebuilt %d, marked stale %d, built from nothing %d", e, rebuilt, marked, built)
+		}
+		if hits+rebuilt != uint64(cs.Size()) {
+			t.Errorf("event %d: %d hits + %d rebuilt != %d live slabs", e, hits, rebuilt, cs.Size())
+		}
+	}
+}
+
+// BenchmarkCompactChurn times one departure and one join at N≈10k, the
+// churn-n10k benchmark workload's event pair, without traffic: what is
+// left is overlay repair plus the ring↔slab bookkeeping.
+func BenchmarkCompactChurn(b *testing.B) {
+	const n = 10000
+	const hostsPerSPT = 4 * 10 * 6
+	cfg := DefaultSystemConfig()
+	cfg.Topology = topology.Config{
+		TransitDomains:          4,
+		RoutersPerTransitDomain: 10,
+		TransitChordsPerRouter:  1,
+		InterDomainLinks:        2,
+		StubsPerTransitRouter:   (2*n + hostsPerSPT - 1) / hostsPerSPT,
+		MeanRoutersPerStub:      6,
+		StubChordFraction:       0.2,
+		StubMultihomeFraction:   0.1,
+		HostsPerStubRouter:      1.0,
+	}
+	cfg.OverlayFraction = 0.5
+	cfg.Workers = 1
+	cs, err := BuildCompactSystem(cfg, rand.New(rand.NewPCG(20070625, 11)))
+	if err != nil {
+		b.Fatal(err)
+	}
+	hosts := cs.Topo.EndHosts()
+	pick := rand.New(rand.NewPCG(5, 7))
+	var fail, join time.Duration
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		victim := cs.Overlay.ID(uint32(pick.IntN(cs.Size())))
+		start := time.Now()
+		if err := cs.FailNode(victim); err != nil {
+			b.Fatal(err)
+		}
+		mid := time.Now()
+		if _, err := cs.JoinNode(hosts[pick.IntN(len(hosts))]); err != nil {
+			b.Fatal(err)
+		}
+		join += time.Since(mid)
+		fail += mid.Sub(start)
+	}
+	b.ReportMetric(float64(fail.Microseconds())/float64(b.N), "fail_us")
+	b.ReportMetric(float64(join.Microseconds())/float64(b.N), "join_us")
+}

@@ -11,7 +11,7 @@ func overlayRoute(states map[id.ID]*overlay.RoutingState, src, dst id.ID) ([]id.
 	return overlay.RouteSecure(states, src, dst, 0)
 }
 
-// probeRecord builds an archive record for filter tests.
-func probeRecord(prober id.ID, up bool) tomography.ProbeRecord {
-	return tomography.ProbeRecord{Prober: prober, Up: up}
+// probeRecord builds a record of archive a for filter tests.
+func probeRecord(a *tomography.Archive, prober id.ID, up bool) tomography.ProbeRecord {
+	return tomography.ProbeRecord{Prober: a.Intern(prober), Up: up}
 }

@@ -423,7 +423,7 @@ func hostAddr(router topology.RouterID) string {
 // it as a network fault). Allies are fellow clique members when the
 // prober belongs to a clique, and any fellow dropper otherwise.
 func (s *System) collusionFilter(judged id.ID, rec tomography.ProbeRecord) (tomography.ProbeRecord, bool) {
-	prober := s.Nodes[rec.Prober]
+	prober := s.Nodes[s.Archive.ProberID(rec.Prober)]
 	if prober == nil || !prober.Behavior.InvertsProbes {
 		return rec, true
 	}

@@ -324,7 +324,7 @@ func TestCollusionFilterAdaptsToJudgment(t *testing.T) {
 	// A truthful "down" record from a liar flips to "up" when an honest
 	// node is judged (framing) and stays "down" when a colluder is
 	// judged (cover).
-	rec := probeRecord(liar, false)
+	rec := probeRecord(s.Archive, liar, false)
 	out, keep := s.collusionFilter(honest, rec)
 	if !keep || !out.Up {
 		t.Errorf("judging honest: up=%v keep=%v, want up=true", out.Up, keep)
@@ -334,7 +334,7 @@ func TestCollusionFilterAdaptsToJudgment(t *testing.T) {
 		t.Errorf("judging colluder: up=%v keep=%v, want up=false", out.Up, keep)
 	}
 	// Honest probers' records pass through untouched.
-	rec = probeRecord(honest, false)
+	rec = probeRecord(s.Archive, honest, false)
 	out, keep = s.collusionFilter(honest, rec)
 	if !keep || out.Up {
 		t.Error("honest record altered")

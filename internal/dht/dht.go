@@ -129,12 +129,28 @@ func (h Health) Degraded() bool { return h.Live < h.Total }
 func (h Health) Quorum() bool { return 2*h.Live > h.Total }
 
 // ReplicaSet returns the members responsible for key, nearest first.
+// The members within any ring distance of key form one arc around it,
+// so the nearest are found by walking outward from key's position in
+// the sorted ring, each step taking the closer of the next member on
+// either side — a binary search plus `replicas` comparisons.
 func (s *Store) ReplicaSet(key id.ID) []id.ID {
 	members := s.ring.Members()
-	out := make([]id.ID, len(members))
-	copy(out, members)
-	sort.Slice(out, func(i, j int) bool { return id.Closer(out[i], out[j], key) })
-	return out[:s.replicas]
+	n := len(members)
+	out := make([]id.ID, 0, min(s.replicas, n))
+	// cw and ccw are the untaken members next to key on each side; they
+	// name the same member when one is left.
+	cw := sort.Search(n, func(i int) bool { return !id.Less(members[i], key) }) % n
+	ccw := (cw + n - 1) % n
+	for len(out) < cap(out) {
+		if cw == ccw || id.Closer(members[cw], members[ccw], key) {
+			out = append(out, members[cw])
+			cw = (cw + 1) % n
+		} else {
+			out = append(out, members[ccw])
+			ccw = (ccw + n - 1) % n
+		}
+	}
+	return out
 }
 
 // Put stores value under key on every live replica. It fails only when

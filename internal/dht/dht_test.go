@@ -3,6 +3,8 @@ package dht
 import (
 	"crypto/ed25519"
 	"math/rand/v2"
+	"slices"
+	"sort"
 	"testing"
 	"testing/quick"
 
@@ -102,6 +104,58 @@ func TestStoreReplicaSetIsClosest(t *testing.T) {
 		}
 		if id.Closer(m, farthest, key) {
 			t.Fatalf("non-replica %s closer to key than replica %s", m.Short(), farthest.Short())
+		}
+	}
+}
+
+// TestStoreReplicaSetMatchesSort pins the outward walk against the
+// definition it replaced — sort the whole ring by id.Closer, take the
+// first `replicas` — in order, not just as a set: on two random rings and
+// on an evenly spaced one where every midpoint key is an exact distance
+// tie, with a replica count above the ring size included.
+func TestStoreReplicaSetMatchesSort(t *testing.T) {
+	t.Parallel()
+	r := rand.New(rand.NewPCG(0x7265706c, 0x69636173))
+	spaced := make([]id.ID, 7)
+	for i := range spaced {
+		spaced[i][id.Bytes-1] = byte(0x20 * (i + 1))
+	}
+	spacedRing, err := overlay.NewRing(spaced)
+	if err != nil {
+		t.Fatal(err)
+	}
+	small, _ := testRing(t, 50, r)
+	large, _ := testRing(t, 200, r)
+	for _, tc := range []struct {
+		ring     *overlay.Ring
+		replicas int
+	}{{small, 3}, {large, DefaultReplicas}, {spacedRing, 10}} {
+		store, err := New(tc.ring, tc.replicas)
+		if err != nil {
+			t.Fatal(err)
+		}
+		members := tc.ring.Members()
+		keys := append([]id.ID{id.Zero}, members...)
+		for b := 0; b < 256; b++ {
+			var low, high id.ID
+			low[id.Bytes-1] = byte(b)
+			for i := range high {
+				high[i] = 0xff
+			}
+			high[id.Bytes-1] = byte(b)
+			keys = append(keys, low, high)
+		}
+		for len(keys) < 1000+len(members)+513 {
+			keys = append(keys, id.Random(r))
+		}
+		for _, key := range keys {
+			want := append([]id.ID(nil), members...)
+			sort.Slice(want, func(i, j int) bool { return id.Closer(want[i], want[j], key) })
+			want = want[:min(tc.replicas, len(want))]
+			got := store.ReplicaSet(key)
+			if !slices.Equal(got, want) {
+				t.Fatalf("ring of %d, %d replicas, key %s:\n got %v\nwant %v", len(members), tc.replicas, key, got, want)
+			}
 		}
 	}
 }

@@ -374,13 +374,23 @@ func (c *Compact) AppendRouteSecure(src uint32, target id.ID, maxHops int, out [
 // ascending ring order; rng draws happen only for nodes whose standard
 // slot actually held the departed peer. Leaf state is derived, so it
 // needs no repair.
-func (c *Compact) ApplyDeparture(peer id.ID, rng stats.Rand) error {
+//
+// It appends to changed the post-departure positions of the survivors
+// whose routing-peer sequence (what AppendRoutingPeers yields, as
+// identifiers) is no longer what it was: those whose secure slot held
+// the departed peer and the perSide ring neighbours on each side of the
+// splice point, whose derived leaf sets lost it. Each position appears
+// once. Everyone else keeps its sequence — standard-table refills are
+// not routing peers, and a shifted ring index still names the same
+// identifier — which is what lets a cache of per-node derived state
+// (tomography trees) invalidate a few dozen entries per event, not all.
+func (c *Compact) ApplyDeparture(peer id.ID, rng stats.Rand, changed []uint32) ([]uint32, error) {
 	k, ok := c.IndexOf(peer)
 	if !ok {
-		return fmt.Errorf("overlay: compact: departing %s is not a member", peer.Short())
+		return changed, fmt.Errorf("overlay: compact: departing %s is not a member", peer.Short())
 	}
 	if len(c.ring.ids) == 1 {
-		return fmt.Errorf("overlay: compact: departure would empty the ring")
+		return changed, fmt.Errorf("overlay: compact: departure would empty the ring")
 	}
 	c.ring.ids = append(c.ring.ids[:k], c.ring.ids[k+1:]...)
 	c.ring.pairs = append(c.ring.pairs[:k], c.ring.pairs[k+1:]...)
@@ -390,9 +400,14 @@ func (c *Compact) ApplyDeparture(peer id.ID, rng stats.Rand) error {
 
 	// Record who actually held the departed peer before remapping
 	// erases the evidence; refills must not run for slots that were
-	// already empty or held someone else.
+	// already empty or held someone else. Bit 2 marks the survivors that
+	// had it as a leaf: the ring closed over the gap between positions
+	// k-1 and k, so those are the perSide positions on each side of it.
 	flags := make([]uint8, n)
 	for j := 0; j < n; j++ {
+		if d := ringSteps(int(k), j, n); d < c.perSide || n-1-d < c.perSide {
+			flags[j] |= 4
+		}
 		row := id.CommonPrefixLen(c.ring.ids[j], peer)
 		if row >= id.Digits {
 			continue
@@ -409,7 +424,10 @@ func (c *Compact) ApplyDeparture(peer id.ID, rng stats.Rand) error {
 	c.standard.remapRemoval(k)
 
 	for j := 0; j < n; j++ {
-		if flags[j] == 0 {
+		if flags[j]&(1|4) != 0 {
+			changed = append(changed, uint32(j))
+		}
+		if flags[j]&(1|2) == 0 {
 			continue
 		}
 		self := c.ring.ids[j]
@@ -427,8 +445,12 @@ func (c *Compact) ApplyDeparture(peer id.ID, rng stats.Rand) error {
 			}
 		}
 	}
-	return nil
+	return changed, nil
 }
+
+// ringSteps returns the number of clockwise steps from position a to
+// position b on a ring of n positions.
+func ringSteps(a, b, n int) int { return ((b-a)%n + n) % n }
 
 // ApplyJoin admits a new member at its sorted position and patches
 // every existing node: the secure table takes the newcomer when it is
@@ -436,9 +458,15 @@ func (c *Compact) ApplyDeparture(peer id.ID, rng stats.Rand) error {
 // table only for empty slots. The newcomer's own tables are then built
 // from scratch with rng — the only draws the join consumes. Returns the
 // newcomer's position.
-func (c *Compact) ApplyJoin(peer id.ID, rng stats.Rand) (uint32, error) {
+//
+// As ApplyDeparture does, it appends to changed the post-join positions
+// of the existing members whose routing-peer sequence changed: those
+// whose secure slot took the newcomer and the perSide ring neighbours
+// on each side of it, whose derived leaf sets gained it. The newcomer
+// itself had no sequence before and is not reported.
+func (c *Compact) ApplyJoin(peer id.ID, rng stats.Rand, changed []uint32) (uint32, []uint32, error) {
 	if _, dup := c.IndexOf(peer); dup {
-		return 0, fmt.Errorf("overlay: compact: %s is already a member", peer.Short())
+		return 0, changed, fmt.Errorf("overlay: compact: %s is already a member", peer.Short())
 	}
 	k := uint32(c.ring.searchGE(peer))
 	c.ring.ids = append(c.ring.ids, id.ID{})
@@ -461,15 +489,21 @@ func (c *Compact) ApplyJoin(peer id.ID, rng stats.Rand) (uint32, error) {
 		row := id.CommonPrefixLen(self, peer)
 		col := peer.Digit(row)
 		target := self.WithDigit(row, col)
+		d := ringSteps(int(k), j, n)
+		moved := d <= c.perSide || n-d <= c.perSide
 		if cur, ok := c.secure.slot(c.denseRows, uint32(j), row, col); !ok || id.Closer(peer, c.ring.ids[cur], target) {
 			c.secure.set(c.denseRows, uint32(j), row, col, k)
+			moved = true
 		}
 		if _, ok := c.standard.slot(c.denseRows, uint32(j), row, col); !ok {
 			c.standard.set(c.denseRows, uint32(j), row, col, k)
 		}
+		if moved {
+			changed = append(changed, uint32(j))
+		}
 	}
 	c.FillNode(k, rng)
-	return k, nil
+	return k, changed, nil
 }
 
 // Footprint returns the overlay state's resident bytes: members (byte
@@ -579,29 +613,35 @@ func (t *compactTable) removeNode(dr int, k uint32) {
 // by one and empties slots that pointed at it.
 func (t *compactTable) remapRemoval(k uint32) {
 	for p, v := range t.dense {
-		if v == NoIndex {
-			continue
-		}
 		if v == k {
 			t.dense[p] = NoIndex
-		} else if v > k {
-			t.dense[p] = v - 1
+			continue
 		}
+		t.dense[p] = v - atOrPast(v, k)
 	}
-	for i := range t.tail {
-		kept := t.tail[i][:0]
-		for _, s := range t.tail[i] {
+	for i, ts := range t.tail {
+		if len(ts) == 0 {
+			continue
+		}
+		kept := ts[:0]
+		for _, s := range ts {
 			if s.Peer == k {
 				continue
 			}
-			if s.Peer > k {
-				s.Peer--
-			}
+			s.Peer -= atOrPast(s.Peer, k)
 			kept = append(kept, s)
 		}
 		t.tail[i] = kept
 	}
 }
+
+// atOrPast returns 1 when the stored index v is occupied (not NoIndex)
+// and names position k or a later one, else 0 — as arithmetic, not as a
+// branch: over a million slots whose occupants are spread evenly over
+// the ring, "v ≥ k" is a coin flip the branch predictor loses half the
+// time, and a remap is nothing but that test. Positions stay below 2³¹,
+// so v-k wraps into the upper half exactly when v < k or v is NoIndex.
+func atOrPast(v, k uint32) uint32 { return (v-k)>>31 ^ 1 }
 
 // insertNode splices an empty storage block in at position k.
 func (t *compactTable) insertNode(dr int, k uint32) {
@@ -622,15 +662,11 @@ func (t *compactTable) insertNode(dr int, k uint32) {
 // fill.
 func (t *compactTable) remapInsertion(k uint32) {
 	for p, v := range t.dense {
-		if v != NoIndex && v >= k {
-			t.dense[p] = v + 1
-		}
+		t.dense[p] = v + atOrPast(v, k)
 	}
-	for i := range t.tail {
-		for p := range t.tail[i] {
-			if t.tail[i][p].Peer >= k {
-				t.tail[i][p].Peer++
-			}
+	for _, ts := range t.tail {
+		for p := range ts {
+			ts[p].Peer += atOrPast(ts[p].Peer, k)
 		}
 	}
 }

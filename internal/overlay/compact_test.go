@@ -2,6 +2,7 @@ package overlay
 
 import (
 	"math/rand/v2"
+	"slices"
 	"sort"
 	"testing"
 
@@ -195,7 +196,7 @@ func TestCompactMatchesLegacyChurn(t *testing.T) {
 				}
 			}
 			legacy[peer] = st
-			if _, err := c.ApplyJoin(peer, compactRng); err != nil {
+			if _, _, err := c.ApplyJoin(peer, compactRng, nil); err != nil {
 				t.Fatal(err)
 			}
 		} else {
@@ -212,7 +213,7 @@ func TestCompactMatchesLegacyChurn(t *testing.T) {
 					t.Fatal(err)
 				}
 			}
-			if err := c.ApplyDeparture(peer, compactRng); err != nil {
+			if _, err := c.ApplyDeparture(peer, compactRng, nil); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -222,6 +223,83 @@ func TestCompactMatchesLegacyChurn(t *testing.T) {
 		compareStates(t, legacy, c, false)
 	}
 	compareHops(t, legacy, c, seed)
+}
+
+// peerSequences returns every member's routing-peer sequence as
+// identifiers, keyed by the member's identifier — the form in which a
+// sequence survives the ring-index shifts of a churn event.
+func peerSequences(c *Compact) map[id.ID][]id.ID {
+	out := make(map[id.ID][]id.ID, c.Size())
+	var idx []uint32
+	for i := 0; i < c.Size(); i++ {
+		idx = c.AppendRoutingPeers(uint32(i), idx[:0])
+		seq := make([]id.ID, len(idx))
+		for p, j := range idx {
+			seq[p] = c.ID(j)
+		}
+		out[c.ID(uint32(i))] = seq
+	}
+	return out
+}
+
+// TestCompactChurnReportsChangedPeers checks the changed set both churn
+// operations report against the definition: a surviving member is
+// reported exactly when its routing-peer identifier sequence differs
+// across the event (sound: nothing changed goes unreported; tight:
+// nothing unchanged is reported), once, and — at a size where leaf sets
+// do not cover the ring — that is a small share of the members.
+func TestCompactChurnReportsChangedPeers(t *testing.T) {
+	t.Parallel()
+	for _, n := range []int{5, 20, 70, 256} {
+		seed := uint64(0x6368616e67656400 + n)
+		rng := rand.New(rand.NewPCG(seed, 1))
+		members := make([]id.ID, n)
+		for i := range members {
+			members[i] = id.Random(rng)
+		}
+		c, err := NewCompact(members, DefaultLeafSetPerSide)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := 0; i < c.Size(); i++ {
+			c.FillNode(uint32(i), rng)
+		}
+		var changed []uint32
+		for step := 0; step < 40; step++ {
+			before := peerSequences(c)
+			var churned id.ID
+			if step%2 == 0 {
+				churned = id.Random(rng)
+				_, changed, err = c.ApplyJoin(churned, rng, changed[:0])
+			} else {
+				churned = c.ID(uint32(rng.IntN(c.Size())))
+				changed, err = c.ApplyDeparture(churned, rng, changed[:0])
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+			reported := make(map[id.ID]bool, len(changed))
+			for _, i := range changed {
+				x := c.ID(i)
+				if reported[x] || x == churned {
+					t.Fatalf("n=%d step %d: position %d (%s) reported twice, or is the churned node", n, step, i, x.Short())
+				}
+				reported[x] = true
+			}
+			for x, after := range peerSequences(c) {
+				was, survived := before[x]
+				if !survived {
+					continue
+				}
+				if differs := !slices.Equal(was, after); differs != reported[x] {
+					t.Fatalf("n=%d step %d: %s: peer sequence changed=%v, reported=%v", n, step, x.Short(), differs, reported[x])
+				}
+			}
+			if n == 256 && len(changed) > c.Size()/4 {
+				t.Errorf("n=%d step %d: %d of %d members reported", n, step, len(changed), c.Size())
+			}
+		}
+	}
 }
 
 func TestDenseRowsFor(t *testing.T) {

@@ -10,11 +10,19 @@ import (
 	"concilium/internal/topology"
 )
 
+// ProberHandle names a prober within one Archive: the archive interns
+// each prober's identifier on its first Record and stores the 4-byte
+// handle in every record instead of the 16-byte identifier. Handles are
+// meaningful only to the archive that issued them; the zero handle names
+// nobody, so no record carries it.
+type ProberHandle uint32
+
 // ProbeRecord is one archived link observation: which host probed, when,
-// and the probed status (the paper's p.l_up bit).
+// and the probed status (the paper's p.l_up bit). Sixteen bytes — the
+// archive is the largest structure a probing deployment retains.
 type ProbeRecord struct {
-	Prober id.ID
 	At     netsim.Time
+	Prober ProberHandle // resolve with Archive.ProberID
 	Up     bool
 }
 
@@ -27,6 +35,15 @@ type Archive struct {
 	byLink map[topology.LinkID][]ProbeRecord
 	size   int
 
+	// The intern table: probers[h-1] is handle h's identifier. It only
+	// grows — a handle stays resolvable after Prune has dropped the
+	// prober's last record and after the prober has left the overlay,
+	// because views and copies of records may outlive both. That is
+	// ~70 B per identifier that ever recorded, the same leak class as a
+	// departed node's slab row.
+	probers  []id.ID
+	handleOf map[id.ID]ProberHandle
+
 	records *metrics.Counter
 	pruned  *metrics.Counter
 	sizeG   *metrics.Gauge
@@ -34,7 +51,34 @@ type Archive struct {
 
 // NewArchive creates an empty archive.
 func NewArchive() *Archive {
-	return &Archive{byLink: make(map[topology.LinkID][]ProbeRecord)}
+	return &Archive{
+		byLink:   make(map[topology.LinkID][]ProbeRecord),
+		handleOf: make(map[id.ID]ProberHandle),
+	}
+}
+
+// Intern returns prober's handle, issuing one on first sight.
+func (a *Archive) Intern(prober id.ID) ProberHandle {
+	h, ok := a.handleOf[prober]
+	if !ok {
+		a.probers = append(a.probers, prober)
+		h = ProberHandle(len(a.probers))
+		a.handleOf[prober] = h
+	}
+	return h
+}
+
+// Handle returns prober's handle, or zero — which matches no record —
+// if it never recorded here.
+func (a *Archive) Handle(prober id.ID) ProberHandle { return a.handleOf[prober] }
+
+// ProberID resolves a handle this archive issued; the zero handle and
+// foreign handles resolve to the zero identifier.
+func (a *Archive) ProberID(h ProberHandle) id.ID {
+	if h == 0 || int(h) > len(a.probers) {
+		return id.ID{}
+	}
+	return a.probers[h-1]
 }
 
 // SetMetrics publishes the archive's record/prune counters and size
@@ -48,13 +92,14 @@ func (a *Archive) SetMetrics(reg *metrics.Registry) {
 
 // Record archives one prober's observations taken at time at.
 func (a *Archive) Record(prober id.ID, at netsim.Time, obs []LinkObservation) error {
+	h := a.Intern(prober)
 	for _, o := range obs {
 		recs := a.byLink[o.Link]
 		if len(recs) > 0 && recs[len(recs)-1].At > at {
 			return fmt.Errorf("tomography: out-of-order record for link %d (%v after %v)",
 				o.Link, at, recs[len(recs)-1].At)
 		}
-		a.byLink[o.Link] = append(recs, ProbeRecord{Prober: prober, At: at, Up: o.Up})
+		a.byLink[o.Link] = append(recs, ProbeRecord{At: at, Prober: h, Up: o.Up})
 		a.size++
 	}
 	a.records.Add(uint64(len(obs)))
@@ -82,7 +127,7 @@ func (a *Archive) Window(link topology.LinkID, from, to netsim.Time) []ProbeReco
 func (a *Archive) InWindow(link topology.LinkID, from, to netsim.Time, exclude map[id.ID]bool) []ProbeRecord {
 	var out []ProbeRecord
 	for _, r := range a.Window(link, from, to) {
-		if exclude[r.Prober] {
+		if exclude[a.ProberID(r.Prober)] {
 			continue
 		}
 		out = append(out, r)

@@ -1,0 +1,177 @@
+package tomography
+
+import (
+	"reflect"
+	"slices"
+	"testing"
+	"unsafe"
+
+	"concilium/internal/id"
+	"concilium/internal/netsim"
+	"concilium/internal/topology"
+)
+
+// TestPatchTreeEqualsBuildTree pins the patched rebuild against the
+// from-scratch one on a generated graph: for successive peer sets that
+// drop, add and reorder peers — the routing-peer drift of a churning
+// overlay — the patch of the previous tree must DeepEqual a fresh
+// BuildTree, whether the previous tree is absent, current, or several
+// peer sets behind. Peer sets include a peer at the root's own router
+// and one on a router nothing connects to.
+func TestPatchTreeEqualsBuildTree(t *testing.T) {
+	t.Parallel()
+	r := testRand()
+	g, err := topology.Generate(topology.TestConfig(), r)
+	if err != nil {
+		t.Fatal(err)
+	}
+	hosts := g.EndHosts()
+	island, err := topology.NewGraph(g.NumRouters() + 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for l := 0; l < g.NumLinks(); l++ {
+		a, b, err := g.LinkEndpoints(topology.LinkID(l))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := island.AddLink(a, b); err != nil {
+			t.Fatal(err)
+		}
+	}
+	g = island // same links, same link IDs, plus one isolated router
+	unreachable := topology.RouterID(g.NumRouters() - 1)
+
+	root, rootRouter := id.Random(r), hosts[0]
+	pool := make([]Leaf, 60)
+	for i := range pool {
+		pool[i] = Leaf{Node: id.Random(r), Router: hosts[1+r.IntN(len(hosts)-1)]}
+	}
+	pool[0].Router = rootRouter
+	pool[1].Router = unreachable
+
+	var scratch PatchScratch
+	var prev, lagging *Tree
+	peers := append([]Leaf(nil), pool[:20]...)
+	for step := 0; step < 40; step++ {
+		want, err := BuildTree(g, root, rootRouter, peers)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for name, old := range map[string]*Tree{"nil": nil, "previous": prev, "lagging": lagging} {
+			got, err := PatchTree(g, &scratch, old, root, rootRouter, peers)
+			if err != nil {
+				t.Fatalf("step %d, old=%s: %v", step, name, err)
+			}
+			if !reflect.DeepEqual(got, want) {
+				t.Fatalf("step %d, old=%s: patched tree differs from a fresh build (%d vs %d leaves, %d vs %d links)",
+					step, name, len(got.Leaves), len(want.Leaves), len(got.Links()), len(want.Links()))
+			}
+			if old != nil && len(got.Leaves) > 0 && len(old.Leaves) > 0 &&
+				len(got.Leaves[0].Path) > 0 && len(old.Leaves[0].Path) > 0 &&
+				&got.Leaves[0].Path[0] == &old.Leaves[0].Path[0] {
+				t.Fatalf("step %d, old=%s: patched tree shares path storage with the old one", step, name)
+			}
+		}
+		if _, ok := want.PathTo(pool[1].Node); ok {
+			t.Fatal("peer on the isolated router made it into the tree")
+		}
+		if step%5 == 0 {
+			lagging = prev
+		}
+		prev = want
+		// Drift: drop one peer, add one not present, and now and then
+		// swap two, as a secure-table refill does to the row-major order.
+		drop := r.IntN(len(peers))
+		peers = append(peers[:drop], peers[drop+1:]...)
+		for {
+			cand := pool[r.IntN(len(pool))]
+			if !slices.ContainsFunc(peers, func(p Leaf) bool { return p.Node == cand.Node }) {
+				peers = append(peers, Leaf{})
+				at := r.IntN(len(peers))
+				copy(peers[at+1:], peers[at:])
+				peers[at] = cand
+				break
+			}
+		}
+		if step%3 == 0 {
+			a, b := r.IntN(len(peers)), r.IntN(len(peers))
+			peers[a], peers[b] = peers[b], peers[a]
+		}
+	}
+
+	if _, err := PatchTree(g, &scratch, prev, root, hosts[1], peers); err == nil {
+		t.Error("patching a tree rooted elsewhere accepted")
+	}
+	if _, err := PatchTree(nil, &scratch, nil, root, rootRouter, peers); err == nil {
+		t.Error("nil graph accepted")
+	}
+}
+
+// TestArchiveProberHandles covers what interning changed: records carry
+// a 4-byte handle in a 16-byte record, the archive resolves it both
+// ways, a prober that never recorded has the zero handle no record
+// carries, and a handle outlives both the pruning of the prober's last
+// record and later re-recording by the same prober.
+func TestArchiveProberHandles(t *testing.T) {
+	t.Parallel()
+	if got := unsafe.Sizeof(ProbeRecord{}); got != 16 {
+		t.Errorf("ProbeRecord is %d bytes, want 16", got)
+	}
+	a := NewArchive()
+	r := testRand()
+	early, late, never := id.Random(r), id.Random(r), id.Random(r)
+	record := func(prober id.ID, at netsim.Time) {
+		t.Helper()
+		if err := a.Record(prober, at, []LinkObservation{{Link: 3, Up: true}}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	record(early, 100)
+	record(late, 200)
+	record(late, 300)
+
+	he, hl := a.Handle(early), a.Handle(late)
+	if he == 0 || hl == 0 || he == hl {
+		t.Fatalf("handles %d, %d: want two distinct non-zero handles", he, hl)
+	}
+	if a.Handle(never) != 0 {
+		t.Error("a prober that never recorded has a handle")
+	}
+	if a.ProberID(he) != early || a.ProberID(hl) != late {
+		t.Error("handles do not resolve to their probers")
+	}
+	if a.ProberID(0) != (id.ID{}) || a.ProberID(99) != (id.ID{}) {
+		t.Error("zero or foreign handle resolved to a prober")
+	}
+	if a.Intern(early) != he {
+		t.Error("interning a known prober issued a new handle")
+	}
+
+	recs := a.Window(3, 0, 1000)
+	if len(recs) != 3 || recs[0].Prober != he || recs[1].Prober != hl || recs[2].Prober != hl {
+		t.Fatalf("window = %+v", recs)
+	}
+	if got := a.InWindow(3, 0, 1000, map[id.ID]bool{late: true}); len(got) != 1 || got[0].Prober != he {
+		t.Errorf("InWindow excluding %s = %+v", late.Short(), got)
+	}
+
+	// Prune away every record of early: a copy of one of its records is
+	// still attributable, and a fresh record reuses the handle.
+	kept := recs[0]
+	a.Prune(150)
+	if a.Size() != 2 {
+		t.Fatalf("after prune Size = %d, want 2", a.Size())
+	}
+	if a.ProberID(kept.Prober) != early || a.Handle(early) != he {
+		t.Error("pruned-away prober's handle no longer resolves")
+	}
+	record(early, 400)
+	if recs := a.Window(3, 400, 400); len(recs) != 1 || recs[0].Prober != he {
+		t.Errorf("re-recording prober got %+v, want handle %d", recs, he)
+	}
+	a.Prune(1000)
+	if a.Size() != 0 || a.ProberID(hl) != late {
+		t.Error("emptied archive lost its intern table")
+	}
+}

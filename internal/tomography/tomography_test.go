@@ -535,7 +535,7 @@ func TestArchiveWindowQueries(t *testing.T) {
 	add(p1, 300, true)
 
 	recs := a.InWindow(7, 150, 250, nil)
-	if len(recs) != 1 || recs[0].Prober != p2 || recs[0].Up {
+	if len(recs) != 1 || a.ProberID(recs[0].Prober) != p2 || recs[0].Up {
 		t.Errorf("window [150,250] = %+v", recs)
 	}
 	// Inclusive bounds.
@@ -545,7 +545,7 @@ func TestArchiveWindowQueries(t *testing.T) {
 	}
 	// Exclusion (the judged node's own probes).
 	recs = a.InWindow(7, 0, 1000, map[id.ID]bool{p1: true})
-	if len(recs) != 1 || recs[0].Prober != p2 {
+	if len(recs) != 1 || a.ProberID(recs[0].Prober) != p2 {
 		t.Errorf("excluded window = %+v", recs)
 	}
 	// Unknown link.

@@ -9,6 +9,7 @@ package tomography
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"concilium/internal/id"
@@ -32,8 +33,7 @@ type Tree struct {
 	RootRouter topology.RouterID
 	Leaves     []Leaf
 
-	links   []topology.LinkID
-	linkSet map[topology.LinkID]struct{}
+	links []topology.LinkID // distinct, ascending
 }
 
 // BuildTree derives T_H from the topology: one BFS from the root router,
@@ -69,11 +69,7 @@ func BuildTreeBFS(bfs *topology.RouteTree, root id.ID, rootRouter topology.Route
 	if bfs.Source != rootRouter {
 		return nil, fmt.Errorf("tomography: route tree rooted at %d, want %d", bfs.Source, rootRouter)
 	}
-	t := &Tree{
-		Root:       root,
-		RootRouter: rootRouter,
-		linkSet:    make(map[topology.LinkID]struct{}),
-	}
+	t := &Tree{Root: root, RootRouter: rootRouter}
 	reachable, totalHops := 0, 0
 	for _, p := range peers {
 		if h := bfs.HopCount(p.Router); h >= 0 {
@@ -95,15 +91,117 @@ func BuildTreeBFS(bfs *topology.RouteTree, root id.ID, rootRouter topology.Route
 		}
 		path := flat[start:len(flat):len(flat)]
 		t.Leaves = append(t.Leaves, Leaf{Node: p.Node, Router: p.Router, Path: path})
-		for _, l := range path {
-			if _, seen := t.linkSet[l]; !seen {
-				t.linkSet[l] = struct{}{}
-				t.links = append(t.links, l)
-			}
+	}
+	t.links = distinctLinks(flat)
+	return t, nil
+}
+
+// distinctLinks returns the distinct links of a tree's flat path
+// storage, ascending. Trees are retained by the thousand, so the result
+// is copied out at its exact size rather than left in the sorted copy.
+func distinctLinks(flat []topology.LinkID) []topology.LinkID {
+	all := slices.Clone(flat)
+	slices.Sort(all)
+	return slices.Clone(slices.Compact(all))
+}
+
+// PatchScratch holds the reusable state of PatchTree calls: the BFS
+// arrays, the per-peer match against the old tree and the routers still
+// to be found. The zero value is ready to use; a scratch belongs to one
+// goroutine.
+type PatchScratch struct {
+	bfs     topology.BFSScratch
+	from    []int32 // per peer: the old leaf whose path is kept, -1 if none
+	missing []topology.RouterID
+}
+
+// PatchTree derives the same T_H BuildTree does, paying only for what
+// old does not already hold: the path of every peer old reached (same
+// node, same router) is kept, and one BFS runs that stops as soon as the
+// routers of the remaining peers are labelled. Paths in a shortest-path
+// tree depend only on the graph and the root, and an early-stopped
+// search labels exactly as a full one (topology.BFSUntil), so the result
+// equals a from-scratch build leaf for leaf. A nil old is the case where
+// no peer is found. old must be rooted at rootRouter over the same
+// graph.
+//
+// Like BuildTreeBFS, the produced tree is freshly allocated with all
+// leaf paths in one exact-size backing array; kept paths are copied, so
+// old and everything still holding its paths stay intact.
+func PatchTree(g *topology.Graph, s *PatchScratch, old *Tree, root id.ID, rootRouter topology.RouterID, peers []Leaf) (*Tree, error) {
+	if g == nil {
+		return nil, fmt.Errorf("tomography: nil graph")
+	}
+	if old != nil && old.RootRouter != rootRouter {
+		return nil, fmt.Errorf("tomography: patching a tree rooted at %d, want %d", old.RootRouter, rootRouter)
+	}
+	s.from, s.missing = s.from[:0], s.missing[:0]
+	last := -1
+	for _, p := range peers {
+		// A peer sequence mostly survives a churn event in order, so the
+		// search for the next peer starts after the previous match.
+		at := old.leafAfter(last, p)
+		s.from = append(s.from, int32(at))
+		if at >= 0 {
+			last = at
+		} else {
+			s.missing = append(s.missing, p.Router)
 		}
 	}
-	sort.Slice(t.links, func(i, j int) bool { return t.links[i] < t.links[j] })
+	var bfs *topology.RouteTree
+	if len(s.missing) > 0 {
+		var err error
+		if bfs, err = g.BFSUntil(&s.bfs, rootRouter, s.missing); err != nil {
+			return nil, fmt.Errorf("tomography: tree root: %w", err)
+		}
+	}
+	reachable, totalHops := 0, 0
+	for i, p := range peers {
+		if at := s.from[i]; at >= 0 {
+			reachable++
+			totalHops += len(old.Leaves[at].Path)
+		} else if h := bfs.HopCount(p.Router); h >= 0 {
+			reachable++
+			totalHops += h
+		}
+	}
+	t := &Tree{Root: root, RootRouter: rootRouter, Leaves: make([]Leaf, 0, reachable)}
+	flat := make([]topology.LinkID, 0, totalHops)
+	for i, p := range peers {
+		start := len(flat)
+		if at := s.from[i]; at >= 0 {
+			flat = append(flat, old.Leaves[at].Path...)
+		} else if bfs.Reachable(p.Router) {
+			var err error
+			if flat, err = bfs.AppendPathTo(flat, p.Router); err != nil {
+				return nil, fmt.Errorf("tomography: path to %s: %w", p.Node.Short(), err)
+			}
+		} else {
+			continue
+		}
+		t.Leaves = append(t.Leaves, Leaf{Node: p.Node, Router: p.Router, Path: flat[start:len(flat):len(flat)]})
+	}
+	t.links = distinctLinks(flat)
 	return t, nil
+}
+
+// leafAfter returns the index of t's leaf for peer p (same node, same
+// router), searching circularly from the leaf after prev, or -1. A nil
+// tree has no leaves.
+func (t *Tree) leafAfter(prev int, p Leaf) int {
+	if t == nil {
+		return -1
+	}
+	n := len(t.Leaves)
+	for k, i := 0, prev+1; k < n; k, i = k+1, i+1 {
+		if i >= n {
+			i = 0
+		}
+		if l := &t.Leaves[i]; l.Node == p.Node && l.Router == p.Router {
+			return i
+		}
+	}
+	return -1
 }
 
 // Links returns the distinct IP links in the tree, ascending. The slice
@@ -112,7 +210,7 @@ func (t *Tree) Links() []topology.LinkID { return t.links }
 
 // Contains reports whether link l is part of the tree.
 func (t *Tree) Contains(l topology.LinkID) bool {
-	_, ok := t.linkSet[l]
+	_, ok := slices.BinarySearch(t.links, l)
 	return ok
 }
 

@@ -152,8 +152,32 @@ type BFSScratch struct {
 // BFSInto call on the same scratch; callers that retain the tree (e.g.
 // a per-router cache) must use BFS, which hands out owned storage.
 func (g *Graph) BFSInto(s *BFSScratch, src RouterID) (*RouteTree, error) {
+	t, queue, err := g.startBFS(s, src)
+	if err != nil {
+		return nil, err
+	}
+	for head := 0; head < len(queue); head++ {
+		u := queue[head]
+		for _, nb := range g.adj[u] {
+			if t.dist[nb.Router] >= 0 {
+				continue
+			}
+			t.dist[nb.Router] = t.dist[u] + 1
+			t.parent[nb.Router] = u
+			t.parentLink[nb.Router] = nb.Link
+			queue = append(queue, nb.Router)
+		}
+	}
+	s.queue = queue
+	return t, nil
+}
+
+// startBFS readies s for a search from src: it sizes and clears the
+// scratch RouteTree, labels the source, and returns the tree and the
+// frontier queue holding src alone.
+func (g *Graph) startBFS(s *BFSScratch, src RouterID) (*RouteTree, []RouterID, error) {
 	if !g.validRouter(src) {
-		return nil, fmt.Errorf("topology: BFS from unknown router %d", src)
+		return nil, nil, fmt.Errorf("topology: BFS from unknown router %d", src)
 	}
 	n := len(g.adj)
 	t := &s.tree
@@ -175,18 +199,60 @@ func (g *Graph) BFSInto(s *BFSScratch, src RouterID) (*RouteTree, error) {
 	if cap(s.queue) == 0 {
 		s.queue = make([]RouterID, 0, 256)
 	}
-	queue := s.queue[:0]
-	queue = append(queue, src)
-	for head := 0; head < len(queue); head++ {
+	return t, append(s.queue[:0], src), nil
+}
+
+// unlabelledTarget marks, in RouteTree.dist, a router an early-stopping
+// search still waits for. Like every negative distance it reads as
+// unreachable.
+const unlabelledTarget = -2
+
+// BFSUntil is BFSInto stopped early: the search ends as soon as every
+// router in targets is labelled (or the component is exhausted), so a
+// caller that needs paths to a few routers does not pay for the whole
+// graph. The traversal order is BFSInto's, which makes every label
+// assigned before the stop — distance, parent, parent link — exactly the
+// full search's: PathTo agrees with BFSInto for every labelled router,
+// and the routers along such a path are all labelled. Routers the search
+// did not get to read as unreachable whether or not the graph connects
+// them, so only the targets' reachability means anything to the caller.
+// The loop is BFSInto's plus the stop test, kept apart so the full
+// search pays nothing for it.
+func (g *Graph) BFSUntil(s *BFSScratch, src RouterID, targets []RouterID) (*RouteTree, error) {
+	for _, r := range targets {
+		if !g.validRouter(r) {
+			return nil, fmt.Errorf("topology: BFS toward unknown router %d", r)
+		}
+	}
+	t, queue, err := g.startBFS(s, src)
+	if err != nil {
+		return nil, err
+	}
+	// pending counts the distinct targets not yet labelled.
+	pending := 0
+	for _, r := range targets {
+		if t.dist[r] == -1 {
+			t.dist[r] = unlabelledTarget
+			pending++
+		}
+	}
+search:
+	for head := 0; pending > 0 && head < len(queue); head++ {
 		u := queue[head]
 		for _, nb := range g.adj[u] {
-			if t.dist[nb.Router] >= 0 {
+			d := t.dist[nb.Router]
+			if d >= 0 {
 				continue
 			}
 			t.dist[nb.Router] = t.dist[u] + 1
 			t.parent[nb.Router] = u
 			t.parentLink[nb.Router] = nb.Link
 			queue = append(queue, nb.Router)
+			if d == unlabelledTarget {
+				if pending--; pending == 0 {
+					break search
+				}
+			}
 		}
 	}
 	s.queue = queue
