@@ -99,9 +99,13 @@ type BlameResult struct {
 // RecordFilter lets callers transform or drop archived records at
 // judgment time. The accusation experiments use it to model colluders
 // who adapt their published results to whoever is being judged (§4.3);
-// returning false discards the record. rec.Prober is a handle of the
-// engine's archive; filters resolve it with Archive.ProberID.
-type RecordFilter func(judged id.ID, rec tomography.ProbeRecord) (tomography.ProbeRecord, bool)
+// returning false discards the record. It is called once per admissible
+// record. rec.Prober and judgedHandle are handles of the engine's
+// archive — judgedHandle is the judged node's, zero if it never
+// recorded — so a filter can resolve both identities without touching
+// the identifier space (Archive.ProberID maps back when it must). A
+// filter must not mutate shared state: Blame may run concurrently.
+type RecordFilter func(judged id.ID, judgedHandle tomography.ProberHandle, rec tomography.ProbeRecord) (tomography.ProbeRecord, bool)
 
 // WitnessGrouping maps a prober to its witness group. Probers sharing
 // a group aggregate into ONE witness before link confidences are
@@ -174,15 +178,16 @@ func (e *BlameEngine) SetWitnessGrouping(g WitnessGrouping) { e.group = g }
 // zero-copy window view and applies the self-exclusion rule inline, so
 // a judgment allocates nothing per link. self is the judged node's
 // archive handle (zero if it never probed), so the rule costs one
-// integer compare per record.
-func (e *BlameEngine) linkConfidence(judged id.ID, self tomography.ProberHandle, link topology.LinkID, at netsim.Time) LinkConfidence {
+// integer compare per record; groups is the call's witness-group state,
+// nil without a grouping.
+func (e *BlameEngine) linkConfidence(judged id.ID, self tomography.ProberHandle, groups *witnessGroups, link topology.LinkID, at netsim.Time) LinkConfidence {
 	from := at.Add(-e.cfg.Delta)
 	to := at.Add(e.cfg.Delta)
 	recs := e.archive.Window(link, from, to)
 	lc := LinkConfidence{Link: link}
 	a := e.cfg.ProbeAccuracy
-	if e.group != nil {
-		return e.groupedConfidence(judged, self, recs, lc, a)
+	if groups != nil {
+		return e.groupedConfidence(judged, self, groups, recs, lc, a)
 	}
 	var sum float64
 	for _, r := range recs {
@@ -191,7 +196,7 @@ func (e *BlameEngine) linkConfidence(judged id.ID, self tomography.ProberHandle,
 		}
 		if e.filter != nil {
 			var keep bool
-			if r, keep = e.filter(judged, r); !keep {
+			if r, keep = e.filter(judged, self, r); !keep {
 				continue
 			}
 		}
@@ -209,6 +214,56 @@ func (e *BlameEngine) linkConfidence(judged id.ID, self tomography.ProberHandle,
 	return lc
 }
 
+// witnessGroups is one Blame call's witness-group bookkeeping. The
+// grouping is a union-find walk over identifiers, so each distinct
+// prober handle's group is resolved once per call and numbered densely
+// in first-seen order; the judged node's group is number 0. It lives in
+// the call, never on the engine, so concurrent judgments share nothing.
+type witnessGroups struct {
+	ofHandle map[tomography.ProberHandle]int32 // handle → group number
+	number   map[id.ID]int32                   // group representative → number
+	// accs holds the current link's accumulators in first-seen order;
+	// slot[g] is group g's position in accs plus one, zero while g has
+	// no record on the link.
+	accs []groupAcc
+	slot []int32
+}
+
+type groupAcc struct {
+	group int32
+	sum   float64
+	n     int
+}
+
+func (e *BlameEngine) newWitnessGroups(judged id.ID) *witnessGroups {
+	w := &witnessGroups{
+		ofHandle: make(map[tomography.ProberHandle]int32),
+		number:   make(map[id.ID]int32),
+	}
+	w.numberOf(e.group(judged))
+	return w
+}
+
+// of returns the group number of the prober behind handle h.
+func (w *witnessGroups) of(e *BlameEngine, h tomography.ProberHandle) int32 {
+	g, ok := w.ofHandle[h]
+	if !ok {
+		g = w.numberOf(e.group(e.archive.ProberID(h)))
+		w.ofHandle[h] = g
+	}
+	return g
+}
+
+func (w *witnessGroups) numberOf(rep id.ID) int32 {
+	g, ok := w.number[rep]
+	if !ok {
+		g = int32(len(w.slot))
+		w.number[rep] = g
+		w.slot = append(w.slot, 0)
+	}
+	return g
+}
+
 // groupedConfidence is the clique-discounted variant of linkConfidence:
 // records aggregate per witness group first (each group's records
 // average into one vote), then groups average into the link confidence,
@@ -216,25 +271,18 @@ func (e *BlameEngine) linkConfidence(judged id.ID, self tomography.ProberHandle,
 // kept in first-seen order — the archive window is deterministic — so
 // the floating-point summation order is fixed. Self-exclusion extends
 // to the judged node's whole group.
-func (e *BlameEngine) groupedConfidence(judged id.ID, self tomography.ProberHandle, recs []tomography.ProbeRecord, lc LinkConfidence, a float64) LinkConfidence {
-	jg := e.group(judged)
-	type groupAcc struct {
-		sum float64
-		n   int
-	}
-	var accs []groupAcc
-	idx := make(map[id.ID]int, 8)
+func (e *BlameEngine) groupedConfidence(judged id.ID, self tomography.ProberHandle, w *witnessGroups, recs []tomography.ProbeRecord, lc LinkConfidence, a float64) LinkConfidence {
 	for _, r := range recs {
 		if e.selfExclusion && r.Prober == self {
 			continue
 		}
-		g := e.group(e.archive.ProberID(r.Prober))
-		if e.selfExclusion && g == jg {
+		g := w.of(e, r.Prober)
+		if e.selfExclusion && g == 0 {
 			continue
 		}
 		if e.filter != nil {
 			var keep bool
-			if r, keep = e.filter(judged, r); !keep {
+			if r, keep = e.filter(judged, self, r); !keep {
 				continue
 			}
 		}
@@ -243,40 +291,49 @@ func (e *BlameEngine) groupedConfidence(judged id.ID, self tomography.ProberHand
 		if r.Up {
 			v = 1 - a
 		}
-		j, ok := idx[g]
-		if !ok {
-			j = len(accs)
-			idx[g] = j
-			accs = append(accs, groupAcc{})
+		j := w.slot[g]
+		if j == 0 {
+			w.accs = append(w.accs, groupAcc{group: g})
+			j = int32(len(w.accs))
+			w.slot[g] = j
 		}
-		accs[j].sum += v
-		accs[j].n++
+		w.accs[j-1].sum += v
+		w.accs[j-1].n++
 	}
+	var sum float64
+	for _, acc := range w.accs {
+		sum += acc.sum / float64(acc.n)
+		w.slot[acc.group] = 0
+	}
+	groups := len(w.accs)
+	w.accs = w.accs[:0]
 	if lc.Probes == 0 {
 		return lc
 	}
-	var sum float64
-	for _, acc := range accs {
-		sum += acc.sum / float64(acc.n)
-	}
-	lc.Confidence = fuzzy.Clamp(sum / float64(len(accs)))
+	lc.Confidence = fuzzy.Clamp(sum / float64(groups))
 	return lc
 }
 
 // Blame evaluates Eq. 2 for the forwarder judged, whose next-hop IP path
 // is path, for a message sent at time at. The judged node's own probe
 // results are excluded, so it cannot talk its way out of blame (§3.4).
-// The fuzzy-OR accumulates incrementally, so the only allocation is the
-// Evidence slice that escapes into the result.
+// The fuzzy-OR accumulates incrementally, so without a witness grouping
+// the only allocation is the Evidence slice that escapes into the
+// result; with one, the call's group tables are allocated once per call.
+// Blame writes no shared state and is safe to call concurrently.
 func (e *BlameEngine) Blame(judged id.ID, path []topology.LinkID, at netsim.Time) (BlameResult, error) {
 	if len(path) == 0 {
 		return BlameResult{}, fmt.Errorf("core: blame over empty path")
 	}
 	res := BlameResult{Judged: judged, At: at, Evidence: make([]LinkConfidence, 0, len(path))}
 	self := e.archive.Handle(judged)
+	var groups *witnessGroups
+	if e.group != nil {
+		groups = e.newWitnessGroups(judged)
+	}
 	var orConf, orWorst float64
 	for _, l := range path {
-		lc := e.linkConfidence(judged, self, l, at)
+		lc := e.linkConfidence(judged, self, groups, l, at)
 		res.Evidence = append(res.Evidence, lc)
 		res.TotalProbes += lc.Probes
 		if v := fuzzy.Clamp(lc.Confidence); v > orConf {

@@ -58,6 +58,12 @@ type CompactSystem struct {
 	// preserve relative order, joiners append), which is what lets the
 	// traffic plane iterate "in Order" without storing identifiers.
 	ringOfSlab []uint32
+	// slabOfHandle maps an archive prober handle to its slab plus one
+	// (zero: unknown), so blame's collusion filter resolves probers
+	// without the ring. It is filled where this plane records a sweep
+	// (bindHandle) and only read during Blame; memberSlab falls back to
+	// the ring for whatever it cannot answer. 4 B per prober ever seen.
+	slabOfHandle []uint32
 
 	routers      []topology.RouterID // by slab position
 	pubKeys      []byte              // ed25519.PublicKeySize per slab row
@@ -578,6 +584,7 @@ func (cs *CompactSystem) Footprint() int64 {
 	total += int64(len(cs.routers)) * 4
 	total += int64(len(cs.slabOf)) * 4
 	total += int64(len(cs.ringOfSlab)) * 4
+	total += int64(len(cs.slabOfHandle)) * 4
 	total += int64(len(cs.behaviorBits))
 	total += int64(len(cs.pubKeys) + len(cs.privKeys) + len(cs.certSigs))
 	total += int64(len(cs.msgSeq)+len(cs.fwdSeq)) * 8

@@ -53,19 +53,21 @@ func (cs *CompactSystem) KeyDir() KeyDirectory {
 // collusionFilter is the §4.3 adaptive adversary over slab state:
 // colluding probers flip their published results at judgment time —
 // links up when a target is judged (framing it), links down when an
-// ally is (excusing it as a network fault).
-func (cs *CompactSystem) collusionFilter(judged id.ID, rec tomography.ProbeRecord) (tomography.ProbeRecord, bool) {
-	pi, ok := cs.Overlay.IndexOf(cs.Archive.ProberID(rec.Prober))
-	if !ok {
+// ally is (excusing it as a network fault). Allies are fellow clique
+// members when the prober belongs to a clique, and any fellow dropper
+// otherwise; only current members count on either side. Both the
+// prober and the judged node resolve through their archive handles
+// (memberSlab), so an honest prober's record costs a table load and a
+// bit test.
+func (cs *CompactSystem) collusionFilter(judged id.ID, judgedHandle tomography.ProberHandle, rec tomography.ProbeRecord) (tomography.ProbeRecord, bool) {
+	ps, ok := cs.memberSlab(rec.Prober, cs.Archive.ProberID(rec.Prober))
+	if !ok || cs.behaviorBits[ps]&2 == 0 {
 		return rec, true
 	}
-	prober := cs.behaviorOfSlab(cs.slabOf[pi])
-	if !prober.InvertsProbes {
-		return rec, true
-	}
+	prober := cs.behaviorOfSlab(ps)
 	ally := false
-	if ji, ok := cs.Overlay.IndexOf(judged); ok {
-		jb := cs.behaviorOfSlab(cs.slabOf[ji])
+	if js, ok := cs.memberSlab(judgedHandle, judged); ok {
+		jb := cs.behaviorOfSlab(js)
 		if c := prober.Clique; c != 0 {
 			ally = jb.Clique == c
 		} else {
@@ -74,6 +76,43 @@ func (cs *CompactSystem) collusionFilter(judged id.ID, rec tomography.ProbeRecor
 	}
 	rec.Up = !ally
 	return rec, true
+}
+
+// memberSlab returns the slab of the current member behind archive
+// handle h, nid being the identifier h names (or, for a judged node that
+// never recorded, its identifier with h zero). The slabOfHandle table
+// answers for every prober this plane recorded, and since a slab and its
+// identifier are bound for life, a live entry is exactly what the ring
+// would say. Whatever the table cannot answer — a departed slab (its
+// identifier may have rejoined), a handle issued to a foreign
+// Archive.Record caller, a node that never probed — falls back to the
+// ring.
+func (cs *CompactSystem) memberSlab(h tomography.ProberHandle, nid id.ID) (uint32, bool) {
+	if int(h) < len(cs.slabOfHandle) {
+		if s := cs.slabOfHandle[h]; s != 0 && cs.ringOfSlab[s-1] != overlay.NoIndex {
+			return s - 1, true
+		}
+	}
+	i, ok := cs.Overlay.IndexOf(nid)
+	if !ok {
+		return 0, false
+	}
+	return cs.slabOf[i], true
+}
+
+// bindHandle enters slab p under the archive handle of nid, p's
+// identifier, once p's sweep has been recorded: one intern-map lookup
+// per sweep. A sweep the archive never saw (a rejected snapshot from a
+// first-time prober) has no handle and binds nothing.
+func (cs *CompactSystem) bindHandle(p uint32, nid id.ID) {
+	h := cs.Archive.Handle(nid)
+	if h == 0 {
+		return
+	}
+	if int(h) >= len(cs.slabOfHandle) {
+		cs.slabOfHandle = append(cs.slabOfHandle, make([]uint32, int(h)+1-len(cs.slabOfHandle))...)
+	}
+	cs.slabOfHandle[h] = p + 1
 }
 
 // pathToPeer returns the IP link path from the node at slab p to peer,
@@ -615,12 +654,14 @@ func (cs *CompactSystem) probeSweep(p uint32) {
 		for i := range tree.Leaves {
 			cs.met.probeRTT.ObserveDuration(2 * cs.Net.Latency(tree.Leaves[i].Path))
 		}
+		nid := cs.Overlay.ID(cs.ringOfSlab[p])
 		if cs.Config.SignedSnapshots {
 			cs.publishSnapshot(p, obs)
-		} else if err := cs.Archive.Record(cs.Overlay.ID(cs.ringOfSlab[p]), cs.Sim.Now(), obs); err != nil {
+		} else if err := cs.Archive.Record(nid, cs.Sim.Now(), obs); err != nil {
 			cs.Counters.ArchiveRecordErrors++
 		}
-		cs.emit(trace.Event{At: cs.Sim.Now(), Kind: trace.KindProbe, Node: cs.Overlay.ID(cs.ringOfSlab[p])})
+		cs.bindHandle(p, nid)
+		cs.emit(trace.Event{At: cs.Sim.Now(), Kind: trace.KindProbe, Node: nid})
 	}
 	if cs.Config.ArchiveRetention > 0 {
 		now := cs.Sim.Now()

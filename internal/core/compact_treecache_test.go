@@ -197,11 +197,10 @@ func TestTreeCacheInvalidatesSelectively(t *testing.T) {
 	}
 }
 
-// BenchmarkCompactChurn times one departure and one join at N≈10k, the
-// churn-n10k benchmark workload's event pair, without traffic: what is
-// left is overlay repair plus the ring↔slab bookkeeping.
-func BenchmarkCompactChurn(b *testing.B) {
-	const n = 10000
+// benchScaleConfig is the bench/ workloads' deployment at about n
+// overlay nodes: a fixed transit core whose stub count grows so that
+// about 2n end hosts exist, half of them in the overlay, one worker.
+func benchScaleConfig(n int) SystemConfig {
 	const hostsPerSPT = 4 * 10 * 6
 	cfg := DefaultSystemConfig()
 	cfg.Topology = topology.Config{
@@ -217,7 +216,14 @@ func BenchmarkCompactChurn(b *testing.B) {
 	}
 	cfg.OverlayFraction = 0.5
 	cfg.Workers = 1
-	cs, err := BuildCompactSystem(cfg, rand.New(rand.NewPCG(20070625, 11)))
+	return cfg
+}
+
+// BenchmarkCompactChurn times one departure and one join at N≈10k, the
+// churn-n10k benchmark workload's event pair, without traffic: what is
+// left is overlay repair plus the ring↔slab bookkeeping.
+func BenchmarkCompactChurn(b *testing.B) {
+	cs, err := BuildCompactSystem(benchScaleConfig(10000), rand.New(rand.NewPCG(20070625, 11)))
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -421,8 +421,9 @@ func hostAddr(router topology.RouterID) string {
 // adapt their published results to the judgment — links up when a
 // target is judged (framing it), links down when an ally is (excusing
 // it as a network fault). Allies are fellow clique members when the
-// prober belongs to a clique, and any fellow dropper otherwise.
-func (s *System) collusionFilter(judged id.ID, rec tomography.ProbeRecord) (tomography.ProbeRecord, bool) {
+// prober belongs to a clique, and any fellow dropper otherwise. Node
+// lookup is a map hit, so the judged node's handle goes unused.
+func (s *System) collusionFilter(judged id.ID, _ tomography.ProberHandle, rec tomography.ProbeRecord) (tomography.ProbeRecord, bool) {
 	prober := s.Nodes[s.Archive.ProberID(rec.Prober)]
 	if prober == nil || !prober.Behavior.InvertsProbes {
 		return rec, true
