@@ -7,6 +7,7 @@ import (
 	"testing"
 	"time"
 
+	"concilium/internal/id"
 	"concilium/internal/overlay"
 	"concilium/internal/tomography"
 	"concilium/internal/topology"
@@ -70,12 +71,25 @@ func requireCoherentTrees(t *testing.T, cs *CompactSystem, scratch *topology.BFS
 	}
 }
 
-// randomChurnEvent fails a random member or joins one at a random host.
+// randomChurnEvent fails a random member, joins one at a random host,
+// or joins one at a chosen identifier just clockwise of a random member
+// (the eclipse placement).
 func randomChurnEvent(t *testing.T, cs *CompactSystem, hosts []topology.RouterID, pick *rand.Rand) {
 	t.Helper()
-	if pick.IntN(2) == 0 && cs.Size() > 16 {
-		alive := cs.AliveIDs()
-		if err := cs.FailNode(alive[pick.IntN(len(alive))]); err != nil {
+	switch pick.IntN(3) {
+	case 0:
+		if cs.Size() > 16 {
+			alive := cs.AliveIDs()
+			if err := cs.FailNode(alive[pick.IntN(len(alive))]); err != nil {
+				t.Fatal(err)
+			}
+			return
+		}
+	case 1:
+		var delta id.ID
+		delta[id.Bytes-1] = byte(1 + pick.IntN(255))
+		nid := id.Add(cs.NodeID(uint32(pick.IntN(cs.Size()))), delta)
+		if _, err := cs.JoinNodeAt(hosts[pick.IntN(len(hosts))], nid); err != nil {
 			t.Fatal(err)
 		}
 		return
@@ -86,7 +100,8 @@ func randomChurnEvent(t *testing.T, cs *CompactSystem, hosts []topology.RouterID
 }
 
 // TestTreeCacheCoherentUnderChurn runs randomized op sequences — one to
-// three churn events, then a few sends that consult (and so patch) only
+// three churn events (departures, joins, and joins at chosen
+// identifiers), then a few sends that consult (and so patch) only
 // the trees on their routes, one of them with a FailNode firing while
 // the message is in flight, then probing time — and checks every live
 // slab against the oracle after every step. Seeds come from the test's
