@@ -194,15 +194,14 @@ func BenchmarkFig4Coverage(b *testing.B) {
 	b.ReportMetric(own, "own-tree-coverage")
 }
 
-// BenchmarkBuildSystem measures deterministic system construction — the
-// full topology + keygen + certificate + routing-table + tree pipeline —
-// at several worker-pool sizes. The keygen and routing phases fan out
-// across the pool; the canonical snapshot is byte-identical for every
-// count (pinned by TestBuildSystemWorkerInvariance), so the sweep
-// measures pure engine overhead. allocs/op is part of the CI gate: the
-// build costs ~69 allocs per overlay node, and growth past the
-// -max-alloc-regress tolerance fails benchdiff.
-func BenchmarkBuildSystem(b *testing.B) {
+// BenchmarkBuildCompactSystem measures deterministic system construction — the
+// full topology + keygen + certificate + routing-table pipeline of
+// BuildCompactSystem — at several worker-pool sizes. The keygen and
+// routing phases fan out across the pool; the canonical snapshot is
+// byte-identical for every count (pinned by
+// TestCompactBuildWorkerInvariance), so the sweep measures pure engine
+// overhead.
+func BenchmarkBuildCompactSystem(b *testing.B) {
 	var speedup speedupReporter
 	for _, workers := range benchWorkerCounts {
 		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
@@ -211,11 +210,11 @@ func BenchmarkBuildSystem(b *testing.B) {
 			b.ReportAllocs()
 			var nodes int
 			for i := 0; i < b.N; i++ {
-				s, err := core.BuildSystem(cfg, benchRand())
+				s, err := core.BuildCompactSystem(cfg, benchRand())
 				if err != nil {
 					b.Fatal(err)
 				}
-				nodes = len(s.Order)
+				nodes = s.Size()
 			}
 			speedup.report(b, workers)
 			b.ReportMetric(float64(nodes), "overlay-nodes")
@@ -230,7 +229,7 @@ func BenchmarkBuildSystem(b *testing.B) {
 // a couple of allocations (the report and its copied-out route).
 func BenchmarkSendMessageWarm(b *testing.B) {
 	cfg := benchSystemConfig()
-	s, err := core.BuildSystem(cfg, benchRand())
+	s, err := core.BuildCompactSystem(cfg, benchRand())
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -238,7 +237,8 @@ func BenchmarkSendMessageWarm(b *testing.B) {
 		b.Fatal(err)
 	}
 	s.Run(10 * time.Minute)
-	src, dst := s.Order[0], s.Order[len(s.Order)/2]
+	members := s.AliveIDs()
+	src, dst := members[0], members[len(members)/2]
 	if _, err := s.SendMessage(src, dst); err != nil {
 		b.Fatal(err)
 	}
@@ -569,21 +569,30 @@ func BenchmarkAblationDeltaWindow(b *testing.B) {
 func BenchmarkAblationProbeSharing(b *testing.B) {
 	rng := benchRand()
 	cfg := benchSystemConfig()
-	sys, err := core.BuildSystem(cfg, rng)
+	sys, err := core.BuildCompactSystem(cfg, rng)
 	if err != nil {
 		b.Fatal(err)
+	}
+	order := sys.AliveIDs()
+	treesOf := func(members []id.ID) map[id.ID]*tomography.Tree {
+		trees := make(map[id.ID]*tomography.Tree, len(members))
+		for _, m := range members {
+			i, _ := sys.Overlay.IndexOf(m)
+			t, err := sys.Tree(i)
+			if err != nil {
+				b.Fatal(err)
+			}
+			trees[m] = t
+		}
+		return trees
 	}
 	// Group nodes into collectives of 4 by order (a stand-in for stub
 	// co-location).
 	var totalFactor float64
 	var groups int
-	for i := 0; i+4 <= len(sys.Order); i += 4 {
-		members := sys.Order[i : i+4]
-		trees := make(map[id.ID]*tomography.Tree, 4)
-		for _, m := range members {
-			trees[m] = sys.Nodes[m].Tree
-		}
-		coll, err := tomography.NewCollective(members, trees)
+	for i := 0; i+4 <= len(order); i += 4 {
+		members := order[i : i+4]
+		coll, err := tomography.NewCollective(members, treesOf(members))
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -594,12 +603,8 @@ func BenchmarkAblationProbeSharing(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		// The steady-state cost is the Savings computation itself.
-		members := sys.Order[:4]
-		trees := make(map[id.ID]*tomography.Tree, 4)
-		for _, m := range members {
-			trees[m] = sys.Nodes[m].Tree
-		}
-		coll, err := tomography.NewCollective(members, trees)
+		members := order[:4]
+		coll, err := tomography.NewCollective(members, treesOf(members))
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -28,7 +28,7 @@ func main() {
 	cfg.OverlayFraction = 0.5
 	cfg.ArchiveRetention = 5 * time.Minute
 	rng := rand.New(rand.NewPCG(91, 97))
-	sys, err := core.BuildSystem(cfg, rng)
+	sys, err := core.BuildCompactSystem(cfg, rng)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -36,20 +36,22 @@ func main() {
 		log.Fatal(err)
 	}
 	sys.Run(5 * time.Minute)
-	fmt.Printf("overlay: %d nodes; archive: %d probe records\n", len(sys.Order), sys.Archive.Size())
+	fmt.Printf("overlay: %d nodes; archive: %d probe records\n", sys.Size(), sys.Archive.Size())
 
 	// An accusation published before the churn.
-	store, err := dht.New(sys.Ring, dht.DefaultReplicas)
+	store, err := dht.New(sys.Overlay.Ring(), dht.DefaultReplicas)
 	if err != nil {
 		log.Fatal(err)
 	}
-	repo, err := dht.NewAccusationRepo(store, sys.Keys(), cfg.Blame.GuiltyThreshold)
+	repo, err := dht.NewAccusationRepo(store, sys.KeyDir(), cfg.Blame.GuiltyThreshold)
 	if err != nil {
 		log.Fatal(err)
 	}
 	src, dst, route := findRoute(sys)
 	dropper := route[1]
-	sys.Nodes[dropper].Behavior = core.Behavior{DropsMessages: true}
+	if err := sys.SetBehavior(dropper, core.Behavior{DropsMessages: true}); err != nil {
+		log.Fatal(err)
+	}
 	rep, err := sys.SendMessage(src, dst)
 	if err != nil {
 		log.Fatal(err)
@@ -65,7 +67,7 @@ func main() {
 
 	// Churn: fail three nodes (never the parties above), join two.
 	failed := 0
-	for _, nid := range sys.Order {
+	for _, nid := range sys.AliveIDs() {
 		if failed == 3 {
 			break
 		}
@@ -79,8 +81,8 @@ func main() {
 	}
 	joined := 0
 	used := map[topology.RouterID]bool{}
-	for _, nid := range sys.Order {
-		used[sys.Nodes[nid].Router] = true
+	for i := 0; i < sys.Size(); i++ {
+		used[sys.Router(uint32(i))] = true
 	}
 	for _, h := range sys.Topo.EndHosts() {
 		if joined == 2 {
@@ -94,10 +96,10 @@ func main() {
 		}
 		joined++
 	}
-	fmt.Printf("churn: %d failed, %d joined -> %d nodes\n", failed, joined, len(sys.Order))
+	fmt.Printf("churn: %d failed, %d joined -> %d nodes\n", failed, joined, sys.Size())
 
 	// The DHT re-homes onto the new membership.
-	if err := store.Rebalance(sys.Ring); err != nil {
+	if err := store.Rebalance(sys.Overlay.Ring()); err != nil {
 		log.Fatal(err)
 	}
 	n, err = repo.Count(dropper)
@@ -120,9 +122,10 @@ func main() {
 	}
 }
 
-func findRoute(sys *core.System) (src, dst id.ID, route []id.ID) {
-	for _, a := range sys.Order {
-		for _, b := range sys.Order {
+func findRoute(sys *core.CompactSystem) (src, dst id.ID, route []id.ID) {
+	members := sys.AliveIDs()
+	for _, a := range members {
+		for _, b := range members {
 			if a == b {
 				continue
 			}

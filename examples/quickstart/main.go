@@ -23,18 +23,19 @@ import (
 func main() {
 	log.SetFlags(0)
 
-	// 1. Build the deployment: IP topology, CA, overlay, trees.
+	// 1. Build the deployment: IP topology, CA, overlay. Tomography
+	// trees are derived on first use.
 	cfg := core.DefaultSystemConfig()
 	cfg.Topology = topology.TestConfig()
 	cfg.OverlayFraction = 0.5
 	cfg.ArchiveRetention = 5 * time.Minute
 	rng := rand.New(rand.NewPCG(2026, 7))
-	sys, err := core.BuildSystem(cfg, rng)
+	sys, err := core.BuildCompactSystem(cfg, rng)
 	if err != nil {
 		log.Fatal(err)
 	}
 	fmt.Printf("overlay of %d nodes atop %d routers / %d links\n",
-		len(sys.Order), sys.Topo.NumRouters(), sys.Topo.NumLinks())
+		sys.Size(), sys.Topo.NumRouters(), sys.Topo.NumLinks())
 
 	// 2. Start collaborative probing and let the archive warm up.
 	if err := sys.StartProbing(); err != nil {
@@ -48,7 +49,8 @@ func main() {
 	fmt.Printf("route: %s\n\n", routeString(route))
 
 	// 3. Scenario A — the network drops the message.
-	path, err := sys.Nodes[route[0]].PathToPeer(route[1])
+	first, _ := sys.Overlay.IndexOf(route[0])
+	path, err := sys.PathToPeer(first, route[1])
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -70,7 +72,9 @@ func main() {
 
 	// 4. Scenario B — a forwarder drops the message.
 	dropper := route[1]
-	sys.Nodes[dropper].Behavior = core.Behavior{DropsMessages: true}
+	if err := sys.SetBehavior(dropper, core.Behavior{DropsMessages: true}); err != nil {
+		log.Fatal(err)
+	}
 	rep, err = sys.SendMessage(src, dst)
 	if err != nil {
 		log.Fatal(err)
@@ -79,15 +83,16 @@ func main() {
 	fmt.Printf("  delivered: %v, culprit: %s (ground truth: %s)\n",
 		rep.Delivered, rep.Culprit.Short(), dropper.Short())
 	if rep.Chain != nil {
-		err := rep.Chain.Verify(sys.Keys(), cfg.Blame.GuiltyThreshold)
+		err := rep.Chain.Verify(sys.KeyDir(), cfg.Blame.GuiltyThreshold)
 		fmt.Printf("  accusation chain of %d link(s) verifies independently: %v\n",
 			len(rep.Chain.Links), err == nil)
 	}
 }
 
-func findRoute(sys *core.System) (src, dst id.ID, route []id.ID) {
-	for _, a := range sys.Order {
-		for _, b := range sys.Order {
+func findRoute(sys *core.CompactSystem) (src, dst id.ID, route []id.ID) {
+	members := sys.AliveIDs()
+	for _, a := range members {
+		for _, b := range members {
 			if a == b {
 				continue
 			}

@@ -30,7 +30,7 @@ func main() {
 	cfg.OverlayFraction = 0.5
 	cfg.ArchiveRetention = 5 * time.Minute
 	rng := rand.New(rand.NewPCG(11, 13))
-	sys, err := core.BuildSystem(cfg, rng)
+	sys, err := core.BuildCompactSystem(cfg, rng)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -50,9 +50,16 @@ func main() {
 
 	// Every steward holds the next hop's signed forwarding commitment
 	// (§3.6), batched onto availability-probe responses.
-	msgID := sys.Nodes[a].NextMsgID()
+	at := func(x id.ID) uint32 {
+		i, ok := sys.Overlay.IndexOf(x)
+		if !ok {
+			log.Fatalf("%s is not a member", x.Short())
+		}
+		return i
+	}
+	msgID := sys.NextMsgID(at(a))
 	commit := func(from, via id.ID) core.Commitment {
-		return core.NewCommitment(sys.Nodes[via].Keys, from, via, z, msgID, now)
+		return core.NewCommitment(sys.Keys(at(via)), from, via, z, msgID, now)
 	}
 
 	// Z never acknowledges, so A, B, and C each judge their next hop
@@ -62,12 +69,12 @@ func main() {
 	var accusations []core.Accusation
 	fmt.Println("per-steward verdicts:")
 	for i, steward := range stewards {
-		span, err := sys.Nodes[steward].PathToPeer(nexts[i])
+		span, err := sys.PathToPeer(at(steward), nexts[i])
 		if err != nil {
 			log.Fatal(err)
 		}
 		if i+1 < len(nexts) {
-			onward, err := sys.Nodes[nexts[i]].PathToPeer(nexts[i+1])
+			onward, err := sys.PathToPeer(at(nexts[i]), nexts[i+1])
 			if err != nil {
 				log.Fatal(err)
 			}
@@ -82,7 +89,7 @@ func main() {
 		if !res.Guilty {
 			log.Fatalf("unexpected innocent verdict; a chain link was probably probed down")
 		}
-		acc, err := core.NewAccusation(sys.Nodes[steward].Keys, steward, res, msgID, span,
+		acc, err := core.NewAccusation(sys.Keys(at(steward)), steward, res, msgID, span,
 			commit(steward, nexts[i]))
 		if err != nil {
 			log.Fatal(err)
@@ -109,15 +116,15 @@ func main() {
 	for _, ex := range chain.Exonerated() {
 		fmt.Printf("exonerated: %s\n", ex.Short())
 	}
-	err = chain.Verify(sys.Keys(), cfg.Blame.GuiltyThreshold)
+	err = chain.Verify(sys.KeyDir(), cfg.Blame.GuiltyThreshold)
 	fmt.Printf("third-party verification of the amended accusation: %v\n", err == nil)
 
 	// Publish into the accusation DHT; any peer considering D fetches it.
-	store, err := dht.New(sys.Ring, dht.DefaultReplicas)
+	store, err := dht.New(sys.Overlay.Ring(), dht.DefaultReplicas)
 	if err != nil {
 		log.Fatal(err)
 	}
-	repo, err := dht.NewAccusationRepo(store, sys.Keys(), cfg.Blame.GuiltyThreshold)
+	repo, err := dht.NewAccusationRepo(store, sys.KeyDir(), cfg.Blame.GuiltyThreshold)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -133,14 +140,18 @@ func main() {
 
 // buildChain walks routing-peer edges to assemble a chain of distinct
 // nodes of the requested length.
-func buildChain(sys *core.System, length int) []id.ID {
+func buildChain(sys *core.CompactSystem, length int) []id.ID {
 	var walk func(chain []id.ID) []id.ID
 	walk = func(chain []id.ID) []id.ID {
 		if len(chain) == length {
 			return chain
 		}
-		cur := chain[len(chain)-1]
-		for _, leaf := range sys.Nodes[cur].Tree.Leaves {
+		cur, _ := sys.Overlay.IndexOf(chain[len(chain)-1])
+		tree, err := sys.Tree(cur)
+		if err != nil {
+			log.Fatal(err)
+		}
+		for _, leaf := range tree.Leaves {
 			dup := false
 			for _, seen := range chain {
 				if seen == leaf.Node {
@@ -157,7 +168,7 @@ func buildChain(sys *core.System, length int) []id.ID {
 		}
 		return nil
 	}
-	for _, start := range sys.Order {
+	for _, start := range sys.AliveIDs() {
 		if out := walk([]id.ID{start}); out != nil {
 			return out
 		}

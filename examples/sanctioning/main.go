@@ -32,7 +32,7 @@ func main() {
 	cfg.OverlayFraction = 0.5
 	cfg.ArchiveRetention = 5 * time.Minute
 	rng := rand.New(rand.NewPCG(71, 73))
-	sys, err := core.BuildSystem(cfg, rng)
+	sys, err := core.BuildCompactSystem(cfg, rng)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -42,11 +42,11 @@ func main() {
 	sys.Run(5 * time.Minute)
 
 	// Accusation repository in the DHT, feeding the sanction policy.
-	store, err := dht.New(sys.Ring, dht.DefaultReplicas)
+	store, err := dht.New(sys.Overlay.Ring(), dht.DefaultReplicas)
 	if err != nil {
 		log.Fatal(err)
 	}
-	repo, err := dht.NewAccusationRepo(store, sys.Keys(), cfg.Blame.GuiltyThreshold)
+	repo, err := dht.NewAccusationRepo(store, sys.KeyDir(), cfg.Blame.GuiltyThreshold)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -70,7 +70,9 @@ func main() {
 	// escalates.
 	src, dst, route := findRoute(sys)
 	dropper := route[1]
-	sys.Nodes[dropper].Behavior = core.Behavior{DropsMessages: true}
+	if err := sys.SetBehavior(dropper, core.Behavior{DropsMessages: true}); err != nil {
+		log.Fatal(err)
+	}
 	fmt.Printf("part 1: %s starts dropping messages\n", dropper.Short())
 	for round := 1; round <= 3; round++ {
 		rep, err := sys.SendMessage(src, dst)
@@ -104,12 +106,14 @@ func main() {
 	fmt.Println("  hosts cast signed votes of no confidence instead:")
 	board := reputation.NewBoard()
 	voters := 0
-	for _, nid := range sys.Order {
-		if nid == refuser || !sys.Nodes[nid].Behavior.Honest() {
+	for _, nid := range sys.AliveIDs() {
+		i, _ := sys.Overlay.IndexOf(nid)
+		if nid == refuser || !sys.Behavior(i).Honest() {
 			continue
 		}
-		v := reputation.NewVote(sys.Nodes[nid].Keys, nid, refuser, sys.Sim.Now())
-		if err := board.Record(v, sys.Nodes[nid].Keys.Public); err != nil {
+		keys := sys.Keys(i)
+		v := reputation.NewVote(keys, nid, refuser, sys.Sim.Now())
+		if err := board.Record(v, keys.Public); err != nil {
 			log.Fatal(err)
 		}
 		voters++
@@ -118,25 +122,27 @@ func main() {
 		}
 	}
 	trusted := func(x id.ID) bool {
-		n, ok := sys.Nodes[x]
-		return ok && n.Behavior.Honest()
+		i, ok := sys.Overlay.IndexOf(x)
+		return ok && sys.Behavior(i).Honest()
 	}
 	fmt.Printf("  trusted no-confidence votes: %d\n", board.NoConfidence(refuser, trusted))
 	fmt.Printf("  poor peer at quorum 3: %v\n", board.PoorPeer(refuser, trusted, 3))
 
 	// Votes from a detected colluder do not count.
 	colluder := dropper
-	v := reputation.NewVote(sys.Nodes[colluder].Keys, colluder, refuser, sys.Sim.Now())
-	if err := board.Record(v, sys.Nodes[colluder].Keys.Public); err != nil {
+	ci, _ := sys.Overlay.IndexOf(colluder)
+	v := reputation.NewVote(sys.Keys(ci), colluder, refuser, sys.Sim.Now())
+	if err := board.Record(v, sys.Keys(ci).Public); err != nil {
 		log.Fatal(err)
 	}
 	fmt.Printf("  after a detected dropper votes too: still %d trusted votes\n",
 		board.NoConfidence(refuser, trusted))
 }
 
-func findRoute(sys *core.System) (src, dst id.ID, route []id.ID) {
-	for _, a := range sys.Order {
-		for _, b := range sys.Order {
+func findRoute(sys *core.CompactSystem) (src, dst id.ID, route []id.ID) {
+	members := sys.AliveIDs()
+	for _, a := range members {
+		for _, b := range members {
 			if a == b {
 				continue
 			}

@@ -16,7 +16,6 @@ import (
 	"time"
 
 	"concilium/internal/core"
-	"concilium/internal/id"
 	"concilium/internal/netsim"
 	"concilium/internal/sigcrypto"
 	"concilium/internal/topology"
@@ -29,17 +28,19 @@ func main() {
 	cfg.Topology = topology.TestConfig()
 	cfg.OverlayFraction = 0.5
 	rng := rand.New(rand.NewPCG(51, 61))
-	sys, err := core.BuildSystem(cfg, rng)
+	sys, err := core.BuildCompactSystem(cfg, rng)
 	if err != nil {
 		log.Fatal(err)
 	}
 	now := netsim.Time(0).Add(10 * time.Minute)
 	sys.Run(10 * time.Minute)
 
-	verifier := sys.Nodes[sys.Order[0]]
-	advertiser := sys.Nodes[sys.Order[1]]
-	localOcc := verifier.Routing.Secure.Occupancy()
-	localSpacing, err := verifier.Routing.Leaf.MeanSpacing()
+	members := sys.AliveIDs()
+	verifier, _ := sys.Overlay.IndexOf(members[0])
+	advertiser, _ := sys.Overlay.IndexOf(members[1])
+	advertiserID, advertiserKeys := sys.NodeID(advertiser), sys.Keys(advertiser)
+	localOcc := sys.Overlay.SecureOccupancy(verifier)
+	localSpacing, err := sys.Overlay.LeafMeanSpacing(verifier)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -50,7 +51,7 @@ func main() {
 		log.Fatal(err)
 	}
 	validator := &core.SnapshotValidator{
-		Keys:             sys.Keys(),
+		Keys:             sys.KeyDir(),
 		MaxEntryAge:      3 * time.Minute,
 		JumpTest:         test,
 		LocalOccupancy:   localOcc,
@@ -58,64 +59,54 @@ func main() {
 		LocalLeafSpacing: localSpacing,
 	}
 	fmt.Printf("verifier %s: %d occupied jump-table slots, gamma=%.2f\n\n",
-		verifier.ID().Short(), localOcc, gamma)
-
-	peerKeys := func(p id.ID) (sigcrypto.KeyPair, bool) {
-		n, ok := sys.Nodes[p]
-		if !ok {
-			return sigcrypto.KeyPair{}, false
-		}
-		return n.Keys, true
-	}
+		sys.NodeID(verifier).Short(), localOcc, gamma)
 
 	// 1. Honest advert passes every check.
-	entries, err := advertiser.BuildAdvert(int64(now), peerKeys)
-	if err != nil {
-		log.Fatal(err)
-	}
-	snap := &core.Snapshot{Prober: advertiser.ID(), At: now, Entries: entries, LeafSpacing: localSpacing}
-	snap.Sign(advertiser.Keys)
+	entries := sys.BuildAdvert(advertiser, int64(now))
+	snap := &core.Snapshot{Prober: advertiserID, At: now, Entries: entries, LeafSpacing: localSpacing}
+	snap.Sign(advertiserKeys)
 	fmt.Printf("1. honest advert (%d entries): %s\n", len(entries), outcome(validator.Validate(snap)))
 
 	// 2. Suppression-style sparse advert: hide most peers.
-	sparse := &core.Snapshot{Prober: advertiser.ID(), At: now, Entries: entries[:len(entries)/3], LeafSpacing: localSpacing}
-	sparse.Sign(advertiser.Keys)
+	sparse := &core.Snapshot{Prober: advertiserID, At: now, Entries: entries[:len(entries)/3], LeafSpacing: localSpacing}
+	sparse.Sign(advertiserKeys)
 	err = validator.Validate(sparse)
 	fmt.Printf("2. sparse advert (%d entries): %s (want density failure: %v)\n",
 		len(sparse.Entries), outcome(err), errors.Is(err, core.ErrTableTooSparse))
 
 	// 3. Inflation attack: pad the table with a stale timestamp from a
 	// long-departed peer.
-	ghost := sys.Nodes[sys.Order[2]]
-	staleTS := sigcrypto.NewTimestamp(ghost.Keys, ghost.ID(), int64(now.Add(-2*time.Hour)))
+	ghost := members[2]
+	ghostAt, _ := sys.Overlay.IndexOf(ghost)
+	staleTS := sigcrypto.NewTimestamp(sys.Keys(ghostAt), ghost, int64(now.Add(-2*time.Hour)))
 	inflated := &core.Snapshot{
-		Prober:      advertiser.ID(),
+		Prober:      advertiserID,
 		At:          now,
-		Entries:     append(append([]core.AdvertEntry(nil), entries...), core.AdvertEntry{Peer: ghost.ID(), Freshness: staleTS}),
+		Entries:     append(append([]core.AdvertEntry(nil), entries...), core.AdvertEntry{Peer: ghost, Freshness: staleTS}),
 		LeafSpacing: localSpacing,
 	}
-	inflated.Sign(advertiser.Keys)
+	inflated.Sign(advertiserKeys)
 	err = validator.Validate(inflated)
 	fmt.Printf("3. inflation with stale timestamp: %s (want staleness failure: %v)\n",
 		outcome(err), errors.Is(err, core.ErrStaleEntry))
 
 	// 4. Forged freshness: the advertiser signs the ghost's timestamp
 	// itself, lacking the ghost's private key.
-	forgedTS := sigcrypto.NewTimestamp(advertiser.Keys, ghost.ID(), int64(now.Add(-time.Minute)))
+	forgedTS := sigcrypto.NewTimestamp(advertiserKeys, ghost, int64(now.Add(-time.Minute)))
 	forged := &core.Snapshot{
-		Prober:      advertiser.ID(),
+		Prober:      advertiserID,
 		At:          now,
-		Entries:     append(append([]core.AdvertEntry(nil), entries...), core.AdvertEntry{Peer: ghost.ID(), Freshness: forgedTS}),
+		Entries:     append(append([]core.AdvertEntry(nil), entries...), core.AdvertEntry{Peer: ghost, Freshness: forgedTS}),
 		LeafSpacing: localSpacing,
 	}
-	forged.Sign(advertiser.Keys)
+	forged.Sign(advertiserKeys)
 	err = validator.Validate(forged)
 	fmt.Printf("4. forged freshness signature: %s (want signature failure: %v)\n",
 		outcome(err), errors.Is(err, core.ErrBadEntrySignature))
 
 	// 5. Leaf-set suppression: advertise implausibly wide leaf spacing.
-	wide := &core.Snapshot{Prober: advertiser.ID(), At: now, Entries: entries, LeafSpacing: 5 * localSpacing}
-	wide.Sign(advertiser.Keys)
+	wide := &core.Snapshot{Prober: advertiserID, At: now, Entries: entries, LeafSpacing: 5 * localSpacing}
+	wide.Sign(advertiserKeys)
 	err = validator.Validate(wide)
 	fmt.Printf("5. sparse leaf set: %s (want leaf density failure: %v)\n\n",
 		outcome(err), errors.Is(err, core.ErrLeafSetTooSparse))

@@ -26,7 +26,7 @@ func TestFullPipeline(t *testing.T) {
 	cfg.OverlayFraction = 0.5
 	cfg.ArchiveRetention = 5 * time.Minute
 	rng := rand.New(rand.NewPCG(601, 607))
-	sys, err := core.BuildSystem(cfg, rng)
+	sys, err := core.BuildCompactSystem(cfg, rng)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -42,11 +42,11 @@ func TestFullPipeline(t *testing.T) {
 	}
 
 	// Accusation repository + sanction policy.
-	store, err := dht.New(sys.Ring, dht.DefaultReplicas)
+	store, err := dht.New(sys.Overlay.Ring(), dht.DefaultReplicas)
 	if err != nil {
 		t.Fatal(err)
 	}
-	repo, err := dht.NewAccusationRepo(store, sys.Keys(), cfg.Blame.GuiltyThreshold)
+	repo, err := dht.NewAccusationRepo(store, sys.KeyDir(), cfg.Blame.GuiltyThreshold)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -70,8 +70,9 @@ func TestFullPipeline(t *testing.T) {
 	// enough published accusations to be blacklisted.
 	var dropper id.ID
 	var nodeDrops, linkDrops, misattributed int
-	for _, src := range sys.Order {
-		for _, dst := range sys.Order {
+	members := sys.AliveIDs()
+	for _, src := range members {
+		for _, dst := range members {
 			if src == dst {
 				continue
 			}
@@ -84,7 +85,9 @@ func TestFullPipeline(t *testing.T) {
 			}
 			if dropper == (id.ID{}) {
 				dropper = rep.Route[1]
-				sys.Nodes[dropper].Behavior = core.Behavior{DropsMessages: true}
+				if err := sys.SetBehavior(dropper, core.Behavior{DropsMessages: true}); err != nil {
+					t.Fatal(err)
+				}
 			}
 			rep, err = sys.SendMessage(src, dst)
 			if err != nil {
@@ -109,7 +112,7 @@ func TestFullPipeline(t *testing.T) {
 					if err != nil {
 						t.Fatal(err)
 					}
-					if err := back.Verify(sys.Keys(), cfg.Blame.GuiltyThreshold); err != nil {
+					if err := back.Verify(sys.KeyDir(), cfg.Blame.GuiltyThreshold); err != nil {
 						t.Fatalf("decoded chain unverifiable: %v", err)
 					}
 				}
@@ -150,8 +153,8 @@ func TestFullPipeline(t *testing.T) {
 
 	// An honest node is untouched.
 	var honest id.ID
-	for _, nid := range sys.Order {
-		if nid != dropper && sys.Nodes[nid].Behavior.Honest() {
+	for i := uint32(0); i < uint32(sys.Size()); i++ {
+		if nid := sys.NodeID(i); nid != dropper && sys.Behavior(i).Honest() {
 			honest = nid
 			break
 		}
@@ -179,7 +182,7 @@ func TestDiagnosisUnderChurnedFailures(t *testing.T) {
 	cfg.Failures.StdDowntime = time.Minute
 	cfg.Failures.MinDowntime = time.Minute
 	rng := rand.New(rand.NewPCG(701, 709))
-	sys, err := core.BuildSystem(cfg, rng)
+	sys, err := core.BuildCompactSystem(cfg, rng)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -192,9 +195,10 @@ func TestDiagnosisUnderChurnedFailures(t *testing.T) {
 	sys.Run(6 * time.Minute)
 
 	var networkRight, networkWrong int
+	members := sys.AliveIDs()
 	for round := 0; round < 120; round++ {
-		src := sys.Order[rng.IntN(len(sys.Order))]
-		dst := sys.Order[rng.IntN(len(sys.Order))]
+		src := members[rng.IntN(len(members))]
+		dst := members[rng.IntN(len(members))]
 		if src == dst {
 			continue
 		}
@@ -235,7 +239,7 @@ func TestWholeStackDeterminism(t *testing.T) {
 		cfg.ArchiveRetention = 4 * time.Minute
 		cfg.MaliciousFraction = 0.1
 		rng := rand.New(rand.NewPCG(901, 902))
-		sys, err := core.BuildSystem(cfg, rng)
+		sys, err := core.BuildCompactSystem(cfg, rng)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -247,9 +251,10 @@ func TestWholeStackDeterminism(t *testing.T) {
 		}
 		sys.Run(5 * time.Minute)
 		var log []string
+		members := sys.AliveIDs()
 		for i := 0; i < 40; i++ {
-			src := sys.Order[rng.IntN(len(sys.Order))]
-			dst := sys.Order[rng.IntN(len(sys.Order))]
+			src := members[rng.IntN(len(members))]
+			dst := members[rng.IntN(len(members))]
 			if src == dst {
 				continue
 			}
@@ -290,7 +295,7 @@ func TestTwoVirtualHourSoak(t *testing.T) {
 	cfg.ArchiveRetention = 5 * time.Minute
 	cfg.MaliciousFraction = 0.1
 	rng := rand.New(rand.NewPCG(1001, 1009))
-	sys, err := core.BuildSystem(cfg, rng)
+	sys, err := core.BuildCompactSystem(cfg, rng)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -304,17 +309,18 @@ func TestTwoVirtualHourSoak(t *testing.T) {
 	archiveAfterWarmup := sys.Archive.Size()
 
 	honest := map[id.ID]bool{}
-	for _, nid := range sys.Order {
-		honest[nid] = sys.Nodes[nid].Behavior.Honest()
+	for i := uint32(0); i < uint32(sys.Size()); i++ {
+		honest[sys.NodeID(i)] = sys.Behavior(i).Honest()
 	}
+	members := sys.AliveIDs()
 	var sent, delivered int
 	var nodeDrops, nodeDropsCorrect int // ground truth: a forwarder dropped
 	var netDrops, netDropsMisblamed int // ground truth: a link ate it
 	formally := map[id.ID]bool{}
 	// ~110 virtual minutes of traffic, one message per virtual minute.
 	for minute := 0; minute < 110; minute++ {
-		src := sys.Order[rng.IntN(len(sys.Order))]
-		dst := sys.Order[rng.IntN(len(sys.Order))]
+		src := members[rng.IntN(len(members))]
+		dst := members[rng.IntN(len(members))]
 		if src != dst {
 			rep, err := sys.SendMessage(src, dst)
 			if err != nil {
@@ -336,7 +342,7 @@ func TestTwoVirtualHourSoak(t *testing.T) {
 				}
 			}
 			for _, v := range rep.Verdicts {
-				if v.Guilty && sys.Window.GuiltyCount(v.Judged) >= cfg.Window.M {
+				if v.Guilty && sys.GuiltyCount(v.Judged) >= cfg.Window.M {
 					formally[v.Judged] = true
 				}
 			}

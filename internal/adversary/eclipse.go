@@ -5,6 +5,7 @@ import (
 	"fmt"
 
 	"concilium/internal/id"
+	"concilium/internal/overlay"
 )
 
 // eclipseStrategy attacks identifier placement: attackers join the
@@ -60,14 +61,15 @@ func (s *eclipseStrategy) Setup(env *Env) error {
 		if err != nil {
 			return fmt.Errorf("adversary: eclipse join %d: %w", j, err)
 		}
-		env.keyDir[got] = sys.Nodes[got].Keys.Public
+		i, _ := sys.Overlay.IndexOf(got)
+		env.keyDir[got] = sys.Keys(i).Public
 		joined = append(joined, got)
 	}
 	// The eclipse cluster replaces the pre-selected tail attackers:
 	// the joined identities are the actual adversaries.
 	env.Attackers = joined
 	env.refreshHonest()
-	if err := env.Store.Rebalance(sys.Ring); err != nil {
+	if err := env.Store.Rebalance(sys.Overlay.Ring()); err != nil {
 		env.cell.RebalanceErrors++
 	}
 	return nil
@@ -88,16 +90,18 @@ func (*eclipseStrategy) Round(*Env, int) error { return nil }
 func (s *eclipseStrategy) Curve(env *Env) ([]ROCPoint, ROCPoint, error) {
 	sys := env.Sys
 	att := env.attackerSet()
-	minGap := make(map[id.ID]float64, len(sys.Order))
+	minGap := make(map[id.ID]float64, len(env.members))
 	var evaluators []id.ID
 	meanGap := make(map[id.ID]float64)
-	for _, nid := range sys.Order {
-		leaf := sys.Nodes[nid].Routing.Leaf
-		minGap[nid] = nearestNeighborGap(nid, leaf.All())
+	var leaves []uint32
+	for _, nid := range env.members {
+		i, _ := sys.Overlay.IndexOf(nid)
+		leaves = sys.Overlay.AppendLeafIndices(i, leaves[:0])
+		minGap[nid] = nearestNeighborGap(sys.Overlay, nid, leaves)
 		if att[nid] {
 			continue
 		}
-		if mg, err := leaf.MeanSpacing(); err == nil && mg > 0 {
+		if mg, err := sys.Overlay.LeafMeanSpacing(i); err == nil && mg > 0 {
 			evaluators = append(evaluators, nid)
 			meanGap[nid] = mg
 		}
@@ -146,7 +150,7 @@ func (s *eclipseStrategy) Curve(env *Env) ([]ROCPoint, ROCPoint, error) {
 	// Flagged hosts at the operating point lose their voting rights in
 	// the reputation fallback: an eclipse cluster cannot vote its
 	// victim into sanctions.
-	for _, nid := range sys.Order {
+	for _, nid := range env.members {
 		if flaggedAt(nid, eclipseOpGamma) {
 			env.Distrusted[nid] = true
 		}
@@ -159,9 +163,10 @@ func (s *eclipseStrategy) Curve(env *Env) ([]ROCPoint, ROCPoint, error) {
 // personal placement anomaly: a packed attacker sits δ from a cluster
 // sibling, while a randomly placed host's nearest neighbor is an
 // exponential draw around ring/N.
-func nearestNeighborGap(owner id.ID, members []id.ID) float64 {
+func nearestNeighborGap(o *overlay.Compact, owner id.ID, leaves []uint32) float64 {
 	best := id.RingSize
-	for _, m := range members {
+	for _, j := range leaves {
+		m := o.ID(j)
 		if m == owner {
 			continue
 		}

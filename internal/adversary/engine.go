@@ -9,7 +9,6 @@ import (
 	"concilium/internal/dht"
 	"concilium/internal/id"
 	"concilium/internal/metrics"
-	"concilium/internal/overlay"
 	"concilium/internal/parexec"
 	"concilium/internal/reputation"
 )
@@ -72,32 +71,34 @@ func Run(cfg Config) (*Report, error) {
 // in the overlay — and returns the n hosts that appear most often as
 // interior hops. Under uniform traffic this is exactly the expected
 // stewarding load, so the census finds the positions a real adversary
-// would corrupt. Ties break by deterministic system order.
-func topForwarders(sys *core.System, n int) ([]id.ID, error) {
-	states := make(map[id.ID]*overlay.RoutingState, len(sys.Order))
-	for _, nid := range sys.Order {
-		states[nid] = sys.Nodes[nid].Routing
-	}
-	stewards := make(map[id.ID]int, len(sys.Order))
-	var scratch []id.ID
-	for _, src := range sys.Order {
-		for _, dst := range sys.Order {
+// would corrupt. Ties break by the order of members, the system's
+// build order.
+func topForwarders(sys *core.CompactSystem, members []id.ID, n int) ([]id.ID, error) {
+	o := sys.Overlay
+	stewards := make([]int, o.Size()) // by ring position
+	var route []uint32
+	for src := uint32(0); src < uint32(o.Size()); src++ {
+		for dst := uint32(0); dst < uint32(o.Size()); dst++ {
 			if src == dst {
 				continue
 			}
-			route, err := overlay.AppendRouteSecure(states, src, dst, 0, scratch[:0])
+			var err error
+			route, err = o.AppendRouteSecure(src, o.ID(dst), 0, route[:0])
 			if err != nil {
 				return nil, err
 			}
-			scratch = route
 			for i := 1; i+1 < len(route); i++ {
 				stewards[route[i]]++
 			}
 		}
 	}
-	ranked := append([]id.ID(nil), sys.Order...)
+	load := make(map[id.ID]int, len(members))
+	for i, c := range stewards {
+		load[o.ID(uint32(i))] = c
+	}
+	ranked := append([]id.ID(nil), members...)
 	sort.SliceStable(ranked, func(i, j int) bool {
-		return stewards[ranked[i]] > stewards[ranked[j]]
+		return load[ranked[i]] > load[ranked[j]]
 	})
 	return ranked[:n], nil
 }
@@ -135,11 +136,11 @@ func runCell(cfg *Config, strat Strategy, frac float64, seed parexec.Seed) (cell
 	sysCfg := cfg.System
 	sysCfg.Workers = 1 // cells are already the parallel axis
 	sysCfg.Metrics = reg
-	sys, err := core.BuildSystem(sysCfg, seed.Stream(0))
+	sys, err := core.BuildCompactSystem(sysCfg, seed.Stream(0))
 	if err != nil {
 		return cell, snap, err
 	}
-	store, err := dht.New(sys.Ring, cfg.Replicas)
+	store, err := dht.New(sys.Overlay.Ring(), cfg.Replicas)
 	if err != nil {
 		return cell, snap, err
 	}
@@ -154,11 +155,12 @@ func runCell(cfg *Config, strat Strategy, frac float64, seed parexec.Seed) (cell
 		Traffic:    seed.Stream(1),
 		Attack:     seed.Stream(2),
 		Distrusted: make(map[id.ID]bool),
-		keyDir:     make(map[id.ID]ed25519.PublicKey, len(sys.Order)),
+		members:    sys.AliveIDs(),
+		keyDir:     make(map[id.ID]ed25519.PublicKey, sys.Size()),
 		cell:       &cell,
 	}
-	for _, nid := range sys.Order {
-		env.keyDir[nid] = sys.Nodes[nid].Keys.Public
+	for i := uint32(0); i < uint32(sys.Size()); i++ {
+		env.keyDir[sys.NodeID(i)] = sys.Keys(i).Public
 	}
 	keys := func(x id.ID) (ed25519.PublicKey, bool) {
 		k, ok := env.keyDir[x]
@@ -192,8 +194,8 @@ func runCell(cfg *Config, strat Strategy, frac float64, seed parexec.Seed) (cell
 	// adversary corrupts the hosts traffic actually flows through — and
 	// that is the set the defenses must convict. Behaviors are installed
 	// by the strategy, never the engine.
-	nAtt := attackerCount(frac, len(sys.Order))
-	env.Attackers, err = topForwarders(sys, nAtt)
+	nAtt := attackerCount(frac, len(env.members))
+	env.Attackers, err = topForwarders(sys, env.members, nAtt)
 	if err != nil {
 		return cell, snap, err
 	}
@@ -226,7 +228,7 @@ func runCell(cfg *Config, strat Strategy, frac float64, seed parexec.Seed) (cell
 	if err != nil {
 		return cell, snap, err
 	}
-	cell.Nodes = len(sys.Order)
+	cell.Nodes = sys.Size()
 	cell.Suspected = env.Suspector.SuspectedCount()
 	s := reg.Snapshot()
 	cell.Rejections = CellRejections{
@@ -243,7 +245,7 @@ func runCell(cfg *Config, strat Strategy, frac float64, seed parexec.Seed) (cell
 	// co-signers and detector-flagged hosts are voided too.
 	trusted := func(v id.ID) bool {
 		return !env.Suspector.Suspected(v) &&
-			sys.Window.GuiltyCount(v) == 0 &&
+			sys.GuiltyCount(v) == 0 &&
 			!env.Distrusted[v]
 	}
 	cell.RepAttackerRate = poorPeerRate(env.Board, env.Attackers, trusted, cfg.SanctionQuorum)
@@ -258,8 +260,8 @@ func runCell(cfg *Config, strat Strategy, frac float64, seed parexec.Seed) (cell
 func (e *Env) sendTraffic(n int) error {
 	sys := e.Sys
 	for i := 0; i < n; i++ {
-		src := sys.Order[e.Traffic.IntN(len(sys.Order))]
-		dst := sys.Order[e.Traffic.IntN(len(sys.Order))]
+		src := e.members[e.Traffic.IntN(len(e.members))]
+		dst := e.members[e.Traffic.IntN(len(e.members))]
 		rep, err := sys.SendMessage(src, dst)
 		if err != nil {
 			return fmt.Errorf("adversary: %s message %d: %w", e.cell.Strategy, e.cell.Sent, err)
@@ -288,7 +290,7 @@ func (e *Env) tally(rep *core.DeliveryReport) {
 			continue
 		}
 		accuser := rep.Route[vi]
-		if an := e.Sys.Nodes[accuser]; an != nil && an.Behavior.Honest() {
+		if i, ok := e.Sys.Overlay.IndexOf(accuser); ok && e.Sys.Behavior(i).Honest() {
 			e.castVote(accuser, v.Judged)
 		}
 	}

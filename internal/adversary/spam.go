@@ -62,9 +62,9 @@ func (spamStrategy) Round(env *Env, round int) error {
 // least q distinct accuser groups hold verifiable chains against it.
 // The operating point is the configured SanctionQuorum.
 func (spamStrategy) Curve(env *Env) ([]ROCPoint, ROCPoint, error) {
-	counts := make(map[id.ID]int, len(env.Sys.Order))
+	counts := make(map[id.ID]int, len(env.members))
 	maxQ := env.Cfg.SanctionQuorum + 4
-	for _, nid := range env.Sys.Order {
+	for _, nid := range env.members {
 		n, err := env.Repo.CountBy(nid, env.Suspector.Group)
 		if err != nil {
 			return nil, ROCPoint{}, err

@@ -50,7 +50,7 @@ func Strategies() []Strategy {
 // clique-discounting defenses, and the cell's attack substream.
 type Env struct {
 	Cfg       *Config
-	Sys       *core.System
+	Sys       *core.CompactSystem
 	Store     *dht.Store
 	Repo      *dht.AccusationRepo
 	Suspector *core.CliqueSuspector
@@ -71,6 +71,9 @@ type Env struct {
 	// votes.
 	Distrusted map[id.ID]bool
 
+	// members is the overlay membership in build order, the pool
+	// traffic endpoints are drawn from; refreshHonest refreshes it.
+	members []id.ID
 	keyDir  map[id.ID]ed25519.PublicKey
 	attSet  map[id.ID]bool
 	cell    *CellResult
@@ -91,8 +94,9 @@ func (e *Env) attackerSet() map[id.ID]bool {
 // membership, in deterministic system order.
 func (e *Env) refreshHonest() {
 	e.attSet = e.attackerSet()
+	e.members = e.Sys.AliveIDs()
 	e.Honest = e.Honest[:0]
-	for _, nid := range e.Sys.Order {
+	for _, nid := range e.members {
 		if !e.attSet[nid] {
 			e.Honest = append(e.Honest, nid)
 		}
@@ -155,9 +159,9 @@ func (e *Env) forgedChain(signers []id.ID, victim id.ID, msgID uint64, at netsim
 	links := make([]core.Accusation, 0, len(path)-1)
 	for i := 0; i+1 < len(path); i++ {
 		accuser, accused := path[i], path[i+1]
-		accusedNode := e.Sys.Nodes[accused]
-		accuserNode := e.Sys.Nodes[accuser]
-		if accusedNode == nil || accuserNode == nil {
+		accusedAt, okAccused := e.Sys.Overlay.IndexOf(accused)
+		accuserAt, okAccuser := e.Sys.Overlay.IndexOf(accuser)
+		if !okAccused || !okAccuser {
 			return nil, fmt.Errorf("adversary: forged chain names departed host")
 		}
 		res := core.BlameResult{
@@ -169,8 +173,8 @@ func (e *Env) forgedChain(signers []id.ID, victim id.ID, msgID uint64, at netsim
 				{Link: topology.LinkID(1), Probes: 3, Confidence: 0},
 			},
 		}
-		commit := core.NewCommitment(accusedNode.Keys, accuser, accused, victim, msgID, at)
-		acc, err := core.NewAccusation(accuserNode.Keys, accuser, res, msgID,
+		commit := core.NewCommitment(e.Sys.Keys(accusedAt), accuser, accused, victim, msgID, at)
+		acc, err := core.NewAccusation(e.Sys.Keys(accuserAt), accuser, res, msgID,
 			[]topology.LinkID{topology.LinkID(1)}, commit)
 		if err != nil {
 			return nil, err
@@ -188,12 +192,13 @@ func (e *Env) pickVictim() id.ID {
 // castVote records a no-confidence vote on the board, tallying (not
 // failing on) verification errors.
 func (e *Env) castVote(voter, subject id.ID) {
-	vn := e.Sys.Nodes[voter]
-	if vn == nil || voter == subject {
+	i, ok := e.Sys.Overlay.IndexOf(voter)
+	if !ok || voter == subject {
 		return
 	}
-	v := reputation.NewVote(vn.Keys, voter, subject, e.Sys.Sim.Now())
-	if err := e.Board.Record(v, vn.Keys.Public); err != nil {
+	keys := e.Sys.Keys(i)
+	v := reputation.NewVote(keys, voter, subject, e.Sys.Sim.Now())
+	if err := e.Board.Record(v, keys.Public); err != nil {
 		e.cell.VoteErrors++
 	}
 }
@@ -228,7 +233,7 @@ func (e *Env) convictionRate(hosts []id.ID, m int) float64 {
 	}
 	var n int
 	for _, h := range hosts {
-		if e.Sys.Window.GuiltyCount(h) >= m {
+		if e.Sys.GuiltyCount(h) >= m {
 			n++
 		}
 	}

@@ -18,9 +18,13 @@ import (
 // accumulating report.
 type Campaign struct {
 	cfg   Config
-	sys   *core.System
+	sys   *core.CompactSystem
 	store *dht.Store
 	repo  *dht.AccusationRepo
+
+	// alive is the membership in build order, the pool every random
+	// node pick draws from; refreshed after each churn event.
+	alive []id.ID
 
 	// keyDir outlives churn: verifying a chain signed by a node that
 	// later crashed requires its public key, so keys are snapshotted at
@@ -74,28 +78,29 @@ func newCampaign(cfg Config) (*Campaign, error) {
 	root := RootSeed(cfg.Seed)
 	reg := metrics.NewRegistry()
 	cfg.System.Metrics = reg
-	sys, err := core.BuildSystem(cfg.System, root.Stream(0))
+	sys, err := core.BuildCompactSystem(cfg.System, root.Stream(0))
 	if err != nil {
 		return nil, err
 	}
-	store, err := dht.New(sys.Ring, cfg.Replicas)
+	alive := sys.AliveIDs()
+	store, err := dht.New(sys.Overlay.Ring(), cfg.Replicas)
 	if err != nil {
 		return nil, err
 	}
 	store.SetMetrics(reg)
 
 	// Adversary knob: mark the tail of the deterministic order as
-	// probabilistic droppers. BuildSystem marks MaliciousFraction at the
+	// probabilistic droppers. The build marks MaliciousFraction at the
 	// head, so the two sets are disjoint; SetBehavior draws no
 	// randomness, so a zero fraction leaves every substream — and the
 	// report — exactly as before the knob existed.
 	marked := 0
 	if cfg.AdversaryFraction > 0 {
-		marked = int(cfg.AdversaryFraction*float64(len(sys.Order)) + 0.5)
+		marked = int(cfg.AdversaryFraction*float64(len(alive)) + 0.5)
 		if marked < 1 {
 			marked = 1
 		}
-		for _, nid := range sys.Order[len(sys.Order)-marked:] {
+		for _, nid := range alive[len(alive)-marked:] {
 			if err := sys.SetBehavior(nid, core.Behavior{DropProb: cfg.AdversaryDropProb}); err != nil {
 				return nil, err
 			}
@@ -106,15 +111,16 @@ func newCampaign(cfg Config) (*Campaign, error) {
 		cfg:       cfg,
 		sys:       sys,
 		store:     store,
+		alive:     alive,
 		reg:       reg,
-		keyDir:    make(map[id.ID]ed25519.PublicKey, len(sys.Order)),
+		keyDir:    make(map[id.ID]ed25519.PublicKey, len(alive)),
 		sched:     root.Stream(1),
 		traffic:   root.Stream(2),
 		published: make(map[id.ID]int),
 		departed:  make(map[id.ID]bool),
 	}
-	for _, nid := range sys.Order {
-		c.keyDir[nid] = sys.Nodes[nid].Keys.Public
+	for i := 0; i < sys.Size(); i++ {
+		c.keyDir[sys.NodeID(uint32(i))] = sys.Keys(uint32(i)).Public
 	}
 	keys := func(x id.ID) (ed25519.PublicKey, bool) {
 		k, ok := c.keyDir[x]
@@ -130,7 +136,7 @@ func newCampaign(cfg Config) (*Campaign, error) {
 		return nil, err
 	}
 	c.rep.Seed = cfg.Seed
-	c.rep.Nodes = len(sys.Order)
+	c.rep.Nodes = len(alive)
 	c.rep.AdversaryMarked = marked
 	return c, nil
 }
@@ -207,12 +213,12 @@ func (c *Campaign) phaseProbeLoss() error {
 func (c *Campaign) phaseSilentLeaves() error {
 	c.rep.FaultKinds = append(c.rep.FaultKinds, "leaf-silence")
 	n := c.cfg.SilentLeaves
-	if n > len(c.sys.Order) {
-		n = len(c.sys.Order)
+	if n > len(c.alive) {
+		n = len(c.alive)
 	}
 	silenced := make([]id.ID, 0, n)
 	for len(silenced) < n {
-		cand := c.sys.Order[c.sched.IntN(len(c.sys.Order))]
+		cand := c.alive[c.sched.IntN(len(c.alive))]
 		dup := false
 		for _, x := range silenced {
 			dup = dup || x == cand
@@ -243,8 +249,8 @@ func (c *Campaign) phaseSilentLeaves() error {
 func (c *Campaign) phaseReplicaOutage() error {
 	c.rep.FaultKinds = append(c.rep.FaultKinds, "dht-outage")
 	faulty := make([]id.ID, 0, c.cfg.ReplicaOutage)
-	for len(faulty) < c.cfg.ReplicaOutage && len(faulty) < len(c.sys.Order) {
-		cand := c.sys.Order[c.sched.IntN(len(c.sys.Order))]
+	for len(faulty) < c.cfg.ReplicaOutage && len(faulty) < len(c.alive) {
+		cand := c.alive[c.sched.IntN(len(c.alive))]
 		dup := false
 		for _, x := range faulty {
 			dup = dup || x == cand
@@ -294,19 +300,20 @@ func (c *Campaign) phaseChurn() error {
 	c.rep.FaultKinds = append(c.rep.FaultKinds, "churn")
 	s := c.sys
 	for r := 0; r < c.cfg.ChurnRounds; r++ {
-		if len(s.Order) > 6 {
-			victim := s.Order[c.sched.IntN(len(s.Order))]
+		if s.Size() > 6 {
+			victim := c.alive[c.sched.IntN(len(c.alive))]
 			err := s.Sim.ScheduleAfter(150*time.Millisecond, func() {
-				if len(s.Order) <= 5 {
+				if s.Size() <= 5 {
 					return
 				}
 				if err := s.FailNode(victim); err != nil {
 					return
 				}
+				c.alive = s.AliveIDs()
 				c.departed[victim] = true
 				// The crashed machine takes its replica data with it.
 				_ = c.store.SetFaulty(victim, true)
-				if err := c.store.Rebalance(s.Ring); err != nil {
+				if err := c.store.Rebalance(s.Overlay.Ring()); err != nil {
 					c.rep.RebalanceErrors++
 				}
 			})
@@ -324,8 +331,10 @@ func (c *Campaign) phaseChurn() error {
 			if err != nil {
 				return err
 			}
-			c.keyDir[nid] = s.Nodes[nid].Keys.Public
-			if err := c.store.Rebalance(s.Ring); err != nil {
+			i, _ := s.Overlay.IndexOf(nid)
+			c.keyDir[nid] = s.Keys(i).Public
+			c.alive = s.AliveIDs()
+			if err := c.store.Rebalance(s.Overlay.Ring()); err != nil {
 				c.rep.RebalanceErrors++
 			}
 			c.checkRouting()
@@ -340,9 +349,8 @@ func (c *Campaign) phaseChurn() error {
 // chains into the DHT.
 func (c *Campaign) sendTraffic(phase string, n int) error {
 	for i := 0; i < n; i++ {
-		order := c.sys.Order
-		src := order[c.traffic.IntN(len(order))]
-		dst := order[c.traffic.IntN(len(order))]
+		src := c.alive[c.traffic.IntN(len(c.alive))]
+		dst := c.alive[c.traffic.IntN(len(c.alive))]
 		rep, err := c.sys.SendMessage(src, dst)
 		if err != nil {
 			return fmt.Errorf("chaos: %s message %d: %w", phase, i, err)
@@ -384,8 +392,8 @@ func (c *Campaign) tally(rep *core.DeliveryReport) {
 	if c.stale {
 		c.rep.StaleConvictions++
 	}
-	if node, live := c.sys.Nodes[rep.Culprit]; live {
-		if node.Behavior.Honest() {
+	if i, live := c.sys.Overlay.IndexOf(rep.Culprit); live {
+		if c.sys.Behavior(i).Honest() {
 			c.rep.HonestConvictions++
 		}
 	} else {
@@ -408,24 +416,21 @@ func (c *Campaign) tally(rep *core.DeliveryReport) {
 }
 
 // checkRouting verifies every survivor's overlay state after a churn
-// event: peers resolve to live nodes, jump tables are structurally
-// valid, and the §3.1 density test holds between neighbors.
+// event: secure tables are structurally valid, and the §3.1 density
+// test holds between each node and its routing peers. Peers are ring
+// positions, so they always resolve to live nodes.
 func (c *Campaign) checkRouting() {
-	s := c.sys
-	for _, nid := range s.Order {
-		n := s.Nodes[nid]
-		if err := n.Routing.Secure.Validate(); err != nil {
+	o := c.sys.Overlay
+	var peers []uint32
+	for i := uint32(0); i < uint32(o.Size()); i++ {
+		if err := o.ValidateSecure(i); err != nil {
 			c.rep.RoutingViolations++
 			continue
 		}
-		local := float64(n.Routing.Secure.Occupancy())
-		for _, p := range n.Routing.RoutingPeers() {
-			pn, ok := s.Nodes[p]
-			if !ok {
-				c.rep.RoutingViolations++
-				continue
-			}
-			if !c.dtest.Check(local, float64(pn.Routing.Secure.Occupancy())) {
+		local := float64(o.SecureOccupancy(i))
+		peers = o.AppendRoutingPeers(i, peers[:0])
+		for _, j := range peers {
+			if !c.dtest.Check(local, float64(o.SecureOccupancy(j))) {
 				c.rep.DensityViolations++
 			}
 		}
@@ -440,7 +445,7 @@ func (c *Campaign) finish() {
 	r.InjectorTarget = c.sys.Injector.Target()
 	r.InjectorDeficit = c.sys.Injector.Deficit()
 	r.DownLinks = c.sys.Net.DownCount()
-	r.FinalNodes = len(c.sys.Order)
+	r.FinalNodes = c.sys.Size()
 	// Canonical only: wall-clock series would break the report's
 	// seed-determinism contract.
 	r.Metrics = c.reg.Snapshot().Canonical()

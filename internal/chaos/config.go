@@ -57,7 +57,7 @@ type Config struct {
 	SilentLeaves int
 	// AdversaryFraction marks this share of the overlay (taken from the
 	// tail of the deterministic node order, disjoint from the
-	// MaliciousFraction head that BuildSystem marks) as Byzantine
+	// MaliciousFraction head that BuildCompactSystem marks) as Byzantine
 	// probabilistic droppers for the whole campaign. The marking uses
 	// SetBehavior and consumes no randomness, so 0 reproduces the exact
 	// pre-knob campaign byte for byte. For full attack strategies and

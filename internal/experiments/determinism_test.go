@@ -93,12 +93,12 @@ func TestFig5WorkerInvariance(t *testing.T) {
 	}
 }
 
-// TestBuildSystemWorkerInvariance pins the parallel-build determinism
+// TestCompactBuildWorkerInvariance pins the parallel-build determinism
 // contract (DESIGN.md §10) at build level: for each seed, the canonical
-// system snapshot — identifiers, certificates, routing tables, trees —
-// and the canonical metrics core of a short probing run must be
-// byte-identical for workers ∈ {1, 4, 8}.
-func TestBuildSystemWorkerInvariance(t *testing.T) {
+// system snapshot — identifiers, certificates, routing tables — and the
+// canonical metrics core of a short probing run (which materializes
+// every tomography tree) must be byte-identical for workers ∈ {1, 4, 8}.
+func TestCompactBuildWorkerInvariance(t *testing.T) {
 	for _, seed := range []uint64{1, 7, 42} {
 		build := func(workers int) ([]byte, metrics.Snapshot) {
 			t.Helper()
@@ -110,9 +110,9 @@ func TestBuildSystemWorkerInvariance(t *testing.T) {
 			cfg.Metrics = reg
 			cfg.Workers = workers
 			rng := rand.New(rand.NewPCG(seed, seed^0x9e3779b97f4a7c15))
-			sys, err := core.BuildSystem(cfg, rng)
+			sys, err := core.BuildCompactSystem(cfg, rng)
 			if err != nil {
-				t.Fatalf("BuildSystem seed=%d workers=%d: %v", seed, workers, err)
+				t.Fatalf("BuildCompactSystem seed=%d workers=%d: %v", seed, workers, err)
 			}
 			if err := sys.StartProbing(); err != nil {
 				t.Fatalf("StartProbing seed=%d workers=%d: %v", seed, workers, err)

@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"concilium/internal/core"
+	"concilium/internal/id"
 	"concilium/internal/stats"
 	"concilium/internal/tomography"
 )
@@ -40,7 +41,7 @@ type Fig4Result struct {
 
 // Fig4 builds the deployment and computes coverage curves.
 func Fig4(cfg Fig4Config, rng stats.Rand) (*Fig4Result, error) {
-	sys, err := core.BuildSystem(cfg.System, rng)
+	sys, err := core.BuildCompactSystem(cfg.System, rng)
 	if err != nil {
 		return nil, err
 	}
@@ -48,8 +49,8 @@ func Fig4(cfg Fig4Config, rng stats.Rand) (*Fig4Result, error) {
 }
 
 // Fig4FromSystem runs the measurement over an existing deployment.
-func Fig4FromSystem(sys *core.System, sampleHosts, maxTrees int, rng stats.Rand) (*Fig4Result, error) {
-	hosts := sys.Order
+func Fig4FromSystem(sys *core.CompactSystem, sampleHosts, maxTrees int, rng stats.Rand) (*Fig4Result, error) {
+	hosts := sys.AliveIDs()
 	if sampleHosts > 0 && sampleHosts < len(hosts) {
 		// Deterministic sample without replacement.
 		perm := make([]int, len(hosts))
@@ -71,12 +72,19 @@ func Fig4FromSystem(sys *core.System, sampleHosts, maxTrees int, rng stats.Rand)
 	forests := make([]*tomography.Forest, 0, len(hosts))
 	deepest := 0
 	for _, h := range hosts {
-		node := sys.Nodes[h]
-		var peerTrees []*tomography.Tree
-		for _, leaf := range node.Tree.Leaves {
-			peerTrees = append(peerTrees, sys.Nodes[leaf.Node].Tree)
+		_, own, err := treeOf(sys, h)
+		if err != nil {
+			return nil, err
 		}
-		f, err := tomography.BuildForest(node.Tree, peerTrees)
+		var peerTrees []*tomography.Tree
+		for _, leaf := range own.Leaves {
+			_, t, err := treeOf(sys, leaf.Node)
+			if err != nil {
+				return nil, err
+			}
+			peerTrees = append(peerTrees, t)
+		}
+		f, err := tomography.BuildForest(own, peerTrees)
 		if err != nil {
 			return nil, err
 		}
@@ -119,6 +127,16 @@ func Fig4FromSystem(sys *core.System, sampleHosts, maxTrees int, rng stats.Rand)
 		}
 	}
 	return res, nil
+}
+
+// treeOf returns member nid's ring position and cached tomography tree.
+func treeOf(sys *core.CompactSystem, nid id.ID) (uint32, *tomography.Tree, error) {
+	i, ok := sys.Overlay.IndexOf(nid)
+	if !ok {
+		return 0, nil, fmt.Errorf("experiments: %s is not a member", nid.Short())
+	}
+	tree, err := sys.Tree(i)
+	return i, tree, err
 }
 
 // OwnTreeCoverage returns the k=0 coverage — the paper reports ~25%.

@@ -109,7 +109,7 @@ func Fig5(cfg Fig5Config, rng stats.Rand) (*Fig5Result, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	sys, err := core.BuildSystem(cfg.System, rng)
+	sys, err := core.BuildCompactSystem(cfg.System, rng)
 	if err != nil {
 		return nil, err
 	}
@@ -136,6 +136,10 @@ func Fig5(cfg Fig5Config, rng stats.Rand) (*Fig5Result, error) {
 	var guiltyFaulty, guiltyInnocent int
 	collusion := cfg.System.MaliciousFraction > 0
 
+	// Membership is fixed for the whole run, so one snapshot serves
+	// every event.
+	members := sys.AliveIDs()
+
 	// Schedule evaluation instants uniformly across the sampling span.
 	span := cfg.Duration - cfg.Warmup
 	var evalErr error
@@ -155,13 +159,23 @@ func Fig5(cfg Fig5Config, rng stats.Rand) (*Fig5Result, error) {
 			}
 			var triples []triple
 			for i := 0; i < cfg.TriplesPerEvent; i++ {
-				a := sys.Order[rng.IntN(len(sys.Order))]
-				aPeers := sys.Nodes[a].Tree.Leaves
+				a := members[rng.IntN(len(members))]
+				_, aTree, err := treeOf(sys, a)
+				if err != nil {
+					evalErr = err
+					return
+				}
+				aPeers := aTree.Leaves
 				if len(aPeers) == 0 {
 					continue
 				}
 				b := aPeers[rng.IntN(len(aPeers))].Node
-				bPeers := sys.Nodes[b].Tree.Leaves
+				bi, bTree, err := treeOf(sys, b)
+				if err != nil {
+					evalErr = err
+					return
+				}
+				bPeers := bTree.Leaves
 				if len(bPeers) == 0 {
 					continue
 				}
@@ -174,7 +188,7 @@ func Fig5(cfg Fig5Config, rng stats.Rand) (*Fig5Result, error) {
 					continue
 				}
 				pathBad := !sys.Net.PathUp(path)
-				bMalicious := sys.Nodes[b].Behavior.DropsMessages
+				bMalicious := sys.Behavior(bi).DropsMessages
 				// Classify the triple per the paper's methodology: a
 				// genuinely bad B→C makes B non-faulty for this message;
 				// a healthy path means B must have dropped it. Under

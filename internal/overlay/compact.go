@@ -192,6 +192,22 @@ func (c *Compact) SecureOccupancy(i uint32) int {
 	return c.secure.occupancy(c.denseRows, i)
 }
 
+// ValidateSecure checks every occupant of node i's secure table against
+// its slot's prefix constraint — JumpTable.Validate over indices.
+func (c *Compact) ValidateSecure(i uint32) error {
+	owner := c.ring.ids[i]
+	var err error
+	c.secure.forEach(c.denseRows, i, func(row int, col byte, peer uint32) {
+		p := c.ring.ids[peer]
+		want := id.CommonPrefixLen(owner, p)
+		if err == nil && (want >= id.Digits || want != row || p.Digit(want) != col) {
+			err = fmt.Errorf("overlay: peer %s in secure slot (%d,%d) of %s violates its prefix constraint",
+				p.Short(), row, col, owner.Short())
+		}
+	})
+	return err
+}
+
 // AppendSecureSlots appends node i's occupied secure slots to out in
 // row-major order.
 func (c *Compact) AppendSecureSlots(i uint32, out []CompactSlot) []CompactSlot {

@@ -326,3 +326,33 @@ func TestCompactFootprintSmall(t *testing.T) {
 		t.Fatalf("compact footprint %d bytes/node, want (0, 1024]", perNode)
 	}
 }
+
+// TestCompactValidateSecure accepts every freshly filled and churned
+// secure table and rejects a slot whose occupant breaks the prefix
+// constraint.
+func TestCompactValidateSecure(t *testing.T) {
+	t.Parallel()
+	_, _, c := buildBoth(t, 120, 91)
+	rng := rand.New(rand.NewPCG(91, 1))
+	if _, err := c.ApplyDeparture(c.ID(7), rng, nil); err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := c.ApplyJoin(id.Random(rng), rng, nil); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < c.Size(); i++ {
+		if err := c.ValidateSecure(uint32(i)); err != nil {
+			t.Fatalf("node %d: %v", i, err)
+		}
+	}
+	// Move node 0's first occupant into a column it does not belong in.
+	slots := c.AppendSecureSlots(0, nil)
+	if len(slots) == 0 {
+		t.Fatal("node 0 has an empty secure table")
+	}
+	s := slots[0]
+	c.secure.set(c.denseRows, 0, int(s.Row), (s.Col+1)%id.Base, s.Peer)
+	if err := c.ValidateSecure(0); err == nil {
+		t.Fatal("misplaced occupant accepted")
+	}
+}
