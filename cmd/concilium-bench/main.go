@@ -11,7 +11,7 @@
 // under suppression), 4 (forest coverage), 5 (blame PDFs + §4.3 rates),
 // 6 (accusation error vs m), 7 (§4.4 bandwidth), plus extensions:
 // 8 (collusion-fraction sweep), 9 (median-consensus suppression
-// defense), 10 (BuildSystem scale at the -scale-n overlay sizes),
+// defense), 10 (BuildCompactSystem scale at the -scale-n overlay sizes),
 // 12 (adversarial conviction ROC grid; see internal/adversary), and
 // 13 (compact-plane diagnosis traffic at the -traffic-n overlay sizes).
 // -fig 0 runs the paper's seven in text mode, plus figures 10, 12, and

@@ -24,8 +24,8 @@ import (
 // speedup of the configured worker count over a serial reference build.
 // Its deterministic checks include a canonical-snapshot hash, so the
 // benchdiff -canonical gate proves builds are byte-identical across
-// worker counts. The compact core is what moves the frontier: the
-// legacy per-node representation topped out around N=20k in a CI-sized
+// worker counts. The compact core is what moves the frontier: a
+// pointer-per-node representation topped out around N=20k in a CI-sized
 // memory budget, while the struct-of-arrays build reaches N=1M.
 const scaleFig = 10
 
@@ -83,9 +83,9 @@ func scaleSystemConfig(n, workers int) core.SystemConfig {
 // deterministic checks and timing envelope. The canonical hash is the
 // compact core's index-based snapshot (trees excluded — they are
 // derived on demand), folded to 53 bits so it survives the float64
-// check channel exactly; it was re-pinned when the figure moved off
-// BuildSystem, with TestCompactSystemMatchesLegacyBuild carrying the
-// equivalence lineage across the re-pin.
+// check channel exactly. TestCompactSystemMatchesLegacyBuild pins the
+// identity stream the earlier pointer-per-node build produced, which
+// carries the determinism lineage across the change of format.
 func measureScaleBuild(n, workers int, rng *rand.Rand) (map[string]float64, benchreport.Timing, error) {
 	cfg := scaleSystemConfig(n, workers)
 	var before, after runtime.MemStats

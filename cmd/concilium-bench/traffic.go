@@ -19,9 +19,9 @@ import (
 // The Traffic figure (-fig 13) benchmarks the diagnosis protocol itself
 // at the compact core's scale: stewarded SendMessage traffic — with
 // malicious droppers, per-hop blame, verdict windows, and accusation
-// chains live — against a system of the -traffic-n overlay sizes. The
-// legacy pointer-per-node plane capped this experiment near N=20k; the
-// index-based traffic plane (DESIGN.md §13) runs it at N=100k on one
+// chains live — against a system of the -traffic-n overlay sizes. A
+// pointer-per-node plane capped this experiment near N=20k; the
+// index-based traffic plane (DESIGN.md §9) runs it at N=100k on one
 // core, which is the claim this figure gates in CI.
 const trafficFig = 13
 

@@ -2,11 +2,56 @@ package adversary
 
 import (
 	"strings"
+	"sync"
 	"testing"
 
 	"concilium/internal/chaos"
 	"concilium/internal/metrics"
 )
+
+// campaigns memoizes short-campaign reports by (seed, workers). A
+// campaign is a pure function of both, so tests that assert different
+// properties of the same configuration share one run; reports are only
+// read.
+var campaigns struct {
+	sync.Mutex
+	runs map[[2]uint64]*campaignRun
+}
+
+type campaignRun struct {
+	once sync.Once
+	rep  *Report
+	err  error
+}
+
+// sharedWorkers is the pool size of the runs several tests share.
+const sharedWorkers = 4
+
+// campaign returns the short campaign's report at seed with the given
+// worker count, running it on first request.
+func campaign(t *testing.T, seed uint64, workers int) *Report {
+	t.Helper()
+	campaigns.Lock()
+	if campaigns.runs == nil {
+		campaigns.runs = make(map[[2]uint64]*campaignRun)
+	}
+	key := [2]uint64{seed, uint64(workers)}
+	r := campaigns.runs[key]
+	if r == nil {
+		r = &campaignRun{}
+		campaigns.runs[key] = r
+	}
+	campaigns.Unlock()
+	r.once.Do(func() {
+		cfg := ShortConfig(seed)
+		cfg.Workers = workers
+		r.rep, r.err = Run(cfg)
+	})
+	if r.err != nil {
+		t.Fatalf("Run seed=%d workers=%d: %v", seed, workers, r.err)
+	}
+	return r.rep
+}
 
 // TestCampaignInvariants runs the short campaign across the CI seed
 // matrix and requires every fixed-order invariant to hold.
@@ -15,11 +60,7 @@ func TestCampaignInvariants(t *testing.T) {
 		seed := seed
 		t.Run(name("seed", seed), func(t *testing.T) {
 			t.Parallel()
-			cfg := ShortConfig(seed)
-			rep, err := Run(cfg)
-			if err != nil {
-				t.Fatalf("Run: %v", err)
-			}
+			rep := campaign(t, seed, sharedWorkers)
 			for _, inv := range rep.Invariants {
 				if !inv.OK {
 					t.Errorf("invariant %s failed: %s", inv.Name, inv.Detail)
@@ -44,13 +85,8 @@ func TestCampaignWorkerInvariance(t *testing.T) {
 			t.Parallel()
 			var want string
 			var wantMetrics metrics.Snapshot
-			for _, workers := range []int{1, 4, 8} {
-				cfg := ShortConfig(seed)
-				cfg.Workers = workers
-				rep, err := Run(cfg)
-				if err != nil {
-					t.Fatalf("workers=%d: %v", workers, err)
-				}
+			for _, workers := range []int{1, sharedWorkers, 8} {
+				rep := campaign(t, seed, workers)
 				got := rep.String()
 				if want == "" {
 					want, wantMetrics = got, rep.Metrics
@@ -71,10 +107,7 @@ func TestCampaignWorkerInvariance(t *testing.T) {
 // curves: monotone non-increasing rates as thresholds tighten, and the
 // operating point present on each curve.
 func TestCampaignROCShape(t *testing.T) {
-	rep, err := Run(ShortConfig(7))
-	if err != nil {
-		t.Fatalf("Run: %v", err)
-	}
+	rep := campaign(t, 7, sharedWorkers)
 	for i := range rep.Cells {
 		c := &rep.Cells[i]
 		if len(c.Curve) == 0 {
@@ -111,10 +144,7 @@ func TestCampaignROCShape(t *testing.T) {
 // campaign's canonical snapshot and checks the repository hardening
 // counters surfaced.
 func TestMetricsHygiene(t *testing.T) {
-	rep, err := Run(ShortConfig(1))
-	if err != nil {
-		t.Fatalf("Run: %v", err)
-	}
+	rep := campaign(t, 1, sharedWorkers)
 	check := func(kind, name string) {
 		if metrics.NonDeterministic(name) {
 			t.Errorf("canonical snapshot leaked nondeterministic %s %q", kind, name)

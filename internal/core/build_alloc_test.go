@@ -8,14 +8,12 @@ import (
 )
 
 // buildAllocBudgetPerNode is the per-overlay-node allocation ceiling for
-// BuildSystem. The parallel build costs ~69 allocs per node (keypair,
-// certificate, routing tables, BFS tree — the structures that must
-// escape into the System), measured stable from the 42-node test
-// topology up to 20k-node scale runs. The budget leaves slack for
-// runtime noise; if a change pushes past it, a per-node temporary crept
-// into the build loops (the pooled BFS scratch, peer buffers, or bulk
-// leaf-set fill stopped being reused).
-const buildAllocBudgetPerNode = 90
+// BuildCompactSystem. The build costs ~22 allocs per node at the test
+// topology (topology generation included; ~18 at N=1k), since keys,
+// certificates and routing tables land in shared slabs and trees are
+// not built. The budget leaves slack for runtime noise; if a change
+// pushes past it, a per-node temporary crept into the build loops.
+const buildAllocBudgetPerNode = 30
 
 // TestBuildSystemAllocBudget locks in the build path's allocation
 // profile: constructing a full system must stay within the per-node
@@ -29,15 +27,15 @@ func TestBuildSystemAllocBudget(t *testing.T) {
 	var nodes int
 	n := testing.AllocsPerRun(10, func() {
 		rng := rand.New(rand.NewPCG(7, 11))
-		s, err := BuildSystem(cfg, rng)
+		s, err := BuildCompactSystem(cfg, rng)
 		if err != nil {
 			t.Fatal(err)
 		}
-		nodes = len(s.Order)
+		nodes = s.Size()
 	})
 	perNode := n / float64(nodes)
 	if perNode > buildAllocBudgetPerNode {
-		t.Errorf("BuildSystem allocates %.1f/node (%d nodes), budget %d",
+		t.Errorf("BuildCompactSystem allocates %.1f/node (%d nodes), budget %d",
 			perNode, nodes, buildAllocBudgetPerNode)
 	}
 }

@@ -11,49 +11,60 @@ import (
 
 func TestFailNodeRepairsSurvivors(t *testing.T) {
 	t.Parallel()
-	s := buildTestSystem(t, nil)
-	victim := s.Order[len(s.Order)/2]
-	before := len(s.Order)
+	s := buildTestCompactSystem(t, nil)
+	if err := s.StartProbing(); err != nil {
+		t.Fatal(err)
+	}
+	s.Run(time.Minute) // every tree cached before the departure
+	members := s.AliveIDs()
+	victim := members[len(members)/2]
+	before := s.Size()
 
 	if err := s.FailNode(victim); err != nil {
 		t.Fatal(err)
 	}
-	if len(s.Order) != before-1 || s.Ring.Contains(victim) {
+	if _, ok := s.Overlay.IndexOf(victim); s.Size() != before-1 || ok {
 		t.Fatal("victim not removed")
 	}
 	// Every survivor's state is repaired: no reference to the departed
-	// node anywhere, secure tables still satisfy the constraint, and
-	// trees cover the current peer sets.
-	for _, nid := range s.Order {
-		node := s.Nodes[nid]
-		for _, p := range node.Routing.RoutingPeers() {
-			if p == victim {
-				t.Fatalf("node %s still peers with departed %s", nid.Short(), victim.Short())
-			}
-		}
-		if err := node.Routing.Secure.Validate(); err != nil {
-			t.Fatalf("node %s secure table corrupt: %v", nid.Short(), err)
-		}
-		if len(node.Tree.Leaves) != len(node.Routing.RoutingPeers()) {
-			t.Fatalf("node %s tree out of sync with peers", nid.Short())
-		}
-		// The repaired secure table matches a from-scratch fill.
-		rebuilt, err := overlay.BuildSecureTable(nid, s.Ring)
+	// node anywhere, secure tables equal a from-scratch fill over the
+	// current membership, and trees cover the current peer sets.
+	ring, err := overlay.NewRing(s.Overlay.IDs())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := uint32(0); i < uint32(s.Size()); i++ {
+		nid := s.NodeID(i)
+		peers := s.Overlay.AppendRoutingPeers(i, nil)
+		tree, err := s.Tree(i)
 		if err != nil {
 			t.Fatal(err)
 		}
-		for row := 0; row < 32; row++ {
-			for col := byte(0); col < 16; col++ {
-				got, gok := node.Routing.Secure.Slot(row, col)
+		if len(tree.Leaves) != len(peers) {
+			t.Fatalf("node %s tree out of sync with peers", nid.Short())
+		}
+		for _, leaf := range tree.Leaves {
+			if leaf.Node == victim {
+				t.Fatalf("node %s still probes departed %s", nid.Short(), victim.Short())
+			}
+		}
+		rebuilt, err := overlay.BuildSecureTable(nid, ring)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for row := 0; row < id.Digits; row++ {
+			for col := byte(0); col < id.Base; col++ {
+				got, gok := s.Overlay.SecureSlot(i, row, col)
 				want, wok := rebuilt.Slot(row, col)
-				if gok != wok || (gok && got != want) {
+				if gok != wok || (gok && s.NodeID(got) != want) {
 					t.Fatalf("node %s slot (%d,%d) diverged from rebuild", nid.Short(), row, col)
 				}
 			}
 		}
 	}
 	// Routing still works end to end.
-	rep, err := s.SendMessage(s.Order[0], s.Order[len(s.Order)-1])
+	members = s.AliveIDs()
+	rep, err := s.SendMessage(members[0], members[len(members)-1])
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -70,59 +81,64 @@ func TestFailNodeRepairsSurvivors(t *testing.T) {
 
 func TestJoinNodeIntegrates(t *testing.T) {
 	t.Parallel()
-	s := buildTestSystem(t, nil)
+	s := buildTestCompactSystem(t, nil)
 	if err := s.StartProbing(); err != nil {
 		t.Fatal(err)
 	}
 	// Attach the newcomer at a free end-host router.
-	used := map[int32]bool{}
-	for _, nid := range s.Order {
-		used[int32(s.Nodes[nid].Router)] = true
+	used := map[topology.RouterID]bool{}
+	for i := uint32(0); i < uint32(s.Size()); i++ {
+		used[s.Router(i)] = true
 	}
-	var router int32 = -1
+	router := topology.RouterID(-1)
 	for _, h := range s.Topo.EndHosts() {
-		if !used[int32(h)] {
-			router = int32(h)
+		if !used[h] {
+			router = h
 			break
 		}
 	}
 	if router < 0 {
 		t.Skip("no free end host")
 	}
-	before := len(s.Order)
-	newID, err := s.JoinNode(topology.RouterID(router))
+	before := s.Size()
+	newID, err := s.JoinNode(router)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(s.Order) != before+1 || !s.Ring.Contains(newID) {
+	at, ok := s.Overlay.IndexOf(newID)
+	if s.Size() != before+1 || !ok {
 		t.Fatal("join not registered")
 	}
-	node := s.Nodes[newID]
-	if node.Tree == nil || len(node.Tree.Leaves) == 0 {
-		t.Fatal("newcomer has no tree")
+	tree, err := s.Tree(at)
+	if err != nil || len(tree.Leaves) == 0 {
+		t.Fatalf("newcomer has no tree: %v", err)
 	}
-	if err := node.Routing.Secure.Validate(); err != nil {
-		t.Fatalf("newcomer secure table invalid: %v", err)
+	// Everyone, newcomer included, holds exactly the secure table a
+	// rebuild over the grown membership would.
+	ring, err := overlay.NewRing(s.Overlay.IDs())
+	if err != nil {
+		t.Fatal(err)
 	}
-	// Survivors folded the newcomer in exactly as a rebuild would.
-	for _, nid := range s.Order {
-		rebuilt, err := overlay.BuildSecureTable(nid, s.Ring)
+	for i := uint32(0); i < uint32(s.Size()); i++ {
+		if err := s.Overlay.ValidateSecure(i); err != nil {
+			t.Fatal(err)
+		}
+		rebuilt, err := overlay.BuildSecureTable(s.NodeID(i), ring)
 		if err != nil {
 			t.Fatal(err)
 		}
-		got := s.Nodes[nid].Routing.Secure
-		for row := 0; row < 32; row++ {
-			for col := byte(0); col < 16; col++ {
-				g, gok := got.Slot(row, col)
+		for row := 0; row < id.Digits; row++ {
+			for col := byte(0); col < id.Base; col++ {
+				g, gok := s.Overlay.SecureSlot(i, row, col)
 				w, wok := rebuilt.Slot(row, col)
-				if gok != wok || (gok && g != w) {
-					t.Fatalf("node %s slot (%d,%d) diverged after join", nid.Short(), row, col)
+				if gok != wok || (gok && s.NodeID(g) != w) {
+					t.Fatalf("node %s slot (%d,%d) diverged after join", s.NodeID(i).Short(), row, col)
 				}
 			}
 		}
 	}
 	// Traffic reaches the newcomer, and its probes land in the archive.
-	rep, err := s.SendMessage(s.Order[0], newID)
+	rep, err := s.SendMessage(s.AliveIDs()[0], newID)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -130,21 +146,21 @@ func TestJoinNodeIntegrates(t *testing.T) {
 		t.Error("cannot deliver to newcomer")
 	}
 	s.Run(5 * time.Minute)
-	recs := 0
-	for _, l := range node.Tree.Links() {
-		recs += len(s.Archive.InWindow(l, 0, s.Sim.Now(), map[id.ID]bool{}))
-		if recs > 0 {
-			break
+	self := s.Archive.Handle(newID)
+	probed := false
+	for _, l := range tree.Links() {
+		for _, r := range s.Archive.Window(l, 0, s.Sim.Now()) {
+			probed = probed || (self != 0 && r.Prober == self)
 		}
 	}
-	if recs == 0 {
+	if !probed {
 		t.Error("newcomer never probed")
 	}
 }
 
 func TestSendBulkCleanAndLossy(t *testing.T) {
 	t.Parallel()
-	s := buildTestSystem(t, nil)
+	s := buildTestCompactSystem(t, nil)
 	if err := s.StartProbing(); err != nil {
 		t.Fatal(err)
 	}
@@ -165,7 +181,7 @@ func TestSendBulkCleanAndLossy(t *testing.T) {
 
 	// Dropper on the first hop: everything missing, verdicts issued.
 	dropper := route[1]
-	s.Nodes[dropper].Behavior = Behavior{DropsMessages: true}
+	markDropper(t, s, dropper)
 	rep, err = s.SendBulk(src, dst, 10)
 	if err != nil {
 		t.Fatal(err)
@@ -182,7 +198,7 @@ func TestSendBulkCleanAndLossy(t *testing.T) {
 		}
 	}
 	// Window accumulated them.
-	if got := s.Window.GuiltyCount(dropper); got != 10 {
+	if got := s.GuiltyCount(dropper); got != 10 {
 		t.Errorf("window guilty count = %d", got)
 	}
 	if _, err := s.SendBulk(src, dst, 0); err == nil {

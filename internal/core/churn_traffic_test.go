@@ -15,12 +15,12 @@ import (
 // churnTestSystem builds a probed system with slow hops so there is
 // real virtual time to schedule churn into, and enough nodes that
 // FailNode is permitted.
-func churnTestSystem(t *testing.T) *System {
+func churnTestSystem(t *testing.T) *CompactSystem {
 	t.Helper()
-	s := buildTestSystem(t, func(c *SystemConfig) {
+	s := buildTestCompactSystem(t, func(c *SystemConfig) {
 		c.HopLatency = time.Second
 	})
-	if len(s.Order) <= 5 {
+	if s.Size() <= 5 {
 		t.Skip("overlay too small to remove nodes")
 	}
 	if err := s.StartProbing(); err != nil {
@@ -31,7 +31,7 @@ func churnTestSystem(t *testing.T) *System {
 }
 
 // scheduleDeparture fails nid after delay of virtual time.
-func scheduleDeparture(t *testing.T, s *System, nid id.ID, delay time.Duration) {
+func scheduleDeparture(t *testing.T, s *CompactSystem, nid id.ID, delay time.Duration) {
 	t.Helper()
 	err := s.Sim.ScheduleAfter(delay, func() {
 		if err := s.FailNode(nid); err != nil {
@@ -100,7 +100,7 @@ func TestSendMessageStewardDepartsBeforeVerdict(t *testing.T) {
 	// source itself) departs while the message is still in flight, so by
 	// diagnosis time the only possible accuser cannot sign.
 	culprit := route[1]
-	s.Nodes[culprit].Behavior = Behavior{DropsMessages: true}
+	markDropper(t, s, culprit)
 	scheduleDeparture(t, s, src, 500*time.Millisecond)
 
 	rep, err := s.SendMessage(src, dst)
@@ -139,19 +139,12 @@ func TestSendMessageMidChainStewardDepartsTruncatesChain(t *testing.T) {
 	// suffix — route[1] accusing the last hop — still verifies.
 	culprit := route[len(route)-1]
 	s.SuppressProbes(true)
-	path0, err := s.Nodes[route[0]].PathToPeer(route[1])
-	if err != nil {
-		t.Fatal(err)
-	}
+	path0 := pathBetween(t, s, route[0], route[1])
 	var forwardSpan time.Duration
 	for i := 0; i+1 < len(route); i++ {
-		p, err := s.Nodes[route[i]].PathToPeer(route[i+1])
-		if err != nil {
-			t.Fatal(err)
-		}
-		forwardSpan += s.Net.Latency(p)
+		forwardSpan += s.Net.Latency(pathBetween(t, s, route[i], route[i+1]))
 	}
-	err = s.Sim.ScheduleAfter(forwardSpan+time.Millisecond, func() {
+	err := s.Sim.ScheduleAfter(forwardSpan+time.Millisecond, func() {
 		if err := s.Net.SetLinkDown(path0[0], true); err != nil {
 			t.Error(err)
 		}
@@ -183,7 +176,7 @@ func TestSendMessageMidChainStewardDepartsTruncatesChain(t *testing.T) {
 	if rep.Chain == nil {
 		t.Fatal("no chain despite a surviving accuser/judged suffix")
 	}
-	if err := rep.Chain.Verify(s.Keys(), s.Config.Blame.GuiltyThreshold); err != nil {
+	if err := rep.Chain.Verify(s.KeyDir(), s.Config.Blame.GuiltyThreshold); err != nil {
 		t.Errorf("truncated chain does not verify: %v", err)
 	}
 	if rep.Chain.Culprit() != culprit {
@@ -200,12 +193,13 @@ func TestChurnUnderTrafficEveryRouteShape(t *testing.T) {
 	// panic, and every report must be internally consistent.
 	shapes := map[int]bool{}
 	sends := 0
-	for round := 0; round < 6 && len(s.Order) > 6; round++ {
+	for round := 0; round < 6 && s.Size() > 6; round++ {
 		// Depart a node that is not the src/dst we are about to use.
-		victim := s.Order[len(s.Order)-1]
-		src, dst := s.Order[0], s.Order[len(s.Order)/2]
+		members := s.AliveIDs()
+		victim := members[len(members)-1]
+		src, dst := members[0], members[len(members)/2]
 		if victim == src || victim == dst {
-			victim = s.Order[len(s.Order)-2]
+			victim = members[len(members)-2]
 		}
 		scheduleDeparture(t, s, victim, 500*time.Millisecond)
 
@@ -239,16 +233,20 @@ func TestChurnUnderTrafficEveryRouteShape(t *testing.T) {
 		t.Error("self-delivery shape never exercised")
 	}
 	// After all churn, every survivor's routing state is consistent:
-	// peers resolve to live nodes and trees cover them.
-	for _, nid := range s.Order {
-		n := s.Nodes[nid]
-		for _, p := range n.Routing.RoutingPeers() {
-			if _, ok := s.Nodes[p]; !ok {
-				t.Fatalf("node %s routes to departed peer %s", nid.Short(), p.Short())
-			}
-		}
-		if err := n.Routing.Secure.Validate(); err != nil {
+	// secure tables are valid and trees cover exactly the live peers.
+	for i := uint32(0); i < uint32(s.Size()); i++ {
+		nid := s.NodeID(i)
+		if err := s.Overlay.ValidateSecure(i); err != nil {
 			t.Errorf("node %s secure table invalid after churn: %v", nid.Short(), err)
+		}
+		tree, err := s.Tree(i)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, leaf := range tree.Leaves {
+			if _, ok := s.Overlay.IndexOf(leaf.Node); !ok {
+				t.Fatalf("node %s probes departed peer %s", nid.Short(), leaf.Node.Short())
+			}
 		}
 	}
 }

@@ -13,10 +13,10 @@ import (
 // — peers appear as uint32 ring positions, not 16-byte identifiers —
 // and tomography trees are excluded because the compact core derives
 // them on demand from the immutable graph and the (already serialized)
-// routing peers. That makes this a NEW canonical stream, not the legacy
-// one: the golden hash is pinned fresh in compact_test.go, and the
-// old-vs-new cross-check test ties the two representations together
-// field by field at small N instead.
+// routing peers. Two builds from the same SystemConfig and seed must
+// produce identical bytes no matter how many workers constructed them;
+// the golden hash is pinned in compact_test.go, and the identity digest
+// there covers what this stream leaves out (private keys, trees).
 
 // AppendCanonical appends the compact system's canonical snapshot to
 // buf and returns the extended slice.

@@ -5,10 +5,9 @@ import (
 	"testing"
 
 	"concilium/internal/id"
-	"concilium/internal/netsim"
 )
 
-// Hammer tests for the mutex-guarded singletons shared by concurrent
+// Hammer tests for the mutex-guarded structures shared by concurrent
 // callers. They assert nothing subtle about values — the point is the
 // interleaving itself, checked by the race detector in the CI
 // `go test -race` pass.
@@ -17,41 +16,6 @@ func hammerID(b byte) id.ID {
 	var nid id.ID
 	nid[0] = b
 	return nid
-}
-
-func TestStewardLedgerConcurrent(t *testing.T) {
-	t.Parallel()
-	owner := hammerID(1)
-	ledger := NewStewardLedger(owner)
-	dests := []id.ID{hammerID(2), hammerID(3), hammerID(4)}
-
-	const goroutines = 8
-	var wg sync.WaitGroup
-	for g := 0; g < goroutines; g++ {
-		wg.Add(1)
-		go func(g int) {
-			defer wg.Done()
-			for i := 0; i < 200; i++ {
-				dest := dests[(g+i)%len(dests)]
-				ledger.RecordSent(dest, uint64(g*1000+i), netsim.Time(i))
-				if i%7 == 0 {
-					ledger.Pending(dest)
-				}
-				if i%11 == 0 {
-					ledger.NeedsBlame(dest, netsim.Time(i))
-				}
-			}
-		}(g)
-	}
-	wg.Wait()
-
-	var total int
-	for _, dest := range dests {
-		total += len(ledger.Pending(dest))
-	}
-	if total != goroutines*200 {
-		t.Fatalf("ledger holds %d pending messages, want %d", total, goroutines*200)
-	}
 }
 
 func TestDefenseArchiveConcurrent(t *testing.T) {

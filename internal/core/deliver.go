@@ -1,15 +1,8 @@
 package core
 
 import (
-	"fmt"
-	"time"
-
 	"concilium/internal/id"
-	"concilium/internal/netsim"
-	"concilium/internal/overlay"
 	"concilium/internal/topology"
-	"concilium/internal/trace"
-	"concilium/internal/wiresize"
 )
 
 // DropKind classifies where a message (or its acknowledgment) died.
@@ -63,296 +56,23 @@ type DeliveryReport struct {
 	NetworkBlamed bool
 }
 
-// routingStates exposes the per-node overlay state for route tracing.
-// The map is built once and patched on membership change (FailNode
-// deletes, JoinNode inserts); repairs to a survivor's state mutate the
-// RoutingState in place, so the cached pointers never go stale. Before
-// this was cached, every message paid an O(N) map rebuild just to route.
-func (s *System) routingStates() map[id.ID]*overlay.RoutingState {
-	if s.states == nil {
-		s.states = make(map[id.ID]*overlay.RoutingState, len(s.Nodes))
-		for nid, n := range s.Nodes {
-			s.states[nid] = n.Routing
-		}
-	}
-	return s.states
-}
-
-// bfsFor returns the shortest-path tree rooted at router, computing and
-// caching it on first use. The graph is immutable after construction,
-// so cached trees never go stale; the identity check drops the cache in
-// full if the topology were ever swapped out.
-func (s *System) bfsFor(router topology.RouterID) (*topology.RouteTree, error) {
-	if s.bfsGraph != s.Topo {
-		s.bfsCache = nil
-		s.bfsGraph = s.Topo
-	}
-	if t, ok := s.bfsCache[router]; ok {
-		return t, nil
-	}
-	t, err := s.Topo.BFS(router)
-	if err != nil {
-		return nil, err
-	}
-	if s.bfsCache == nil {
-		s.bfsCache = make(map[topology.RouterID]*topology.RouteTree)
-	}
-	s.bfsCache[router] = t
-	return t, nil
-}
-
-// SendMessage routes one stewarded message from src to dst over the
-// secure overlay and runs the full diagnostic protocol (§3.4–§3.5):
-// forwarding commitments at every hop, recursive stewardship, per-hop
-// blame when the acknowledgment fails to arrive, and recursive revision
-// that pushes blame to the true fault point.
-//
-// Each steward judges its next hop over the IP links that the message
-// needed after leaving the steward: the steward's own path to the next
-// hop plus the next hop's onward path. A probed-down link anywhere in
-// that span exonerates the next hop.
-func (s *System) SendMessage(src, dst id.ID) (*DeliveryReport, error) {
-	srcNode, ok := s.Nodes[src]
-	if !ok {
-		return nil, fmt.Errorf("core: unknown source %s", src.Short())
-	}
-	if _, ok := s.Nodes[dst]; !ok {
-		return nil, fmt.Errorf("core: unknown destination %s", dst.Short())
-	}
-	// Trace into the route scratch, then copy out exact-size: the route
-	// escapes into the report, the scratch is reused by the next send.
-	routeBuf, err := overlay.AppendRouteSecure(s.routingStates(), src, dst, 0, s.routeScratch[:0])
-	if err != nil {
-		return nil, err
-	}
-	s.routeScratch = routeBuf
-	route := make([]id.ID, len(routeBuf))
-	copy(route, routeBuf)
-	rep := &DeliveryReport{MsgID: srcNode.NextMsgID(), Route: route, Kind: DropNone}
-	s.met.msgsSent.Inc()
-	s.emit(trace.Event{At: s.Sim.Now(), Kind: trace.KindMessageSent, Node: src, Peer: dst})
-	if len(route) == 1 {
-		rep.Delivered, rep.AckReceived = true, true
-		return rep, nil
-	}
-	sendTime := s.Sim.Now()
-
-	// Hop-by-hop IP paths along the route. The paths themselves are
-	// shared tomography-tree storage; the slice-of-slices header is
-	// system scratch reused across sends.
-	paths := s.pathScratch[:0]
-	for i := 0; i+1 < len(route); i++ {
-		p, err := s.Nodes[route[i]].PathToPeer(route[i+1])
-		if err != nil {
-			return nil, err
-		}
-		paths = append(paths, p)
-	}
-	s.pathScratch = paths
-
-	// Forward pass: find where the message dies. Each leg advances the
-	// virtual clock by its propagation delay, so link state is whatever
-	// the failure process says when the packet actually crosses.
-	// reached is the index of the last node that received the message.
-	reached := 0
-	for i := 0; i+1 < len(route); i++ {
-		s.met.msgBytes.Add(wiresize.StewardedHop)
-		s.Run(s.Net.Latency(paths[i]))
-		if bad, down := s.Net.FirstDownLink(paths[i]); down {
-			rep.Kind = DropByLink
-			rep.BrokenLink = bad
-			break
-		}
-		next, present := s.Nodes[route[i+1]]
-		if !present {
-			// The next hop crashed or departed while the message was in
-			// flight (churn events fire inside the latency advance
-			// above): nobody received it. From the stewards' view this
-			// is indistinguishable from a silent drop by that peer.
-			rep.Kind = DropByChurn
-			rep.DroppedBy = route[i+1]
-			s.Counters.ChurnDrops++
-			break
-		}
-		reached = i + 1
-		if route[i+1] != dst && s.dropsMessage(next) {
-			rep.Kind = DropByNode
-			rep.DroppedBy = route[i+1]
-			break
-		}
-	}
-	rep.Delivered = reached == len(route)-1 && rep.Kind == DropNone
-
-	// Acknowledgment pass over the reverse path, again in real virtual
-	// time: a link can fail between the message leg and the ack leg,
-	// which is exactly the "acknowledgment dropped along the reverse
-	// path" case of §3.5.
-	if rep.Delivered {
-		rep.AckReceived = true
-		for i := len(paths) - 1; i >= 0; i-- {
-			s.met.ackBytes.Add(wiresize.AckHop)
-			s.Run(s.Net.Latency(paths[i]))
-			if bad, down := s.Net.FirstDownLink(paths[i]); down {
-				rep.Kind = DropAckByLink
-				rep.BrokenLink = bad
-				rep.AckReceived = false
-				break
-			}
-		}
-		if rep.AckReceived {
-			s.met.msgsDelivered.Inc()
-			return rep, nil
-		}
-	}
-	s.emit(trace.Event{
-		At: s.Sim.Now(), Kind: trace.KindMessageDropped,
-		Node: src, Peer: dst, Link: rep.BrokenLink, Detail: dropDetail(rep.Kind),
-	})
-	// Evidence windows center on the send time t (probes from [t−Δ, t+Δ]
-	// are admissible, §3.4); the round-trip is milliseconds against a
-	// Δ of a minute.
-	now := sendTime
-
-	// Diagnosis: every steward (node that held the message) judges its
-	// next hop. Steward i's evidence span covers its own transmission
-	// path plus the next hop's onward path.
-	lastSteward := reached
-	if rep.Kind == DropByNode {
-		// The dropper holds the message but will not steward honestly;
-		// its upstream peers still judge it.
-		lastSteward = reached - 1
-	}
-	if lastSteward >= 0 {
-		rep.Verdicts = make([]Verdict, 0, lastSteward+1)
-	}
-	for i := 0; i <= lastSteward && i+1 < len(route); i++ {
-		// The judgment span lives in system scratch: Blame iterates it
-		// and keeps only per-link values, so nothing aliases it after
-		// the call returns.
-		span := append(s.spanScratch[:0], paths[i]...)
-		if i+1 < len(paths) {
-			span = append(span, paths[i+1]...)
-		}
-		s.spanScratch = span
-		res, err := s.timedBlame(route[i+1], span, now)
-		if err != nil {
-			return nil, err
-		}
-		rep.Verdicts = append(rep.Verdicts, Verdict{
-			Judged: route[i+1], At: now, Blame: res.Blame, Guilty: res.Guilty,
-		})
-		s.Window.Add(rep.Verdicts[len(rep.Verdicts)-1])
-		s.emit(trace.Event{
-			At: now, Kind: trace.KindVerdict,
-			Node: route[i], Peer: route[i+1], Guilty: res.Guilty,
-		})
-	}
-	if len(rep.Verdicts) == 0 {
-		rep.NetworkBlamed = true
-		return rep, nil
-	}
-
-	// Recursive revision (§3.5): the deepest steward's verdict stands —
-	// every upstream accusation is amended by the downstream evidence.
-	deepest := rep.Verdicts[len(rep.Verdicts)-1]
-	if !deepest.Guilty {
-		rep.NetworkBlamed = true
-		return rep, nil
-	}
-	rep.Culprit = deepest.Judged
-
-	// Assemble the self-verifying amended accusation from the connected
-	// run of guilty verdicts ending at the culprit. Signing needs both
-	// parties' keys, so links whose accuser or judged departed the
-	// overlay mid-diagnosis cannot be built; keep the deepest contiguous
-	// suffix where everyone is still present — a truncated (or absent)
-	// chain is the degraded outcome of churn racing the protocol.
-	start := len(rep.Verdicts) - 1
-	for start > 0 && rep.Verdicts[start-1].Guilty {
-		start--
-	}
-	for vi := start; vi < len(rep.Verdicts); vi++ {
-		_, haveAccuser := s.Nodes[route[vi]]
-		_, haveJudged := s.Nodes[rep.Verdicts[vi].Judged]
-		if !haveAccuser || !haveJudged {
-			start = vi + 1
-			rep.ChainUnavailable = true
-		}
-	}
-	if rep.ChainUnavailable {
-		s.Counters.ChainsUnavailable++
-	}
-	if start >= len(rep.Verdicts) {
-		// Every candidate link lost a participant: the culprit stands
-		// accused by the verdict record, but no signed chain exists.
-		return rep, nil
-	}
-	links := make([]Accusation, 0, len(rep.Verdicts)-start)
-	for vi := start; vi < len(rep.Verdicts); vi++ {
-		accuser := route[vi]
-		judged := rep.Verdicts[vi].Judged
-		// Accusation spans escape into the signed chain, so each one is
-		// an exact-size copy — never scratch.
-		spanLen := len(paths[vi])
-		if vi+1 < len(paths) {
-			spanLen += len(paths[vi+1])
-		}
-		span := append(make([]topology.LinkID, 0, spanLen), paths[vi]...)
-		if vi+1 < len(paths) {
-			span = append(span, paths[vi+1]...)
-		}
-		res, err := s.timedBlame(judged, span, now)
-		if err != nil {
-			return nil, err
-		}
-		commit := NewCommitment(s.Nodes[judged].Keys, accuser, judged, dst, rep.MsgID, now)
-		acc, err := NewAccusation(s.Nodes[accuser].Keys, accuser, res, rep.MsgID, span, commit)
-		if err != nil {
-			return nil, err
-		}
-		links = append(links, acc)
-	}
-	chain, err := NewRevisionChain(links)
-	if err != nil {
-		return nil, err
-	}
-	rep.Chain = chain
-	s.met.chainLen.Observe(int64(len(chain.Links)))
-	s.emit(trace.Event{At: now, Kind: trace.KindAccusation, Node: src, Peer: rep.Culprit})
-	return rep, nil
-}
-
-// dropsMessage evaluates a forwarder's drop policy for one stewarded
-// message it holds. The probabilistic dropper consumes the shared rng
-// only when its knob is set, so a system without adversaries draws
-// exactly the same random stream as before the policy existed (the
-// chaos-hook convention).
-func (s *System) dropsMessage(n *Node) bool {
-	b := n.Behavior
-	if b.DropsMessages {
-		return true
-	}
-	if b.DropPeriod > 0 {
-		n.fwdSeq++
-		if n.fwdSeq%uint64(b.DropPeriod) == 0 {
-			return true
-		}
-	}
-	return b.DropProb > 0 && s.rng.Float64() < b.DropProb
-}
-
-// timedBlame wraps the blame engine with metrics: call count, probes
-// consulted (deterministic), and wall-clock latency (the reserved
-// "_wallns" class, excluded from canonical snapshots).
-func (s *System) timedBlame(judged id.ID, span []topology.LinkID, at netsim.Time) (BlameResult, error) {
-	start := time.Now()
-	res, err := s.Engine.Blame(judged, span, at)
-	s.met.blameWall.ObserveDuration(time.Since(start))
-	if err == nil {
-		s.met.blameCalls.Inc()
-		s.met.blameProbes.Observe(int64(res.TotalProbes))
-	}
-	return res, err
+// BulkReport summarizes one batch.
+type BulkReport struct {
+	Route []id.ID
+	Sent  int
+	// Delivered is how many messages reached the destination.
+	Delivered int
+	// Cleared is how many the digest acknowledgment proved delivered.
+	Cleared int
+	// Missing holds the message IDs that needed blame evaluation.
+	Missing []uint64
+	// Verdicts holds the source's judgment of its next hop, one per
+	// missing message.
+	Verdicts []Verdict
+	// AckDigests counts the digests in the batch's one signed
+	// acknowledgment — the §3.7 saving over a full ack round per
+	// message.
+	AckDigests int
 }
 
 // dropDetail names a drop kind for trace output.

@@ -6,23 +6,37 @@ import (
 	"time"
 
 	"concilium/internal/id"
+	"concilium/internal/sigcrypto"
 	"concilium/internal/topology"
 	"concilium/internal/trace"
 )
 
-func buildTestSystem(t *testing.T, mutate func(*SystemConfig)) *System {
+// member returns nid's ring position, failing the test if it has none.
+func member(t *testing.T, cs *CompactSystem, nid id.ID) uint32 {
 	t.Helper()
-	cfg := DefaultSystemConfig()
-	cfg.Topology = topology.TestConfig()
-	cfg.OverlayFraction = 0.5 // small topology: take half the hosts
-	if mutate != nil {
-		mutate(&cfg)
+	i, ok := cs.Overlay.IndexOf(nid)
+	if !ok {
+		t.Fatalf("%s is not a member", nid.Short())
 	}
-	s, err := BuildSystem(cfg, rand.New(rand.NewPCG(201, 203)))
+	return i
+}
+
+// pathBetween returns the IP path from member from to its routing peer to.
+func pathBetween(t *testing.T, cs *CompactSystem, from, to id.ID) []topology.LinkID {
+	t.Helper()
+	path, err := cs.PathToPeer(member(t, cs, from), to)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return s
+	return path
+}
+
+// markDropper makes nid drop every message it should forward.
+func markDropper(t *testing.T, cs *CompactSystem, nid id.ID) {
+	t.Helper()
+	if err := cs.SetBehavior(nid, Behavior{DropsMessages: true}); err != nil {
+		t.Fatal(err)
+	}
 }
 
 func TestSystemConfigValidate(t *testing.T) {
@@ -55,68 +69,77 @@ func TestBuildSystemDeterministic(t *testing.T) {
 	cfg := DefaultSystemConfig()
 	cfg.Topology = topology.TestConfig()
 	cfg.OverlayFraction = 0.5
-	s1, err := BuildSystem(cfg, rand.New(rand.NewPCG(7, 8)))
+	s1, err := BuildCompactSystem(cfg, rand.New(rand.NewPCG(7, 8)))
 	if err != nil {
 		t.Fatal(err)
 	}
-	s2, err := BuildSystem(cfg, rand.New(rand.NewPCG(7, 8)))
+	s2, err := BuildCompactSystem(cfg, rand.New(rand.NewPCG(7, 8)))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(s1.Order) != len(s2.Order) {
+	o1, o2 := s1.AliveIDs(), s2.AliveIDs()
+	if len(o1) != len(o2) {
 		t.Fatal("different node counts")
 	}
-	for i := range s1.Order {
-		if s1.Order[i] != s2.Order[i] {
+	for i := range o1 {
+		if o1[i] != o2[i] {
 			t.Fatal("node identities differ under same seed")
 		}
+	}
+	if s1.CanonicalHash() != s2.CanonicalHash() {
+		t.Fatal("canonical snapshots differ under same seed")
 	}
 }
 
 func TestBuildSystemStructure(t *testing.T) {
 	t.Parallel()
-	s := buildTestSystem(t, nil)
-	if len(s.Nodes) < 4 {
-		t.Fatalf("only %d nodes", len(s.Nodes))
+	s := buildTestCompactSystem(t, nil)
+	if s.Size() < 4 {
+		t.Fatalf("only %d nodes", s.Size())
 	}
-	for _, nid := range s.Order {
-		n := s.Nodes[nid]
-		if n.Routing == nil || n.Tree == nil {
-			t.Fatalf("node %s missing state", nid.Short())
+	for i := uint32(0); i < uint32(s.Size()); i++ {
+		nid := s.NodeID(i)
+		tree, err := s.Tree(i)
+		if err != nil {
+			t.Fatalf("node %s: %v", nid.Short(), err)
 		}
 		// Trees must cover every routing peer (all hosts are reachable
 		// in a connected topology).
-		if len(n.Tree.Leaves) != len(n.Routing.RoutingPeers()) {
-			t.Errorf("node %s: %d leaves for %d peers",
-				nid.Short(), len(n.Tree.Leaves), len(n.Routing.RoutingPeers()))
+		peers := s.Overlay.AppendRoutingPeers(i, nil)
+		if len(tree.Leaves) != len(peers) {
+			t.Errorf("node %s: %d leaves for %d peers", nid.Short(), len(tree.Leaves), len(peers))
 		}
 		// Certificates verify against the CA.
-		if n.Cert.NodeID != nid {
+		cert := s.Cert(i)
+		if cert.NodeID != nid {
 			t.Errorf("certificate identity mismatch for %s", nid.Short())
 		}
+		if err := sigcrypto.VerifyCertificate(s.CA.PublicKey(), &cert); err != nil {
+			t.Errorf("certificate of %s: %v", nid.Short(), err)
+		}
 	}
-	keys := s.Keys()
-	if _, ok := keys(s.Order[0]); !ok {
+	keys := s.KeyDir()
+	if _, ok := keys(s.NodeID(0)); !ok {
 		t.Error("key directory missing member")
 	}
 	if _, ok := keys(id.Zero); ok {
 		t.Error("key directory invented a member")
 	}
-	if len(s.OverlayPaths()) == 0 {
-		t.Error("no overlay paths")
+	if paths, err := s.OverlayPaths(); err != nil || len(paths) == 0 {
+		t.Errorf("overlay paths: %d, %v", len(paths), err)
 	}
 }
 
 func TestBuildSystemMarksMalicious(t *testing.T) {
 	t.Parallel()
-	s := buildTestSystem(t, func(c *SystemConfig) { c.MaliciousFraction = 0.25 })
+	s := buildTestCompactSystem(t, func(c *SystemConfig) { c.MaliciousFraction = 0.25 })
 	var bad int
-	for _, nid := range s.Order {
-		if s.Nodes[nid].Behavior.DropsMessages {
+	for i := uint32(0); i < uint32(s.Size()); i++ {
+		if s.Behavior(i).DropsMessages {
 			bad++
 		}
 	}
-	want := int(0.25 * float64(len(s.Order)))
+	want := int(0.25 * float64(s.Size()))
 	if bad != want {
 		t.Errorf("malicious nodes = %d, want %d", bad, want)
 	}
@@ -124,8 +147,9 @@ func TestBuildSystemMarksMalicious(t *testing.T) {
 
 func TestSendMessageCleanNetworkDelivers(t *testing.T) {
 	t.Parallel()
-	s := buildTestSystem(t, nil)
-	src, dst := s.Order[0], s.Order[len(s.Order)-1]
+	s := buildTestCompactSystem(t, nil)
+	members := s.AliveIDs()
+	src, dst := members[0], members[len(members)-1]
 	rep, err := s.SendMessage(src, dst)
 	if err != nil {
 		t.Fatal(err)
@@ -140,39 +164,42 @@ func TestSendMessageCleanNetworkDelivers(t *testing.T) {
 
 func TestSendMessageSelfDelivery(t *testing.T) {
 	t.Parallel()
-	s := buildTestSystem(t, nil)
-	rep, err := s.SendMessage(s.Order[0], s.Order[0])
+	s := buildTestCompactSystem(t, nil)
+	first := s.NodeID(0)
+	rep, err := s.SendMessage(first, first)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !rep.Delivered || len(rep.Route) != 1 {
 		t.Errorf("self delivery: %+v", rep)
 	}
-	if _, err := s.SendMessage(id.Zero, s.Order[0]); err == nil {
+	if _, err := s.SendMessage(id.Zero, first); err == nil {
 		t.Error("unknown source accepted")
 	}
-	if _, err := s.SendMessage(s.Order[0], id.Zero); err == nil {
+	if _, err := s.SendMessage(first, id.Zero); err == nil {
 		t.Error("unknown destination accepted")
 	}
 }
 
 // findMultiHopPair returns a src/dst whose secure route has at least
 // minHops overlay hops.
-func findMultiHopPair(t *testing.T, s *System, minHops int) (id.ID, id.ID, []id.ID) {
+func findMultiHopPair(t *testing.T, s *CompactSystem, minHops int) (id.ID, id.ID, []id.ID) {
 	t.Helper()
-	states := s.routingStates()
-	for _, src := range s.Order {
-		for _, dst := range s.Order {
+	members := s.AliveIDs()
+	for _, src := range members {
+		for _, dst := range members {
 			if src == dst {
 				continue
 			}
-			route, err := overlayRoute(states, src, dst)
-			if err != nil {
+			idx, err := s.Overlay.AppendRouteSecure(member(t, s, src), dst, 0, nil)
+			if err != nil || len(idx) < minHops+1 {
 				continue
 			}
-			if len(route) >= minHops+1 {
-				return src, dst, route
+			route := make([]id.ID, len(idx))
+			for h, i := range idx {
+				route[h] = s.NodeID(i)
 			}
+			return src, dst, route
 		}
 	}
 	t.Skip("no multi-hop route in this small overlay")
@@ -181,13 +208,13 @@ func findMultiHopPair(t *testing.T, s *System, minHops int) (id.ID, id.ID, []id.
 
 func TestSendMessageDropperBlamedWithEvidence(t *testing.T) {
 	t.Parallel()
-	s := buildTestSystem(t, nil)
+	s := buildTestCompactSystem(t, nil)
 	src, dst, route := findMultiHopPair(t, s, 2)
 
 	// Make the first intermediate hop a dropper, then saturate the
 	// archive with truthful probes so the blame engine has evidence.
 	dropper := route[1]
-	s.Nodes[dropper].Behavior = Behavior{DropsMessages: true}
+	markDropper(t, s, dropper)
 	if err := s.StartProbing(); err != nil {
 		t.Fatal(err)
 	}
@@ -212,7 +239,7 @@ func TestSendMessageDropperBlamedWithEvidence(t *testing.T) {
 	if rep.Chain == nil {
 		t.Fatal("no accusation chain assembled")
 	}
-	if err := rep.Chain.Verify(s.Keys(), s.Config.Blame.GuiltyThreshold); err != nil {
+	if err := rep.Chain.Verify(s.KeyDir(), s.Config.Blame.GuiltyThreshold); err != nil {
 		t.Errorf("accusation chain does not verify: %v", err)
 	}
 	if rep.Chain.Culprit() != dropper {
@@ -222,15 +249,12 @@ func TestSendMessageDropperBlamedWithEvidence(t *testing.T) {
 
 func TestSendMessageLinkFailureBlamesNetwork(t *testing.T) {
 	t.Parallel()
-	s := buildTestSystem(t, nil)
+	s := buildTestCompactSystem(t, nil)
 	src, dst, route := findMultiHopPair(t, s, 2)
 
 	// Fail the first link of the first hop's path and give the archive
 	// perfect evidence of it.
-	path, err := s.Nodes[route[0]].PathToPeer(route[1])
-	if err != nil {
-		t.Fatal(err)
-	}
+	path := pathBetween(t, s, route[0], route[1])
 	if err := s.Net.SetLinkDown(path[0], true); err != nil {
 		t.Fatal(err)
 	}
@@ -260,7 +284,7 @@ func TestSendMessageLinkFailureBlamesNetwork(t *testing.T) {
 
 func TestStartProbingPopulatesArchive(t *testing.T) {
 	t.Parallel()
-	s := buildTestSystem(t, func(c *SystemConfig) { c.MaxProbeTime = 30 * time.Second })
+	s := buildTestCompactSystem(t, func(c *SystemConfig) { c.MaxProbeTime = 30 * time.Second })
 	if err := s.StartProbing(); err != nil {
 		t.Fatal(err)
 	}
@@ -275,7 +299,7 @@ func TestStartProbingPopulatesArchive(t *testing.T) {
 
 func TestArchiveRetentionBoundsMemory(t *testing.T) {
 	t.Parallel()
-	s := buildTestSystem(t, func(c *SystemConfig) {
+	s := buildTestCompactSystem(t, func(c *SystemConfig) {
 		c.MaxProbeTime = 20 * time.Second
 		c.ArchiveRetention = time.Minute
 	})
@@ -293,7 +317,7 @@ func TestArchiveRetentionBoundsMemory(t *testing.T) {
 
 func TestStartFailuresHoldsDownFraction(t *testing.T) {
 	t.Parallel()
-	s := buildTestSystem(t, nil)
+	s := buildTestCompactSystem(t, nil)
 	if err := s.StartFailures(); err != nil {
 		t.Fatal(err)
 	}
@@ -308,14 +332,14 @@ func TestStartFailuresHoldsDownFraction(t *testing.T) {
 
 func TestCollusionFilterAdaptsToJudgment(t *testing.T) {
 	t.Parallel()
-	s := buildTestSystem(t, func(c *SystemConfig) { c.MaliciousFraction = 0.3 })
+	s := buildTestCompactSystem(t, func(c *SystemConfig) { c.MaliciousFraction = 0.3 })
 	var liar, honest id.ID
-	for _, nid := range s.Order {
-		if s.Nodes[nid].Behavior.InvertsProbes && liar == (id.ID{}) {
-			liar = nid
+	for i := uint32(0); i < uint32(s.Size()); i++ {
+		if s.Behavior(i).InvertsProbes && liar == (id.ID{}) {
+			liar = s.NodeID(i)
 		}
-		if s.Nodes[nid].Behavior.Honest() && honest == (id.ID{}) {
-			honest = nid
+		if s.Behavior(i).Honest() && honest == (id.ID{}) {
+			honest = s.NodeID(i)
 		}
 	}
 	if liar == (id.ID{}) || honest == (id.ID{}) {
@@ -343,7 +367,7 @@ func TestCollusionFilterAdaptsToJudgment(t *testing.T) {
 
 func TestSignedSnapshotModePopulatesArchive(t *testing.T) {
 	t.Parallel()
-	s := buildTestSystem(t, func(c *SystemConfig) {
+	s := buildTestCompactSystem(t, func(c *SystemConfig) {
 		c.SignedSnapshots = true
 		c.MaxProbeTime = 30 * time.Second
 	})
@@ -357,7 +381,7 @@ func TestSignedSnapshotModePopulatesArchive(t *testing.T) {
 	// Diagnosis still works end to end through the signed pipeline.
 	src, dst, route := findMultiHopPair(t, s, 2)
 	dropper := route[1]
-	s.Nodes[dropper].Behavior = Behavior{DropsMessages: true}
+	markDropper(t, s, dropper)
 	s.Run(2 * time.Minute)
 	rep, err := s.SendMessage(src, dst)
 	if err != nil {
@@ -372,12 +396,9 @@ func TestSendMessageAckDropBlamesNetwork(t *testing.T) {
 	t.Parallel()
 	// Slow links so the round trip takes real virtual time, then fail a
 	// link between the message leg and the acknowledgment leg.
-	s := buildTestSystem(t, func(c *SystemConfig) { c.HopLatency = time.Second })
+	s := buildTestCompactSystem(t, func(c *SystemConfig) { c.HopLatency = time.Second })
 	src, dst, route := findMultiHopPair(t, s, 2)
-	path, err := s.Nodes[route[0]].PathToPeer(route[1])
-	if err != nil {
-		t.Fatal(err)
-	}
+	path := pathBetween(t, s, route[0], route[1])
 	// Probes see healthy links before the send; after the forward legs
 	// complete, the first-hop link dies, eating the ack on its way back.
 	if err := s.StartProbing(); err != nil {
@@ -387,14 +408,10 @@ func TestSendMessageAckDropBlamesNetwork(t *testing.T) {
 	var forwardSpan time.Duration
 	cur := route[0]
 	for _, hop := range route[1:] {
-		p, err := s.Nodes[cur].PathToPeer(hop)
-		if err != nil {
-			t.Fatal(err)
-		}
-		forwardSpan += s.Net.Latency(p)
+		forwardSpan += s.Net.Latency(pathBetween(t, s, cur, hop))
 		cur = hop
 	}
-	err = s.Sim.ScheduleAfter(forwardSpan+time.Millisecond, func() {
+	err := s.Sim.ScheduleAfter(forwardSpan+time.Millisecond, func() {
 		if err := s.Net.SetLinkDown(path[0], true); err != nil {
 			t.Error(err)
 		}
@@ -432,7 +449,7 @@ func TestSystemTracing(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s := buildTestSystem(t, func(c *SystemConfig) {
+	s := buildTestCompactSystem(t, func(c *SystemConfig) {
 		c.Tracer = trace.Multi(counter, ring)
 		c.MaxProbeTime = 30 * time.Second
 	})
@@ -449,7 +466,7 @@ func TestSystemTracing(t *testing.T) {
 	// Drive one diagnosed drop and check the full event trail.
 	src, dst, route := findMultiHopPair(t, s, 2)
 	dropper := route[1]
-	s.Nodes[dropper].Behavior = Behavior{DropsMessages: true}
+	markDropper(t, s, dropper)
 	rep, err := s.SendMessage(src, dst)
 	if err != nil {
 		t.Fatal(err)

@@ -10,11 +10,11 @@ import (
 )
 
 // TestChurnTreeReuseMatchesFromScratch drives churn across the chaos
-// campaign seeds and verifies the incremental rebuild path — cached
-// per-router BFS plus BuildTreeBFS — leaves every node's tomography
-// tree byte-identical to a from-scratch BuildTree over the same peers:
-// same leaf order, same link sets, and identical PathTo results link
-// for link.
+// campaign seeds and verifies the tree cache — selective invalidation
+// plus PatchTree — leaves every node's tomography tree identical to a
+// from-scratch BuildTree over the same peers: same leaf order, same link
+// sets, and identical PathTo results link for link. BuildTree runs its
+// own BFS, so it shares no code with the patch path.
 func TestChurnTreeReuseMatchesFromScratch(t *testing.T) {
 	t.Parallel()
 	for _, seed := range []uint64{1, 7, 42} {
@@ -24,15 +24,17 @@ func TestChurnTreeReuseMatchesFromScratch(t *testing.T) {
 			cfg := DefaultSystemConfig()
 			cfg.Topology = topology.TestConfig()
 			cfg.OverlayFraction = 0.5
-			s, err := BuildSystem(cfg, rand.New(rand.NewPCG(seed, seed+1)))
+			s, err := BuildCompactSystem(cfg, rand.New(rand.NewPCG(seed, seed+1)))
 			if err != nil {
 				t.Fatal(err)
 			}
+			verifyTreesMatchScratch(t, s) // every tree cached before churn
 			churn := rand.New(rand.NewPCG(seed+2, seed+3))
 			hosts := s.Topo.EndHosts()
 			for round := 0; round < 4; round++ {
-				if len(s.Order) > 6 {
-					victim := s.Order[churn.IntN(len(s.Order))]
+				if s.Size() > 6 {
+					members := s.AliveIDs()
+					victim := members[churn.IntN(len(members))]
 					if err := s.FailNode(victim); err != nil {
 						t.Fatal(err)
 					}
@@ -46,26 +48,24 @@ func TestChurnTreeReuseMatchesFromScratch(t *testing.T) {
 	}
 }
 
-// verifyTreesMatchScratch compares every node's live tree against a
+// verifyTreesMatchScratch compares every node's cached tree against a
 // from-scratch BuildTree over the node's current routing peers.
-func verifyTreesMatchScratch(t *testing.T, s *System) {
+func verifyTreesMatchScratch(t *testing.T, s *CompactSystem) {
 	t.Helper()
-	for _, nid := range s.Order {
-		node := s.Nodes[nid]
-		peers := node.Routing.RoutingPeers()
-		leaves := make([]tomography.Leaf, 0, len(peers))
-		for _, p := range peers {
-			pn, ok := s.Nodes[p]
-			if !ok {
-				continue
-			}
-			leaves = append(leaves, tomography.Leaf{Node: p, Router: pn.Router})
+	for i := uint32(0); i < uint32(s.Size()); i++ {
+		nid := s.NodeID(i)
+		var leaves []tomography.Leaf
+		for _, j := range s.Overlay.AppendRoutingPeers(i, nil) {
+			leaves = append(leaves, tomography.Leaf{Node: s.NodeID(j), Router: s.Router(j)})
 		}
-		fresh, err := tomography.BuildTree(s.Topo, nid, node.Router, leaves)
+		fresh, err := tomography.BuildTree(s.Topo, nid, s.Router(i), leaves)
 		if err != nil {
 			t.Fatal(err)
 		}
-		live := node.Tree
+		live, err := s.Tree(i)
+		if err != nil {
+			t.Fatal(err)
+		}
 		if len(live.Leaves) != len(fresh.Leaves) {
 			t.Fatalf("node %s: %d leaves live, %d from scratch", nid.Short(), len(live.Leaves), len(fresh.Leaves))
 		}

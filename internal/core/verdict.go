@@ -39,74 +39,13 @@ type Verdict struct {
 	Guilty bool
 }
 
-// VerdictWindow tracks, per judged peer, the most recent W verdicts and
-// reports when the formal-accusation threshold trips.
-type VerdictWindow struct {
-	cfg WindowConfig
-	per map[id.ID]*peerWindow
-}
-
+// peerWindow is one judged peer's ring buffer of its most recent W
+// verdicts, with a running guilty count.
 type peerWindow struct {
 	verdicts []Verdict // ring buffer
 	next     int
 	filled   int
 	guilty   int
-}
-
-// NewVerdictWindow creates an empty window set.
-func NewVerdictWindow(cfg WindowConfig) (*VerdictWindow, error) {
-	if err := cfg.Validate(); err != nil {
-		return nil, err
-	}
-	return &VerdictWindow{cfg: cfg, per: make(map[id.ID]*peerWindow)}, nil
-}
-
-// Add records a verdict and reports whether the judged peer now meets
-// the formal-accusation threshold (at least M guilty among the last W).
-func (vw *VerdictWindow) Add(v Verdict) bool {
-	pw := vw.per[v.Judged]
-	if pw == nil {
-		pw = &peerWindow{verdicts: make([]Verdict, vw.cfg.W)}
-		vw.per[v.Judged] = pw
-	}
-	if pw.filled == vw.cfg.W {
-		// Evict the oldest verdict.
-		if pw.verdicts[pw.next].Guilty {
-			pw.guilty--
-		}
-	} else {
-		pw.filled++
-	}
-	pw.verdicts[pw.next] = v
-	pw.next = (pw.next + 1) % vw.cfg.W
-	if v.Guilty {
-		pw.guilty++
-	}
-	return pw.guilty >= vw.cfg.M
-}
-
-// GuiltyCount returns the number of guilty verdicts currently in the
-// peer's window.
-func (vw *VerdictWindow) GuiltyCount(peer id.ID) int {
-	if pw := vw.per[peer]; pw != nil {
-		return pw.guilty
-	}
-	return 0
-}
-
-// Recent returns the verdicts currently in the peer's window, oldest
-// first — the evidence bundle a formal accusation archives (§3.4).
-func (vw *VerdictWindow) Recent(peer id.ID) []Verdict {
-	pw := vw.per[peer]
-	if pw == nil {
-		return nil
-	}
-	out := make([]Verdict, 0, pw.filled)
-	start := pw.next - pw.filled
-	for i := 0; i < pw.filled; i++ {
-		out = append(out, pw.verdicts[((start+i)%vw.cfg.W+vw.cfg.W)%vw.cfg.W])
-	}
-	return out
 }
 
 // AccusationErrorRates computes Figure 6's analytic error rates: with

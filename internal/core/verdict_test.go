@@ -3,7 +3,6 @@ package core
 import (
 	"testing"
 
-	"concilium/internal/id"
 	"concilium/internal/netsim"
 )
 
@@ -17,20 +16,20 @@ func TestWindowConfigValidate(t *testing.T) {
 			t.Errorf("config %+v accepted", bad)
 		}
 	}
-	if _, err := NewVerdictWindow(WindowConfig{}); err == nil {
+	if _, err := NewCompactVerdictWindow(WindowConfig{}); err == nil {
 		t.Error("zero config accepted")
 	}
 }
 
 func TestVerdictWindowThreshold(t *testing.T) {
 	t.Parallel()
-	vw, err := NewVerdictWindow(WindowConfig{W: 5, M: 3})
+	vw, err := NewCompactVerdictWindow(WindowConfig{W: 5, M: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
-	peer := id.MustParse("00000000000000000000000000000001")
+	const peer = uint32(1)
 	add := func(guilty bool) bool {
-		return vw.Add(Verdict{Judged: peer, Guilty: guilty})
+		return vw.Add(peer, Verdict{Guilty: guilty})
 	}
 	if add(true) || add(true) {
 		t.Error("accused before reaching M")
@@ -45,23 +44,23 @@ func TestVerdictWindowThreshold(t *testing.T) {
 
 func TestVerdictWindowEviction(t *testing.T) {
 	t.Parallel()
-	vw, err := NewVerdictWindow(WindowConfig{W: 3, M: 2})
+	vw, err := NewCompactVerdictWindow(WindowConfig{W: 3, M: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
-	peer := id.MustParse("00000000000000000000000000000002")
+	const peer = uint32(2)
 	// guilty, guilty -> trips.
-	vw.Add(Verdict{Judged: peer, Guilty: true})
-	if !vw.Add(Verdict{Judged: peer, Guilty: true}) {
+	vw.Add(peer, Verdict{Guilty: true})
+	if !vw.Add(peer, Verdict{Guilty: true}) {
 		t.Fatal("did not trip at M=2")
 	}
 	// One innocent still leaves two guilty verdicts in the window.
-	if !vw.Add(Verdict{Judged: peer, Guilty: false}) {
+	if !vw.Add(peer, Verdict{Guilty: false}) {
 		t.Error("window [g,g,i] should still meet M=2")
 	}
 	// Two more innocents evict both guilty verdicts.
 	for i := 0; i < 2; i++ {
-		if vw.Add(Verdict{Judged: peer, Guilty: false}) {
+		if vw.Add(peer, Verdict{Guilty: false}) {
 			t.Error("tripped after guilty verdicts were evicted")
 		}
 	}
@@ -72,14 +71,13 @@ func TestVerdictWindowEviction(t *testing.T) {
 
 func TestVerdictWindowPerPeerIsolation(t *testing.T) {
 	t.Parallel()
-	vw, err := NewVerdictWindow(WindowConfig{W: 10, M: 2})
+	vw, err := NewCompactVerdictWindow(WindowConfig{W: 10, M: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
-	a := id.MustParse("000000000000000000000000000000aa")
-	b := id.MustParse("000000000000000000000000000000bb")
-	vw.Add(Verdict{Judged: a, Guilty: true})
-	if vw.Add(Verdict{Judged: b, Guilty: true}) {
+	const a, b = uint32(0xaa), uint32(0xbb)
+	vw.Add(a, Verdict{Guilty: true})
+	if vw.Add(b, Verdict{Guilty: true}) {
 		t.Error("verdicts leaked across peers")
 	}
 	if vw.GuiltyCount(a) != 1 || vw.GuiltyCount(b) != 1 {
@@ -89,13 +87,13 @@ func TestVerdictWindowPerPeerIsolation(t *testing.T) {
 
 func TestVerdictWindowRecent(t *testing.T) {
 	t.Parallel()
-	vw, err := NewVerdictWindow(WindowConfig{W: 3, M: 3})
+	vw, err := NewCompactVerdictWindow(WindowConfig{W: 3, M: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
-	peer := id.MustParse("000000000000000000000000000000cc")
+	const peer = uint32(0xcc)
 	for i := 0; i < 5; i++ {
-		vw.Add(Verdict{Judged: peer, At: netsim.Time(i), Guilty: i%2 == 0})
+		vw.Add(peer, Verdict{At: netsim.Time(i), Guilty: i%2 == 0})
 	}
 	recent := vw.Recent(peer)
 	if len(recent) != 3 {
@@ -107,7 +105,7 @@ func TestVerdictWindowRecent(t *testing.T) {
 			t.Errorf("recent[%d].At = %v, want %d", i, v.At, i+2)
 		}
 	}
-	if vw.Recent(id.Zero) != nil {
+	if vw.Recent(peer+1) != nil {
 		t.Error("unknown peer has verdicts")
 	}
 }
@@ -197,14 +195,13 @@ func TestAccusationErrorRatesMonotoneInM(t *testing.T) {
 }
 
 func BenchmarkVerdictWindowAdd(b *testing.B) {
-	vw, err := NewVerdictWindow(DefaultWindowConfig())
+	vw, err := NewCompactVerdictWindow(DefaultWindowConfig())
 	if err != nil {
 		b.Fatal(err)
 	}
-	peer := id.MustParse("00000000000000000000000000000009")
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		vw.Add(Verdict{Judged: peer, Guilty: i%7 == 0})
+		vw.Add(9, Verdict{Guilty: i%7 == 0})
 	}
 }
 

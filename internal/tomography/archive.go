@@ -120,21 +120,6 @@ func (a *Archive) Window(link topology.LinkID, from, to netsim.Time) []ProbeReco
 	return recs[lo:hi]
 }
 
-// InWindow returns the probe records for link within [from, to],
-// excluding records from probers in exclude — the rule that a node's own
-// probes never count when judging that node (§3.4). The result is a
-// fresh slice; prefer Window on hot paths.
-func (a *Archive) InWindow(link topology.LinkID, from, to netsim.Time, exclude map[id.ID]bool) []ProbeRecord {
-	var out []ProbeRecord
-	for _, r := range a.Window(link, from, to) {
-		if exclude[a.ProberID(r.Prober)] {
-			continue
-		}
-		out = append(out, r)
-	}
-	return out
-}
-
 // Prune discards records older than before, bounding archive growth over
 // long simulations. Surviving records are shifted down in place, so each
 // link's backing array is retained: once a retention-bounded archive

@@ -152,9 +152,6 @@ func TestArchiveProberHandles(t *testing.T) {
 	if len(recs) != 3 || recs[0].Prober != he || recs[1].Prober != hl || recs[2].Prober != hl {
 		t.Fatalf("window = %+v", recs)
 	}
-	if got := a.InWindow(3, 0, 1000, map[id.ID]bool{late: true}); len(got) != 1 || got[0].Prober != he {
-		t.Errorf("InWindow excluding %s = %+v", late.Short(), got)
-	}
 
 	// Prune away every record of early: a copy of one of its records is
 	// still attributable, and a fresh record reuses the handle.

@@ -534,22 +534,17 @@ func TestArchiveWindowQueries(t *testing.T) {
 	add(p2, 200, false)
 	add(p1, 300, true)
 
-	recs := a.InWindow(7, 150, 250, nil)
+	recs := a.Window(7, 150, 250)
 	if len(recs) != 1 || a.ProberID(recs[0].Prober) != p2 || recs[0].Up {
 		t.Errorf("window [150,250] = %+v", recs)
 	}
 	// Inclusive bounds.
-	recs = a.InWindow(7, 100, 300, nil)
+	recs = a.Window(7, 100, 300)
 	if len(recs) != 3 {
 		t.Errorf("window [100,300] = %d records", len(recs))
 	}
-	// Exclusion (the judged node's own probes).
-	recs = a.InWindow(7, 0, 1000, map[id.ID]bool{p1: true})
-	if len(recs) != 1 || a.ProberID(recs[0].Prober) != p2 {
-		t.Errorf("excluded window = %+v", recs)
-	}
 	// Unknown link.
-	if got := a.InWindow(99, 0, 1000, nil); len(got) != 0 {
+	if got := a.Window(99, 0, 1000); len(got) != 0 {
 		t.Errorf("unknown link returned %d records", len(got))
 	}
 	// Out-of-order insert rejected.
@@ -578,10 +573,10 @@ func TestArchivePrune(t *testing.T) {
 	if a.Size() != 5 {
 		t.Errorf("after prune Size = %d, want 5", a.Size())
 	}
-	if got := a.InWindow(2, 0, 1000, nil); len(got) != 0 {
+	if got := a.Window(2, 0, 1000); len(got) != 0 {
 		t.Error("fully pruned link still has records")
 	}
-	if got := a.InWindow(1, 0, 1000, nil); len(got) != 5 {
+	if got := a.Window(1, 0, 1000); len(got) != 5 {
 		t.Errorf("link 1 has %d records, want 5", len(got))
 	}
 }
