@@ -175,36 +175,38 @@ func (e *BlameEngine) SetWitnessGrouping(g WitnessGrouping) { e.group = g }
 // each admissible probe contributes a when it saw the link down and
 // (1−a) when it saw it up, averaged over the probes. No probes means no
 // evidence the link was bad (confidence 0). It iterates the archive's
-// zero-copy window view and applies the self-exclusion rule inline, so
-// a judgment allocates nothing per link. self is the judged node's
+// zero-copy span and applies the self-exclusion rule inline, so a
+// judgment allocates nothing per link. self is the judged node's
 // archive handle (zero if it never probed), so the rule costs one
 // integer compare per record; groups is the call's witness-group state,
 // nil without a grouping.
 func (e *BlameEngine) linkConfidence(judged id.ID, self tomography.ProberHandle, groups *witnessGroups, link topology.LinkID, at netsim.Time) LinkConfidence {
 	from := at.Add(-e.cfg.Delta)
 	to := at.Add(e.cfg.Delta)
-	recs := e.archive.Window(link, from, to)
+	span := e.archive.Span(link, from, to)
 	lc := LinkConfidence{Link: link}
 	a := e.cfg.ProbeAccuracy
 	if groups != nil {
-		return e.groupedConfidence(judged, self, groups, recs, lc, a)
+		return e.groupedConfidence(judged, self, groups, &span, lc, a)
 	}
 	var sum float64
-	for _, r := range recs {
-		if e.selfExclusion && r.Prober == self {
-			continue
-		}
-		if e.filter != nil {
-			var keep bool
-			if r, keep = e.filter(judged, self, r); !keep {
+	for run := span.Next(); run != nil; run = span.Next() {
+		for _, r := range run {
+			if e.selfExclusion && r.Prober == self {
 				continue
 			}
-		}
-		lc.Probes++
-		if r.Up {
-			sum += 1 - a
-		} else {
-			sum += a
+			if e.filter != nil {
+				var keep bool
+				if r, keep = e.filter(judged, self, r); !keep {
+					continue
+				}
+			}
+			lc.Probes++
+			if r.Up {
+				sum += 1 - a
+			} else {
+				sum += a
+			}
 		}
 	}
 	if lc.Probes == 0 {
@@ -268,37 +270,39 @@ func (w *witnessGroups) numberOf(rep id.ID) int32 {
 // records aggregate per witness group first (each group's records
 // average into one vote), then groups average into the link confidence,
 // so k colluding probers weigh as one witness. Group accumulators are
-// kept in first-seen order — the archive window is deterministic — so
+// kept in first-seen order — the archive span is deterministic — so
 // the floating-point summation order is fixed. Self-exclusion extends
 // to the judged node's whole group.
-func (e *BlameEngine) groupedConfidence(judged id.ID, self tomography.ProberHandle, w *witnessGroups, recs []tomography.ProbeRecord, lc LinkConfidence, a float64) LinkConfidence {
-	for _, r := range recs {
-		if e.selfExclusion && r.Prober == self {
-			continue
-		}
-		g := w.of(e, r.Prober)
-		if e.selfExclusion && g == 0 {
-			continue
-		}
-		if e.filter != nil {
-			var keep bool
-			if r, keep = e.filter(judged, self, r); !keep {
+func (e *BlameEngine) groupedConfidence(judged id.ID, self tomography.ProberHandle, w *witnessGroups, span *tomography.Span, lc LinkConfidence, a float64) LinkConfidence {
+	for run := span.Next(); run != nil; run = span.Next() {
+		for _, r := range run {
+			if e.selfExclusion && r.Prober == self {
 				continue
 			}
+			g := w.of(e, r.Prober)
+			if e.selfExclusion && g == 0 {
+				continue
+			}
+			if e.filter != nil {
+				var keep bool
+				if r, keep = e.filter(judged, self, r); !keep {
+					continue
+				}
+			}
+			lc.Probes++
+			v := a
+			if r.Up {
+				v = 1 - a
+			}
+			j := w.slot[g]
+			if j == 0 {
+				w.accs = append(w.accs, groupAcc{group: g})
+				j = int32(len(w.accs))
+				w.slot[g] = j
+			}
+			w.accs[j-1].sum += v
+			w.accs[j-1].n++
 		}
-		lc.Probes++
-		v := a
-		if r.Up {
-			v = 1 - a
-		}
-		j := w.slot[g]
-		if j == 0 {
-			w.accs = append(w.accs, groupAcc{group: g})
-			j = int32(len(w.accs))
-			w.slot[g] = j
-		}
-		w.accs[j-1].sum += v
-		w.accs[j-1].n++
 	}
 	var sum float64
 	for _, acc := range w.accs {

@@ -53,6 +53,42 @@ func TestSimulatorOrdering(t *testing.T) {
 	}
 }
 
+// TestSimulatorScheduleAllocFree locks in the value-typed event heap:
+// once the heap has grown, scheduling and running events allocates
+// nothing, and events still run by time, then by scheduling order.
+func TestSimulatorScheduleAllocFree(t *testing.T) {
+	s := NewSimulator()
+	r := testRand()
+	var ran []int
+	fns := make([]func(), 256)
+	delays := make([]time.Duration, len(fns))
+	for i := range fns {
+		i := i
+		fns[i] = func() { ran = append(ran, i) }
+		delays[i] = time.Duration(r.IntN(16)) // many events share an instant
+	}
+	round := func() {
+		ran = ran[:0]
+		for i, fn := range fns {
+			if err := s.ScheduleAfter(delays[i], fn); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for s.Step() {
+		}
+	}
+	round() // grows the heap and ran
+	if n := testing.AllocsPerRun(20, round); n != 0 {
+		t.Errorf("Schedule+Step allocates %.1f per %d events, want 0", n, len(fns))
+	}
+	for k := 1; k < len(ran); k++ {
+		a, b := ran[k-1], ran[k]
+		if delays[a] > delays[b] || delays[a] == delays[b] && a > b {
+			t.Fatalf("event %d (delay %v) ran before event %d (delay %v)", a, delays[a], b, delays[b])
+		}
+	}
+}
+
 func TestSimulatorRejectsPastAndNil(t *testing.T) {
 	t.Parallel()
 	s := NewSimulator()

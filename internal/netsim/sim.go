@@ -6,7 +6,6 @@
 package netsim
 
 import (
-	"container/heap"
 	"fmt"
 	"time"
 )
@@ -29,24 +28,50 @@ type event struct {
 	fn  func()
 }
 
-type eventHeap []*event
-
-func (h eventHeap) Len() int { return len(h) }
-func (h eventHeap) Less(i, j int) bool {
-	if h[i].at != h[j].at {
-		return h[i].at < h[j].at
-	}
-	return h[i].seq < h[j].seq
+func (e *event) before(f *event) bool {
+	return e.at < f.at || e.at == f.at && e.seq < f.seq
 }
-func (h eventHeap) Swap(i, j int)       { h[i], h[j] = h[j], h[i] }
-func (h *eventHeap) Push(x interface{}) { *h = append(*h, x.(*event)) }
-func (h *eventHeap) Pop() interface{} {
-	old := *h
-	n := len(old)
-	e := old[n-1]
-	old[n-1] = nil
-	*h = old[:n-1]
-	return e
+
+// eventHeap is a binary min-heap of events by (at, seq), held by value
+// so scheduling allocates nothing once the heap has grown.
+type eventHeap []event
+
+func (h *eventHeap) push(e event) {
+	*h = append(*h, e)
+	q := *h
+	for i := len(q) - 1; i > 0; {
+		p := (i - 1) / 2
+		if !q[i].before(&q[p]) {
+			break
+		}
+		q[i], q[p] = q[p], q[i]
+		i = p
+	}
+}
+
+func (h *eventHeap) pop() event {
+	q := *h
+	top := q[0]
+	n := len(q) - 1
+	q[0] = q[n]
+	q[n] = event{} // release the closure
+	q = q[:n]
+	for i := 0; ; {
+		m, l := i, 2*i+1
+		if l < n && q[l].before(&q[m]) {
+			m = l
+		}
+		if r := l + 1; r < n && q[r].before(&q[m]) {
+			m = r
+		}
+		if m == i {
+			break
+		}
+		q[i], q[m] = q[m], q[i]
+		i = m
+	}
+	*h = q
+	return top
 }
 
 // Simulator is a single-threaded discrete-event scheduler. Events at the
@@ -77,7 +102,7 @@ func (s *Simulator) Schedule(at Time, fn func()) error {
 		return fmt.Errorf("netsim: nil event function")
 	}
 	s.seq++
-	heap.Push(&s.heap, &event{at: at, seq: s.seq, fn: fn})
+	s.heap.push(event{at: at, seq: s.seq, fn: fn})
 	return nil
 }
 
@@ -96,7 +121,7 @@ func (s *Simulator) Step() bool {
 	if len(s.heap) == 0 {
 		return false
 	}
-	e := heap.Pop(&s.heap).(*event)
+	e := s.heap.pop()
 	s.now = e.at
 	e.fn()
 	return true
