@@ -345,7 +345,7 @@ func BenchmarkAblationProbeExclusion(b *testing.B) {
 	honest := id.Random(rng)
 	path := []topology.LinkID{1, 2, 3}
 	mkArchive := func() *tomography.Archive {
-		arch := tomography.NewArchive()
+		arch := tomography.NewArchive(4)
 		// Honest prober says all links up; the dropper floods claims
 		// that they were down.
 		for _, l := range path {
@@ -394,7 +394,7 @@ func BenchmarkAblationFuzzyOR(b *testing.B) {
 	judged := id.Random(rng)
 	prober := id.Random(rng)
 	const pathLen = 12
-	arch := tomography.NewArchive()
+	arch := tomography.NewArchive(pathLen)
 	path := make([]topology.LinkID, pathLen)
 	for i := range path {
 		path[i] = topology.LinkID(i)
@@ -429,7 +429,7 @@ func BenchmarkAblationFuzzyOR(b *testing.B) {
 // revised chain walks blame to the true dropper.
 func BenchmarkAblationRecursiveRevision(b *testing.B) {
 	rng := benchRand()
-	arch := tomography.NewArchive()
+	arch := tomography.NewArchive(0) // every path unprobed
 	eng, err := core.NewBlameEngine(arch, core.DefaultBlameConfig())
 	if err != nil {
 		b.Fatal(err)
@@ -487,7 +487,7 @@ func BenchmarkAblationCommitments(b *testing.B) {
 	accuserKeys := sigcrypto.KeyPairFromRand(rng)
 	victimKeys := sigcrypto.KeyPairFromRand(rng)
 
-	eng, err := core.NewBlameEngine(tomography.NewArchive(), core.DefaultBlameConfig())
+	eng, err := core.NewBlameEngine(tomography.NewArchive(0), core.DefaultBlameConfig())
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -64,7 +64,7 @@ func TestCommitmentSignAndVerify(t *testing.T) {
 // evidence: full blame on the judged node.
 func buildGuiltyResult(t *testing.T, judged id.ID, at netsim.Time) BlameResult {
 	t.Helper()
-	eng, err := NewBlameEngine(tomography.NewArchive(), DefaultBlameConfig())
+	eng, err := NewBlameEngine(tomography.NewArchive(0), DefaultBlameConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -305,7 +305,7 @@ func TestSnapshotSignAndValidate(t *testing.T) {
 	}
 
 	// Archive ingestion.
-	arch := tomography.NewArchive()
+	arch := tomography.NewArchive(4)
 	if err := v.Ingest(arch, snap); err != nil {
 		t.Fatal(err)
 	}
@@ -404,7 +404,7 @@ func TestSnapshotValidatorRejections(t *testing.T) {
 		t.Errorf("unknown signer: %v", err)
 	}
 	// Invalid ingest never archives.
-	arch := tomography.NewArchive()
+	arch := tomography.NewArchive(4)
 	if err := v.Ingest(arch, s); err == nil {
 		t.Error("invalid snapshot ingested")
 	}

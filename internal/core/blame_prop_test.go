@@ -14,7 +14,7 @@ import (
 // randomBlameCase builds an archive with random probe evidence over a
 // random path and returns everything needed to evaluate blame.
 func randomBlameCase(r *rand.Rand) (*tomography.Archive, id.ID, []topology.LinkID, netsim.Time) {
-	arch := tomography.NewArchive()
+	arch := tomography.NewArchive(20)
 	judged := id.Random(r)
 	pathLen := 1 + r.IntN(10)
 	path := make([]topology.LinkID, pathLen)

@@ -11,9 +11,11 @@ import (
 	"concilium/internal/topology"
 )
 
+// newArchive returns an archive for the small link identifiers these
+// tests use.
 func newArchive(t *testing.T) *tomography.Archive {
 	t.Helper()
-	return tomography.NewArchive()
+	return tomography.NewArchive(16)
 }
 
 func record(t *testing.T, a *tomography.Archive, prober id.ID, at netsim.Time, link topology.LinkID, up bool) {

@@ -199,7 +199,7 @@ func BuildCompactSystem(cfg SystemConfig, rng stats.Rand) (*CompactSystem, error
 		Sim:          sim,
 		Net:          net,
 		CA:           ca,
-		Archive:      tomography.NewArchive(),
+		Archive:      tomography.NewArchive(graph.NumLinks()),
 		routers:      make([]topology.RouterID, n),
 		pubKeys:      make([]byte, n*ed25519.PublicKeySize),
 		privKeys:     make([]byte, n*ed25519.PrivateKeySize),

@@ -17,7 +17,7 @@ import (
 // so the confidence the link was bad is 0.6 and the forwarder's blame
 // is 0.4.
 func ExampleBlameEngine_Blame() {
-	archive := tomography.NewArchive()
+	archive := tomography.NewArchive(8)
 	q := id.MustParse("00000000000000000000000000000001")
 	r := id.MustParse("00000000000000000000000000000002")
 	s := id.MustParse("00000000000000000000000000000003")
@@ -59,7 +59,7 @@ func ExampleRevisionChain() {
 		ids[i] = id.Random(rng)
 		keys[i] = sigcrypto.KeyPairFromRand(rng)
 	}
-	engine, err := core.NewBlameEngine(tomography.NewArchive(), core.DefaultBlameConfig())
+	engine, err := core.NewBlameEngine(tomography.NewArchive(0), core.DefaultBlameConfig())
 	if err != nil {
 		fmt.Println(err)
 		return

@@ -41,7 +41,7 @@ func newRepoFixture(t *testing.T, r *rand.Rand, n int) (*repoFixture, []id.ID) {
 		f.dir[ids[i]] = kp.Public
 		f.kp[ids[i]] = kp
 	}
-	eng, err := core.NewBlameEngine(tomography.NewArchive(), core.DefaultBlameConfig())
+	eng, err := core.NewBlameEngine(tomography.NewArchive(0), core.DefaultBlameConfig())
 	if err != nil {
 		t.Fatal(err)
 	}

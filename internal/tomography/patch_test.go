@@ -118,7 +118,7 @@ func TestArchiveProberHandles(t *testing.T) {
 	if got := unsafe.Sizeof(ProbeRecord{}); got != 16 {
 		t.Errorf("ProbeRecord is %d bytes, want 16", got)
 	}
-	a := NewArchive()
+	a := NewArchive(4)
 	r := testRand()
 	early, late, never := id.Random(r), id.Random(r), id.Random(r)
 	record := func(prober id.ID, at netsim.Time) {

@@ -130,7 +130,7 @@ func TestChainCodecRoundTrip(t *testing.T) {
 	accuserKP := sigcrypto.KeyPairFromRand(r)
 	accusedKP := sigcrypto.KeyPairFromRand(r)
 
-	eng, err := core.NewBlameEngine(tomography.NewArchive(), core.DefaultBlameConfig())
+	eng, err := core.NewBlameEngine(tomography.NewArchive(0), core.DefaultBlameConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
