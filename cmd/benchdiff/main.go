@@ -2,30 +2,21 @@
 //
 // Usage:
 //
-//	benchdiff [-max-regress 0.25] [-max-alloc-regress 0.25] [-max-rss-regress 0.25]
-//	          [-require-checks] [-canonical] baseline.json current.json
+//	benchdiff [-figures name1,name2] [-canonical] baseline.json current.json
 //
-// The exit status is the gate: nonzero when any figure's ns/op grew
-// beyond the tolerance, when a baseline figure vanished, or when a
-// strict mode's condition fails. Improvements, added figures, and
-// check-value divergence are reported but do not fail the default gate
-// — timing baselines age across machines, but a silently dropped
-// benchmark or a large regression should stop a merge.
+// The exit status is the gate. By default it fails when a baseline
+// figure vanished, when any figure's deterministic check values differ
+// from the baseline's (the baseline is generated at the same seed, so
+// that is a behaviour change), or when a count — allocs/op or bytes/op
+// above benchreport.MinAllocs, bytes/node always — grew by more than
+// benchreport.MaxCountRegress. Added figures are reported only. No
+// clock-derived value is read: bench/ alone measures time.
 //
-// -max-alloc-regress adds an allocation gate with its own tolerance:
-// any figure whose allocs/op or bytes/op grew beyond it fails. Heap
-// profiles are far more stable across machines than wall clock, so this
-// gate typically runs tighter than -max-regress; 0 (the default)
-// disables it. -min-allocs exempts figures whose baseline allocs/op is
-// at or below the floor, where GC noise dominates.
-// -max-rss-regress adds a resident-footprint gate: any figure whose
-// peak_rss_bytes or bytes_per_node grew beyond the tolerance fails.
-// This is the Scale figure's memory budget — the axis the compact core
-// exists to hold down; 0 (the default) disables it.
-// -require-checks fails when any figure's deterministic check values
-// differ from the baseline's (same-seed comparisons only).
-// -canonical fails unless both reports' deterministic cores are
-// byte-identical — the worker-count invariance check.
+// -canonical replaces the gate with a byte compare of the two reports'
+// deterministic cores — the worker-count invariance check. Counts are
+// not compared there: a parallel run legitimately allocates more than a
+// serial one.
+//
 // -figures name1,name2 restricts both reports to the named figures
 // before any comparison, so a partial run (e.g. the scale-smoke job's
 // scale-only report) can be gated against a full baseline without the
@@ -35,12 +26,11 @@ package main
 
 import (
 	"bytes"
+	"flag"
 	"fmt"
 	"io"
 	"os"
 	"strings"
-
-	"flag"
 
 	"concilium/internal/benchreport"
 )
@@ -54,13 +44,7 @@ func main() {
 
 func run(w io.Writer, args []string) error {
 	fs := flag.NewFlagSet("benchdiff", flag.ContinueOnError)
-	maxRegress := fs.Float64("max-regress", 0.25, "maximum tolerated ns/op growth (0.25 = +25%)")
-	minNs := fs.Int64("min-ns", 0, "exempt figures whose baseline ns/op is at or below this from the timing gate")
-	maxAllocRegress := fs.Float64("max-alloc-regress", 0, "maximum tolerated allocs/op or bytes/op growth (0 disables the allocation gate)")
-	minAllocs := fs.Int64("min-allocs", 1000, "exempt figures whose baseline allocs/op is at or below this from the allocation gate")
-	maxRSSRegress := fs.Float64("max-rss-regress", 0, "maximum tolerated peak_rss_bytes or bytes_per_node growth (0 disables the footprint gate)")
-	requireChecks := fs.Bool("require-checks", false, "fail when deterministic check values diverge from the baseline")
-	canonical := fs.Bool("canonical", false, "fail unless both reports' deterministic cores are byte-identical")
+	canonical := fs.Bool("canonical", false, "only byte-compare the two reports' deterministic cores")
 	figures := fs.String("figures", "", "comma-separated figure names; restrict both reports to these before comparing")
 	if err := fs.Parse(args); err != nil {
 		return err
@@ -81,21 +65,24 @@ func run(w io.Writer, args []string) error {
 			return err
 		}
 	}
-
-	res, err := benchreport.Compare(base, cur, *maxRegress, *minNs)
-	if err != nil {
-		return err
-	}
 	fmt.Fprintf(w, "baseline %s (seed %d, %s/%s, %d workers) vs current %s (seed %d, %s/%s, %d workers)\n",
 		fs.Arg(0), base.Seed, base.Env.GOOS, base.Env.GOARCH, base.Env.Workers,
 		fs.Arg(1), cur.Seed, cur.Env.GOOS, cur.Env.GOARCH, cur.Env.Workers)
-	for _, d := range res.Regressions {
-		fmt.Fprintf(w, "REGRESSION %-16s %d -> %d ns/op (%.2fx, tolerance %.2fx)\n",
-			d.Figure, d.BaseNs, d.CurNs, d.Ratio, 1+*maxRegress)
+
+	if *canonical {
+		same, err := canonicalEqual(base, cur)
+		if err != nil {
+			return err
+		}
+		if !same {
+			fmt.Fprintf(w, "CANONICAL cores differ\n")
+			return fmt.Errorf("gate failed")
+		}
+		fmt.Fprintf(w, "canonical cores identical\n")
+		return nil
 	}
-	for _, d := range res.Improvements {
-		fmt.Fprintf(w, "improved   %-16s %d -> %d ns/op (%.2fx)\n", d.Figure, d.BaseNs, d.CurNs, d.Ratio)
-	}
+
+	res := benchreport.Compare(base, cur)
 	for _, name := range res.Missing {
 		fmt.Fprintf(w, "MISSING    %s (in baseline, absent from current)\n", name)
 	}
@@ -103,52 +90,13 @@ func run(w io.Writer, args []string) error {
 		fmt.Fprintf(w, "added      %s (no baseline)\n", name)
 	}
 	for _, name := range res.ChecksDiverged {
-		fmt.Fprintf(w, "checks diverged: %s\n", name)
+		fmt.Fprintf(w, "CHECKS DIVERGED %s\n", name)
 	}
-
-	failed := !res.OK()
-	if *maxAllocRegress > 0 {
-		allocRegs, err := benchreport.CompareAllocs(base, cur, *maxAllocRegress, *minAllocs)
-		if err != nil {
-			return err
-		}
-		for _, d := range allocRegs {
-			fmt.Fprintf(w, "ALLOC REGRESSION %-16s %d -> %d %s (%.2fx, tolerance %.2fx)\n",
-				d.Figure, d.Base, d.Cur, d.Metric, d.Ratio, 1+*maxAllocRegress)
-		}
-		if len(allocRegs) > 0 {
-			failed = true
-		}
+	for _, d := range res.Regressions {
+		fmt.Fprintf(w, "COUNT REGRESSION %-16s %d -> %d %s (%.2fx, tolerance %.2fx)\n",
+			d.Figure, d.Base, d.Cur, d.Metric, d.Ratio, 1+benchreport.MaxCountRegress)
 	}
-	if *maxRSSRegress > 0 {
-		rssRegs, err := benchreport.CompareFootprint(base, cur, *maxRSSRegress)
-		if err != nil {
-			return err
-		}
-		for _, d := range rssRegs {
-			fmt.Fprintf(w, "FOOTPRINT REGRESSION %-16s %d -> %d %s (%.2fx, tolerance %.2fx)\n",
-				d.Figure, d.Base, d.Cur, d.Metric, d.Ratio, 1+*maxRSSRegress)
-		}
-		if len(rssRegs) > 0 {
-			failed = true
-		}
-	}
-	if *requireChecks && len(res.ChecksDiverged) > 0 {
-		failed = true
-	}
-	if *canonical {
-		same, err := canonicalEqual(base, cur)
-		if err != nil {
-			return err
-		}
-		if same {
-			fmt.Fprintf(w, "canonical cores identical\n")
-		} else {
-			fmt.Fprintf(w, "CANONICAL cores differ\n")
-			failed = true
-		}
-	}
-	if failed {
+	if !res.OK() {
 		return fmt.Errorf("gate failed")
 	}
 	fmt.Fprintf(w, "gate passed\n")

@@ -2,9 +2,6 @@ package main
 
 import (
 	"fmt"
-	"io"
-	"runtime"
-	"time"
 
 	"concilium/internal/adversary"
 	"concilium/internal/benchreport"
@@ -19,49 +16,41 @@ import (
 // -figures gate pins conviction power exactly, and the campaign's own
 // invariants (ROC separation, honest-conviction bound, overlay still
 // routing) gate the run itself.
-const adversaryFig = 12
 
-// runAdversaryFig executes the campaign and returns its benchreport
-// figure alongside the report for rendering. A failed invariant is an
-// error: the figure must not land in a report looking like a
+// runAdversary executes the campaign, renders its operating points and
+// invariant list, and returns its report entry. A failed invariant is
+// an error: the figure must not land in a report looking like a
 // measurement when the protocol's defenses did not hold.
-func runAdversaryFig(seed uint64, workers int) (benchreport.Figure, *adversary.Report, error) {
-	cfg := adversary.ShortConfig(seed)
-	cfg.Workers = workers
-	var before, after runtime.MemStats
-	runtime.ReadMemStats(&before)
-	start := time.Now()
-	rep, err := adversary.Run(cfg)
-	wall := time.Since(start)
-	runtime.ReadMemStats(&after)
+func runAdversary(c figCtx) ([]benchreport.Figure, error) {
+	cfg := adversary.ShortConfig(c.seed)
+	cfg.Workers = c.workers
+	var rep *adversary.Report
+	allocs, bytes, err := countAllocs(func() (err error) {
+		rep, err = adversary.Run(cfg)
+		return err
+	})
 	if err != nil {
-		return benchreport.Figure{}, nil, err
-	}
-	checks := map[string]float64{
-		"cells":         float64(len(rep.Cells)),
-		"invariants_ok": boolToF(rep.Passed()),
-	}
-	for i := range rep.Cells {
-		c := &rep.Cells[i]
-		key := fmt.Sprintf("%s_f%02.0f", c.Strategy, 100*c.Fraction)
-		checks["att_"+key] = c.Op.AttackerRate
-		checks["hon_"+key] = c.Op.HonestRate
-	}
-	fig := benchreport.Figure{
-		Name:   "adversary",
-		Checks: checks,
-		Timing: benchreport.Timing{
-			WallNs:      wall.Nanoseconds(),
-			NsPerOp:     perOp(wall.Nanoseconds(), int64(len(rep.Cells))),
-			AllocsPerOp: int64(after.Mallocs-before.Mallocs) / int64(len(rep.Cells)),
-			BytesPerOp:  int64(after.TotalAlloc-before.TotalAlloc) / int64(len(rep.Cells)),
-			Ops:         int64(len(rep.Cells)),
-		},
+		return nil, err
 	}
 	if !rep.Passed() {
-		return fig, rep, fmt.Errorf("adversary campaign violated invariants:\n%s", rep)
+		return nil, fmt.Errorf("adversary campaign violated invariants:\n%s", rep)
 	}
-	return fig, rep, nil
+	if err := c.render.table(c.w, adversaryTable(rep)); err != nil {
+		return nil, err
+	}
+	for _, inv := range rep.Invariants {
+		status := "ok"
+		if !inv.OK {
+			status = "FAIL"
+		}
+		fmt.Fprintf(c.w, "invariant [%s] %s\n", status, inv.Name)
+	}
+	cells := int64(len(rep.Cells))
+	return []benchreport.Figure{{
+		Name:   c.name,
+		Checks: rep.Checks(),
+		Timing: benchreport.Timing{Ops: cells, AllocsPerOp: allocs / cells, BytesPerOp: bytes / cells},
+	}}, nil
 }
 
 // adversaryTable renders the campaign's operating points for text/csv
@@ -89,24 +78,4 @@ func adversaryTable(rep *adversary.Report) experiments.Table {
 		})
 	}
 	return t
-}
-
-// runAdversaryText is the text/csv-mode path: render the operating
-// points and the invariant list.
-func runAdversaryText(w io.Writer, render renderer, seed uint64, workers int) error {
-	_, rep, err := runAdversaryFig(seed, workers)
-	if err != nil {
-		return err
-	}
-	if err := render.table(w, adversaryTable(rep)); err != nil {
-		return err
-	}
-	for _, inv := range rep.Invariants {
-		status := "ok"
-		if !inv.OK {
-			status = "FAIL"
-		}
-		fmt.Fprintf(w, "invariant [%s] %s\n", status, inv.Name)
-	}
-	return nil
 }

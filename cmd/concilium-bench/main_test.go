@@ -2,8 +2,10 @@ package main
 
 import (
 	"bytes"
+	"fmt"
 	"os"
 	"path/filepath"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -77,6 +79,132 @@ func TestRunRejectsBadInput(t *testing.T) {
 	if err := run(&buf, []string{"-bogus"}); err == nil {
 		t.Error("unknown flag accepted")
 	}
+	// A repeated size is rejected before any system is built, and the
+	// error names the flag that carried it.
+	for _, flagName := range []string{"scale-n", "traffic-n"} {
+		err := run(&buf, []string{"-fig", "10", "-" + flagName, "1000,1000"})
+		if err == nil {
+			t.Errorf("duplicate -%s accepted", flagName)
+		} else if !strings.Contains(err.Error(), "duplicate -"+flagName+" entry 1000") {
+			t.Errorf("duplicate -%s: error %q does not name the flag", flagName, err)
+		}
+		err = run(&buf, []string{"-fig", "13", "-" + flagName, "x"})
+		if err == nil || !strings.Contains(err.Error(), "bad -"+flagName+" entry") {
+			t.Errorf("bad -%s: error %v does not name the flag", flagName, err)
+		}
+	}
+}
+
+// TestFigureRegistry: the table is the one list of figures. Its
+// numbers and names are unique, the unknown-figure error is generated
+// from it, -fig 0 selects exactly its text- or benchmark-mode entries,
+// and a benchmark run reports exactly the selected figures' entries, in
+// order, plus the chaos-short metrics run.
+func TestFigureRegistry(t *testing.T) {
+	t.Parallel()
+	nums, names := map[int]bool{}, map[string]bool{}
+	var valid, text, bench []string
+	for _, f := range figures {
+		if nums[f.num] || names[f.name] {
+			t.Errorf("figure %d %q registered twice", f.num, f.name)
+		}
+		nums[f.num], names[f.name] = true, true
+		valid = append(valid, strconv.Itoa(f.num))
+		if f.text {
+			text = append(text, f.name)
+		}
+		if f.bench {
+			bench = append(bench, f.name)
+		}
+	}
+
+	var buf bytes.Buffer
+	err := run(&buf, []string{"-fig", "11"})
+	if want := "unknown figure 11 (valid: " + strings.Join(valid, ", ") + ")"; err == nil || err.Error() != want {
+		t.Errorf("unknown figure error = %v, want %q", err, want)
+	}
+
+	selected := func(bench bool) []string {
+		sel, err := selectFigures(0, bench)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var out []string
+		for _, f := range sel {
+			out = append(out, f.name)
+		}
+		return out
+	}
+	if got := selected(false); strings.Join(got, " ") != strings.Join(text, " ") {
+		t.Errorf("-fig 0 text figures = %v, want %v", got, text)
+	}
+	if got := selected(true); strings.Join(got, " ") != strings.Join(bench, " ") {
+		t.Errorf("-fig 0 -json figures = %v, want %v", got, bench)
+	}
+
+	// Stand-in figures: one entry, two sized entries.
+	stub := func(num int, name string, sizes ...int) figure {
+		return figure{num: num, name: name, bench: true, run: func(c figCtx) ([]benchreport.Figure, error) {
+			if len(sizes) == 0 {
+				return []benchreport.Figure{{Name: c.name, Checks: map[string]float64{"v": 1}}}, nil
+			}
+			var out []benchreport.Figure
+			for _, n := range sizes {
+				out = append(out, benchreport.Figure{Name: fmt.Sprintf("%s-n%d", c.name, n), Checks: map[string]float64{"n": float64(n)}})
+			}
+			return out, nil
+		}}
+	}
+	c := figCtx{seed: 3, workers: 2}
+	path := filepath.Join(t.TempDir(), "stub.json")
+	if err := runBenchmark(&buf, path, "small", []figure{stub(1, "one"), stub(2, "sized", 60, 120)}, c); err != nil {
+		t.Fatal(err)
+	}
+	rep, err := benchreport.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var got []string
+	for _, f := range rep.Figures {
+		got = append(got, f.Name)
+	}
+	if want := "one sized-n60 sized-n120 chaos-short"; strings.Join(got, " ") != want {
+		t.Errorf("report figures = %v, want %s", got, want)
+	}
+}
+
+// TestSerialReference: with more than one worker, a benchmark run
+// re-runs every figure serially. A figure whose checks depend on the
+// worker count fails; one whose counts do passes and reports the serial
+// run's counts.
+func TestSerialReference(t *testing.T) {
+	t.Parallel()
+	byWorkers := func(inChecks bool) figure {
+		return figure{num: 1, name: "pooled", run: func(c figCtx) ([]benchreport.Figure, error) {
+			f := benchreport.Figure{Name: c.name, Checks: map[string]float64{"v": 1}}
+			if inChecks {
+				f.Checks["workers"] = float64(c.workers)
+			}
+			f.Timing = benchreport.Timing{Ops: 1, AllocsPerOp: int64(1000 * c.workers)}
+			return []benchreport.Figure{f}, nil
+		}}
+	}
+	path := filepath.Join(t.TempDir(), "pooled.json")
+	var buf bytes.Buffer
+	err := runBenchmark(&buf, path, "small", []figure{byWorkers(true)}, figCtx{seed: 3, workers: 4})
+	if err == nil || !strings.Contains(err.Error(), "checks diverge between workers=1 and workers=4") {
+		t.Errorf("divergent figure not caught: %v", err)
+	}
+	if err := runBenchmark(&buf, path, "small", []figure{byWorkers(false)}, figCtx{seed: 3, workers: 4}); err != nil {
+		t.Fatal(err)
+	}
+	rep, err := benchreport.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := rep.Figure("pooled").Timing.AllocsPerOp; got != 1000 {
+		t.Errorf("reported allocs/op = %d, want the serial run's 1000", got)
+	}
 }
 
 func TestRunCSVFormat(t *testing.T) {
@@ -123,7 +251,7 @@ func TestRunJSONReport(t *testing.T) {
 		t.Errorf("header wrong: seed=%d scale=%q", rep.Seed, rep.Scale)
 	}
 	fig := rep.Figure("fig1")
-	if fig == nil || fig.Checks["max_mean_error"] <= 0 || fig.Timing.WallNs <= 0 {
+	if fig == nil || fig.Checks["max_mean_error"] <= 0 || fig.Timing.Ops != 1 || fig.Timing.AllocsPerOp <= 0 || fig.Timing.BytesPerOp <= 0 {
 		t.Errorf("fig1 entry malformed: %+v", fig)
 	}
 	chaos := rep.Figure("chaos-short")
@@ -173,7 +301,7 @@ func TestRunJSONWorkerInvariance(t *testing.T) {
 
 // TestRunScaleFigure exercises figure 10 end to end at tiny sizes: the
 // JSON report must carry one figure per requested N with populated
-// deterministic checks and timing, text mode must render the table, and
+// deterministic checks and counts, text mode must render the table, and
 // a 1k-only subset at the same seed must reproduce the same checks as
 // the multi-size run (the per-N substream contract).
 func TestRunScaleFigure(t *testing.T) {
@@ -200,8 +328,8 @@ func TestRunScaleFigure(t *testing.T) {
 		if fig.Checks["overlay_n"] <= 0 || fig.Checks["canonical_hash"] <= 0 {
 			t.Errorf("%s checks unpopulated: %v", name, fig.Checks)
 		}
-		if fig.Timing.WallNs <= 0 || fig.Timing.Ops <= 0 || fig.Timing.SpeedupX <= 0 {
-			t.Errorf("%s timing unpopulated: %+v", name, fig.Timing)
+		if fig.Timing.Ops != int64(fig.Checks["overlay_n"]) || fig.Timing.AllocsPerOp <= 0 || fig.Timing.BytesPerNode <= 0 {
+			t.Errorf("%s counts unpopulated: %+v", name, fig.Timing)
 		}
 	}
 
@@ -255,8 +383,8 @@ func TestRunAdversaryFigure(t *testing.T) {
 	if fig.Checks["invariants_ok"] != 1 || fig.Checks["cells"] != 16 {
 		t.Errorf("adversary checks unpopulated: %v", fig.Checks)
 	}
-	if fig.Timing.WallNs <= 0 || fig.Timing.Ops != 16 || fig.Timing.SpeedupX <= 0 {
-		t.Errorf("adversary timing unpopulated: %+v", fig.Timing)
+	if fig.Timing.Ops != 16 || fig.Timing.AllocsPerOp <= 0 || fig.Timing.BytesPerOp <= 0 {
+		t.Errorf("adversary counts unpopulated: %+v", fig.Timing)
 	}
 	// The gate the baseline pins: attackers convict strictly above
 	// honest hosts at every cell the checks cover.

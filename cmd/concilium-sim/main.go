@@ -116,7 +116,6 @@ func runSim(w io.Writer, o simOpts) error {
 	cfg.Workers = *workers
 	reg := metrics.NewRegistry()
 	cfg.Metrics = reg
-	startWall := time.Now()
 
 	var ring *trace.Ring
 	counter := trace.NewCounter()
@@ -246,7 +245,6 @@ func runSim(w io.Writer, o simOpts) error {
 		}
 	}
 	if o.jsonPath != "" {
-		wall := time.Since(startWall)
 		report := newReport(*seed, *scale, *workers)
 		report.SetSnapshot(reg.Snapshot())
 		report.Figures = []benchreport.Figure{{
@@ -261,11 +259,7 @@ func runSim(w io.Writer, o simOpts) error {
 				"culprit_wrong":   float64(stats.culpritWrong),
 				"verified_chains": float64(stats.verified),
 			},
-			Timing: benchreport.Timing{
-				WallNs:  wall.Nanoseconds(),
-				NsPerOp: perOp(wall.Nanoseconds(), int64(stats.sent)),
-				Ops:     int64(stats.sent),
-			},
+			Timing: benchreport.Timing{Ops: int64(stats.sent)},
 		}}
 		if err := writeReport(w, o.jsonPath, report); err != nil {
 			return err
@@ -303,13 +297,6 @@ func writeReport(w io.Writer, path string, report *benchreport.Report) error {
 	return nil
 }
 
-func perOp(wallNs, ops int64) int64 {
-	if ops <= 0 {
-		return wallNs
-	}
-	return wallNs / ops
-}
-
 // runChaos executes a seeded chaos campaign and prints its invariant
 // report. A violated invariant is a nonzero exit, so CI can gate on
 // the campaign directly.
@@ -325,30 +312,18 @@ func runChaos(w io.Writer, seed uint64, workers int, duration, jsonPath string) 
 	}
 	cfg.Workers = workers
 	fmt.Fprintf(w, "running %s chaos campaign (seed=%d)...\n", duration, seed)
-	start := time.Now()
 	rep, err := chaos.Run(cfg)
 	if err != nil {
 		return err
 	}
-	wall := time.Since(start)
 	fmt.Fprint(w, rep.String())
 	if jsonPath != "" {
 		report := newReport(seed, duration, workers)
 		report.Metrics = rep.Metrics
 		report.Figures = []benchreport.Figure{{
-			Name: "chaos-" + duration,
-			Checks: map[string]float64{
-				"sent":           float64(rep.Sent),
-				"delivered":      float64(rep.Delivered),
-				"convictions":    float64(rep.Convictions),
-				"chains_fetched": float64(rep.ChainsFetched),
-				"invariants_ok":  boolToF(rep.Passed()),
-			},
-			Timing: benchreport.Timing{
-				WallNs:  wall.Nanoseconds(),
-				NsPerOp: perOp(wall.Nanoseconds(), int64(rep.Sent)),
-				Ops:     int64(rep.Sent),
-			},
+			Name:   "chaos-" + duration,
+			Checks: rep.Checks(),
+			Timing: benchreport.Timing{Ops: int64(rep.Sent)},
 		}}
 		if err := writeReport(w, jsonPath, report); err != nil {
 			return err
@@ -368,34 +343,18 @@ func runAdversary(w io.Writer, seed uint64, workers int, jsonPath string) error 
 	cfg := adversary.ShortConfig(seed)
 	cfg.Workers = workers
 	fmt.Fprintf(w, "running adversarial campaign (seed=%d)...\n", seed)
-	start := time.Now()
 	rep, err := adversary.Run(cfg)
 	if err != nil {
 		return err
 	}
-	wall := time.Since(start)
 	fmt.Fprint(w, rep.String())
 	if jsonPath != "" {
 		report := newReport(seed, "adversary", workers)
 		report.Metrics = rep.Metrics
-		checks := map[string]float64{
-			"cells":         float64(len(rep.Cells)),
-			"invariants_ok": boolToF(rep.Passed()),
-		}
-		for i := range rep.Cells {
-			c := &rep.Cells[i]
-			key := fmt.Sprintf("%s_f%02.0f", c.Strategy, 100*c.Fraction)
-			checks["att_"+key] = c.Op.AttackerRate
-			checks["hon_"+key] = c.Op.HonestRate
-		}
 		report.Figures = []benchreport.Figure{{
 			Name:   "adversary",
-			Checks: checks,
-			Timing: benchreport.Timing{
-				WallNs:  wall.Nanoseconds(),
-				NsPerOp: perOp(wall.Nanoseconds(), int64(len(rep.Cells))),
-				Ops:     int64(len(rep.Cells)),
-			},
+			Checks: rep.Checks(),
+			Timing: benchreport.Timing{Ops: int64(len(rep.Cells))},
 		}}
 		if err := writeReport(w, jsonPath, report); err != nil {
 			return err
@@ -405,11 +364,4 @@ func runAdversary(w io.Writer, seed uint64, workers int, jsonPath string) error 
 		return fmt.Errorf("adversarial campaign violated invariants")
 	}
 	return nil
-}
-
-func boolToF(b bool) float64 {
-	if b {
-		return 1
-	}
-	return 0
 }

@@ -118,6 +118,27 @@ func (r *Report) Cell(strategy string, fraction float64) *CellResult {
 	return nil
 }
 
+// Checks returns every cell's operating point (attacker and honest
+// conviction rates, keyed att_/hon_<strategy>_f<percent>) plus the cell
+// count and the invariant verdict, under the keys a bench report
+// carries them by.
+func (r *Report) Checks() map[string]float64 {
+	checks := map[string]float64{
+		"cells":         float64(len(r.Cells)),
+		"invariants_ok": 0,
+	}
+	if r.Passed() {
+		checks["invariants_ok"] = 1
+	}
+	for i := range r.Cells {
+		c := &r.Cells[i]
+		key := fmt.Sprintf("%s_f%02.0f", c.Strategy, 100*c.Fraction)
+		checks["att_"+key] = c.Op.AttackerRate
+		checks["hon_"+key] = c.Op.HonestRate
+	}
+	return checks
+}
+
 // String renders the report. The output is a pure function of the
 // campaign seed.
 func (r *Report) String() string {

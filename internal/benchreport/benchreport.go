@@ -2,17 +2,24 @@
 // emitted by concilium-bench and concilium-sim in -json mode and
 // consumed by cmd/benchdiff and the CI bench gate.
 //
-// A report splits cleanly into two parts:
+// A report splits into two parts:
 //
 //   - The deterministic core — seed, scale, per-figure check values, and
 //     the canonical metrics snapshot. For a fixed seed this part is
 //     bit-identical across worker counts, machines, and Go versions;
 //     Canonical() reduces a report to exactly this part so callers can
 //     byte-compare two runs.
-//   - The timing envelope — wall-clock durations, ns/op, allocs/op,
-//     speedup versus the serial run, and the host fingerprint. This part
-//     varies run to run and is what benchdiff's regression gate compares
-//     with a tolerance.
+//   - The count envelope — per-figure operation, allocation and
+//     resident-byte counts, plus the host fingerprint. Counts do not
+//     depend on the machine, but a parallel run allocates per worker
+//     and the garbage collector moves a count by a few allocations, so
+//     concilium-bench reports its serial run's counts, Compare gates
+//     them with a tolerance, and Canonical drops them.
+//
+// No gated field is read from a clock: the reserved wall-clock and
+// scheduling-dependent metric series ride along in WallMetrics for
+// inspection only. Timing lives in the bench/ module alone, which
+// measures parent and change in alternating pairs.
 //
 // Schema evolution: Version bumps on any incompatible change to the
 // JSON layout; Decode rejects reports whose schema string or version it
@@ -21,9 +28,11 @@
 package benchreport
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"io"
+	"maps"
 	"os"
 	"sort"
 
@@ -33,42 +42,30 @@ import (
 
 // Schema identifies the report format; Version is its revision.
 // Version history: 1 — initial layout; 2 — Timing gains peak_rss_bytes
-// (the Scale figure's resident-memory high-water mark) and, later in
-// the same revision (additive, omitempty), bytes_per_node — the Scale
-// figure's measured resident footprint per overlay node.
+// and bytes_per_node; 3 — Timing drops every clock- and RSS-derived
+// field (wall_ns, ns_per_op, speedup_x, peak_rss_bytes) and keeps only
+// counts.
 const (
 	Schema  = "concilium/bench-report"
-	Version = 2
+	Version = 3
 )
 
-// Timing is one figure's performance envelope — all wall-clock derived,
-// none of it deterministic.
+// Timing is one figure's count envelope: how much work it did and what
+// that work allocated. None of it is read from a clock.
 type Timing struct {
-	// WallNs is the figure's total wall-clock time in nanoseconds.
-	WallNs int64 `json:"wall_ns"`
-	// NsPerOp is wall time divided by the figure's operation count
-	// (trials for experiment figures, messages for traffic figures).
-	NsPerOp int64 `json:"ns_per_op"`
+	// Ops is the figure's operation count (1 for a paper figure, overlay
+	// nodes for the Scale figure, warm messages for the Traffic figure,
+	// campaign cells for the adversary grid).
+	Ops int64 `json:"ops"`
 	// AllocsPerOp and BytesPerOp are heap allocation counts and bytes
 	// per operation, from runtime.MemStats deltas.
 	AllocsPerOp int64 `json:"allocs_per_op"`
 	BytesPerOp  int64 `json:"bytes_per_op"`
-	// SpeedupX is wall time of the serial (workers=1) reference run
-	// divided by this run's wall time; 0 when no reference ran.
-	SpeedupX float64 `json:"speedup_x,omitempty"`
-	// Ops is the operation count NsPerOp was computed over.
-	Ops int64 `json:"ops"`
-	// PeakRSSBytes is the process's resident-set high-water mark after
-	// the figure ran (getrusage ru_maxrss; 0 where unsupported). The
-	// counter is process-lifetime monotone, so within one run only the
-	// largest figure's value is meaningful — the Scale figure runs its
-	// node counts ascending for exactly that reason.
-	PeakRSSBytes int64 `json:"peak_rss_bytes,omitempty"`
-	// BytesPerNode is the figure's measured long-lived footprint per
-	// overlay node (the Scale figure reports CompactSystem.Footprint
-	// divided by the node count; 0 elsewhere). Unlike BytesPerOp — which
-	// counts cumulative allocation — this is resident state, the number
-	// that decides how large an overlay fits in memory.
+	// BytesPerNode is the figure's long-lived footprint per overlay node
+	// (CompactSystem.Footprint divided by the node count; 0 for figures
+	// without a system). Unlike BytesPerOp — which counts cumulative
+	// allocation — this is resident state, the number that decides how
+	// large an overlay fits in memory.
 	BytesPerNode int64 `json:"bytes_per_node,omitempty"`
 }
 
@@ -84,7 +81,7 @@ type Figure struct {
 }
 
 // Env fingerprints the host and configuration a report was produced
-// under — context for interpreting the timing envelope.
+// under — context for interpreting the count envelope.
 type Env struct {
 	GeneratedUnix int64  `json:"generated_unix"`
 	GoVersion     string `json:"go_version"`
@@ -105,7 +102,7 @@ type Report struct {
 	Figures []Figure         `json:"figures"`
 	Metrics metrics.Snapshot `json:"metrics"`
 
-	// Timing envelope.
+	// Count envelope context.
 	Env Env `json:"env"`
 	// WallMetrics holds the reserved non-deterministic metric series
 	// (the "_wallns"/"_nondet" classes), kept out of Metrics so the
@@ -161,7 +158,7 @@ func (r *Report) Validate() error {
 	return nil
 }
 
-// Canonical returns only the deterministic core: the timing envelope,
+// Canonical returns only the deterministic core: the count envelope,
 // host fingerprint, and wall metrics are zeroed, and each figure keeps
 // its name and checks. Two runs of the same seed at different worker
 // counts must produce byte-identical Encode output of their Canonical
@@ -236,9 +233,25 @@ func ReadFile(path string) (*Report, error) {
 	return r, nil
 }
 
-// Decode reads and validates a report.
+// Decode reads and validates a report. The schema header is checked
+// before the strict decode, so a report of another version fails on
+// its version rather than on the first field that version renamed.
 func Decode(rd io.Reader) (*Report, error) {
-	dec := json.NewDecoder(rd)
+	data, err := io.ReadAll(rd)
+	if err != nil {
+		return nil, fmt.Errorf("benchreport: decode: %w", err)
+	}
+	var hdr struct {
+		Schema  string `json:"schema"`
+		Version int    `json:"version"`
+	}
+	if err := json.Unmarshal(data, &hdr); err != nil {
+		return nil, fmt.Errorf("benchreport: decode: %w", err)
+	}
+	if err := (&Report{Schema: hdr.Schema, Version: hdr.Version}).Validate(); err != nil {
+		return nil, err
+	}
+	dec := json.NewDecoder(bytes.NewReader(data))
 	dec.DisallowUnknownFields()
 	var r Report
 	if err := dec.Decode(&r); err != nil {
@@ -263,87 +276,93 @@ func VerifyCacheSnapshot() metrics.Snapshot {
 	return reg.Snapshot().Wall()
 }
 
-// Delta is one figure's timing movement between a baseline and a
-// current report.
-type Delta struct {
+// Gate constants. A count that grows by more than MaxCountRegress
+// (0.25 = +25%) over its baseline is a regression. Figures whose
+// baseline allocs_per_op is at or below MinAllocs are exempt on the
+// allocs/op and bytes/op axes, where GC bookkeeping alone moves a tiny
+// count past any percentage; bytes_per_node is resident state, not
+// allocation churn, so the floor does not apply to it.
+const (
+	MaxCountRegress = 0.25
+	MinAllocs       = 1000
+)
+
+// CountDelta is one figure's growth on one count axis between a
+// baseline and a current report.
+type CountDelta struct {
 	Figure string
-	BaseNs int64
-	CurNs  int64
-	// Ratio is CurNs/BaseNs; 1.30 means 30% slower than baseline.
+	// Metric is "allocs/op", "bytes/op" or "bytes/node".
+	Metric string
+	Base   int64
+	Cur    int64
+	// Ratio is Cur/Base; 1.30 means 30% more than baseline.
 	Ratio float64
 }
 
 // CompareResult is the outcome of gating a current report against a
 // baseline.
 type CompareResult struct {
-	// Regressions are figures whose ns/op grew beyond the tolerance.
-	Regressions []Delta
-	// Improvements are figures whose ns/op shrank beyond the same
-	// tolerance (informational — a candidate for refreshing the
-	// baseline).
-	Improvements []Delta
 	// Missing are baseline figures absent from the current report — a
-	// silently dropped benchmark fails the gate like a regression.
+	// silently dropped figure fails the gate.
 	Missing []string
 	// Added are current figures with no baseline (informational).
 	Added []string
 	// ChecksDiverged lists figures whose deterministic check values
-	// differ from the baseline's — for equal seeds this means behavior
-	// changed, which a pure performance gate should surface loudly.
+	// differ from the baseline's. The baseline is generated at the same
+	// seed, so this means behaviour changed.
 	ChecksDiverged []string
+	// Regressions are count axes that grew past MaxCountRegress.
+	Regressions []CountDelta
 }
 
-// OK reports whether the gate passes: no regressions and no missing
-// figures. Check divergence is reported but does not fail the gate —
-// intentional behavior changes legitimately move check values, and the
-// diff output makes the reviewer confirm that on the PR.
+// OK reports whether the gate passes: no missing figure, no diverged
+// check and no count regression.
 func (c *CompareResult) OK() bool {
-	return len(c.Regressions) == 0 && len(c.Missing) == 0
+	return len(c.Missing) == 0 && len(c.ChecksDiverged) == 0 && len(c.Regressions) == 0
 }
 
-// Compare gates cur against base: any figure whose ns/op grew by more
-// than maxRegress (0.25 = +25%) is a regression. Figures whose baseline
-// ns/op is at or below minNs are exempt from the timing gate (they are
-// noise-dominated: a 15 ms figure legitimately jitters past any
-// percentage tolerance) but still checked for presence and check-value
-// divergence. Figures with a zero baseline ns/op are always skipped.
-func Compare(base, cur *Report, maxRegress float64, minNs int64) (*CompareResult, error) {
-	if maxRegress <= 0 {
-		return nil, fmt.Errorf("benchreport: max regress %v must be positive", maxRegress)
-	}
+// Compare gates cur against base: every baseline figure must be
+// present with equal checks, and none of its counts (allocs/op,
+// bytes/op, bytes/node) may grow past MaxCountRegress. An axis with a
+// zero baseline is skipped.
+func Compare(base, cur *Report) *CompareResult {
 	res := &CompareResult{}
 	curByName := make(map[string]*Figure, len(cur.Figures))
 	for i := range cur.Figures {
 		curByName[cur.Figures[i].Name] = &cur.Figures[i]
 	}
+	baseNames := make(map[string]bool, len(base.Figures))
 	for _, bf := range base.Figures {
+		baseNames[bf.Name] = true
 		cf, ok := curByName[bf.Name]
 		if !ok {
 			res.Missing = append(res.Missing, bf.Name)
 			continue
 		}
-		if !checksEqual(bf.Checks, cf.Checks) {
+		if !maps.Equal(bf.Checks, cf.Checks) {
 			res.ChecksDiverged = append(res.ChecksDiverged, bf.Name)
 		}
-		if bf.Timing.NsPerOp <= 0 || cf.Timing.NsPerOp <= 0 || bf.Timing.NsPerOp <= minNs {
-			continue
+		floored := bf.Timing.AllocsPerOp <= MinAllocs
+		axes := []struct {
+			metric    string
+			base, cur int64
+			floored   bool
+		}{
+			{"allocs/op", bf.Timing.AllocsPerOp, cf.Timing.AllocsPerOp, floored},
+			{"bytes/op", bf.Timing.BytesPerOp, cf.Timing.BytesPerOp, floored},
+			{"bytes/node", bf.Timing.BytesPerNode, cf.Timing.BytesPerNode, false},
 		}
-		d := Delta{
-			Figure: bf.Name,
-			BaseNs: bf.Timing.NsPerOp,
-			CurNs:  cf.Timing.NsPerOp,
-			Ratio:  float64(cf.Timing.NsPerOp) / float64(bf.Timing.NsPerOp),
+		for _, ax := range axes {
+			if ax.floored || ax.base <= 0 {
+				continue
+			}
+			if ratio := float64(ax.cur) / float64(ax.base); ratio > 1+MaxCountRegress {
+				res.Regressions = append(res.Regressions, CountDelta{
+					Figure: bf.Name, Metric: ax.metric,
+					Base: ax.base, Cur: ax.cur, Ratio: ratio,
+				})
+			}
 		}
-		switch {
-		case d.Ratio > 1+maxRegress:
-			res.Regressions = append(res.Regressions, d)
-		case d.Ratio < 1/(1+maxRegress):
-			res.Improvements = append(res.Improvements, d)
-		}
-	}
-	baseNames := make(map[string]bool, len(base.Figures))
-	for _, bf := range base.Figures {
-		baseNames[bf.Name] = true
 	}
 	for _, cf := range cur.Figures {
 		if !baseNames[cf.Name] {
@@ -353,130 +372,11 @@ func Compare(base, cur *Report, maxRegress float64, minNs int64) (*CompareResult
 	sort.Strings(res.Missing)
 	sort.Strings(res.Added)
 	sort.Strings(res.ChecksDiverged)
-	sort.Slice(res.Regressions, func(i, j int) bool { return res.Regressions[i].Figure < res.Regressions[j].Figure })
-	sort.Slice(res.Improvements, func(i, j int) bool { return res.Improvements[i].Figure < res.Improvements[j].Figure })
-	return res, nil
-}
-
-// AllocDelta is one figure's allocation movement between a baseline and
-// a current report, for either the allocs/op or bytes/op axis.
-type AllocDelta struct {
-	Figure string
-	// Metric is "allocs/op" or "bytes/op".
-	Metric string
-	Base   int64
-	Cur    int64
-	// Ratio is Cur/Base; 1.30 means 30% more than baseline.
-	Ratio float64
-}
-
-// CompareAllocs gates cur's allocation profile against base: any figure
-// whose allocs_per_op or bytes_per_op grew by more than maxRegress
-// (0.25 = +25%) is a regression. Figures whose baseline allocs_per_op
-// is at or below minAllocs are exempt on both axes (tiny figures
-// jitter past any percentage tolerance on GC noise alone), as are
-// figures with a zero baseline on an axis. Presence and check
-// divergence are Compare's job; this gate only watches the allocator.
-func CompareAllocs(base, cur *Report, maxRegress float64, minAllocs int64) ([]AllocDelta, error) {
-	if maxRegress <= 0 {
-		return nil, fmt.Errorf("benchreport: max alloc regress %v must be positive", maxRegress)
-	}
-	curByName := make(map[string]*Figure, len(cur.Figures))
-	for i := range cur.Figures {
-		curByName[cur.Figures[i].Name] = &cur.Figures[i]
-	}
-	var out []AllocDelta
-	for _, bf := range base.Figures {
-		cf, ok := curByName[bf.Name]
-		if !ok || bf.Timing.AllocsPerOp <= minAllocs {
-			continue
+	sort.Slice(res.Regressions, func(i, j int) bool {
+		if res.Regressions[i].Figure != res.Regressions[j].Figure {
+			return res.Regressions[i].Figure < res.Regressions[j].Figure
 		}
-		axes := []struct {
-			metric    string
-			base, cur int64
-		}{
-			{"allocs/op", bf.Timing.AllocsPerOp, cf.Timing.AllocsPerOp},
-			{"bytes/op", bf.Timing.BytesPerOp, cf.Timing.BytesPerOp},
-		}
-		for _, ax := range axes {
-			if ax.base <= 0 {
-				continue
-			}
-			ratio := float64(ax.cur) / float64(ax.base)
-			if ratio > 1+maxRegress {
-				out = append(out, AllocDelta{
-					Figure: bf.Name, Metric: ax.metric,
-					Base: ax.base, Cur: ax.cur, Ratio: ratio,
-				})
-			}
-		}
-	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Figure != out[j].Figure {
-			return out[i].Figure < out[j].Figure
-		}
-		return out[i].Metric < out[j].Metric
+		return res.Regressions[i].Metric < res.Regressions[j].Metric
 	})
-	return out, nil
-}
-
-// CompareFootprint gates cur's resident-memory profile against base:
-// any figure whose peak_rss_bytes or bytes_per_node grew by more than
-// maxRegress (0.25 = +25%) is a regression. Axes with a zero baseline
-// are skipped, so reports predating the field pass vacuously. Resident
-// footprint is the Scale figure's headline budget — far more stable
-// across machines than wall clock — so this gate can run tight.
-func CompareFootprint(base, cur *Report, maxRegress float64) ([]AllocDelta, error) {
-	if maxRegress <= 0 {
-		return nil, fmt.Errorf("benchreport: max rss regress %v must be positive", maxRegress)
-	}
-	curByName := make(map[string]*Figure, len(cur.Figures))
-	for i := range cur.Figures {
-		curByName[cur.Figures[i].Name] = &cur.Figures[i]
-	}
-	var out []AllocDelta
-	for _, bf := range base.Figures {
-		cf, ok := curByName[bf.Name]
-		if !ok {
-			continue
-		}
-		axes := []struct {
-			metric    string
-			base, cur int64
-		}{
-			{"peak-rss", bf.Timing.PeakRSSBytes, cf.Timing.PeakRSSBytes},
-			{"bytes/node", bf.Timing.BytesPerNode, cf.Timing.BytesPerNode},
-		}
-		for _, ax := range axes {
-			if ax.base <= 0 {
-				continue
-			}
-			ratio := float64(ax.cur) / float64(ax.base)
-			if ratio > 1+maxRegress {
-				out = append(out, AllocDelta{
-					Figure: bf.Name, Metric: ax.metric,
-					Base: ax.base, Cur: ax.cur, Ratio: ratio,
-				})
-			}
-		}
-	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Figure != out[j].Figure {
-			return out[i].Figure < out[j].Figure
-		}
-		return out[i].Metric < out[j].Metric
-	})
-	return out, nil
-}
-
-func checksEqual(a, b map[string]float64) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for k, v := range a {
-		if bv, ok := b[k]; !ok || bv != v {
-			return false
-		}
-	}
-	return true
+	return res
 }

@@ -30,17 +30,17 @@ func sampleReport() *Report {
 		{
 			Name:   "fig1",
 			Checks: map[string]float64{"max_mean_error": 0.03125},
-			Timing: Timing{WallNs: 1500000, NsPerOp: 1500, AllocsPerOp: 12, BytesPerOp: 768, SpeedupX: 3.5, Ops: 1000},
+			Timing: Timing{Ops: 1000, AllocsPerOp: 12, BytesPerOp: 768},
 		},
 		{
 			Name:   "scale-n1000",
 			Checks: map[string]float64{"overlay_n": 1000, "canonical_hash": 123456789},
-			Timing: Timing{WallNs: 2000000000, NsPerOp: 2000000, AllocsPerOp: 900, BytesPerOp: 65536, SpeedupX: 2.5, Ops: 1000, PeakRSSBytes: 1 << 28},
+			Timing: Timing{Ops: 1000, AllocsPerOp: 900, BytesPerOp: 65536, BytesPerNode: 673},
 		},
 		{
 			Name:   "chaos-short",
 			Checks: map[string]float64{"sent": 40, "delivered": 37, "invariants_ok": 1},
-			Timing: Timing{WallNs: 500000000, NsPerOp: 12500000, Ops: 40},
+			Timing: Timing{Ops: 40},
 		},
 	}
 	r.Env = Env{
@@ -62,7 +62,7 @@ func TestGoldenReport(t *testing.T) {
 	if err := Encode(&buf, sampleReport()); err != nil {
 		t.Fatal(err)
 	}
-	golden := filepath.Join("testdata", "report_v2.json")
+	golden := filepath.Join("testdata", "report_v3.json")
 	if *update {
 		if err := os.WriteFile(golden, buf.Bytes(), 0o644); err != nil {
 			t.Fatal(err)
@@ -83,8 +83,8 @@ func TestGoldenReport(t *testing.T) {
 	if r.Seed != 42 || len(r.Figures) != 3 || r.Figure("fig1") == nil {
 		t.Fatalf("golden decoded wrong: %+v", r)
 	}
-	if r.Figure("scale-n1000").Timing.PeakRSSBytes != 1<<28 {
-		t.Fatalf("golden dropped peak RSS: %+v", r.Figure("scale-n1000").Timing)
+	if r.Figure("scale-n1000").Timing.BytesPerNode != 673 {
+		t.Fatalf("golden dropped bytes per node: %+v", r.Figure("scale-n1000").Timing)
 	}
 }
 
@@ -142,16 +142,19 @@ func TestValidateRejects(t *testing.T) {
 }
 
 func TestDecodeRejectsUnknownFieldsAndStaleSchema(t *testing.T) {
-	if _, err := Decode(strings.NewReader(`{"schema":"concilium/bench-report","version":2,"seed":1,"figures":[],"metrics":{},"env":{},"surprise":true}`)); err == nil {
+	if _, err := Decode(strings.NewReader(`{"schema":"concilium/bench-report","version":3,"seed":1,"figures":[],"metrics":{},"env":{},"surprise":true}`)); err == nil {
 		t.Error("unknown field accepted")
 	}
 	if _, err := Decode(strings.NewReader(`{"schema":"concilium/bench-report","version":99,"seed":1,"figures":[],"metrics":{},"env":{}}`)); err == nil {
 		t.Error("future version accepted")
 	}
-	// A v1 baseline (no peak_rss_bytes yet) must fail loudly, forcing a
-	// baseline refresh rather than a garbage comparison.
+	// Older baselines must fail loudly, forcing a refresh rather than a
+	// garbage comparison: v1, and v2 with its clock-derived timing fields.
 	if _, err := Decode(strings.NewReader(`{"schema":"concilium/bench-report","version":1,"seed":1,"figures":[],"metrics":{},"env":{}}`)); err == nil {
-		t.Error("stale version accepted")
+		t.Error("stale version 1 accepted")
+	}
+	if _, err := Decode(strings.NewReader(`{"schema":"concilium/bench-report","version":2,"seed":1,"figures":[{"name":"fig1","timing":{"wall_ns":5,"ns_per_op":5,"allocs_per_op":1,"bytes_per_op":8,"ops":1}}],"metrics":{},"env":{}}`)); err == nil {
+		t.Error("stale version 2 accepted")
 	}
 }
 
@@ -204,42 +207,24 @@ func TestSetSnapshotSplits(t *testing.T) {
 	}
 }
 
-func timingFig(name string, ns int64, checks map[string]float64) Figure {
-	return Figure{Name: name, Checks: checks, Timing: Timing{WallNs: ns, NsPerOp: ns, Ops: 1}}
+func countFig(name string, allocs, bytes, perNode int64, checks map[string]float64) Figure {
+	return Figure{Name: name, Checks: checks, Timing: Timing{Ops: 1, AllocsPerOp: allocs, BytesPerOp: bytes, BytesPerNode: perNode}}
 }
 
 func TestCompare(t *testing.T) {
 	base := New("bench", 1, "small")
 	base.Figures = []Figure{
-		timingFig("steady", 1000, map[string]float64{"v": 1}),
-		timingFig("slower", 1000, nil),
-		timingFig("faster", 1000, nil),
-		timingFig("dropped", 1000, nil),
-		timingFig("noisy", 50, nil),
-		timingFig("diverged", 1000, map[string]float64{"v": 1}),
+		countFig("steady", 0, 0, 0, map[string]float64{"v": 1}),
+		countFig("dropped", 0, 0, 0, nil),
+		countFig("diverged", 0, 0, 0, map[string]float64{"v": 1}),
 	}
 	cur := New("bench", 1, "small")
 	cur.Figures = []Figure{
-		timingFig("steady", 1100, map[string]float64{"v": 1}),
-		timingFig("slower", 1400, nil),
-		timingFig("faster", 500, nil),
-		timingFig("noisy", 5000, nil), // 100x, but under the min-ns floor
-		timingFig("diverged", 1000, map[string]float64{"v": 2}),
-		timingFig("brandnew", 1000, nil),
+		countFig("steady", 0, 0, 0, map[string]float64{"v": 1}),
+		countFig("diverged", 0, 0, 0, map[string]float64{"v": 2}),
+		countFig("brandnew", 0, 0, 0, nil),
 	}
-	res, err := Compare(base, cur, 0.25, 100)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res.Regressions) != 1 || res.Regressions[0].Figure != "slower" {
-		t.Errorf("regressions = %+v, want [slower]", res.Regressions)
-	}
-	if res.Regressions[0].Ratio != 1.4 {
-		t.Errorf("ratio = %v, want 1.4", res.Regressions[0].Ratio)
-	}
-	if len(res.Improvements) != 1 || res.Improvements[0].Figure != "faster" {
-		t.Errorf("improvements = %+v, want [faster]", res.Improvements)
-	}
+	res := Compare(base, cur)
 	if len(res.Missing) != 1 || res.Missing[0] != "dropped" {
 		t.Errorf("missing = %v, want [dropped]", res.Missing)
 	}
@@ -250,50 +235,44 @@ func TestCompare(t *testing.T) {
 		t.Errorf("checks diverged = %v, want [diverged]", res.ChecksDiverged)
 	}
 	if res.OK() {
-		t.Error("gate passed despite regression and missing figure")
+		t.Error("gate passed despite missing figure and diverged checks")
 	}
 
-	// Same reports within tolerance pass.
-	res2, err := Compare(base, base, 0.25, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !res2.OK() || len(res2.Regressions)+len(res2.Improvements)+len(res2.ChecksDiverged) != 0 {
-		t.Errorf("self-compare not clean: %+v", res2)
+	// A check divergence alone fails the gate.
+	only := New("bench", 1, "small")
+	only.Figures = []Figure{cur.Figures[0], countFig("dropped", 0, 0, 0, nil), cur.Figures[1]}
+	if res := Compare(base, only); res.OK() || len(res.Missing) != 0 {
+		t.Errorf("check divergence alone passed: %+v", res)
 	}
 
-	if _, err := Compare(base, cur, 0, 0); err == nil {
-		t.Error("non-positive tolerance accepted")
+	// Self-compare is clean.
+	if res := Compare(base, base); !res.OK() || len(res.Added)+len(res.ChecksDiverged)+len(res.Regressions) != 0 {
+		t.Errorf("self-compare not clean: %+v", res)
 	}
-}
-
-func allocFig(name string, allocs, bytes int64) Figure {
-	return Figure{Name: name, Timing: Timing{WallNs: 1000, NsPerOp: 1000, AllocsPerOp: allocs, BytesPerOp: bytes, Ops: 1}}
 }
 
 func TestCompareAllocs(t *testing.T) {
 	base := New("bench", 1, "small")
 	base.Figures = []Figure{
-		allocFig("steady", 10000, 1<<20),
-		allocFig("allocheavy", 10000, 1<<20),
-		allocFig("byteheavy", 10000, 1<<20),
-		allocFig("tiny", 500, 1<<10),
-		allocFig("zerobase", 0, 0),
+		countFig("steady", 10000, 1<<20, 900, nil),
+		countFig("allocheavy", 10000, 1<<20, 0, nil),
+		countFig("byteheavy", 10000, 1<<20, 0, nil),
+		countFig("tiny", 500, 1<<10, 0, nil),
+		countFig("resident", 17, 2248, 926, nil),
+		countFig("zerobase", 0, 0, 0, nil),
 	}
 	cur := New("bench", 1, "small")
 	cur.Figures = []Figure{
-		allocFig("steady", 11000, 1<<20+1<<16), // +10%, inside tolerance
-		allocFig("allocheavy", 20000, 1<<20),   // allocs doubled
-		allocFig("byteheavy", 10000, 1<<22),    // bytes quadrupled
-		allocFig("tiny", 50000, 1<<20),         // 100x, but under the floor
-		allocFig("zerobase", 99999, 1<<30),     // no baseline axis to gate
+		countFig("steady", 11000, 1<<20+1<<16, 990, nil), // +10%, inside tolerance
+		countFig("allocheavy", 20000, 1<<20, 0, nil),     // allocs doubled
+		countFig("byteheavy", 10000, 1<<22, 0, nil),      // bytes quadrupled
+		countFig("tiny", 50000, 1<<20, 0, nil),           // 100x, but under the allocs floor
+		countFig("resident", 17, 2248, 1852, nil),        // footprint doubled, under the allocs floor
+		countFig("zerobase", 99999, 1<<30, 5000, nil),    // no baseline axis to gate
 	}
-	regs, err := CompareAllocs(base, cur, 0.25, 1000)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(regs) != 2 {
-		t.Fatalf("alloc regressions = %+v, want [allocheavy byteheavy]", regs)
+	regs := Compare(base, cur).Regressions
+	if len(regs) != 3 {
+		t.Fatalf("count regressions = %+v, want [allocheavy byteheavy resident]", regs)
 	}
 	if regs[0].Figure != "allocheavy" || regs[0].Metric != "allocs/op" || regs[0].Ratio != 2.0 {
 		t.Errorf("regs[0] = %+v, want allocheavy allocs/op 2.0x", regs[0])
@@ -301,18 +280,8 @@ func TestCompareAllocs(t *testing.T) {
 	if regs[1].Figure != "byteheavy" || regs[1].Metric != "bytes/op" || regs[1].Ratio != 4.0 {
 		t.Errorf("regs[1] = %+v, want byteheavy bytes/op 4.0x", regs[1])
 	}
-
-	// Self-compare is clean.
-	regs2, err := CompareAllocs(base, base, 0.25, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(regs2) != 0 {
-		t.Errorf("self-compare not clean: %+v", regs2)
-	}
-
-	if _, err := CompareAllocs(base, cur, 0, 0); err == nil {
-		t.Error("non-positive tolerance accepted")
+	if regs[2].Figure != "resident" || regs[2].Metric != "bytes/node" || regs[2].Ratio != 2.0 {
+		t.Errorf("regs[2] = %+v, want resident bytes/node 2.0x", regs[2])
 	}
 }
 

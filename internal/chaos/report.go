@@ -70,6 +70,22 @@ func (r *Report) Passed() bool {
 	return true
 }
 
+// Checks returns the campaign's deterministic headline counts under
+// the keys a bench report carries them by.
+func (r *Report) Checks() map[string]float64 {
+	checks := map[string]float64{
+		"sent":           float64(r.Sent),
+		"delivered":      float64(r.Delivered),
+		"convictions":    float64(r.Convictions),
+		"chains_fetched": float64(r.ChainsFetched),
+		"invariants_ok":  0,
+	}
+	if r.Passed() {
+		checks["invariants_ok"] = 1
+	}
+	return checks
+}
+
 // String renders the report. The output is a pure function of the
 // campaign seed — reproduction instructions live in DESIGN.md §7.
 func (r *Report) String() string {
