@@ -25,7 +25,12 @@ import (
 // key, 64 B private key, 64 B certificate signature per node) with
 // accessors returning views; tomography trees, being a pure
 // deterministic function of the immutable graph and each node's routing
-// peers, are built lazily and cached per slab. The diagnosis protocol —
+// peers, are built lazily and cached per slab. A slab is a node's index
+// in build order, joiners appended; the overlay owns the ring↔slab
+// mapping (Overlay.Slab, Overlay.Pos), and every slab-indexed array
+// here follows it. Departures keep their slab rows — churn at compact
+// scale leaks 165 B per departure, which is the right trade against
+// compacting four arrays per event. The diagnosis protocol —
 // probing, SendMessage, blame, verdict windows, batched acks — runs over
 // these indices; see compact_traffic.go.
 type CompactSystem struct {
@@ -44,18 +49,6 @@ type CompactSystem struct {
 	// swallowed on hot paths, for the chaos invariant report.
 	Counters SystemCounters
 
-	// slabOf maps ring position to slab position. Slabs are append-only
-	// and build-ordered: the node built p-th owns slab p, and joiners
-	// append. Departures splice slabOf but keep the slab row — churn at
-	// compact scale leaks 165 B per departure, which is the right trade
-	// against compacting four slabs per event.
-	slabOf []uint32
-	// ringOfSlab is the inverse map: slab position to current ring
-	// position, overlay.NoIndex once the node departs. Alive slabs in
-	// ascending slab order are the build order (departures preserve
-	// relative order, joiners append), which is what lets the traffic
-	// plane iterate in build order without storing identifiers.
-	ringOfSlab []uint32
 	// slabOfHandle maps an archive prober handle to its slab plus one
 	// (zero: unknown), so blame's collusion filter resolves probers
 	// without the ring. It is filled where this plane records a sweep
@@ -257,19 +250,10 @@ func BuildCompactSystem(cfg SystemConfig, rng stats.Rand) (*CompactSystem, error
 		}
 	}
 
+	// Built in slab order: node p owns overlay slab p.
 	cs.Overlay, err = overlay.NewCompact(ids, overlay.DefaultLeafSetPerSide)
 	if err != nil {
 		return nil, err
-	}
-	cs.slabOf = make([]uint32, n)
-	cs.ringOfSlab = make([]uint32, n)
-	for p, x := range ids {
-		i, ok := cs.Overlay.IndexOf(x)
-		if !ok {
-			return nil, fmt.Errorf("core: built identifier %s missing from ring", x.Short())
-		}
-		cs.slabOf[i] = uint32(p)
-		cs.ringOfSlab[p] = i
 	}
 
 	// Malicious marks follow build order: the first nBad nodes built.
@@ -282,7 +266,7 @@ func BuildCompactSystem(cfg SystemConfig, rng stats.Rand) (*CompactSystem, error
 	// come from Stream(2p+1), consumed secure table first (no draws),
 	// then standard; each node writes only its own table rows.
 	err = parexec.ForEachWorker(cfg.Workers, n, "compact-routing", func(_, p int) error {
-		cs.Overlay.FillNode(cs.ringOfSlab[p], buildSeed.Stream(2*uint64(p)+1))
+		cs.Overlay.FillNode(cs.Overlay.Pos(uint32(p)), buildSeed.Stream(2*uint64(p)+1))
 		return nil
 	})
 	if err != nil {
@@ -308,13 +292,13 @@ func (cs *CompactSystem) NodeID(i uint32) id.ID { return cs.Overlay.ID(i) }
 
 // Router returns node i's attachment router.
 func (cs *CompactSystem) Router(i uint32) topology.RouterID {
-	return cs.routers[cs.slabOf[i]]
+	return cs.routers[cs.Overlay.Slab(i)]
 }
 
 // Keys returns node i's key pair as views into the shared slabs; the
 // returned slices must not be modified.
 func (cs *CompactSystem) Keys(i uint32) sigcrypto.KeyPair {
-	return cs.keysOfSlab(cs.slabOf[i])
+	return cs.keysOfSlab(cs.Overlay.Slab(i))
 }
 
 // keysOfSlab returns slab row p's key pair. Slab rows outlive
@@ -332,7 +316,7 @@ func (cs *CompactSystem) keysOfSlab(p uint32) sigcrypto.KeyPair {
 // is derived from the attachment router, exactly as issuance formatted
 // it, so only the signature needs storage.
 func (cs *CompactSystem) Cert(i uint32) sigcrypto.Certificate {
-	p := int(cs.slabOf[i])
+	p := int(cs.Overlay.Slab(i))
 	return sigcrypto.Certificate{
 		Addr:      hostAddr(cs.routers[p]),
 		NodeID:    cs.Overlay.ID(i),
@@ -361,7 +345,7 @@ func (cs *CompactSystem) BuildAdvert(i uint32, at int64) []AdvertEntry {
 
 // Behavior returns node i's (mis)behavior marks.
 func (cs *CompactSystem) Behavior(i uint32) Behavior {
-	return cs.behaviorOfSlab(cs.slabOf[i])
+	return cs.behaviorOfSlab(cs.Overlay.Slab(i))
 }
 
 // behaviorOfSlab decodes slab p's policy: the two packed bits on the
@@ -389,7 +373,7 @@ func (cs *CompactSystem) SetBehavior(nid id.ID, b Behavior) error {
 	if b.DropPeriod < 0 {
 		return fmt.Errorf("core: drop period %d negative", b.DropPeriod)
 	}
-	p := cs.slabOf[i]
+	p := cs.Overlay.Slab(i)
 	if b.DropProb == 0 && b.DropPeriod == 0 && b.Clique == 0 {
 		var bits byte
 		if b.DropsMessages {
@@ -444,7 +428,7 @@ func (cs *CompactSystem) TreeOf(i uint32, scratch *topology.BFSScratch) (*tomogr
 // the node's own probing and routing use. It is shared storage,
 // read-only to callers; a churn event never mutates it in place.
 func (cs *CompactSystem) Tree(i uint32) (*tomography.Tree, error) {
-	return cs.treeOfSlab(cs.slabOf[i])
+	return cs.treeOfSlab(cs.Overlay.Slab(i))
 }
 
 // treeOfSlab returns slab p's tomography tree from the cache,
@@ -461,7 +445,7 @@ func (cs *CompactSystem) treeOfSlab(p uint32) (*tomography.Tree, error) {
 		cs.treeStats.Hits++
 		return old, nil
 	}
-	i := cs.ringOfSlab[p]
+	i := cs.Overlay.Pos(p)
 	if i == overlay.NoIndex {
 		return nil, fmt.Errorf("core: tree of departed node (slab %d)", p)
 	}
@@ -469,7 +453,7 @@ func (cs *CompactSystem) treeOfSlab(p uint32) (*tomography.Tree, error) {
 	cs.leafScratch = cs.leafScratch[:0]
 	for _, j := range cs.peerScratch {
 		cs.leafScratch = append(cs.leafScratch, tomography.Leaf{
-			Node: cs.Overlay.ID(j), Router: cs.routers[cs.slabOf[j]],
+			Node: cs.Overlay.ID(j), Router: cs.routers[cs.Overlay.Slab(j)],
 		})
 	}
 	tree, err := tomography.PatchTree(cs.Topo, &cs.treeScratch, old, cs.Overlay.ID(i), cs.routers[p], cs.leafScratch)
@@ -490,7 +474,7 @@ func (cs *CompactSystem) treeOfSlab(p uint32) (*tomography.Tree, error) {
 // routing-peer sequence. Slabs with nothing cached have nothing to mark.
 func (cs *CompactSystem) markTreesStale(ringPositions []uint32) {
 	for _, i := range ringPositions {
-		if p := cs.slabOf[i]; cs.trees[p] != nil && !cs.treeStale[p] {
+		if p := cs.Overlay.Slab(i); cs.trees[p] != nil && !cs.treeStale[p] {
 			cs.treeStale[p] = true
 			cs.treeStats.MarkedStale++
 		}
@@ -513,8 +497,8 @@ func (cs *CompactSystem) TreeCacheStats() TreeCacheStats { return cs.treeStats }
 // FailNode removes a node — a crash or permanent departure: the overlay
 // repairs every survivor in ring order through the index-based
 // maintenance ops, and the node's ring position is spliced out. Its
-// slab row is retained (see slabOf); ringOfSlab marks it departed and
-// every higher ring position shifts down by one.
+// slab row is retained (see CompactSystem); Overlay.Pos marks it
+// departed.
 func (cs *CompactSystem) FailNode(failed id.ID) error {
 	k, ok := cs.Overlay.IndexOf(failed)
 	if !ok {
@@ -523,19 +507,12 @@ func (cs *CompactSystem) FailNode(failed id.ID) error {
 	if cs.Size() <= 4 {
 		return fmt.Errorf("core: refusing to shrink overlay below 4 nodes")
 	}
-	slab := cs.slabOf[k]
+	slab := cs.Overlay.Slab(k)
 	changed, err := cs.Overlay.ApplyDeparture(failed, cs.rng, cs.changedScratch[:0])
 	if err != nil {
 		return err
 	}
 	cs.changedScratch = changed
-	cs.slabOf = append(cs.slabOf[:k], cs.slabOf[k+1:]...)
-	cs.ringOfSlab[slab] = overlay.NoIndex
-	for p, r := range cs.ringOfSlab {
-		if r != overlay.NoIndex && r > k {
-			cs.ringOfSlab[p] = r - 1
-		}
-	}
 	if cs.departedSlab == nil {
 		cs.departedSlab = make(map[id.ID]uint32)
 	}
@@ -583,7 +560,7 @@ func (cs *CompactSystem) admit(cert sigcrypto.Certificate, keys sigcrypto.KeyPai
 		return id.ID{}, err
 	}
 	cs.changedScratch = changed
-	slab := uint32(len(cs.routers))
+	slab := cs.Overlay.Slab(k)
 	cs.routers = append(cs.routers, router)
 	cs.pubKeys = append(cs.pubKeys, keys.Public...)
 	cs.privKeys = append(cs.privKeys, keys.Private...)
@@ -594,15 +571,6 @@ func (cs *CompactSystem) admit(cert sigcrypto.Certificate, keys sigcrypto.KeyPai
 	cs.trees = append(cs.trees, nil)
 	cs.treeStale = append(cs.treeStale, false)
 	cs.sweeps = append(cs.sweeps, nil)
-	cs.slabOf = append(cs.slabOf, 0)
-	copy(cs.slabOf[k+1:], cs.slabOf[k:])
-	cs.slabOf[k] = slab
-	for p, r := range cs.ringOfSlab {
-		if r != overlay.NoIndex && r >= k {
-			cs.ringOfSlab[p] = r + 1
-		}
-	}
-	cs.ringOfSlab = append(cs.ringOfSlab, k)
 	delete(cs.departedSlab, cert.NodeID)
 	cs.markTreesStale(changed)
 	if cs.probing {
@@ -620,8 +588,8 @@ func (cs *CompactSystem) admit(cert sigcrypto.Certificate, keys sigcrypto.KeyPai
 // after a churn event.
 func (cs *CompactSystem) AliveIDs() []id.ID {
 	out := make([]id.ID, 0, cs.Size())
-	for _, r := range cs.ringOfSlab {
-		if r != overlay.NoIndex {
+	for p := 0; p < cs.Overlay.Slabs(); p++ {
+		if r := cs.Overlay.Pos(uint32(p)); r != overlay.NoIndex {
 			out = append(out, cs.Overlay.ID(r))
 		}
 	}
@@ -629,7 +597,8 @@ func (cs *CompactSystem) AliveIDs() []id.ID {
 }
 
 // Footprint returns the resident bytes of the compact core: overlay
-// state, identity slabs, and the traffic plane's per-slab state (tree
+// state (the ring↔slab mapping included), identity slabs, and the
+// traffic plane's per-slab state (tree
 // cache and sweep-closure headers included; cached tree contents are
 // derived data and excluded). The topology and the CA registry are
 // excluded too: both are fixed by the configuration, not by the
@@ -637,8 +606,6 @@ func (cs *CompactSystem) AliveIDs() []id.ID {
 func (cs *CompactSystem) Footprint() int64 {
 	total := cs.Overlay.Footprint()
 	total += int64(len(cs.routers)) * 4
-	total += int64(len(cs.slabOf)) * 4
-	total += int64(len(cs.ringOfSlab)) * 4
 	total += int64(len(cs.slabOfHandle)) * 4
 	total += int64(len(cs.behaviorBits))
 	total += int64(len(cs.pubKeys) + len(cs.privKeys) + len(cs.certSigs))

@@ -30,13 +30,13 @@ func ringCollusionFilter(cs *CompactSystem) RecordFilter {
 		if !ok {
 			return rec, true
 		}
-		prober := cs.behaviorOfSlab(cs.slabOf[pi])
+		prober := cs.behaviorOfSlab(cs.Overlay.Slab(pi))
 		if !prober.InvertsProbes {
 			return rec, true
 		}
 		ally := false
 		if ji, ok := cs.Overlay.IndexOf(judged); ok {
-			jb := cs.behaviorOfSlab(cs.slabOf[ji])
+			jb := cs.behaviorOfSlab(cs.Overlay.Slab(ji))
 			if c := prober.Clique; c != 0 {
 				ally = jb.Clique == c
 			} else {
@@ -134,7 +134,8 @@ func requireFilterMatchesRing(t *testing.T, cs *CompactSystem, oracle *BlameEngi
 		}
 	}
 	var span []topology.LinkID
-	for p, i := range cs.ringOfSlab {
+	for p := 0; p < cs.Overlay.Slabs(); p++ {
+		i := cs.Overlay.Pos(uint32(p))
 		if i == overlay.NoIndex {
 			continue
 		}
@@ -264,7 +265,8 @@ func probedCompactSystem(t testing.TB) (*CompactSystem, []blameTriple) {
 	cs.Run(5 * time.Minute)
 	at := cs.Sim.Now().Add(-cs.Config.Blame.Delta)
 	var triples []blameTriple
-	for p, i := range cs.ringOfSlab {
+	for p := 0; p < cs.Overlay.Slabs(); p++ {
+		i := cs.Overlay.Pos(uint32(p))
 		if i == overlay.NoIndex || len(triples) >= 64 {
 			continue
 		}
@@ -446,8 +448,8 @@ func BenchmarkCompactBlame(b *testing.B) {
 	cs.Run(5 * time.Minute)
 	at := cs.Sim.Now().Add(-cfg.Blame.Delta)
 	var triples []blameTriple
-	for p := 0; p < len(cs.ringOfSlab) && len(triples) < 128; p += 7 {
-		if cs.ringOfSlab[p] == overlay.NoIndex {
+	for p := 0; p < cs.Overlay.Slabs() && len(triples) < 128; p += 7 {
+		if cs.Overlay.Pos(uint32(p)) == overlay.NoIndex {
 			continue
 		}
 		tree, err := cs.treeOfSlab(uint32(p))

@@ -51,8 +51,8 @@ func (cs *CompactSystem) appendNodeCanonical(buf []byte, i uint32, sc *compactCa
 	nid := cs.Overlay.ID(i)
 	buf = append(buf, nid[:]...)
 	buf = binary.BigEndian.AppendUint32(buf, uint32(cs.Router(i)))
-	buf = binary.BigEndian.AppendUint32(buf, cs.slabOf[i])
-	p := int(cs.slabOf[i])
+	buf = binary.BigEndian.AppendUint32(buf, cs.Overlay.Slab(i))
+	p := int(cs.Overlay.Slab(i))
 	buf = append(buf, cs.pubKeys[p*ed25519.PublicKeySize:(p+1)*ed25519.PublicKeySize]...)
 	buf = append(buf, cs.certSigs[p*ed25519.SignatureSize:(p+1)*ed25519.SignatureSize]...)
 	buf = append(buf, cs.behaviorBits[p])

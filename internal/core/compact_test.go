@@ -54,7 +54,8 @@ func identityDigest(t *testing.T, cs *CompactSystem) uint64 {
 	t.Helper()
 	d := newDigest()
 	var scratch topology.BFSScratch
-	for p, i := range cs.ringOfSlab {
+	for p := 0; p < cs.Overlay.Slabs(); p++ {
+		i := cs.Overlay.Pos(uint32(p))
 		if i == overlay.NoIndex {
 			continue
 		}
@@ -242,13 +243,13 @@ func TestCompactFailNodeGuards(t *testing.T) {
 					t.Fatal(err)
 				}
 			}
-			size, slabs := cs.Size(), len(cs.ringOfSlab)
+			size, slabs := cs.Size(), cs.Overlay.Slabs()
 			ring := append([]id.ID(nil), cs.Overlay.IDs()...)
 			if err := tc.op(cs); err == nil || !strings.Contains(err.Error(), tc.wantErr) {
 				t.Fatalf("error %v, want one containing %q", err, tc.wantErr)
 			}
-			if cs.Size() != size || len(cs.ringOfSlab) != slabs {
-				t.Fatalf("size %d→%d, slabs %d→%d", size, cs.Size(), slabs, len(cs.ringOfSlab))
+			if cs.Size() != size || cs.Overlay.Slabs() != slabs {
+				t.Fatalf("size %d→%d, slabs %d→%d", size, cs.Size(), slabs, cs.Overlay.Slabs())
 			}
 			for i, x := range cs.Overlay.IDs() {
 				if x != ring[i] {

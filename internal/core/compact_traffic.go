@@ -101,14 +101,14 @@ func (cs *CompactSystem) ringSlab(nid id.ID) (uint32, bool) {
 	if !ok {
 		return 0, false
 	}
-	return cs.slabOf[i], true
+	return cs.Overlay.Slab(i), true
 }
 
 // boundSlab is memberSlab's table lookup alone: the slab bound to
 // handle h, if that slab is a current member.
 func (cs *CompactSystem) boundSlab(h tomography.ProberHandle) (uint32, bool) {
 	if int(h) < len(cs.slabOfHandle) {
-		if s := cs.slabOfHandle[h]; s != 0 && cs.ringOfSlab[s-1] != overlay.NoIndex {
+		if s := cs.slabOfHandle[h]; s != 0 && cs.Overlay.Pos(s-1) != overlay.NoIndex {
 			return s - 1, true
 		}
 	}
@@ -134,7 +134,7 @@ func (cs *CompactSystem) bindHandle(p uint32, nid id.ID) {
 // peers, from node i's (lazily materialized) tomography tree. The path
 // is shared tree storage — read-only to callers.
 func (cs *CompactSystem) PathToPeer(i uint32, peer id.ID) ([]topology.LinkID, error) {
-	tree, err := cs.treeOfSlab(cs.slabOf[i])
+	tree, err := cs.treeOfSlab(cs.Overlay.Slab(i))
 	if err != nil {
 		return nil, err
 	}
@@ -148,7 +148,7 @@ func (cs *CompactSystem) PathToPeer(i uint32, peer id.ID) ([]topology.LinkID, er
 // NextMsgID issues node i's next locally unique message number, from the
 // same per-slab sequence SendMessage and SendBulk number messages from.
 func (cs *CompactSystem) NextMsgID(i uint32) uint64 {
-	p := cs.slabOf[i]
+	p := cs.Overlay.Slab(i)
 	cs.msgSeq[p]++
 	return cs.msgSeq[p]
 }
@@ -185,7 +185,7 @@ func (cs *CompactSystem) SendMessage(src, dst id.ID) (*DeliveryReport, error) {
 	slabs := cs.routeSlabScratch[:0]
 	for h, i := range idxBuf {
 		route[h] = cs.Overlay.ID(i)
-		slabs = append(slabs, cs.slabOf[i])
+		slabs = append(slabs, cs.Overlay.Slab(i))
 	}
 	cs.routeSlabScratch = slabs
 	rep := &DeliveryReport{MsgID: cs.NextMsgID(si), Route: route, Kind: DropNone}
@@ -222,7 +222,7 @@ func (cs *CompactSystem) SendMessage(src, dst id.ID) (*DeliveryReport, error) {
 			rep.BrokenLink = bad
 			break
 		}
-		if cs.ringOfSlab[slabs[i+1]] == overlay.NoIndex {
+		if cs.Overlay.Pos(slabs[i+1]) == overlay.NoIndex {
 			// The next hop departed while the message was in flight
 			// (churn events fire inside the latency advance above):
 			// nobody received it.
@@ -318,8 +318,8 @@ func (cs *CompactSystem) SendMessage(src, dst id.ID) (*DeliveryReport, error) {
 		start--
 	}
 	for vi := start; vi < len(rep.Verdicts); vi++ {
-		haveAccuser := cs.ringOfSlab[slabs[vi]] != overlay.NoIndex
-		haveJudged := cs.ringOfSlab[slabs[vi+1]] != overlay.NoIndex
+		haveAccuser := cs.Overlay.Pos(slabs[vi]) != overlay.NoIndex
+		haveJudged := cs.Overlay.Pos(slabs[vi+1]) != overlay.NoIndex
 		if !haveAccuser || !haveJudged {
 			start = vi + 1
 			rep.ChainUnavailable = true
@@ -429,7 +429,7 @@ func (cs *CompactSystem) SendBulk(src, dst id.ID, n int) (*BulkReport, error) {
 	slabs := make([]uint32, len(idxRoute))
 	for h, i := range idxRoute {
 		route[h] = cs.Overlay.ID(i)
-		slabs[h] = cs.slabOf[i]
+		slabs[h] = cs.Overlay.Slab(i)
 	}
 	rep := &BulkReport{Route: route, Sent: n}
 	if len(route) == 1 {
@@ -517,8 +517,8 @@ func (cs *CompactSystem) SendBulk(src, dst id.ID, n int) (*BulkReport, error) {
 // accept the cost.
 func (cs *CompactSystem) OverlayPaths() ([][]topology.LinkID, error) {
 	var out [][]topology.LinkID
-	for p, r := range cs.ringOfSlab {
-		if r == overlay.NoIndex {
+	for p := 0; p < cs.Overlay.Slabs(); p++ {
+		if cs.Overlay.Pos(uint32(p)) == overlay.NoIndex {
 			continue
 		}
 		tree, err := cs.treeOfSlab(uint32(p))
@@ -558,8 +558,8 @@ func (cs *CompactSystem) StartProbing() error {
 		return fmt.Errorf("core: probing already started")
 	}
 	cs.probing = true
-	for p, r := range cs.ringOfSlab {
-		if r == overlay.NoIndex {
+	for p := 0; p < cs.Overlay.Slabs(); p++ {
+		if cs.Overlay.Pos(uint32(p)) == overlay.NoIndex {
 			continue
 		}
 		if err := cs.scheduleProbe(uint32(p)); err != nil {
@@ -587,8 +587,8 @@ func (cs *CompactSystem) StartProbingSample(k int) ([]id.ID, error) {
 	}
 	cs.probing = true
 	alive := make([]uint32, 0, cs.Size())
-	for p, r := range cs.ringOfSlab {
-		if r != overlay.NoIndex {
+	for p := 0; p < cs.Overlay.Slabs(); p++ {
+		if cs.Overlay.Pos(uint32(p)) != overlay.NoIndex {
 			alive = append(alive, uint32(p))
 		}
 	}
@@ -602,7 +602,7 @@ func (cs *CompactSystem) StartProbingSample(k int) ([]id.ID, error) {
 		if err := cs.scheduleProbe(p); err != nil {
 			return nil, err
 		}
-		chosen = append(chosen, cs.Overlay.ID(cs.ringOfSlab[p]))
+		chosen = append(chosen, cs.Overlay.ID(cs.Overlay.Pos(p)))
 	}
 	return chosen, nil
 }
@@ -632,7 +632,7 @@ func (cs *CompactSystem) SetNodeSilent(nid id.ID, silent bool) error {
 	if cs.silentSlabs == nil {
 		cs.silentSlabs = make(map[uint32]bool)
 	}
-	cs.silentSlabs[cs.slabOf[i]] = silent
+	cs.silentSlabs[cs.Overlay.Slab(i)] = silent
 	return nil
 }
 
@@ -649,7 +649,7 @@ func (cs *CompactSystem) scheduleProbe(p uint32) error {
 // probeSweep runs one lightweight probe sweep for slab p and
 // reschedules the next.
 func (cs *CompactSystem) probeSweep(p uint32) {
-	if cs.ringOfSlab[p] == overlay.NoIndex {
+	if cs.Overlay.Pos(p) == overlay.NoIndex {
 		// The node departed after this sweep was scheduled: a ghost must
 		// not keep publishing probes, and its loop ends here.
 		cs.Counters.GhostProbesStopped++
@@ -691,7 +691,7 @@ func (cs *CompactSystem) probeSweep(p uint32) {
 		for i := range tree.Leaves {
 			cs.met.probeRTT.ObserveDuration(2 * cs.Net.Latency(tree.Leaves[i].Path))
 		}
-		nid := cs.Overlay.ID(cs.ringOfSlab[p])
+		nid := cs.Overlay.ID(cs.Overlay.Pos(p))
 		if cs.Config.SignedSnapshots {
 			cs.publishSnapshot(p, obs)
 		} else if err := cs.Archive.Record(nid, cs.Sim.Now(), obs); err != nil {
@@ -722,7 +722,7 @@ func (cs *CompactSystem) reschedProbe(p uint32) {
 // prober signs its snapshot (leaf spacing from the derived leaf set)
 // and receivers validate the signature before archiving.
 func (cs *CompactSystem) publishSnapshot(p uint32, obs []tomography.LinkObservation) {
-	i := cs.ringOfSlab[p]
+	i := cs.Overlay.Pos(p)
 	spacing, err := cs.Overlay.LeafMeanSpacing(i)
 	if err != nil {
 		spacing = 0

@@ -26,7 +26,8 @@ import (
 // messages in flight and the failure injector still read the old paths.
 func requireCoherentTrees(t *testing.T, cs *CompactSystem, scratch *topology.BFSScratch, step int) {
 	t.Helper()
-	for p, i := range cs.ringOfSlab {
+	for p := 0; p < cs.Overlay.Slabs(); p++ {
+		i := cs.Overlay.Pos(uint32(p))
 		if i == overlay.NoIndex {
 			continue
 		}
@@ -235,8 +236,10 @@ func benchScaleConfig(n int) SystemConfig {
 }
 
 // BenchmarkCompactChurn times one departure and one join at N≈10k, the
-// churn-n10k benchmark workload's event pair, without traffic: what is
-// left is overlay repair plus the ring↔slab bookkeeping.
+// churn-n10k benchmark workload's event pair, without traffic. What is
+// left is overlay repair — the ring, row and ring↔slab splices plus the
+// slots the event changed — and, for a join, the newcomer's FillNode,
+// key generation and certificate signing.
 func BenchmarkCompactChurn(b *testing.B) {
 	cs, err := BuildCompactSystem(benchScaleConfig(10000), rand.New(rand.NewPCG(20070625, 11)))
 	if err != nil {

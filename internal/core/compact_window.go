@@ -83,7 +83,7 @@ func (vw *CompactVerdictWindow) Recent(judged uint32) []Verdict {
 // through the slab it held, and an identifier never seen has none.
 func (cs *CompactSystem) GuiltyCount(nid id.ID) int {
 	if i, ok := cs.Overlay.IndexOf(nid); ok {
-		return cs.Window.GuiltyCount(cs.slabOf[i])
+		return cs.Window.GuiltyCount(cs.Overlay.Slab(i))
 	}
 	if p, ok := cs.departedSlab[nid]; ok {
 		return cs.Window.GuiltyCount(p)

@@ -16,36 +16,49 @@ import (
 // secure fills, same uniform standard picks, same rng draw order — but
 // at a fraction of the footprint:
 //
+//   - Every member also has a slab: its index in build order, with
+//     joiners appended. Slabs never change while a member lives, so
+//     jump-table slots store slabs, not ring positions, and a churn
+//     event touches only the slots that held the churned member. Compact
+//     is the one owner of the ring↔slab mapping (Slab, Pos); its public
+//     API speaks ring positions throughout.
 //   - Leaf sets are not stored at all. The perSide closest peers of the
 //     node at ring position i are positions i±1..i±perSide (wrapping),
 //     so leaf queries are index arithmetic.
 //   - Jump tables split at denseRows = ⌈log₁₆N⌉: rows shallower than
-//     that are near-full and live in one flat uint32 slab (NoIndex =
+//     that are near-full and live in one flat uint32 array (NoIndex =
 //     empty); deeper rows are almost always empty and live in tiny
-//     per-node sorted tail slices.
+//     per-node sorted tail slices. Rows are stored in ring order.
 //
 // Compare ~41KB/node for the pointer-per-node representation at N=20k
-// against ~(denseRows·64 + tail)·2 + 16 bytes here.
+// against ~(denseRows·64 + tail)·2 + 40 bytes here.
 type Compact struct {
-	ring      Ring // shares the compact membership slice; mutated by churn
+	ring Ring // shares the compact membership slice; mutated by churn
+	// slabAt is the slab of the member at each ring position, spliced
+	// with ring.ids and ring.pairs; posOf is each slab's ring position,
+	// NoIndex once the member departs.
+	slabAt    []uint32
+	posOf     []uint32
 	perSide   int
 	denseRows int
 	secure    compactTable
 	standard  compactTable
 }
 
-// NoIndex marks an empty compact jump-table slot.
+// NoIndex marks an empty compact jump-table slot and a departed slab.
 const NoIndex = ^uint32(0)
 
-// CompactSlot is one occupied jump-table slot in index form.
+// CompactSlot is one occupied jump-table slot in index form; Peer is a
+// ring position.
 type CompactSlot struct {
 	Row, Col uint8
 	Peer     uint32
 }
 
-// compactTable is one table kind (secure or standard) for every node:
-// a dense slab of denseRows×Base uint32 slots per node plus sparse
-// row-major tails for the deep rows.
+// compactTable is one table kind (secure or standard) for every node,
+// rows in ring order: denseRows×Base uint32 slots per node in one flat
+// array plus sparse row-major tails for the deep rows. Every slot holds
+// its occupant's slab (a tail entry's Peer too), NoIndex when empty.
 type compactTable struct {
 	dense []uint32
 	tail  [][]CompactSlot
@@ -67,9 +80,10 @@ func denseRowsFor(n int) int {
 	return dr
 }
 
-// NewCompact allocates empty compact state over the given members.
-// Tables start empty; call FillNode per node (any order, including in
-// parallel — node i writes only its own rows).
+// NewCompact allocates empty compact state over the given members, in
+// build order: members[p] owns slab p. Tables start empty; call FillNode
+// per node (any order, including in parallel — node i writes only its
+// own rows).
 func NewCompact(members []id.ID, perSide int) (*Compact, error) {
 	if perSide <= 0 {
 		return nil, fmt.Errorf("overlay: compact perSide %d must be positive", perSide)
@@ -79,9 +93,16 @@ func NewCompact(members []id.ID, perSide int) (*Compact, error) {
 		return nil, err
 	}
 	n := ring.Size()
+	slabAt, posOf := make([]uint32, n), make([]uint32, n)
+	for p, x := range members {
+		i, _ := ring.IndexOf(x)
+		slabAt[i], posOf[p] = uint32(p), uint32(i)
+	}
 	dr := denseRowsFor(n)
 	return &Compact{
 		ring:      Ring{ids: ring.ids, pairs: ring.pairs},
+		slabAt:    slabAt,
+		posOf:     posOf,
 		perSide:   perSide,
 		denseRows: dr,
 		secure:    newCompactTable(n, dr),
@@ -101,6 +122,15 @@ func (c *Compact) DenseRows() int { return c.denseRows }
 
 // ID returns the identifier at ring position i.
 func (c *Compact) ID(i uint32) id.ID { return c.ring.ids[i] }
+
+// Slab returns the slab of the member at ring position i.
+func (c *Compact) Slab(i uint32) uint32 { return c.slabAt[i] }
+
+// Pos returns slab p's ring position, NoIndex once it has departed.
+func (c *Compact) Pos(p uint32) uint32 { return c.posOf[p] }
+
+// Slabs returns the number of slabs ever issued, departed ones included.
+func (c *Compact) Slabs() int { return len(c.posOf) }
 
 // IDs returns the sorted members. The slice is shared and must not be
 // modified; churn invalidates it.
@@ -143,7 +173,7 @@ func (c *Compact) FillNode(i uint32, rng stats.Rand) {
 			if !ok {
 				continue
 			}
-			c.secure.set(c.denseRows, i, row, col, uint32(cand))
+			c.secure.set(c.denseRows, i, row, col, c.slabAt[cand])
 		}
 		if !c.ring.hasOtherWithPrefixIdx(self, row+1, int(i)) {
 			break
@@ -163,7 +193,7 @@ func (c *Compact) FillNode(i uint32, rng stats.Rand) {
 				continue
 			}
 			anyDeeper = true
-			c.standard.set(c.denseRows, i, row, col, uint32(cand))
+			c.standard.set(c.denseRows, i, row, col, c.slabAt[cand])
 		}
 		if !anyDeeper {
 			break
@@ -171,20 +201,27 @@ func (c *Compact) FillNode(i uint32, rng stats.Rand) {
 	}
 }
 
-// SecureSlot returns the occupant of node i's secure slot (row, col).
+// SecureSlot returns the ring position of node i's secure slot (row,
+// col) occupant.
 func (c *Compact) SecureSlot(i uint32, row int, col byte) (uint32, bool) {
-	if row < 0 || row >= id.Digits || col >= id.Base {
-		return 0, false
-	}
-	return c.secure.slot(c.denseRows, i, row, col)
+	return c.slotPos(&c.secure, i, row, col)
 }
 
-// StandardSlot returns the occupant of node i's standard slot (row, col).
+// StandardSlot returns the ring position of node i's standard slot
+// (row, col) occupant.
 func (c *Compact) StandardSlot(i uint32, row int, col byte) (uint32, bool) {
+	return c.slotPos(&c.standard, i, row, col)
+}
+
+func (c *Compact) slotPos(t *compactTable, i uint32, row int, col byte) (uint32, bool) {
 	if row < 0 || row >= id.Digits || col >= id.Base {
 		return 0, false
 	}
-	return c.standard.slot(c.denseRows, i, row, col)
+	p, ok := t.slot(c.denseRows, i, row, col)
+	if !ok {
+		return 0, false
+	}
+	return c.posOf[p], true
 }
 
 // SecureOccupancy returns node i's filled secure-slot count.
@@ -197,8 +234,8 @@ func (c *Compact) SecureOccupancy(i uint32) int {
 func (c *Compact) ValidateSecure(i uint32) error {
 	owner := c.ring.ids[i]
 	var err error
-	c.secure.forEach(c.denseRows, i, func(row int, col byte, peer uint32) {
-		p := c.ring.ids[peer]
+	c.secure.forEach(c.denseRows, i, func(row int, col byte, slab uint32) {
+		p := c.ring.ids[c.posOf[slab]]
 		want := id.CommonPrefixLen(owner, p)
 		if err == nil && (want >= id.Digits || want != row || p.Digit(want) != col) {
 			err = fmt.Errorf("overlay: peer %s in secure slot (%d,%d) of %s violates its prefix constraint",
@@ -211,13 +248,20 @@ func (c *Compact) ValidateSecure(i uint32) error {
 // AppendSecureSlots appends node i's occupied secure slots to out in
 // row-major order.
 func (c *Compact) AppendSecureSlots(i uint32, out []CompactSlot) []CompactSlot {
-	return c.secure.appendSlots(c.denseRows, i, out)
+	return c.appendSlots(&c.secure, i, out)
 }
 
 // AppendStandardSlots appends node i's occupied standard slots to out in
 // row-major order.
 func (c *Compact) AppendStandardSlots(i uint32, out []CompactSlot) []CompactSlot {
-	return c.standard.appendSlots(c.denseRows, i, out)
+	return c.appendSlots(&c.standard, i, out)
+}
+
+func (c *Compact) appendSlots(t *compactTable, i uint32, out []CompactSlot) []CompactSlot {
+	t.forEach(c.denseRows, i, func(row int, col byte, slab uint32) {
+		out = append(out, CompactSlot{Row: uint8(row), Col: col, Peer: c.posOf[slab]})
+	})
+	return out
 }
 
 // AppendLeafIndices appends node i's leaf positions to out: clockwise
@@ -291,8 +335,8 @@ func (c *Compact) AppendRoutingPeers(i uint32, out []uint32) []uint32 {
 		}
 		out = append(out, j)
 	}
-	c.secure.forEach(c.denseRows, i, func(_ int, _ byte, peer uint32) {
-		appendUniq(peer)
+	c.secure.forEach(c.denseRows, i, func(_ int, _ byte, slab uint32) {
+		appendUniq(c.posOf[slab])
 	})
 	n := len(c.ring.ids)
 	k := c.leafK()
@@ -332,15 +376,15 @@ func (c *Compact) nextHop(t *compactTable, i uint32, target id.ID) (uint32, bool
 		return closest, true
 	}
 	row := id.CommonPrefixLen(self, target)
-	if peer, ok := t.slot(c.denseRows, i, row, target.Digit(row)); ok {
-		return peer, true
+	if slab, ok := t.slot(c.denseRows, i, row, target.Digit(row)); ok {
+		return c.posOf[slab], true
 	}
 	// Rare case: the exact slot is empty. Any known peer strictly closer
 	// to the target than we are keeps Pastry's progress guarantee —
 	// table slots row-major, then leaves, as in the legacy fallback.
 	best, found := i, false
-	t.forEach(c.denseRows, i, func(_ int, _ byte, peer uint32) {
-		if id.Closer(c.ring.ids[peer], c.ring.ids[best], target) {
+	t.forEach(c.denseRows, i, func(_ int, _ byte, slab uint32) {
+		if peer := c.posOf[slab]; id.Closer(c.ring.ids[peer], c.ring.ids[best], target) {
 			best, found = peer, true
 		}
 	})
@@ -384,12 +428,13 @@ func (c *Compact) AppendRouteSecure(src uint32, target id.ID, maxHops int, out [
 
 // ApplyDeparture removes a member and patches every survivor's state to
 // exactly what the per-node ApplyDeparture sequence produces: the one
-// slot the departed could occupy (row = shared-prefix length, col = its
-// next digit) is refilled — secure from the closest qualifying
-// survivor, standard by a uniform draw. Survivors are visited in
-// ascending ring order; rng draws happen only for nodes whose standard
-// slot actually held the departed peer. Leaf state is derived, so it
-// needs no repair.
+// slot per table the departed could occupy (row = shared-prefix length,
+// col = its next digit) is emptied if it held the departed, then
+// refilled — secure from the closest qualifying survivor, standard by a
+// uniform draw. Survivors are visited in ascending ring order; rng draws
+// happen only for nodes whose standard slot actually held the departed
+// peer. Slots store slabs, so no other slot changes. Leaf state is
+// derived, so it needs no repair.
 //
 // It appends to changed the post-departure positions of the survivors
 // whose routing-peer sequence (what AppendRoutingPeers yields, as
@@ -408,72 +453,61 @@ func (c *Compact) ApplyDeparture(peer id.ID, rng stats.Rand, changed []uint32) (
 	if len(c.ring.ids) == 1 {
 		return changed, fmt.Errorf("overlay: compact: departure would empty the ring")
 	}
+	gone := c.slabAt[k]
 	c.ring.ids = append(c.ring.ids[:k], c.ring.ids[k+1:]...)
 	c.ring.pairs = append(c.ring.pairs[:k], c.ring.pairs[k+1:]...)
+	c.slabAt = append(c.slabAt[:k], c.slabAt[k+1:]...)
+	c.posOf[gone] = NoIndex
+	c.renumberFrom(k)
 	c.secure.removeNode(c.denseRows, k)
 	c.standard.removeNode(c.denseRows, k)
+
+	// The ring closed over the gap between positions k-1 and k, so the
+	// survivors that had the departed as a leaf are the perSide positions
+	// on each side of it.
 	n := len(c.ring.ids)
-
-	// Record who actually held the departed peer before remapping
-	// erases the evidence; refills must not run for slots that were
-	// already empty or held someone else. Bit 2 marks the survivors that
-	// had it as a leaf: the ring closed over the gap between positions
-	// k-1 and k, so those are the perSide positions on each side of it.
-	flags := make([]uint8, n)
 	for j := 0; j < n; j++ {
-		if d := ringSteps(int(k), j, n); d < c.perSide || n-1-d < c.perSide {
-			flags[j] |= 4
-		}
-		row := id.CommonPrefixLen(c.ring.ids[j], peer)
-		if row >= id.Digits {
-			continue
-		}
-		col := peer.Digit(row)
-		if v, ok := c.secure.slot(c.denseRows, uint32(j), row, col); ok && v == k {
-			flags[j] |= 1
-		}
-		if v, ok := c.standard.slot(c.denseRows, uint32(j), row, col); ok && v == k {
-			flags[j] |= 2
-		}
-	}
-	c.secure.remapRemoval(k)
-	c.standard.remapRemoval(k)
-
-	for j := 0; j < n; j++ {
-		if flags[j]&(1|4) != 0 {
-			changed = append(changed, uint32(j))
-		}
-		if flags[j]&(1|2) == 0 {
-			continue
-		}
+		d := ringSteps(int(k), j, n)
+		moved := d < c.perSide || n-1-d < c.perSide
 		self := c.ring.ids[j]
 		row := id.CommonPrefixLen(self, peer)
 		col := peer.Digit(row)
-		target := self.WithDigit(row, col)
-		if flags[j]&1 != 0 {
-			if cand, ok := c.ring.closestWithPrefixExclIdx(target, row+1, j); ok {
-				c.secure.set(c.denseRows, uint32(j), row, col, uint32(cand))
+		if c.secure.clear(c.denseRows, uint32(j), row, col, gone) {
+			moved = true
+			if cand, ok := c.ring.closestWithPrefixExclIdx(self.WithDigit(row, col), row+1, j); ok {
+				c.secure.set(c.denseRows, uint32(j), row, col, c.slabAt[cand])
 			}
 		}
-		if flags[j]&2 != 0 {
-			if cand, ok := c.ring.uniformWithPrefixExclIdx(target, row+1, j, rng); ok {
-				c.standard.set(c.denseRows, uint32(j), row, col, uint32(cand))
+		if c.standard.clear(c.denseRows, uint32(j), row, col, gone) {
+			if cand, ok := c.ring.uniformWithPrefixExclIdx(self.WithDigit(row, col), row+1, j, rng); ok {
+				c.standard.set(c.denseRows, uint32(j), row, col, c.slabAt[cand])
 			}
+		}
+		if moved {
+			changed = append(changed, uint32(j))
 		}
 	}
 	return changed, nil
+}
+
+// renumberFrom records the ring positions of the members at position k
+// and past, after a splice shifted them.
+func (c *Compact) renumberFrom(k uint32) {
+	for i := int(k); i < len(c.slabAt); i++ {
+		c.posOf[c.slabAt[i]] = uint32(i)
+	}
 }
 
 // ringSteps returns the number of clockwise steps from position a to
 // position b on a ring of n positions.
 func ringSteps(a, b, n int) int { return ((b-a)%n + n) % n }
 
-// ApplyJoin admits a new member at its sorted position and patches
-// every existing node: the secure table takes the newcomer when it is
-// closer to the slot's target point than the incumbent, the standard
-// table only for empty slots. The newcomer's own tables are then built
-// from scratch with rng — the only draws the join consumes. Returns the
-// newcomer's position.
+// ApplyJoin admits a new member at its sorted position, under the next
+// unissued slab, and patches every existing node: the secure table takes
+// the newcomer when it is closer to the slot's target point than the
+// incumbent, the standard table only for empty slots. The newcomer's own
+// tables are then built from scratch with rng — the only draws the join
+// consumes. Returns the newcomer's position.
 //
 // As ApplyDeparture does, it appends to changed the post-join positions
 // of the existing members whose routing-peer sequence changed: those
@@ -491,10 +525,14 @@ func (c *Compact) ApplyJoin(peer id.ID, rng stats.Rand, changed []uint32) (uint3
 	c.ring.pairs = append(c.ring.pairs, id.Pair{})
 	copy(c.ring.pairs[k+1:], c.ring.pairs[k:])
 	c.ring.pairs[k] = peer.Pair()
+	slab := uint32(len(c.posOf))
+	c.slabAt = append(c.slabAt, 0)
+	copy(c.slabAt[k+1:], c.slabAt[k:])
+	c.slabAt[k] = slab
+	c.posOf = append(c.posOf, k)
+	c.renumberFrom(k + 1)
 	c.secure.insertNode(c.denseRows, k)
 	c.standard.insertNode(c.denseRows, k)
-	c.secure.remapInsertion(k)
-	c.standard.remapInsertion(k)
 
 	n := len(c.ring.ids)
 	for j := 0; j < n; j++ {
@@ -507,12 +545,12 @@ func (c *Compact) ApplyJoin(peer id.ID, rng stats.Rand, changed []uint32) (uint3
 		target := self.WithDigit(row, col)
 		d := ringSteps(int(k), j, n)
 		moved := d <= c.perSide || n-d <= c.perSide
-		if cur, ok := c.secure.slot(c.denseRows, uint32(j), row, col); !ok || id.Closer(peer, c.ring.ids[cur], target) {
-			c.secure.set(c.denseRows, uint32(j), row, col, k)
+		if cur, ok := c.secure.slot(c.denseRows, uint32(j), row, col); !ok || id.Closer(peer, c.ring.ids[c.posOf[cur]], target) {
+			c.secure.set(c.denseRows, uint32(j), row, col, slab)
 			moved = true
 		}
 		if _, ok := c.standard.slot(c.denseRows, uint32(j), row, col); !ok {
-			c.standard.set(c.denseRows, uint32(j), row, col, k)
+			c.standard.set(c.denseRows, uint32(j), row, col, slab)
 		}
 		if moved {
 			changed = append(changed, uint32(j))
@@ -523,12 +561,13 @@ func (c *Compact) ApplyJoin(peer id.ID, rng stats.Rand, changed []uint32) (uint3
 }
 
 // Footprint returns the overlay state's resident bytes: members (byte
-// and word-pair forms), dense slabs, and sparse tails (entries plus
-// slice headers). The per-node figure feeds the bytes_per_node scale
-// gate.
+// and word-pair forms), the ring↔slab mapping, dense rows, and sparse
+// tails (entries plus slice headers). The per-node figure feeds the
+// bytes_per_node scale gate.
 func (c *Compact) Footprint() int64 {
 	total := int64(len(c.ring.ids)) * id.Bytes
 	total += int64(len(c.ring.pairs)) * 16
+	total += int64(len(c.slabAt)+len(c.posOf)) * 4
 	for _, t := range []*compactTable{&c.secure, &c.standard} {
 		total += int64(len(t.dense)) * 4
 		total += int64(len(t.tail)) * 24 // slice headers
@@ -547,6 +586,7 @@ func newCompactTable(n, denseRows int) compactTable {
 	return compactTable{dense: dense, tail: make([][]CompactSlot, n)}
 }
 
+// slot returns the slab in node i's slot (row, col).
 func (t *compactTable) slot(dr int, i uint32, row int, col byte) (uint32, bool) {
 	if row < dr {
 		v := t.dense[(int(i)*dr+row)*id.Base+int(col)]
@@ -560,16 +600,16 @@ func (t *compactTable) slot(dr int, i uint32, row int, col byte) (uint32, bool) 
 	return 0, false
 }
 
-func (t *compactTable) set(dr int, i uint32, row int, col byte, peer uint32) {
+func (t *compactTable) set(dr int, i uint32, row int, col byte, slab uint32) {
 	if row < dr {
-		t.dense[(int(i)*dr+row)*id.Base+int(col)] = peer
+		t.dense[(int(i)*dr+row)*id.Base+int(col)] = slab
 		return
 	}
 	ts := t.tail[i]
 	pos := len(ts)
 	for p, s := range ts {
 		if int(s.Row) == row && s.Col == col {
-			ts[p].Peer = peer
+			ts[p].Peer = slab
 			return
 		}
 		if int(s.Row) > row || (int(s.Row) == row && s.Col > col) {
@@ -579,8 +619,33 @@ func (t *compactTable) set(dr int, i uint32, row int, col byte, peer uint32) {
 	}
 	ts = append(ts, CompactSlot{})
 	copy(ts[pos+1:], ts[pos:])
-	ts[pos] = CompactSlot{Row: uint8(row), Col: col, Peer: peer}
+	ts[pos] = CompactSlot{Row: uint8(row), Col: col, Peer: slab}
 	t.tail[i] = ts
+}
+
+// clear empties node i's slot (row, col) if it holds slab, and reports
+// whether it did. A cleared tail entry is spliced out, keeping the tail
+// sorted.
+func (t *compactTable) clear(dr int, i uint32, row int, col byte, slab uint32) bool {
+	if row < dr {
+		at := (int(i)*dr+row)*id.Base + int(col)
+		if t.dense[at] != slab {
+			return false
+		}
+		t.dense[at] = NoIndex
+		return true
+	}
+	ts := t.tail[i]
+	for p, s := range ts {
+		if int(s.Row) == row && s.Col == col {
+			if s.Peer != slab {
+				return false
+			}
+			t.tail[i] = append(ts[:p], ts[p+1:]...)
+			return true
+		}
+	}
+	return false
 }
 
 func (t *compactTable) occupancy(dr int, i uint32) int {
@@ -594,9 +659,9 @@ func (t *compactTable) occupancy(dr int, i uint32) int {
 	return n + len(t.tail[i])
 }
 
-// forEach visits node i's occupied slots in row-major order: the dense
-// rows first, then the (sorted) sparse tail.
-func (t *compactTable) forEach(dr int, i uint32, fn func(row int, col byte, peer uint32)) {
+// forEach visits node i's occupied slots, as slabs, in row-major order:
+// the dense rows first, then the (sorted) sparse tail.
+func (t *compactTable) forEach(dr int, i uint32, fn func(row int, col byte, slab uint32)) {
 	base := int(i) * dr * id.Base
 	for row := 0; row < dr; row++ {
 		for col := 0; col < id.Base; col++ {
@@ -610,13 +675,6 @@ func (t *compactTable) forEach(dr int, i uint32, fn func(row int, col byte, peer
 	}
 }
 
-func (t *compactTable) appendSlots(dr int, i uint32, out []CompactSlot) []CompactSlot {
-	t.forEach(dr, i, func(row int, col byte, peer uint32) {
-		out = append(out, CompactSlot{Row: uint8(row), Col: col, Peer: peer})
-	})
-	return out
-}
-
 // removeNode splices node k's storage out of the table.
 func (t *compactTable) removeNode(dr int, k uint32) {
 	stride := dr * id.Base
@@ -624,40 +682,6 @@ func (t *compactTable) removeNode(dr int, k uint32) {
 	t.dense = t.dense[:len(t.dense)-stride]
 	t.tail = append(t.tail[:k], t.tail[k+1:]...)
 }
-
-// remapRemoval shifts every stored index past the removed position down
-// by one and empties slots that pointed at it.
-func (t *compactTable) remapRemoval(k uint32) {
-	for p, v := range t.dense {
-		if v == k {
-			t.dense[p] = NoIndex
-			continue
-		}
-		t.dense[p] = v - atOrPast(v, k)
-	}
-	for i, ts := range t.tail {
-		if len(ts) == 0 {
-			continue
-		}
-		kept := ts[:0]
-		for _, s := range ts {
-			if s.Peer == k {
-				continue
-			}
-			s.Peer -= atOrPast(s.Peer, k)
-			kept = append(kept, s)
-		}
-		t.tail[i] = kept
-	}
-}
-
-// atOrPast returns 1 when the stored index v is occupied (not NoIndex)
-// and names position k or a later one, else 0 — as arithmetic, not as a
-// branch: over a million slots whose occupants are spread evenly over
-// the ring, "v ≥ k" is a coin flip the branch predictor loses half the
-// time, and a remap is nothing but that test. Positions stay below 2³¹,
-// so v-k wraps into the upper half exactly when v < k or v is NoIndex.
-func atOrPast(v, k uint32) uint32 { return (v-k)>>31 ^ 1 }
 
 // insertNode splices an empty storage block in at position k.
 func (t *compactTable) insertNode(dr int, k uint32) {
@@ -671,20 +695,6 @@ func (t *compactTable) insertNode(dr int, k uint32) {
 	t.tail = append(t.tail, nil)
 	copy(t.tail[k+1:], t.tail[k:])
 	t.tail[k] = nil
-}
-
-// remapInsertion shifts every stored index at or past the inserted
-// position up by one. Run after insertNode, before the newcomer's slots
-// fill.
-func (t *compactTable) remapInsertion(k uint32) {
-	for p, v := range t.dense {
-		t.dense[p] = v + atOrPast(v, k)
-	}
-	for _, ts := range t.tail {
-		for p := range ts {
-			ts[p].Peer += atOrPast(ts[p].Peer, k)
-		}
-	}
 }
 
 // LeafMeanSpacing returns the average inter-identifier gap across the

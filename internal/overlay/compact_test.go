@@ -1,6 +1,7 @@
 package overlay
 
 import (
+	"encoding/binary"
 	"math/rand/v2"
 	"slices"
 	"sort"
@@ -161,68 +162,226 @@ func TestCompactMatchesLegacyBuild(t *testing.T) {
 	}
 }
 
+// churnPair drives the legacy per-node states and the compact core
+// through the same join/depart sequence, with identical rng streams, so
+// that compareStates can check them against each other after every
+// event.
+type churnPair struct {
+	legacy map[id.ID]*RoutingState
+	ring   *Ring
+	c      *Compact
+
+	legacyRng, compactRng *rand.Rand
+	departed              []uint32 // slabs of departed members
+	// emptyDense and emptyTail count refills that found no candidate:
+	// slots that held the departed peer and are empty afterwards, in
+	// dense and in tail rows.
+	emptyDense, emptyTail int
+}
+
+func newChurnPair(t *testing.T, n int, seed uint64) *churnPair {
+	legacy, ring, c := buildBoth(t, n, seed)
+	return &churnPair{
+		legacy: legacy, ring: ring, c: c,
+		legacyRng:  rand.New(rand.NewPCG(seed, 501)),
+		compactRng: rand.New(rand.NewPCG(seed, 501)),
+	}
+}
+
+// join admits peer on both sides; it is a no-op for a current member.
+func (cp *churnPair) join(t *testing.T, peer id.ID) {
+	t.Helper()
+	if cp.ring.Contains(peer) {
+		return
+	}
+	grown, err := cp.ring.WithMember(peer)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cp.ring = grown
+	st, err := BuildRoutingState(peer, cp.ring, cp.legacyRng)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, x := range cp.ring.Members() {
+		if x == peer {
+			continue
+		}
+		if err := cp.legacy[x].ApplyJoin(peer); err != nil {
+			t.Fatal(err)
+		}
+	}
+	cp.legacy[peer] = st
+	if _, _, err := cp.c.ApplyJoin(peer, cp.compactRng, nil); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// depart removes peer on both sides and counts the compact refills
+// that left the departed peer's slot empty.
+func (cp *churnPair) depart(t *testing.T, peer id.ID) {
+	t.Helper()
+	shrunk, err := cp.ring.Without(map[id.ID]bool{peer: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cp.ring = shrunk
+	delete(cp.legacy, peer)
+	for _, x := range cp.ring.Members() {
+		if err := cp.legacy[x].ApplyDeparture(peer, cp.ring, cp.legacyRng); err != nil {
+			t.Fatal(err)
+		}
+	}
+	c := cp.c
+	k, _ := c.IndexOf(peer)
+	type heldSlot struct {
+		node     id.ID
+		row      int
+		col      byte
+		standard bool
+	}
+	var held []heldSlot
+	for i := uint32(0); i < uint32(c.Size()); i++ {
+		if i == k {
+			continue
+		}
+		row := id.CommonPrefixLen(c.ID(i), peer)
+		col := peer.Digit(row)
+		if v, ok := c.SecureSlot(i, row, col); ok && v == k {
+			held = append(held, heldSlot{c.ID(i), row, col, false})
+		}
+		if v, ok := c.StandardSlot(i, row, col); ok && v == k {
+			held = append(held, heldSlot{c.ID(i), row, col, true})
+		}
+	}
+	cp.departed = append(cp.departed, c.Slab(k))
+	if _, err := c.ApplyDeparture(peer, cp.compactRng, nil); err != nil {
+		t.Fatal(err)
+	}
+	for _, h := range held {
+		i, _ := c.IndexOf(h.node)
+		slot := c.SecureSlot
+		if h.standard {
+			slot = c.StandardSlot
+		}
+		if _, ok := slot(i, h.row, h.col); ok {
+			continue
+		}
+		if h.row < c.DenseRows() {
+			cp.emptyDense++
+		} else {
+			cp.emptyTail++
+		}
+	}
+}
+
+// check asserts the ring↔slab invariants, then slot-for-slot agreement
+// with the legacy states.
+func (cp *churnPair) check(t *testing.T, step int) {
+	t.Helper()
+	if cp.c.Size() != cp.ring.Size() {
+		t.Fatalf("step %d: compact size %d, ring %d", step, cp.c.Size(), cp.ring.Size())
+	}
+	checkSlabInvariants(t, cp.c, cp.departed)
+	compareStates(t, cp.legacy, cp.c, false)
+}
+
+// checkSlabInvariants asserts that Slab and Pos are inverse over the
+// live slabs, that every departed slab's Pos is NoIndex, and that no
+// slot of either table names a departed slab.
+func checkSlabInvariants(t *testing.T, c *Compact, departed []uint32) {
+	t.Helper()
+	live := 0
+	for p := uint32(0); p < uint32(c.Slabs()); p++ {
+		i := c.Pos(p)
+		if i == NoIndex {
+			continue
+		}
+		live++
+		if int(i) >= c.Size() || c.Slab(i) != p {
+			t.Fatalf("slab %d: Pos %d, whose Slab is not %d", p, i, p)
+		}
+	}
+	if live != c.Size() {
+		t.Fatalf("%d live slabs, %d members", live, c.Size())
+	}
+	for _, p := range departed {
+		if c.Pos(p) != NoIndex {
+			t.Fatalf("departed slab %d has Pos %d", p, c.Pos(p))
+		}
+	}
+	for i := uint32(0); i < uint32(c.Size()); i++ {
+		for _, tbl := range []*compactTable{&c.secure, &c.standard} {
+			tbl.forEach(c.denseRows, i, func(row int, col byte, slab uint32) {
+				if int(slab) >= c.Slabs() || c.Pos(slab) == NoIndex {
+					t.Fatalf("node %d: slot (%d,%d) names departed slab %d", i, row, col, slab)
+				}
+			})
+		}
+	}
+}
+
 func TestCompactMatchesLegacyChurn(t *testing.T) {
 	t.Parallel()
-	const seed = uint64(77)
-	legacy, ring, c := buildBoth(t, 90, seed)
-
-	legacyRng := rand.New(rand.NewPCG(seed, 501))
-	compactRng := rand.New(rand.NewPCG(seed, 501))
-	idRng := rand.New(rand.NewPCG(seed, 502))
-	pick := rand.New(rand.NewPCG(seed, 503))
-
-	for step := 0; step < 10; step++ {
-		if step%3 == 2 {
-			// Join a fresh identifier.
-			peer := id.Random(idRng)
-			if ring.Contains(peer) {
-				continue
-			}
-			grown, err := ring.WithMember(peer)
-			if err != nil {
-				t.Fatal(err)
-			}
-			ring = grown
-			st, err := BuildRoutingState(peer, ring, legacyRng)
-			if err != nil {
-				t.Fatal(err)
-			}
-			for _, x := range ring.Members() {
-				if x == peer {
-					continue
-				}
-				if err := legacy[x].ApplyJoin(peer); err != nil {
-					t.Fatal(err)
-				}
-			}
-			legacy[peer] = st
-			if _, _, err := c.ApplyJoin(peer, compactRng, nil); err != nil {
-				t.Fatal(err)
-			}
-		} else {
-			// Depart a random member.
-			peer := ring.Members()[pick.IntN(ring.Size())]
-			shrunk, err := ring.Without(map[id.ID]bool{peer: true})
-			if err != nil {
-				t.Fatal(err)
-			}
-			ring = shrunk
-			delete(legacy, peer)
-			for _, x := range ring.Members() {
-				if err := legacy[x].ApplyDeparture(peer, ring, legacyRng); err != nil {
-					t.Fatal(err)
-				}
-			}
-			if _, err := c.ApplyDeparture(peer, compactRng, nil); err != nil {
-				t.Fatal(err)
-			}
-		}
-		if c.Size() != ring.Size() {
-			t.Fatalf("step %d: compact size %d, ring %d", step, c.Size(), ring.Size())
-		}
-		compareStates(t, legacy, c, false)
+	cases := []struct {
+		name     string
+		n, steps int
+		seed     uint64
+	}{
+		{name: "n90", n: 90, steps: 10, seed: 77},
+		// denseRows(300) = 3: rows 3 and deeper live in sparse tails. Two
+		// departures per join shrink the ring by ≈30 members.
+		{name: "n300-tails", n: 300, steps: 90, seed: 301},
 	}
-	compareHops(t, legacy, c, seed)
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			t.Parallel()
+			cp := newChurnPair(t, tc.n, tc.seed)
+			idRng := rand.New(rand.NewPCG(tc.seed, 502))
+			pick := rand.New(rand.NewPCG(tc.seed, 503))
+			for step := 0; step < tc.steps; step++ {
+				if step%3 == 2 {
+					cp.join(t, id.Random(idRng))
+				} else {
+					cp.depart(t, cp.ring.Members()[pick.IntN(cp.ring.Size())])
+				}
+				cp.check(t, step)
+			}
+			compareHops(t, cp.legacy, cp.c, tc.seed)
+			if cp.emptyDense == 0 || cp.emptyTail == 0 {
+				t.Fatalf("refills with no candidate: %d dense, %d tail; want both > 0", cp.emptyDense, cp.emptyTail)
+			}
+		})
+	}
+}
+
+// FuzzCompactChurn checks the compact core against the legacy per-node
+// states over join/depart sequences the input selects, at N≈40. The
+// first eight bytes seed a PCG that draws every identifier — packed
+// identifiers from raw bytes tie under the legacy leaf set's float64
+// spacing — and each further byte is one event: an even byte joins a
+// fresh identifier, an odd one departs the member at (byte>>1) mod size.
+func FuzzCompactChurn(f *testing.F) {
+	f.Add([]byte("\x01\x00\x00\x00\x00\x00\x00\x00\x03\x05\x02\x07\x09\x04"))
+	f.Add([]byte("concilium churn\xff\xfd\xfb\xf9\xf7\xf5\xf3\xf1\xef\xed"))
+	f.Add([]byte("\x2a\x00\x00\x00\x00\x00\x00\x00\x00\x02\x04\x06\x01\x01\x01\x01\x01\x01"))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if len(data) < 8 {
+			return
+		}
+		const n, maxSteps, minSize = 40, 48, 8
+		seed := binary.LittleEndian.Uint64(data)
+		cp := newChurnPair(t, n, seed)
+		idRng := rand.New(rand.NewPCG(seed, 502))
+		for step, b := range data[8:min(len(data), 8+maxSteps)] {
+			if b&1 == 0 || cp.ring.Size() <= minSize {
+				cp.join(t, id.Random(idRng))
+			} else {
+				cp.depart(t, cp.ring.Members()[int(b>>1)%cp.ring.Size()])
+			}
+			cp.check(t, step)
+		}
+	})
 }
 
 // peerSequences returns every member's routing-peer sequence as
@@ -351,7 +510,7 @@ func TestCompactValidateSecure(t *testing.T) {
 		t.Fatal("node 0 has an empty secure table")
 	}
 	s := slots[0]
-	c.secure.set(c.denseRows, 0, int(s.Row), (s.Col+1)%id.Base, s.Peer)
+	c.secure.set(c.denseRows, 0, int(s.Row), (s.Col+1)%id.Base, c.Slab(s.Peer))
 	if err := c.ValidateSecure(0); err == nil {
 		t.Fatal("misplaced occupant accepted")
 	}

@@ -1,15 +1,12 @@
 // Package wire provides Concilium's bandwidth accounting (§4.4): the
 // byte-exact arithmetic model the paper uses (PSS-R signatures over
-// routing entries, one-byte path summaries, 30-byte striped probes) plus
-// gob codecs for persisting the live protocol's records. The arithmetic
+// routing entries, one-byte path summaries, 30-byte striped probes). The
 // model regenerates the paper's numbers — an ≈11.5 KB routing advert in
 // a 100,000-node overlay and ≈16.7 MB of outgoing traffic for one
 // heavyweight tree measurement.
 package wire
 
 import (
-	"bytes"
-	"encoding/gob"
 	"fmt"
 
 	"concilium/internal/core"
@@ -107,46 +104,4 @@ func Budget(model core.OccupancyModel, n, stripesPerPair, packetsPerStripe int) 
 		StripesPerPair:   stripesPerPair,
 		PacketsPerStripe: packetsPerStripe,
 	}, nil
-}
-
-// EncodeSnapshot serializes a snapshot for storage or transfer.
-func EncodeSnapshot(s *core.Snapshot) ([]byte, error) {
-	if s == nil {
-		return nil, fmt.Errorf("wire: nil snapshot")
-	}
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(s); err != nil {
-		return nil, fmt.Errorf("wire: encode snapshot: %w", err)
-	}
-	return buf.Bytes(), nil
-}
-
-// DecodeSnapshot reverses EncodeSnapshot.
-func DecodeSnapshot(raw []byte) (*core.Snapshot, error) {
-	var s core.Snapshot
-	if err := gob.NewDecoder(bytes.NewReader(raw)).Decode(&s); err != nil {
-		return nil, fmt.Errorf("wire: decode snapshot: %w", err)
-	}
-	return &s, nil
-}
-
-// EncodeChain serializes an amended accusation chain.
-func EncodeChain(c *core.RevisionChain) ([]byte, error) {
-	if c == nil {
-		return nil, fmt.Errorf("wire: nil chain")
-	}
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(c); err != nil {
-		return nil, fmt.Errorf("wire: encode chain: %w", err)
-	}
-	return buf.Bytes(), nil
-}
-
-// DecodeChain reverses EncodeChain.
-func DecodeChain(raw []byte) (*core.RevisionChain, error) {
-	var c core.RevisionChain
-	if err := gob.NewDecoder(bytes.NewReader(raw)).Decode(&c); err != nil {
-		return nil, fmt.Errorf("wire: decode chain: %w", err)
-	}
-	return &c, nil
 }

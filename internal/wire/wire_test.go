@@ -2,16 +2,9 @@ package wire
 
 import (
 	"math"
-	"math/rand/v2"
 	"testing"
-	"time"
 
 	"concilium/internal/core"
-	"concilium/internal/id"
-	"concilium/internal/netsim"
-	"concilium/internal/sigcrypto"
-	"concilium/internal/tomography"
-	"concilium/internal/topology"
 )
 
 func TestAdvertBytes(t *testing.T) {
@@ -77,94 +70,6 @@ func TestProbePacketSize(t *testing.T) {
 	// and 16 bits for a nonce)".
 	if ProbePacketBytes != 30 {
 		t.Errorf("ProbePacketBytes = %d, want 30", ProbePacketBytes)
-	}
-}
-
-func TestSnapshotCodecRoundTrip(t *testing.T) {
-	t.Parallel()
-	r := rand.New(rand.NewPCG(21, 22))
-	kp := sigcrypto.KeyPairFromRand(r)
-	nid := id.Random(r)
-	peer := id.Random(r)
-	snap := &core.Snapshot{
-		Prober: nid,
-		At:     netsim.Time(0).Add(5 * time.Minute),
-		Observations: []tomography.LinkObservation{
-			{Link: 3, Up: true}, {Link: 9, Up: false},
-		},
-		Entries: []core.AdvertEntry{
-			{Peer: peer, Freshness: sigcrypto.NewTimestamp(kp, peer, 100)},
-		},
-		LeafSpacing: 1e30,
-	}
-	snap.Sign(kp)
-
-	raw, err := EncodeSnapshot(snap)
-	if err != nil {
-		t.Fatal(err)
-	}
-	back, err := DecodeSnapshot(raw)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if back.Prober != snap.Prober || back.At != snap.At || len(back.Observations) != 2 {
-		t.Errorf("round trip mangled snapshot: %+v", back)
-	}
-	// The signature must survive transit.
-	if err := back.VerifySignature(kp.Public); err != nil {
-		t.Errorf("signature broken by codec: %v", err)
-	}
-	if _, err := EncodeSnapshot(nil); err == nil {
-		t.Error("nil snapshot encoded")
-	}
-	if _, err := DecodeSnapshot([]byte("junk")); err == nil {
-		t.Error("junk decoded")
-	}
-}
-
-func TestChainCodecRoundTrip(t *testing.T) {
-	t.Parallel()
-	r := rand.New(rand.NewPCG(23, 24))
-	accuser := id.Random(r)
-	accused := id.Random(r)
-	accuserKP := sigcrypto.KeyPairFromRand(r)
-	accusedKP := sigcrypto.KeyPairFromRand(r)
-
-	eng, err := core.NewBlameEngine(tomography.NewArchive(0), core.DefaultBlameConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := eng.Blame(accused, []topology.LinkID{1}, 100)
-	if err != nil {
-		t.Fatal(err)
-	}
-	commit := core.NewCommitment(accusedKP, accuser, accused, id.Random(r), 9, 90)
-	acc, err := core.NewAccusation(accuserKP, accuser, res, 9, []topology.LinkID{1}, commit)
-	if err != nil {
-		t.Fatal(err)
-	}
-	chain, err := core.NewRevisionChain([]core.Accusation{acc})
-	if err != nil {
-		t.Fatal(err)
-	}
-	raw, err := EncodeChain(chain)
-	if err != nil {
-		t.Fatal(err)
-	}
-	back, err := DecodeChain(raw)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if back.Culprit() != accused {
-		t.Error("culprit mangled")
-	}
-	keys := func(x id.ID) ([]byte, bool) { return nil, false }
-	_ = keys
-	if _, err := EncodeChain(nil); err == nil {
-		t.Error("nil chain encoded")
-	}
-	if _, err := DecodeChain(nil); err == nil {
-		t.Error("nil bytes decoded")
 	}
 }
 
