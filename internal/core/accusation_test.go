@@ -309,7 +309,7 @@ func TestSnapshotSignAndValidate(t *testing.T) {
 	if err := v.Ingest(arch, snap); err != nil {
 		t.Fatal(err)
 	}
-	if got := arch.Window(2, 0, now.Add(time.Hour)); len(got) != 1 || got[0].Up {
+	if got := arch.Window(2, 0, now.Add(time.Hour)); len(got) != 1 || got[0].Up() {
 		t.Errorf("ingested observation wrong: %+v", got)
 	}
 }

@@ -192,7 +192,7 @@ func (e *BlameEngine) linkConfidence(judged id.ID, self tomography.ProberHandle,
 	var sum float64
 	for run := span.Next(); run != nil; run = span.Next() {
 		for _, r := range run {
-			if e.selfExclusion && r.Prober == self {
+			if e.selfExclusion && r.Prober() == self {
 				continue
 			}
 			if e.filter != nil {
@@ -202,7 +202,7 @@ func (e *BlameEngine) linkConfidence(judged id.ID, self tomography.ProberHandle,
 				}
 			}
 			lc.Probes++
-			if r.Up {
+			if r.Up() {
 				sum += 1 - a
 			} else {
 				sum += a
@@ -276,10 +276,10 @@ func (w *witnessGroups) numberOf(rep id.ID) int32 {
 func (e *BlameEngine) groupedConfidence(judged id.ID, self tomography.ProberHandle, w *witnessGroups, span *tomography.Span, lc LinkConfidence, a float64) LinkConfidence {
 	for run := span.Next(); run != nil; run = span.Next() {
 		for _, r := range run {
-			if e.selfExclusion && r.Prober == self {
+			if e.selfExclusion && r.Prober() == self {
 				continue
 			}
-			g := w.of(e, r.Prober)
+			g := w.of(e, r.Prober())
 			if e.selfExclusion && g == 0 {
 				continue
 			}
@@ -291,7 +291,7 @@ func (e *BlameEngine) groupedConfidence(judged id.ID, self tomography.ProberHand
 			}
 			lc.Probes++
 			v := a
-			if r.Up {
+			if r.Up() {
 				v = 1 - a
 			}
 			j := w.slot[g]

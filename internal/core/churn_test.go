@@ -150,7 +150,7 @@ func TestJoinNodeIntegrates(t *testing.T) {
 	probed := false
 	for _, l := range tree.Links() {
 		for _, r := range s.Archive.Window(l, 0, s.Sim.Now()) {
-			probed = probed || (self != 0 && r.Prober == self)
+			probed = probed || (self != 0 && r.Prober() == self)
 		}
 	}
 	if !probed {

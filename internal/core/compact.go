@@ -402,8 +402,9 @@ func (cs *CompactSystem) SetBehavior(nid id.ID, b Behavior) error {
 }
 
 // TreeOf materializes node i's tomography tree: one BFS from its
-// attachment router plus path extraction per routing peer. Trees are
-// derived data — the build stores none, which is what removes the
+// attachment router, which searches only the graph's 2-core
+// (topology.RouteTree), plus path extraction per routing peer. Trees
+// are derived data — the build stores none, which is what removes the
 // O(N·routers) phase from the scale frontier; callers that sweep many
 // nodes should reuse scratch across calls. The traffic plane's
 // treeOfSlab caches the result per slab instead.

@@ -26,7 +26,7 @@ import (
 // ringCollusionFilter is the IndexOf-based compact collusion filter.
 func ringCollusionFilter(cs *CompactSystem) RecordFilter {
 	return func(judged id.ID, _ tomography.ProberHandle, rec tomography.ProbeRecord) (tomography.ProbeRecord, bool) {
-		pi, ok := cs.Overlay.IndexOf(cs.Archive.ProberID(rec.Prober))
+		pi, ok := cs.Overlay.IndexOf(cs.Archive.ProberID(rec.Prober()))
 		if !ok {
 			return rec, true
 		}
@@ -43,8 +43,7 @@ func ringCollusionFilter(cs *CompactSystem) RecordFilter {
 				ally = jb.DropsMessages
 			}
 		}
-		rec.Up = !ally
-		return rec, true
+		return rec.WithUp(!ally), true
 	}
 }
 
@@ -90,7 +89,7 @@ func requireFilterMatchesRing(t *testing.T, cs *CompactSystem, oracle *BlameEngi
 	for l := 0; l < cs.Topo.NumLinks(); l++ {
 		for _, rec := range cs.Archive.Window(topology.LinkID(l), 0, now) {
 			recs = append(recs, rec)
-			maxHandle = max(maxHandle, rec.Prober)
+			maxHandle = max(maxHandle, rec.Prober())
 		}
 	}
 	// The oracle's binary searches would dominate the run, so its answer
@@ -103,21 +102,21 @@ func requireFilterMatchesRing(t *testing.T, cs *CompactSystem, oracle *BlameEngi
 		clear(memo)
 		for _, rec := range recs {
 			got, keep := cs.collusionFilter(j, jh, rec)
-			k := 2 * int(rec.Prober)
-			if rec.Up {
+			k := 2 * int(rec.Prober())
+			if rec.Up() {
 				k++
 			}
 			if memo[k] == 0 {
 				memo[k] = 1
-				if want, _ := ring(j, 0, rec); want.Up {
+				if want, _ := ring(j, 0, rec); want.Up() {
 					memo[k] = 2
 				}
 			}
 			want := rec
-			want.Up = memo[k] == 2
+			want = want.WithUp(memo[k] == 2)
 			if !keep || got != want {
 				t.Fatalf("step %d: judging %s, record %+v by %s: filter gives %+v/%v, ring oracle %+v",
-					step, j.Short(), rec, cs.Archive.ProberID(rec.Prober).Short(), got, keep, want)
+					step, j.Short(), rec, cs.Archive.ProberID(rec.Prober()).Short(), got, keep, want)
 			}
 		}
 	}
@@ -326,7 +325,7 @@ func TestCompactBlameAllocatesOnlyEvidence(t *testing.T) {
 	for _, tr := range triples[:8] {
 		for _, l := range tr.span {
 			for _, rec := range cs.Archive.Window(l, tr.at.Add(-cs.Config.Blame.Delta), tr.at.Add(cs.Config.Blame.Delta)) {
-				if s, ok := cs.memberSlab(rec.Prober, cs.Archive.ProberID(rec.Prober)); ok && cs.behaviorBits[s]&2 != 0 {
+				if s, ok := cs.memberSlab(rec.Prober(), cs.Archive.ProberID(rec.Prober())); ok && cs.behaviorBits[s]&2 != 0 {
 					inverted++
 				}
 			}
@@ -364,10 +363,10 @@ func parentGroupedConfidence(e *BlameEngine, judged id.ID, link topology.LinkID,
 	var accs []acc
 	idx := make(map[id.ID]int)
 	for _, r := range recs {
-		if e.selfExclusion && r.Prober == self {
+		if e.selfExclusion && r.Prober() == self {
 			continue
 		}
-		g := e.group(e.archive.ProberID(r.Prober))
+		g := e.group(e.archive.ProberID(r.Prober()))
 		if e.selfExclusion && g == jg {
 			continue
 		}
@@ -379,7 +378,7 @@ func parentGroupedConfidence(e *BlameEngine, judged id.ID, link topology.LinkID,
 		}
 		lc.Probes++
 		v := a
-		if r.Up {
+		if r.Up() {
 			v = 1 - a
 		}
 		j, ok := idx[g]

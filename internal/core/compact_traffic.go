@@ -57,9 +57,9 @@ func (cs *CompactSystem) KeyDir() KeyDirectory {
 // (boundSlab, then ringSlab), so an honest prober's record costs a
 // table load and a bit test.
 func (cs *CompactSystem) collusionFilter(judged id.ID, judgedHandle tomography.ProberHandle, rec tomography.ProbeRecord) (tomography.ProbeRecord, bool) {
-	ps, ok := cs.boundSlab(rec.Prober)
+	ps, ok := cs.boundSlab(rec.Prober())
 	if !ok {
-		ps, ok = cs.ringSlab(cs.Archive.ProberID(rec.Prober))
+		ps, ok = cs.ringSlab(cs.Archive.ProberID(rec.Prober()))
 	}
 	if !ok || cs.behaviorBits[ps]&2 == 0 {
 		return rec, true
@@ -74,8 +74,7 @@ func (cs *CompactSystem) collusionFilter(judged id.ID, judgedHandle tomography.P
 			ally = jb.DropsMessages
 		}
 	}
-	rec.Up = !ally
-	return rec, true
+	return rec.WithUp(!ally), true
 }
 
 // memberSlab returns the slab of the current member behind archive

@@ -126,9 +126,9 @@ func (d *digest) archive(a *tomography.Archive, links int) {
 		recs := a.Window(topology.LinkID(l), math.MinInt64, math.MaxInt64)
 		d.u64(uint64(len(recs)))
 		for _, r := range recs {
-			d.id(a.ProberID(r.Prober))
-			d.u64(uint64(r.At))
-			d.flag(r.Up)
+			d.id(a.ProberID(r.Prober()))
+			d.u64(uint64(r.At()))
+			d.flag(r.Up())
 		}
 	}
 }

@@ -7,5 +7,5 @@ import (
 
 // probeRecord builds a record of archive a for filter tests.
 func probeRecord(a *tomography.Archive, prober id.ID, up bool) tomography.ProbeRecord {
-	return tomography.ProbeRecord{Prober: a.Intern(prober), Up: up}
+	return tomography.NewProbeRecord(0, a.Intern(prober), up)
 }

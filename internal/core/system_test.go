@@ -350,17 +350,17 @@ func TestCollusionFilterAdaptsToJudgment(t *testing.T) {
 	// judged (cover).
 	rec := probeRecord(s.Archive, liar, false)
 	out, keep := s.collusionFilter(honest, 0, rec)
-	if !keep || !out.Up {
-		t.Errorf("judging honest: up=%v keep=%v, want up=true", out.Up, keep)
+	if !keep || !out.Up() {
+		t.Errorf("judging honest: up=%v keep=%v, want up=true", out.Up(), keep)
 	}
 	out, keep = s.collusionFilter(liar, 0, rec)
-	if !keep || out.Up {
-		t.Errorf("judging colluder: up=%v keep=%v, want up=false", out.Up, keep)
+	if !keep || out.Up() {
+		t.Errorf("judging colluder: up=%v keep=%v, want up=false", out.Up(), keep)
 	}
 	// Honest probers' records pass through untouched.
 	rec = probeRecord(s.Archive, honest, false)
 	out, keep = s.collusionFilter(honest, 0, rec)
-	if !keep || out.Up {
+	if !keep || out.Up() {
 		t.Error("honest record altered")
 	}
 }

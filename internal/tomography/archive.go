@@ -19,12 +19,40 @@ import (
 type ProberHandle uint32
 
 // ProbeRecord is one archived link observation: which host probed, when,
-// and the probed status (the paper's p.l_up bit). Sixteen bytes — the
-// archive is the largest structure a probing deployment retains.
+// and the probed status (the paper's p.l_up bit). It is twelve bytes in
+// three words — the time's high and low halves, and the prober's handle
+// shifted left past the status bit — because the archive is the largest
+// structure a probing deployment retains. A record is written by one
+// store: splitting the words into parallel arrays would reach the
+// same size but touch two cache lines per record.
 type ProbeRecord struct {
-	At     netsim.Time
-	Prober ProberHandle // resolve with Archive.ProberID
-	Up     bool
+	atHi, atLo uint32
+	proberUp   uint32 // handle<<1 | up
+}
+
+// NewProbeRecord packs one observation. The handle must fit 31 bits,
+// which every handle an Archive issues does.
+func NewProbeRecord(at netsim.Time, prober ProberHandle, up bool) ProbeRecord {
+	r := ProbeRecord{atHi: uint32(uint64(at) >> 32), atLo: uint32(at), proberUp: uint32(prober) << 1}
+	return r.WithUp(up)
+}
+
+// At returns the time the prober observed the link.
+func (r ProbeRecord) At() netsim.Time { return netsim.Time(int64(r.atHi)<<32 | int64(r.atLo)) }
+
+// Prober returns the prober's handle; resolve it with Archive.ProberID.
+func (r ProbeRecord) Prober() ProberHandle { return ProberHandle(r.proberUp >> 1) }
+
+// Up returns the probed status.
+func (r ProbeRecord) Up() bool { return r.proberUp&1 != 0 }
+
+// WithUp returns r with its status set to up.
+func (r ProbeRecord) WithUp(up bool) ProbeRecord {
+	r.proberUp &^= 1
+	if up {
+		r.proberUp |= 1
+	}
+	return r
 }
 
 // Archive stores disseminated probe results indexed by link. Every node
@@ -88,16 +116,17 @@ type Archive struct {
 }
 
 const (
-	minChunkLog = 3 // 8 records, two cache lines
-	maxChunkLog = 8 // 256 records, one page
+	minChunkLog = 3 // 8 records, 96 B
+	maxChunkLog = 8 // 256 records, 3 KiB
 	numClasses  = maxChunkLog - minChunkLog + 1
 	classShift  = 28
 	freeChunk   = -2
 
-	blockLog = 12 // pools grow by 4096 records, 64 KiB
+	blockLog = 12 // pools grow by 4096 records, 48 KiB
 	blockLen = 1 << blockLog
 
-	recordBytes = 16
+	recordBytes = 12
+	maxHandle   = 1<<31 - 1 // a record keeps 31 bits of handle
 	headBytes   = 32
 	// chunkMetaBytes is a chunk's entries in loc, next, prev and firstAt.
 	chunkMetaBytes = 4 + 4 + 4 + 8
@@ -152,6 +181,9 @@ func NewArchive(numLinks int) *Archive {
 func (a *Archive) Intern(prober id.ID) ProberHandle {
 	h, ok := a.handleOf[prober]
 	if !ok {
+		if len(a.probers) == maxHandle {
+			panic("tomography: archive interned 2^31-1 probers")
+		}
 		a.probers = append(a.probers, prober)
 		h = ProberHandle(len(a.probers))
 		a.handleOf[prober] = h
@@ -219,7 +251,7 @@ func (a *Archive) append(h ProberHandle, at netsim.Time, obs []LinkObservation) 
 			a.next[hd.tail], a.prev[c] = c, hd.tail
 			hd.tail, hd.fill = c, 0
 		}
-		a.chunk(hd.tail, hd.fill+1)[hd.fill] = ProbeRecord{At: at, Prober: h, Up: o.Up}
+		a.chunk(hd.tail, hd.fill+1)[hd.fill] = NewProbeRecord(at, h, o.Up)
 		hd.fill++
 		hd.n++
 		hd.last = at
@@ -384,7 +416,7 @@ func (s *Span) Next() []ProbeRecord {
 		return recs
 	}
 	s.chunk = -1
-	if recs[len(recs)-1].At > s.to {
+	if recs[len(recs)-1].At() > s.to {
 		recs = recs[:lowerBound(recs, s.to+1)]
 	}
 	if len(recs) == 0 {
@@ -405,7 +437,7 @@ func lowerBound(recs []ProbeRecord, t netsim.Time) int {
 	lo, hi := 0, len(recs)
 	for lo < hi {
 		m := int(uint(lo+hi) >> 1)
-		if recs[m].At < t {
+		if recs[m].At() < t {
 			lo = m + 1
 		} else {
 			hi = m

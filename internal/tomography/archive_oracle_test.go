@@ -58,10 +58,10 @@ func (a *mapArchive) record(prober id.ID, at netsim.Time, obs []LinkObservation)
 	h := a.intern(prober)
 	for _, o := range obs {
 		recs := a.byLink[o.Link]
-		if len(recs) > 0 && recs[len(recs)-1].At > at {
+		if len(recs) > 0 && recs[len(recs)-1].At() > at {
 			return fmt.Errorf("out-of-order record for link %d", o.Link)
 		}
-		a.byLink[o.Link] = append(recs, ProbeRecord{At: at, Prober: h, Up: o.Up})
+		a.byLink[o.Link] = append(recs, NewProbeRecord(at, h, o.Up))
 		a.size++
 	}
 	a.records.Add(uint64(len(obs)))
@@ -71,15 +71,15 @@ func (a *mapArchive) record(prober id.ID, at netsim.Time, obs []LinkObservation)
 
 func (a *mapArchive) window(link topology.LinkID, from, to netsim.Time) []ProbeRecord {
 	recs := a.byLink[link]
-	lo := sort.Search(len(recs), func(i int) bool { return recs[i].At >= from })
-	hi := sort.Search(len(recs), func(i int) bool { return recs[i].At > to })
+	lo := sort.Search(len(recs), func(i int) bool { return recs[i].At() >= from })
+	hi := sort.Search(len(recs), func(i int) bool { return recs[i].At() > to })
 	return recs[lo:hi]
 }
 
 func (a *mapArchive) prune(before netsim.Time) {
 	var dropped int
 	for link, recs := range a.byLink {
-		cut := sort.Search(len(recs), func(i int) bool { return recs[i].At >= before })
+		cut := sort.Search(len(recs), func(i int) bool { return recs[i].At() >= before })
 		if cut == 0 {
 			continue
 		}

@@ -80,7 +80,7 @@ func TestArchiveFootprintBoundedUnderChurn(t *testing.T) {
 	const (
 		retention = 1000 // sweeps
 		periods   = 60
-		bound     = 4.0 // footprint / (live records × 16 B)
+		bound     = 4.0 // footprint / (live records × recordBytes)
 	)
 	if got := unsafe.Sizeof(linkHead{}); got != headBytes {
 		t.Fatalf("linkHead is %d bytes, Footprint counts %d", got, headBytes)

@@ -1,6 +1,7 @@
 package tomography
 
 import (
+	"math"
 	"reflect"
 	"slices"
 	"testing"
@@ -109,14 +110,14 @@ func TestPatchTreeEqualsBuildTree(t *testing.T) {
 }
 
 // TestArchiveProberHandles covers what interning changed: records carry
-// a 4-byte handle in a 16-byte record, the archive resolves it both
-// ways, a prober that never recorded has the zero handle no record
-// carries, and a handle outlives both the pruning of the prober's last
-// record and later re-recording by the same prober.
+// a handle in a 12-byte record, the archive resolves it both ways, a
+// prober that never recorded has the zero handle no record carries, and
+// a handle outlives both the pruning of the prober's last record and
+// later re-recording by the same prober.
 func TestArchiveProberHandles(t *testing.T) {
 	t.Parallel()
-	if got := unsafe.Sizeof(ProbeRecord{}); got != 16 {
-		t.Errorf("ProbeRecord is %d bytes, want 16", got)
+	if got := unsafe.Sizeof(ProbeRecord{}); got != recordBytes {
+		t.Errorf("ProbeRecord is %d bytes, want %d", got, recordBytes)
 	}
 	a := NewArchive(4)
 	r := testRand()
@@ -149,7 +150,7 @@ func TestArchiveProberHandles(t *testing.T) {
 	}
 
 	recs := a.Window(3, 0, 1000)
-	if len(recs) != 3 || recs[0].Prober != he || recs[1].Prober != hl || recs[2].Prober != hl {
+	if len(recs) != 3 || recs[0].Prober() != he || recs[1].Prober() != hl || recs[2].Prober() != hl {
 		t.Fatalf("window = %+v", recs)
 	}
 
@@ -160,15 +161,36 @@ func TestArchiveProberHandles(t *testing.T) {
 	if a.Size() != 2 {
 		t.Fatalf("after prune Size = %d, want 2", a.Size())
 	}
-	if a.ProberID(kept.Prober) != early || a.Handle(early) != he {
+	if a.ProberID(kept.Prober()) != early || a.Handle(early) != he {
 		t.Error("pruned-away prober's handle no longer resolves")
 	}
 	record(early, 400)
-	if recs := a.Window(3, 400, 400); len(recs) != 1 || recs[0].Prober != he {
+	if recs := a.Window(3, 400, 400); len(recs) != 1 || recs[0].Prober() != he {
 		t.Errorf("re-recording prober got %+v, want handle %d", recs, he)
 	}
 	a.Prune(1000)
 	if a.Size() != 0 || a.ProberID(hl) != late {
 		t.Error("emptied archive lost its intern table")
+	}
+}
+
+// TestProbeRecordPacking round-trips the packed record's three fields
+// at their extremes: times of either sign and beyond 32 bits, the
+// largest handle an archive issues, and both statuses.
+func TestProbeRecordPacking(t *testing.T) {
+	t.Parallel()
+	for _, at := range []netsim.Time{0, 1, -1, 1 << 32, 1<<32 - 1, math.MaxInt64, math.MinInt64, -123456789012345} {
+		for _, h := range []ProberHandle{0, 1, 0x5555_5555, maxHandle} {
+			for _, up := range []bool{false, true} {
+				r := NewProbeRecord(at, h, up)
+				if r.At() != at || r.Prober() != h || r.Up() != up {
+					t.Fatalf("NewProbeRecord(%d, %d, %v) reads back %d, %d, %v", at, h, up, r.At(), r.Prober(), r.Up())
+				}
+				f := r.WithUp(!up)
+				if f.At() != at || f.Prober() != h || f.Up() == up {
+					t.Fatalf("WithUp(%v) of (%d, %d) reads back %d, %d, %v", !up, at, h, f.At(), f.Prober(), f.Up())
+				}
+			}
+		}
 	}
 }

@@ -535,7 +535,7 @@ func TestArchiveWindowQueries(t *testing.T) {
 	add(p1, 300, true)
 
 	recs := a.Window(7, 150, 250)
-	if len(recs) != 1 || a.ProberID(recs[0].Prober) != p2 || recs[0].Up {
+	if len(recs) != 1 || a.ProberID(recs[0].Prober()) != p2 || recs[0].Up() {
 		t.Errorf("window [150,250] = %+v", recs)
 	}
 	// Inclusive bounds.

@@ -36,8 +36,9 @@ type Tree struct {
 	links []topology.LinkID // distinct, ascending
 }
 
-// BuildTree derives T_H from the topology: one BFS from the root router,
-// then path extraction per peer. Peers whose router is unreachable are
+// BuildTree derives T_H from the topology: one search from the root
+// router (topology.Graph.BFS, which labels the graph's 2-core), then
+// path extraction per peer. Peers whose router is unreachable are
 // skipped (they cannot be probed at all).
 func BuildTree(g *topology.Graph, root id.ID, rootRouter topology.RouterID, peers []Leaf) (*Tree, error) {
 	if g == nil {
@@ -50,12 +51,12 @@ func BuildTree(g *topology.Graph, root id.ID, rootRouter topology.RouterID, peer
 	return BuildTreeBFS(bfs, root, rootRouter, peers)
 }
 
-// BuildTreeBFS derives T_H from a previously computed shortest-path
-// tree, skipping the BFS — the churn path rebuilds many trees against
-// the same immutable graph, so callers cache the RouteTree per root
-// router and pay only path extraction per rebuild. bfs must be rooted
-// at rootRouter over the current graph; a topology change invalidates
-// any cached RouteTree and requires a fresh BFS (see BuildTree).
+// BuildTreeBFS derives T_H from a shortest-path tree the caller already
+// searched, so a caller that sweeps many nodes reuses one BFSScratch
+// (CompactSystem.TreeOf). No caller keeps a RouteTree per root: a
+// search is cheap next to the tree it feeds, and the churn path
+// patches trees instead (PatchTree). bfs must be rooted at rootRouter
+// over the current graph.
 //
 // All leaf paths share one flat backing array sized to the exact hop
 // total, so a rebuild costs a constant number of allocations regardless
@@ -105,8 +106,8 @@ func distinctLinks(flat []topology.LinkID) []topology.LinkID {
 	return slices.Clone(slices.Compact(all))
 }
 
-// PatchScratch holds the reusable state of PatchTree calls: the BFS
-// arrays, the per-peer match against the old tree and the routers still
+// PatchScratch holds the reusable state of PatchTree calls: the search
+// labels, the per-peer match against the old tree and the routers still
 // to be found. The zero value is ready to use; a scratch belongs to one
 // goroutine.
 type PatchScratch struct {
@@ -117,11 +118,13 @@ type PatchScratch struct {
 
 // PatchTree derives the same T_H BuildTree does, paying only for what
 // old does not already hold: the path of every peer old reached (same
-// node, same router) is kept, and one BFS runs that stops as soon as the
-// routers of the remaining peers are labelled. Paths in a shortest-path
-// tree depend only on the graph and the root, and an early-stopped
-// search labels exactly as a full one (topology.BFSUntil), so the result
-// equals a from-scratch build leaf for leaf. A nil old is the case where
+// node, same router) is kept, and one search runs that stops as soon as
+// the anchors of the remaining peers' routers are labelled — it reads
+// only the graph's 2-core, and a peer hanging below the root's own
+// anchor needs no search at all. Paths in a shortest-path tree depend
+// only on the graph and the root, and an early-stopped search labels
+// exactly as a full one (topology.BFSUntil), so the result equals a
+// from-scratch build leaf for leaf. A nil old is the case where
 // no peer is found. old must be rooted at rootRouter over the same
 // graph.
 //

@@ -1,60 +1,67 @@
 package topology
 
 import (
+	"math/rand/v2"
 	"slices"
+	"sync"
 	"testing"
 )
 
-// TestBFSIntoMatchesBFS pins the scratch-reusing BFS against the
-// allocating one: the same immutable graph, many sources, one shared
-// scratch — every tree must agree on reachability, distance, and path
-// for every destination, including runs where the scratch is recycled
-// across sources.
+// benchScaleConfig is the sizing rule the benchmark and the scale
+// figure use, at about n overlay nodes: a fixed transit core whose stub
+// count grows so that about 2n end hosts exist.
+func benchScaleConfig(n int) Config {
+	const hostsPerSPT = 4 * 10 * 6
+	return Config{
+		TransitDomains:          4,
+		RoutersPerTransitDomain: 10,
+		TransitChordsPerRouter:  1,
+		InterDomainLinks:        2,
+		StubsPerTransitRouter:   max((2*n+hostsPerSPT-1)/hostsPerSPT, 1),
+		MeanRoutersPerStub:      6,
+		StubChordFraction:       0.2,
+		StubMultihomeFraction:   0.1,
+		HostsPerStubRouter:      1.0,
+	}
+}
+
+// TestBFSIntoMatchesBFS pins BFS and the scratch-reusing BFSInto to the
+// whole-graph oracle: every destination's reachability, hop count and
+// path must agree, with the scratch recycled across sources. It runs
+// on the generated configurations (20 sources each) and on small random
+// graphs of every shape — forests with an empty 2-core, rings with
+// trees hanging off them, disconnected graphs, isolated routers and
+// dense cores — from every source.
 func TestBFSIntoMatchesBFS(t *testing.T) {
 	t.Parallel()
-	g, err := Generate(TestConfig(), testRand())
-	if err != nil {
-		t.Fatal(err)
+	configs := []struct {
+		name string
+		cfg  Config
+	}{
+		{"test", TestConfig()},
+		{"treelike", TreelikeConfig()},
+		{"default", DefaultConfig()},
+		{"bench-n10k", benchScaleConfig(10_000)},
 	}
-	var scratch BFSScratch
-	n := g.NumRouters()
-	step := n/17 + 1
-	for src := RouterID(0); int(src) < n; src += RouterID(step) {
-		want, err := g.BFS(src)
-		if err != nil {
-			t.Fatal(err)
-		}
-		got, err := g.BFSInto(&scratch, src)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for dst := RouterID(0); int(dst) < n; dst++ {
-			if want.Reachable(dst) != got.Reachable(dst) {
-				t.Fatalf("src %d dst %d: reachability differs", src, dst)
-			}
-			if !want.Reachable(dst) {
-				continue
-			}
-			if want.HopCount(dst) != got.HopCount(dst) {
-				t.Fatalf("src %d dst %d: hops %d vs %d", src, dst, want.HopCount(dst), got.HopCount(dst))
-			}
-			wp, err := want.PathTo(dst)
+	for _, tc := range configs {
+		t.Run(tc.name, func(t *testing.T) {
+			t.Parallel()
+			g, err := Generate(tc.cfg, testRand())
 			if err != nil {
 				t.Fatal(err)
 			}
-			gp, err := got.PathTo(dst)
-			if err != nil {
-				t.Fatal(err)
+			requireSources(t, g, &BFSScratch{}, g.NumRouters()/20+1)
+		})
+	}
+	for shape := graphShape(0); shape < numShapes; shape++ {
+		t.Run("random-"+shape.String(), func(t *testing.T) {
+			t.Parallel()
+			r := rand.New(rand.NewPCG(uint64(shape), 17))
+			var scratch BFSScratch
+			for k := 0; k < 60; k++ {
+				requireSources(t, randomGraph(t, r, shape), &scratch, 1)
 			}
-			if len(wp) != len(gp) {
-				t.Fatalf("src %d dst %d: path lengths %d vs %d", src, dst, len(wp), len(gp))
-			}
-			for i := range wp {
-				if wp[i] != gp[i] {
-					t.Fatalf("src %d dst %d: paths diverge at hop %d", src, dst, i)
-				}
-			}
-		}
+		})
 	}
 }
 
@@ -69,12 +76,14 @@ func TestBFSIntoRejectsBadSource(t *testing.T) {
 }
 
 // TestBFSUntilMatchesBFSInto pins the early-stopping search against the
-// full one on three generated graphs: whatever it labelled before the
-// stop — every target, and every router on the way to one — has the
-// full search's distance and path, every target the graph connects is
-// labelled, and what it did not get to reads as unreachable. Target
-// sets include the source, duplicates and (on a graph with an isolated
-// router added) a target no search can reach.
+// full one and the oracle: whatever it labelled before the stop — every
+// target, and every router on the way to one — has the full search's
+// distance and path, every target the graph connects is labelled, and
+// what it did not get to reads as unreachable. Target sets include the
+// source, duplicates and (on a graph with an isolated router added) a
+// target no search can reach. The generated configurations must stop
+// early at least once; the small random graphs of every shape add
+// forests, rings, disconnected graphs and isolated routers.
 func TestBFSUntilMatchesBFSInto(t *testing.T) {
 	t.Parallel()
 	cases := []struct {
@@ -88,7 +97,6 @@ func TestBFSUntilMatchesBFSInto(t *testing.T) {
 		{"default", DefaultConfig(), 40},
 	}
 	for _, tc := range cases {
-		tc := tc
 		t.Run(tc.name, func(t *testing.T) {
 			t.Parallel()
 			r := testRand()
@@ -98,8 +106,7 @@ func TestBFSUntilMatchesBFSInto(t *testing.T) {
 			}
 			n := g.NumRouters()
 			// One router nothing links to: unreachable from everywhere.
-			g.adj = append(g.adj, nil)
-			island := RouterID(n)
+			island := g.AddRouter()
 			var full, bounded BFSScratch
 			stoppedEarly := false
 			for round := 0; round < 25; round++ {
@@ -112,43 +119,7 @@ func TestBFSUntilMatchesBFSInto(t *testing.T) {
 				if round%5 == 4 {
 					targets = append(targets, island)
 				}
-				want, err := g.BFSInto(&full, src)
-				if err != nil {
-					t.Fatal(err)
-				}
-				got, err := g.BFSUntil(&bounded, src, targets)
-				if err != nil {
-					t.Fatal(err)
-				}
-				for _, dst := range targets {
-					if got.Reachable(dst) != want.Reachable(dst) {
-						t.Fatalf("src %d: target %d reachable=%v, full search says %v", src, dst, got.Reachable(dst), want.Reachable(dst))
-					}
-				}
-				labelled := 0
-				for dst := RouterID(0); int(dst) <= n; dst++ {
-					if !got.Reachable(dst) {
-						if _, err := got.PathTo(dst); err == nil {
-							t.Fatalf("src %d: unlabelled router %d has a path", src, dst)
-						}
-						continue
-					}
-					labelled++
-					if got.HopCount(dst) != want.HopCount(dst) {
-						t.Fatalf("src %d dst %d: hops %d, full search %d", src, dst, got.HopCount(dst), want.HopCount(dst))
-					}
-					gp, err := got.PathTo(dst)
-					if err != nil {
-						t.Fatal(err)
-					}
-					wp, err := want.PathTo(dst)
-					if err != nil {
-						t.Fatal(err)
-					}
-					if !slices.Equal(gp, wp) {
-						t.Fatalf("src %d dst %d: path %v, full search %v", src, dst, gp, wp)
-					}
-				}
+				labelled := requireUntilMatches(t, g, &full, &bounded, src, targets)
 				if labelled < n && round%5 != 4 {
 					stoppedEarly = true
 				}
@@ -158,8 +129,148 @@ func TestBFSUntilMatchesBFSInto(t *testing.T) {
 			}
 		})
 	}
+	for shape := graphShape(0); shape < numShapes; shape++ {
+		t.Run("random-"+shape.String(), func(t *testing.T) {
+			t.Parallel()
+			r := rand.New(rand.NewPCG(uint64(shape), 23))
+			var full, bounded BFSScratch
+			for k := 0; k < 60; k++ {
+				g := randomGraph(t, r, shape)
+				n := g.NumRouters()
+				for round := 0; round < 10; round++ {
+					targets := make([]RouterID, 1+r.IntN(3))
+					for i := range targets {
+						targets[i] = RouterID(r.IntN(n))
+					}
+					requireUntilMatches(t, g, &full, &bounded, RouterID(r.IntN(n)), targets)
+				}
+			}
+		})
+	}
 	g := mustGraph(t, 3)
 	if _, err := g.BFSUntil(&BFSScratch{}, 0, []RouterID{7}); err == nil {
 		t.Error("out-of-range target accepted")
 	}
+}
+
+// requireUntilMatches runs BFSUntil from src toward targets and checks
+// it against BFSInto and the oracle. It returns how many routers the
+// early-stopped search reads as reachable.
+func requireUntilMatches(t *testing.T, g *Graph, full, bounded *BFSScratch, src RouterID, targets []RouterID) int {
+	t.Helper()
+	o := oracleBFS(g, src)
+	want, err := g.BFSInto(full, src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := g.BFSUntil(bounded, src, targets)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, dst := range targets {
+		if got.Reachable(dst) != want.Reachable(dst) {
+			t.Fatalf("src %d: target %d reachable=%v, full search says %v", src, dst, got.Reachable(dst), want.Reachable(dst))
+		}
+	}
+	labelled := 0
+	for dst := RouterID(0); int(dst) < g.NumRouters(); dst++ {
+		requireMatchesOracle(t, o, got, dst, true)
+		if !got.Reachable(dst) {
+			continue
+		}
+		labelled++
+		gp, _ := got.PathTo(dst)
+		wp, _ := want.PathTo(dst)
+		if !slices.Equal(gp, wp) {
+			t.Fatalf("src %d dst %d: path %v, full search %v", src, dst, gp, wp)
+		}
+	}
+	return labelled
+}
+
+// TestRouteIndexConcurrentFirstSearch starts several searches of a
+// fresh graph at once, so they race to build its route index; under
+// -race any unguarded access fails. Every tree must still match the
+// oracle. Adding a link afterwards drops the index, and the next search
+// sees the new link.
+func TestRouteIndexConcurrentFirstSearch(t *testing.T) {
+	t.Parallel()
+	g, err := Generate(TestConfig(), testRand())
+	if err != nil {
+		t.Fatal(err)
+	}
+	const workers = 8
+	hosts := g.EndHosts()
+	trees := make([]*RouteTree, workers)
+	var wg sync.WaitGroup
+	for w := range trees {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			var s BFSScratch
+			if w%2 == 0 {
+				trees[w], _ = g.BFSInto(&s, hosts[w])
+			} else {
+				trees[w], _ = g.BFSUntil(&s, hosts[w], hosts[w+1:w+2])
+			}
+		}()
+	}
+	wg.Wait()
+	for w, tree := range trees {
+		if tree == nil {
+			t.Fatalf("worker %d: search failed", w)
+		}
+		o := oracleBFS(g, hosts[w])
+		for dst := RouterID(0); int(dst) < g.NumRouters(); dst++ {
+			requireMatchesOracle(t, o, tree, dst, w%2 == 1)
+		}
+	}
+
+	a, b := hosts[0], hosts[len(hosts)-1]
+	if _, err := g.AddLink(a, b); err != nil {
+		t.Fatal(err)
+	}
+	tree, err := g.BFS(a)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if tree.HopCount(b) != 1 {
+		t.Fatalf("after AddLink: hops %d-%d = %d, want 1", a, b, tree.HopCount(b))
+	}
+	requireSources(t, g, &BFSScratch{}, g.NumRouters()/5)
+}
+
+// BenchmarkBFSScale times the two searches a tomography tree pays for,
+// on the benchmark's topology at N≈10k: a full BFSInto from an end
+// host, and a BFSUntil from one end host to another.
+func BenchmarkBFSScale(b *testing.B) {
+	g, err := Generate(benchScaleConfig(10_000), testRand())
+	if err != nil {
+		b.Fatal(err)
+	}
+	hosts := g.EndHosts()
+	var s BFSScratch
+	if _, err := g.BFSInto(&s, hosts[0]); err != nil {
+		b.Fatal(err)
+	}
+	b.Run("full", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			if _, err := g.BFSInto(&s, hosts[i%len(hosts)]); err != nil {
+				b.Fatal(err)
+			}
+		}
+		b.ReportMetric(float64(b.Elapsed().Microseconds())/float64(b.N), "us/search")
+	})
+	b.Run("until-host", func(b *testing.B) {
+		b.ReportAllocs()
+		var target [1]RouterID
+		for i := 0; i < b.N; i++ {
+			target[0] = hosts[(i*7919+1)%len(hosts)]
+			if _, err := g.BFSUntil(&s, hosts[i%len(hosts)], target[:]); err != nil {
+				b.Fatal(err)
+			}
+		}
+		b.ReportMetric(float64(b.Elapsed().Microseconds())/float64(b.N), "us/search")
+	})
 }

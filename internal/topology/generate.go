@@ -273,6 +273,7 @@ func Generate(cfg Config, src stats.Rand) (*Graph, error) {
 
 // AddRouter appends a new isolated router and returns its ID.
 func (g *Graph) AddRouter() RouterID {
+	g.index.Store(nil)
 	g.adj = append(g.adj, nil)
 	return RouterID(len(g.adj) - 1)
 }

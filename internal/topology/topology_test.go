@@ -2,13 +2,14 @@ package topology
 
 import (
 	"math/rand/v2"
+	"slices"
 	"testing"
 	"testing/quick"
 )
 
 func testRand() *rand.Rand { return rand.New(rand.NewPCG(11, 13)) }
 
-func mustGraph(t *testing.T, n int) *Graph {
+func mustGraph(t testing.TB, n int) *Graph {
 	t.Helper()
 	g, err := NewGraph(n)
 	if err != nil {
@@ -110,15 +111,8 @@ func TestBFSPathsOnLine(t *testing.T) {
 	if len(path) != 3 || path[0] != links[0] || path[1] != links[1] || path[2] != links[2] {
 		t.Errorf("path = %v, want %v", path, links)
 	}
-	routers, err := tree.RoutersTo(3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := []RouterID{0, 1, 2, 3}
-	for i, r := range want {
-		if routers[i] != r {
-			t.Fatalf("routers = %v, want %v", routers, want)
-		}
+	if routers := walkPath(t, g, 0, path); !slices.Equal(routers, []RouterID{0, 1, 2, 3}) {
+		t.Fatalf("routers = %v, want 0 1 2 3", routers)
 	}
 	// Path to self is empty.
 	self, err := tree.PathTo(0)
@@ -308,8 +302,8 @@ func TestPropAdjacencyConsistent(t *testing.T) {
 	}
 }
 
-// Property: BFS distances obey the triangle property along tree edges:
-// dist(parent) + 1 == dist(child).
+// Property: every path has the hop count's length and is a walk of
+// adjacent links from the source to its destination.
 func TestPropBFSDistances(t *testing.T) {
 	t.Parallel()
 	g, err := Generate(TestConfig(), testRand())
@@ -328,22 +322,36 @@ func TestPropBFSDistances(t *testing.T) {
 		if len(path) != tree.HopCount(RouterID(r)) {
 			t.Fatalf("path length %d != hop count %d", len(path), tree.HopCount(RouterID(r)))
 		}
-		// Path links must be pairwise adjacent and start at the source.
-		routers, err := tree.RoutersTo(RouterID(r))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if routers[0] != 0 || routers[len(routers)-1] != RouterID(r) {
-			t.Fatal("router path endpoints wrong")
-		}
-		for i, l := range path {
-			a, b, _ := g.LinkEndpoints(l)
-			u, v := routers[i], routers[i+1]
-			if !((a == u && b == v) || (a == v && b == u)) {
-				t.Fatalf("link %d does not join %d-%d", l, u, v)
-			}
+		// Path links must be pairwise adjacent, start at the source and
+		// end at r.
+		if routers := walkPath(t, g, 0, path); routers[len(routers)-1] != RouterID(r) {
+			t.Fatalf("path to %d ends at %d", r, routers[len(routers)-1])
 		}
 	}
+}
+
+// walkPath follows path's links from src and returns the routers it
+// visits, src first. Each link must leave the router the previous one
+// reached.
+func walkPath(t *testing.T, g *Graph, src RouterID, path []LinkID) []RouterID {
+	t.Helper()
+	routers := []RouterID{src}
+	at := src
+	for _, l := range path {
+		a, b, err := g.LinkEndpoints(l)
+		switch {
+		case err != nil:
+			t.Fatal(err)
+		case a == at:
+			at = b
+		case b == at:
+			at = a
+		default:
+			t.Fatalf("link %d (%d-%d) does not leave router %d", l, a, b, at)
+		}
+		routers = append(routers, at)
+	}
+	return routers
 }
 
 func BenchmarkGenerateDefault(b *testing.B) {
