@@ -123,13 +123,6 @@ func WithRecordFilter(f RecordFilter) BlameOption {
 	return func(e *BlameEngine) { e.filter = f }
 }
 
-// WithWitnessGrouping installs a witness grouping. Nil (the default)
-// keeps the paper's record-level averaging, in which every archived
-// probe counts equally.
-func WithWitnessGrouping(g WitnessGrouping) BlameOption {
-	return func(e *BlameEngine) { e.group = g }
-}
-
 // WithSelfExclusion controls whether the judged node's own probes are
 // ignored (the paper's rule, default true). Disabling it exists only for
 // the ablation benchmarks that measure what the rule buys.
@@ -165,10 +158,11 @@ func NewBlameEngine(archive *tomography.Archive, cfg BlameConfig, opts ...BlameO
 // Config returns the engine's parameters.
 func (e *BlameEngine) Config() BlameConfig { return e.cfg }
 
-// SetWitnessGrouping replaces the engine's grouping after construction.
-// Campaigns install it once collusion suspicions accumulate; nil
-// restores record-level averaging. All judgments run on the simulator
-// goroutine, so no locking is needed.
+// SetWitnessGrouping installs the engine's witness grouping. Campaigns
+// install it once collusion suspicions accumulate; nil, the default,
+// keeps the paper's record-level averaging, in which every archived
+// probe counts equally. All judgments run on the simulator goroutine,
+// so no locking is needed.
 func (e *BlameEngine) SetWitnessGrouping(g WitnessGrouping) { e.group = g }
 
 // linkConfidence evaluates the inner expression of Eq. 3 for one link:

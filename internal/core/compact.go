@@ -86,8 +86,9 @@ type CompactSystem struct {
 	treeStats TreeCacheStats
 	sweeps    []func()
 	// departedSlab remembers the slab of every departed identifier so
-	// cold verdict-window queries and equivalence tests can still key by
-	// slab after churn.
+	// cold verdict-window queries can still key by slab after churn. The
+	// CA never reissues an identifier, so a departed one never rejoins
+	// and its entry never goes stale.
 	departedSlab map[id.ID]uint32
 
 	rng       stats.Rand
@@ -572,7 +573,6 @@ func (cs *CompactSystem) admit(cert sigcrypto.Certificate, keys sigcrypto.KeyPai
 	cs.trees = append(cs.trees, nil)
 	cs.treeStale = append(cs.treeStale, false)
 	cs.sweeps = append(cs.sweeps, nil)
-	delete(cs.departedSlab, cert.NodeID)
 	cs.markTreesStale(changed)
 	if cs.probing {
 		if err := cs.scheduleProbe(slab); err != nil {
@@ -595,6 +595,59 @@ func (cs *CompactSystem) AliveIDs() []id.ID {
 		}
 	}
 	return out
+}
+
+// CheckInvariants checks the overlay's rules (overlay.Compact's
+// CheckInvariants) and the system's own bookkeeping around it: every
+// per-slab array has one row per slab ever issued, a departed slab
+// caches no tree, departedSlab names only departed slabs, and every
+// slabOfHandle entry naming a live slab resolves to the identifier the
+// archive gives for that handle. Like the overlay check it costs O(N²);
+// it is meant for tests and soaks.
+func (cs *CompactSystem) CheckInvariants() error {
+	if err := cs.Overlay.CheckInvariants(); err != nil {
+		return err
+	}
+	slabs := cs.Overlay.Slabs()
+	for _, a := range []struct {
+		name string
+		rows int
+	}{
+		{"routers", len(cs.routers)},
+		{"pubKeys", len(cs.pubKeys) / ed25519.PublicKeySize},
+		{"privKeys", len(cs.privKeys) / ed25519.PrivateKeySize},
+		{"certSigs", len(cs.certSigs) / ed25519.SignatureSize},
+		{"behaviorBits", len(cs.behaviorBits)},
+		{"msgSeq", len(cs.msgSeq)},
+		{"fwdSeq", len(cs.fwdSeq)},
+		{"trees", len(cs.trees)},
+		{"treeStale", len(cs.treeStale)},
+		{"sweeps", len(cs.sweeps)},
+	} {
+		if a.rows != slabs {
+			return fmt.Errorf("core: %s has %d rows for %d slabs", a.name, a.rows, slabs)
+		}
+	}
+	for p := 0; p < slabs; p++ {
+		if cs.Overlay.Pos(uint32(p)) == overlay.NoIndex && cs.trees[p] != nil {
+			return fmt.Errorf("core: departed slab %d still caches a tree", p)
+		}
+	}
+	for nid, p := range cs.departedSlab {
+		if int(p) >= slabs || cs.Overlay.Pos(p) != overlay.NoIndex {
+			return fmt.Errorf("core: departedSlab names %s at live or unissued slab %d", nid.Short(), p)
+		}
+	}
+	for h, s := range cs.slabOfHandle {
+		if s == 0 || cs.Overlay.Pos(s-1) == overlay.NoIndex {
+			continue
+		}
+		got, want := cs.Overlay.ID(cs.Overlay.Pos(s-1)), cs.Archive.ProberID(tomography.ProberHandle(h))
+		if got != want {
+			return fmt.Errorf("core: handle %d bound to slab %d (%s), archive says %s", h, s-1, got.Short(), want.Short())
+		}
+	}
+	return nil
 }
 
 // Footprint returns the resident bytes of the compact core: overlay

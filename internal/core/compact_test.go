@@ -153,6 +153,9 @@ func TestCompactSystemChurnDeterministic(t *testing.T) {
 					t.Fatal(err)
 				}
 			}
+			if err := cs.CheckInvariants(); err != nil {
+				t.Fatalf("step %d: %v", step, err)
+			}
 		}
 		return cs
 	}
@@ -160,6 +163,12 @@ func TestCompactSystemChurnDeterministic(t *testing.T) {
 	ha, hb := a.CanonicalHash(), b.CanonicalHash()
 	if ha != hb {
 		t.Fatalf("same seed, same churn: hashes %#x vs %#x", ha, hb)
+	}
+	// The post-churn state the former pointer-per-node overlay verified
+	// slot for slot; it pins which member each standard refill drew.
+	const postChurnGolden = uint64(0x13418b959962d164)
+	if ha != postChurnGolden {
+		t.Fatalf("post-churn canonical hash %#x, pinned %#x", ha, postChurnGolden)
 	}
 	if !bytes.Equal(a.AppendCanonical(nil), b.AppendCanonical(nil)) {
 		t.Fatal("same seed, same churn: canonical snapshots differ")
@@ -257,5 +266,28 @@ func TestCompactFailNodeGuards(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestDepartedIdentifierNeverRejoins: the CA never reissues an
+// identifier, so a departed node's identifier cannot join again — not
+// even through JoinNodeAt, which the eclipse model uses to choose
+// identifiers — and the refused join leaves the state as it was.
+func TestDepartedIdentifierNeverRejoins(t *testing.T) {
+	t.Parallel()
+	cs := buildTestCompactSystem(t, nil)
+	victim := cs.NodeID(5)
+	if err := cs.FailNode(victim); err != nil {
+		t.Fatal(err)
+	}
+	before, slabs := cs.CanonicalHash(), cs.Overlay.Slabs()
+	if _, err := cs.JoinNodeAt(cs.Topo.EndHosts()[0], victim); err == nil || !strings.Contains(err.Error(), "already issued") {
+		t.Fatalf("rejoin of a departed identifier: error %v, want one containing %q", err, "already issued")
+	}
+	if cs.CanonicalHash() != before || cs.Overlay.Slabs() != slabs {
+		t.Fatal("a refused rejoin changed the system")
+	}
+	if err := cs.CheckInvariants(); err != nil {
+		t.Fatal(err)
 	}
 }

@@ -12,7 +12,7 @@ import (
 	"concilium/internal/tomography"
 	"concilium/internal/topology"
 	"concilium/internal/trace"
-	"concilium/internal/wiresize"
+	"concilium/internal/wire"
 )
 
 // The traffic plane (DESIGN.md §9): the full diagnosis protocol —
@@ -82,10 +82,9 @@ func (cs *CompactSystem) collusionFilter(judged id.ID, judgedHandle tomography.P
 // never recorded, its identifier with h zero). The slabOfHandle table
 // answers for every prober this plane recorded, and since a slab and its
 // identifier are bound for life, a live entry is exactly what the ring
-// would say. Whatever the table cannot answer — a departed slab (its
-// identifier may have rejoined), a handle issued to a foreign
-// Archive.Record caller, a node that never probed — falls back to the
-// ring.
+// would say. Whatever the table cannot answer — a departed slab, a
+// handle issued to a foreign Archive.Record caller, a node that never
+// probed — falls back to the ring.
 func (cs *CompactSystem) memberSlab(h tomography.ProberHandle, nid id.ID) (uint32, bool) {
 	if s, ok := cs.boundSlab(h); ok {
 		return s, true
@@ -214,7 +213,7 @@ func (cs *CompactSystem) SendMessage(src, dst id.ID) (*DeliveryReport, error) {
 	// the failure process says when the packet actually crosses.
 	reached := 0
 	for i := 0; i+1 < len(route); i++ {
-		cs.met.msgBytes.Add(wiresize.StewardedHop)
+		cs.met.msgBytes.Add(wire.StewardedHopBytes)
 		cs.Run(cs.Net.Latency(paths[i]))
 		if bad, down := cs.Net.FirstDownLink(paths[i]); down {
 			rep.Kind = DropByLink
@@ -245,7 +244,7 @@ func (cs *CompactSystem) SendMessage(src, dst id.ID) (*DeliveryReport, error) {
 	if rep.Delivered {
 		rep.AckReceived = true
 		for i := len(paths) - 1; i >= 0; i-- {
-			cs.met.ackBytes.Add(wiresize.AckHop)
+			cs.met.ackBytes.Add(wire.AckHopBytes)
 			cs.Run(cs.Net.Latency(paths[i]))
 			if bad, down := cs.Net.FirstDownLink(paths[i]); down {
 				rep.Kind = DropAckByLink
@@ -686,7 +685,7 @@ func (cs *CompactSystem) probeSweep(p uint32) {
 	}
 	if err == nil {
 		cs.met.probeSweeps.Inc()
-		cs.met.probeBytes.Add(uint64(len(obs) * wiresize.ProbePacket))
+		cs.met.probeBytes.Add(uint64(len(obs) * wire.ProbePacketBytes))
 		for i := range tree.Leaves {
 			cs.met.probeRTT.ObserveDuration(2 * cs.Net.Latency(tree.Leaves[i].Path))
 		}
@@ -733,7 +732,7 @@ func (cs *CompactSystem) publishSnapshot(p uint32, obs []tomography.LinkObservat
 		LeafSpacing:  spacing,
 	}
 	snap.Sign(cs.keysOfSlab(p))
-	cs.met.snapshotBytes.Add(uint64(wiresize.SnapshotBytes(len(obs))))
+	cs.met.snapshotBytes.Add(uint64(wire.SnapshotBytes(len(obs))))
 	validator := &SnapshotValidator{Keys: cs.KeyDir()}
 	if err := validator.Ingest(cs.Archive, snap); err != nil {
 		cs.emit(trace.Event{

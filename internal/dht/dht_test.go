@@ -518,16 +518,18 @@ func TestRebalanceSurvivesChurn(t *testing.T) {
 	// Depart three members (fewer than the replica count) and add five
 	// new ones.
 	excluded := map[id.ID]bool{ids[0]: true, ids[1]: true, ids[2]: true}
-	shrunk, err := ring.Without(excluded)
+	var members []id.ID
+	for _, x := range ring.Members() {
+		if !excluded[x] {
+			members = append(members, x)
+		}
+	}
+	for i := 0; i < 5; i++ {
+		members = append(members, id.Random(r))
+	}
+	grown, err := overlay.NewRing(members)
 	if err != nil {
 		t.Fatal(err)
-	}
-	grown := shrunk
-	for i := 0; i < 5; i++ {
-		grown, err = grown.WithMember(id.Random(r))
-		if err != nil {
-			t.Fatal(err)
-		}
 	}
 	if err := s.Rebalance(grown); err != nil {
 		t.Fatal(err)

@@ -40,7 +40,11 @@ func Bandwidth(cfg BandwidthConfig) (Table, []wire.BandwidthReport, error) {
 	}
 	var reports []wire.BandwidthReport
 	for _, n := range cfg.OverlaySizes {
-		rep, err := wire.Budget(model, n, cfg.StripesPerPair, cfg.PacketsPerStripe)
+		mu, err := model.ExpectedOccupancy(n)
+		if err != nil {
+			return Table{}, nil, err
+		}
+		rep, err := wire.Budget(mu, n, cfg.StripesPerPair, cfg.PacketsPerStripe)
 		if err != nil {
 			return Table{}, nil, err
 		}

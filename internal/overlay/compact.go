@@ -9,12 +9,24 @@ import (
 	"concilium/internal/stats"
 )
 
-// Compact is the struct-of-arrays overlay core: every node's routing
-// state for one ring, stored flat and keyed by uint32 position in the
-// sorted member slice instead of by identifier. It produces exactly the
-// state the per-node RoutingState build produces — same constrained
-// secure fills, same uniform standard picks, same rng draw order — but
-// at a fraction of the footprint:
+// DefaultLeafSetPerSide is half the paper's 16-leaf set: 8 numerically
+// closest peers on each side of the local identifier.
+const DefaultLeafSetPerSide = 8
+
+// Compact is the overlay: every node's routing state for one ring,
+// stored flat and keyed by uint32 position in the sorted member slice
+// instead of by identifier. The state follows §2's rules, which
+// CheckInvariants states in full:
+//
+//   - Secure slot (r, c) of node i holds the member other than i closest
+//     to the target point self.WithDigit(r, c) among those sharing r+1
+//     digits with it, and is empty when there is none.
+//   - Standard slot (r, c) holds some member with that prefix, drawn
+//     uniformly from rng (a proxy for proximity choice), and is empty
+//     exactly when the secure slot is.
+//   - The leaf set holds the perSide nearest members on each side.
+//
+// The layout:
 //
 //   - Every member also has a slab: its index in build order, with
 //     joiners appended. Slabs never change while a member lives, so
@@ -30,8 +42,7 @@ import (
 //     empty); deeper rows are almost always empty and live in tiny
 //     per-node sorted tail slices. Rows are stored in ring order.
 //
-// Compare ~41KB/node for the pointer-per-node representation at N=20k
-// against ~(denseRows·64 + tail)·2 + 40 bytes here.
+// A node costs ≈(denseRows·64 + tail)·2 + 40 bytes.
 type Compact struct {
 	ring Ring // shares the compact membership slice; mutated by churn
 	// slabAt is the slab of the member at each ring position, spliced
@@ -155,11 +166,12 @@ func (c *Compact) leafK() int {
 	return c.perSide
 }
 
-// FillNode constructs node i's secure and standard tables from scratch,
-// mirroring BuildSecureTable and BuildStandardTable slot for slot. rng
-// drives the standard table's free choice and is consumed in exactly
-// the legacy draw order, so per-node substreams yield identical tables
-// in both representations.
+// FillNode constructs node i's secure and standard tables from scratch.
+// Each secure slot takes the closest qualifying member, and the fill
+// stops after the first row beyond which no other member shares i's
+// prefix. Each standard slot with a qualifying member takes one uniform
+// rng draw over them, row-major; the draw order is part of the output,
+// and per-node substreams make the build reproducible.
 func (c *Compact) FillNode(i uint32, rng stats.Rand) {
 	self := c.ring.ids[i]
 	for row := 0; row < id.Digits; row++ {
@@ -169,34 +181,26 @@ func (c *Compact) FillNode(i uint32, rng stats.Rand) {
 				continue
 			}
 			target := self.WithDigit(row, col)
-			cand, ok := c.ring.closestWithPrefixExclIdx(target, row+1, int(i))
+			cand, ok := c.ring.closestWithPrefixExcl(target, row+1, int(i))
 			if !ok {
 				continue
 			}
 			c.secure.set(c.denseRows, i, row, col, c.slabAt[cand])
 		}
-		if !c.ring.hasOtherWithPrefixIdx(self, row+1, int(i)) {
+		if !c.ring.hasOtherWithPrefix(self, row+1, int(i)) {
 			break
 		}
 	}
 	for row := 0; row < id.Digits; row++ {
-		anyDeeper := false
 		own := self.Digit(row)
 		for col := byte(0); col < id.Base; col++ {
 			if col == own {
-				anyDeeper = true
 				continue
 			}
 			target := self.WithDigit(row, col)
-			cand, ok := c.ring.uniformWithPrefixExclIdx(target, row+1, int(i), rng)
-			if !ok {
-				continue
+			if cand, ok := c.ring.uniformWithPrefixExcl(target, row+1, int(i), rng); ok {
+				c.standard.set(c.denseRows, i, row, col, c.slabAt[cand])
 			}
-			anyDeeper = true
-			c.standard.set(c.denseRows, i, row, col, c.slabAt[cand])
-		}
-		if !anyDeeper {
-			break
 		}
 	}
 }
@@ -230,16 +234,21 @@ func (c *Compact) SecureOccupancy(i uint32) int {
 }
 
 // ValidateSecure checks every occupant of node i's secure table against
-// its slot's prefix constraint — JumpTable.Validate over indices.
+// its slot's prefix constraint: the occupant of slot (r, c) shares
+// exactly r digits with i and has c as its digit r.
 func (c *Compact) ValidateSecure(i uint32) error {
+	return c.validateTable(&c.secure, "secure", i)
+}
+
+func (c *Compact) validateTable(t *compactTable, kind string, i uint32) error {
 	owner := c.ring.ids[i]
 	var err error
-	c.secure.forEach(c.denseRows, i, func(row int, col byte, slab uint32) {
+	t.forEach(c.denseRows, i, func(row int, col byte, slab uint32) {
 		p := c.ring.ids[c.posOf[slab]]
 		want := id.CommonPrefixLen(owner, p)
 		if err == nil && (want >= id.Digits || want != row || p.Digit(want) != col) {
-			err = fmt.Errorf("overlay: peer %s in secure slot (%d,%d) of %s violates its prefix constraint",
-				p.Short(), row, col, owner.Short())
+			err = fmt.Errorf("overlay: peer %s in %s slot (%d,%d) of %s violates its prefix constraint",
+				p.Short(), kind, row, col, owner.Short())
 		}
 	})
 	return err
@@ -264,10 +273,9 @@ func (c *Compact) appendSlots(t *compactTable, i uint32, out []CompactSlot) []Co
 	return out
 }
 
-// AppendLeafIndices appends node i's leaf positions to out: clockwise
-// neighbors by increasing distance, then counterclockwise ones not
-// already present — the same membership order the LeafSet build
-// produces.
+// AppendLeafIndices appends node i's leaf positions to out: the perSide
+// clockwise neighbours by increasing distance, then the counterclockwise
+// ones not already present (on a small ring one member can be both).
 func (c *Compact) AppendLeafIndices(i uint32, out []uint32) []uint32 {
 	n := len(c.ring.ids)
 	k := c.leafK()
@@ -290,12 +298,19 @@ func (c *Compact) AppendLeafIndices(i uint32, out []uint32) []uint32 {
 }
 
 // LeafCovers reports whether target falls inside the arc node i's leaf
-// set spans — the direct-delivery test of Pastry routing.
+// set spans — the direct-delivery test of Pastry routing. When the two
+// sides together hold every other member (2·perSide ≥ N−1) the leaf set
+// is the whole ring and covers every target; the arc between the
+// farthest leaves would otherwise leave out the gap next to i, or the
+// one opposite it.
 func (c *Compact) LeafCovers(i uint32, target id.ID) bool {
 	n := len(c.ring.ids)
 	k := c.leafK()
 	if k <= 0 {
 		return false
+	}
+	if 2*k >= n-1 {
+		return true
 	}
 	self := c.ring.ids[i]
 	if target == self {
@@ -322,9 +337,10 @@ func (c *Compact) LeafClosest(i uint32, target id.ID) uint32 {
 	return best
 }
 
-// AppendRoutingPeers appends node i's probe set to out: secure-table
-// occupants row-major, then leaves, first-seen deduplicated — the same
-// sequence RoutingState.RoutingPeers yields.
+// AppendRoutingPeers appends node i's routing peers to out: the peers it
+// probes and whose IP paths its tomography tree covers (§3.2). The order
+// is secure-table occupants row-major, then leaves as AppendLeafIndices
+// lists them, first-seen deduplicated.
 func (c *Compact) AppendRoutingPeers(i uint32, out []uint32) []uint32 {
 	start := len(out)
 	appendUniq := func(j uint32) {
@@ -350,10 +366,11 @@ func (c *Compact) AppendRoutingPeers(i uint32, out []uint32) []uint32 {
 }
 
 // NextHopSecure routes one hop toward target over node i's secure
-// table, following the same rule as RoutingState.NextHopSecure: leaf
-// delivery when covered, else the jump-table slot, else any known peer
-// making strict progress. The boolean is false when the route
-// terminates at node i.
+// table, by Pastry's rule: leaf delivery when covered, else the
+// jump-table slot, else any known peer making strict progress. The
+// boolean is false when the route terminates at node i. Messages that
+// need Concilium's fault attribution must use this, not the standard
+// table (§2).
 func (c *Compact) NextHopSecure(i uint32, target id.ID) (uint32, bool) {
 	return c.nextHop(&c.secure, i, target)
 }
@@ -381,7 +398,7 @@ func (c *Compact) nextHop(t *compactTable, i uint32, target id.ID) (uint32, bool
 	}
 	// Rare case: the exact slot is empty. Any known peer strictly closer
 	// to the target than we are keeps Pastry's progress guarantee —
-	// table slots row-major, then leaves, as in the legacy fallback.
+	// table slots row-major, then leaves, first strict improvement wins.
 	best, found := i, false
 	t.forEach(c.denseRows, i, func(_ int, _ byte, slab uint32) {
 		if peer := c.posOf[slab]; id.Closer(c.ring.ids[peer], c.ring.ids[best], target) {
@@ -426,15 +443,14 @@ func (c *Compact) AppendRouteSecure(src uint32, target id.ID, maxHops int, out [
 		c.ring.ids[src].Short(), target.Short(), maxHops)
 }
 
-// ApplyDeparture removes a member and patches every survivor's state to
-// exactly what the per-node ApplyDeparture sequence produces: the one
-// slot per table the departed could occupy (row = shared-prefix length,
-// col = its next digit) is emptied if it held the departed, then
-// refilled — secure from the closest qualifying survivor, standard by a
-// uniform draw. Survivors are visited in ascending ring order; rng draws
-// happen only for nodes whose standard slot actually held the departed
-// peer. Slots store slabs, so no other slot changes. Leaf state is
-// derived, so it needs no repair.
+// ApplyDeparture removes a member and patches every survivor's state
+// back to the rules: the one slot per table the departed could occupy
+// (row = shared-prefix length, col = its next digit) is emptied if it
+// held the departed, then refilled — secure from the closest qualifying
+// survivor, standard by a uniform draw. Survivors are visited in
+// ascending ring order; rng draws happen only for nodes whose standard
+// slot actually held the departed peer. Slots store slabs, so no other
+// slot changes. Leaf state is derived, so it needs no repair.
 //
 // It appends to changed the post-departure positions of the survivors
 // whose routing-peer sequence (what AppendRoutingPeers yields, as
@@ -474,12 +490,12 @@ func (c *Compact) ApplyDeparture(peer id.ID, rng stats.Rand, changed []uint32) (
 		col := peer.Digit(row)
 		if c.secure.clear(c.denseRows, uint32(j), row, col, gone) {
 			moved = true
-			if cand, ok := c.ring.closestWithPrefixExclIdx(self.WithDigit(row, col), row+1, j); ok {
+			if cand, ok := c.ring.closestWithPrefixExcl(self.WithDigit(row, col), row+1, j); ok {
 				c.secure.set(c.denseRows, uint32(j), row, col, c.slabAt[cand])
 			}
 		}
 		if c.standard.clear(c.denseRows, uint32(j), row, col, gone) {
-			if cand, ok := c.ring.uniformWithPrefixExclIdx(self.WithDigit(row, col), row+1, j, rng); ok {
+			if cand, ok := c.ring.uniformWithPrefixExcl(self.WithDigit(row, col), row+1, j, rng); ok {
 				c.standard.set(c.denseRows, uint32(j), row, col, c.slabAt[cand])
 			}
 		}
@@ -698,14 +714,13 @@ func (t *compactTable) insertNode(dr int, k uint32) {
 }
 
 // LeafMeanSpacing returns the average inter-identifier gap across the
-// arc node i's derived leaf set spans (owner included) — the compact
-// counterpart of LeafSet.MeanSpacing, consumed by signed-snapshot
-// publication. It reconstructs the legacy geometry exactly: the arc
-// starts at the last entry of the legacy counterclockwise side view
-// (the members sorted by counterclockwise spacing from the owner,
-// truncated to perSide), and the mean gap is the arc length over the
-// segment count. Cold path — snapshot signing dominates it — so the
-// small sorts allocate freely.
+// arc node i's derived leaf set spans (owner included), consumed by
+// signed-snapshot publication and the density checks; RingSize over it
+// estimates N (Mahajan et al.). The arc starts at the farthest of the
+// perSide counterclockwise leaves (the leaves sorted by counterclockwise
+// spacing from the owner, truncated to perSide), and the mean gap is the
+// arc length over the segment count. Cold path — snapshot signing
+// dominates it — so the small sorts allocate freely.
 func (c *Compact) LeafMeanSpacing(i uint32) (float64, error) {
 	members := c.AppendLeafIndices(i, nil)
 	if len(members) == 0 {

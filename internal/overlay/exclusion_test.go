@@ -6,42 +6,32 @@ import (
 	"concilium/internal/id"
 )
 
-// The exclusion-variant ring searches replace the skip-map scans on the
-// build and maintenance paths. These properties pin them to the same
-// brute-force references the general APIs are pinned to: sorted-arc
-// binary search plus a constant number of probes must be observationally
-// identical to a full scan.
+// The ring searches the table fills and churn refills call —
+// closestWithPrefixExcl, hasOtherWithPrefix and uniformWithPrefixExcl —
+// answer from a binary search plus a constant number of probes. These
+// properties pin each to a full scan of the ring.
 
 func TestPropClosestWithPrefixExclMatchesBruteForce(t *testing.T) {
 	t.Parallel()
 	r := testRand()
-	for trial := 0; trial < 200; trial++ {
+	for trial := 0; trial < 400; trial++ {
 		n := 2 + r.IntN(80)
 		ids := randomIDs(n, r)
 		ring := mustRing(t, ids)
 		target := id.Random(r)
 		if r.IntN(2) == 0 {
 			// Half the trials aim at a member-derived point, the shape
-			// the table builders produce (owner with one digit forced).
+			// the table fills produce (owner with one digit forced).
 			owner := ids[r.IntN(n)]
 			target = owner.WithDigit(r.IntN(3), byte(r.IntN(id.Base)))
 		}
 		plen := r.IntN(4)
-		excl := ids[r.IntN(n)]
-		got, ok := ring.ClosestWithPrefixExcl(target, plen, excl)
-		var want id.ID
-		found := false
-		for _, x := range ids {
-			if x == excl || id.CommonPrefixLen(x, target) < plen {
-				continue
-			}
-			if !found || id.Closer(x, want, target) {
-				want, found = x, true
-			}
-		}
+		excl := r.IntN(n)
+		got, ok := ring.closestWithPrefixExcl(target, plen, excl)
+		want, found := bruteClosest(ring, target, plen, excl)
 		if ok != found || (found && got != want) {
-			t.Fatalf("trial %d (n=%d, plen=%d): ClosestWithPrefixExcl = %s,%v want %s,%v",
-				trial, n, plen, got.Short(), ok, want.Short(), found)
+			t.Fatalf("trial %d (n=%d, plen=%d): closestWithPrefixExcl = %d,%v want %d,%v",
+				trial, n, plen, got, ok, want, found)
 		}
 	}
 }
@@ -49,22 +39,22 @@ func TestPropClosestWithPrefixExclMatchesBruteForce(t *testing.T) {
 func TestPropHasOtherWithPrefixMatchesBruteForce(t *testing.T) {
 	t.Parallel()
 	r := testRand()
-	for trial := 0; trial < 200; trial++ {
+	for trial := 0; trial < 300; trial++ {
 		n := 1 + r.IntN(60)
-		ids := randomIDs(n, r)
-		ring := mustRing(t, ids)
-		owner := ids[r.IntN(n)]
-		plen := 1 + r.IntN(4)
-		got := ring.HasOtherWithPrefix(owner, plen, owner)
+		ring := mustRing(t, randomIDs(n, r))
+		at := r.IntN(n)
+		owner := ring.Members()[at]
+		plen := r.IntN(5)
+		got := ring.hasOtherWithPrefix(owner, plen, at)
 		want := false
-		for _, x := range ids {
-			if x != owner && id.CommonPrefixLen(x, owner) >= plen {
+		for i, x := range ring.Members() {
+			if i != at && id.CommonPrefixLen(x, owner) >= plen {
 				want = true
 				break
 			}
 		}
 		if got != want {
-			t.Fatalf("trial %d (n=%d, plen=%d): HasOtherWithPrefix = %v, brute force %v",
+			t.Fatalf("trial %d (n=%d, plen=%d): hasOtherWithPrefix = %v, brute force %v",
 				trial, n, plen, got, want)
 		}
 	}
@@ -72,84 +62,56 @@ func TestPropHasOtherWithPrefixMatchesBruteForce(t *testing.T) {
 
 // TestPropUniformWithPrefixExcl checks the single-draw uniform pick:
 // every returned candidate qualifies (prefix match, not the excluded
-// member), and across many draws every qualifying candidate shows up —
-// the index-shift around the excluded member must not shadow anyone.
+// member), no draw is spent when nothing qualifies, and across many
+// draws every qualifying candidate is drawn within half to one and a
+// half times its fair share — the index shift around the excluded
+// member must neither shadow nor double anyone.
 func TestPropUniformWithPrefixExcl(t *testing.T) {
 	t.Parallel()
 	r := testRand()
-	for trial := 0; trial < 40; trial++ {
+	for trial := 0; trial < 60; trial++ {
 		n := 2 + r.IntN(40)
-		ids := randomIDs(n, r)
-		ring := mustRing(t, ids)
-		owner := ids[r.IntN(n)]
+		ring := mustRing(t, randomIDs(n, r))
+		at := r.IntN(n)
+		owner := ring.Members()[at]
 		plen := r.IntN(3)
 		target := owner.WithDigit(plen, byte(r.IntN(id.Base)))
-		qualify := map[id.ID]bool{}
-		for _, x := range ids {
-			if x != owner && id.CommonPrefixLen(x, target) >= plen {
-				qualify[x] = true
+		qualify := map[int]bool{}
+		for i, x := range ring.Members() {
+			if i != at && id.CommonPrefixLen(x, target) >= plen {
+				qualify[i] = true
 			}
 		}
-		seen := map[id.ID]bool{}
-		for draw := 0; draw < 40*(len(qualify)+1); draw++ {
-			got, ok := ring.UniformWithPrefixExcl(target, plen, owner, r)
-			if ok != (len(qualify) > 0) {
-				t.Fatalf("trial %d: ok=%v with %d candidates", trial, ok, len(qualify))
+		if len(qualify) == 0 {
+			draws := &countingRand{r: r}
+			if _, ok := ring.uniformWithPrefixExcl(target, plen, at, draws); ok || draws.n != 0 {
+				t.Fatalf("trial %d: no qualifying candidate, yet ok=%v after %d draws", trial, ok, draws.n)
 			}
-			if !ok {
-				break
-			}
-			if !qualify[got] {
-				t.Fatalf("trial %d: drew non-qualifying %s (owner=%s, plen=%d)",
-					trial, got.Short(), owner.Short(), plen)
-			}
-			seen[got] = true
+			continue
 		}
-		if len(qualify) > 0 && len(seen) != len(qualify) {
-			t.Fatalf("trial %d: only %d of %d qualifying candidates ever drawn",
-				trial, len(seen), len(qualify))
+		const perCandidate = 200
+		seen := map[int]int{}
+		for draw := 0; draw < perCandidate*len(qualify); draw++ {
+			got, ok := ring.uniformWithPrefixExcl(target, plen, at, r)
+			if !ok || !qualify[got] {
+				t.Fatalf("trial %d: drew %d,%v (owner at %d, plen=%d)", trial, got, ok, at, plen)
+			}
+			seen[got]++
+		}
+		for i := range qualify {
+			if c := seen[i]; c < perCandidate/2 || c > perCandidate*3/2 {
+				t.Fatalf("trial %d: candidate %d drawn %d times, want ≈%d", trial, i, c, perCandidate)
+			}
 		}
 	}
 }
 
-// TestBuildLeafSetMatchesSequentialInserts pins the bulk fill: building
-// from ring neighbors in one rebuild must equal inserting the same
-// neighbor sequences one by one.
-func TestBuildLeafSetMatchesSequentialInserts(t *testing.T) {
-	t.Parallel()
-	r := testRand()
-	for trial := 0; trial < 30; trial++ {
-		n := 2 + r.IntN(80)
-		perSide := 1 + r.IntN(8)
-		ids := randomIDs(n, r)
-		ring := mustRing(t, ids)
-		owner := ids[r.IntN(n)]
+type countingRand struct {
+	r interface{ IntN(int) int }
+	n int
+}
 
-		bulk, err := BuildLeafSet(owner, ring, perSide)
-		if err != nil {
-			t.Fatal(err)
-		}
-		seq, err := NewLeafSet(owner, perSide)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, p := range ring.NeighborsClockwise(owner, perSide) {
-			seq.Insert(p)
-		}
-		for _, p := range ring.NeighborsCounterClockwise(owner, perSide) {
-			seq.Insert(p)
-		}
-		if bulk.Len() != seq.Len() {
-			t.Fatalf("trial %d: bulk len %d, sequential len %d", trial, bulk.Len(), seq.Len())
-		}
-		want := map[id.ID]bool{}
-		for _, x := range seq.All() {
-			want[x] = true
-		}
-		for _, x := range bulk.All() {
-			if !want[x] {
-				t.Fatalf("trial %d: bulk-built leaf set holds %s, sequential does not", trial, x.Short())
-			}
-		}
-	}
+func (c *countingRand) IntN(k int) int {
+	c.n++
+	return c.r.IntN(k)
 }

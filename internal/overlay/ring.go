@@ -14,11 +14,9 @@ import (
 	"concilium/internal/id"
 )
 
-// Ring is the sorted global membership view used to construct correct
-// routing state and to answer "who is the closest live host to point p"
-// queries. Experiments build it from the certificate authority's
-// assignments; a malicious host's *advertised* state can then be compared
-// against what the ring says it should be.
+// Ring is the sorted global membership view: the compact overlay's
+// table fills search it for the members sharing a prefix with a slot's
+// target point, and the DHT places replicas on it.
 type Ring struct {
 	ids []id.ID
 	// pairs shadows ids in decomposed word-pair form. Binary searches
@@ -58,12 +56,6 @@ func (r *Ring) Size() int { return len(r.ids) }
 // is shared and must not be modified.
 func (r *Ring) Members() []id.ID { return r.ids }
 
-// Contains reports membership.
-func (r *Ring) Contains(x id.ID) bool {
-	_, ok := r.IndexOf(x)
-	return ok
-}
-
 // IndexOf returns x's position in the sorted member slice, by binary
 // search over ids — the ring keeps no side map, so membership costs
 // O(log N) and zero bytes.
@@ -73,19 +65,6 @@ func (r *Ring) IndexOf(x id.ID) (int, bool) {
 		return at, true
 	}
 	return 0, false
-}
-
-// Without returns a new ring excluding the given members — the view an
-// adversary presents under a suppression attack, or the system after
-// departures. It fails if nothing remains.
-func (r *Ring) Without(excluded map[id.ID]bool) (*Ring, error) {
-	kept := make([]id.ID, 0, len(r.ids))
-	for _, x := range r.ids {
-		if !excluded[x] {
-			kept = append(kept, x)
-		}
-	}
-	return NewRing(kept)
 }
 
 // searchGE returns the index of the first member >= x, possibly len(ids).
@@ -109,70 +88,6 @@ func (r *Ring) searchGEPair(xp id.Pair) int {
 	return lo
 }
 
-// Closest returns the member with minimal ring distance to target,
-// excluding any members in skip (which may be nil). The boolean is false
-// if every member was skipped.
-func (r *Ring) Closest(target id.ID, skip map[id.ID]bool) (id.ID, bool) {
-	n := len(r.ids)
-	pos := r.searchGE(target) % n
-	best, found := id.ID{}, false
-	// Walk outward from the insertion point in both directions. The
-	// closest non-skipped member is within len(skip)+1 steps of pos on
-	// one side or the other.
-	limit := n
-	for step := 0; step < limit; step++ {
-		for _, cand := range []id.ID{
-			r.ids[((pos+step)%n+n)%n],
-			r.ids[((pos-1-step)%n+n)%n],
-		} {
-			if skip[cand] {
-				continue
-			}
-			if !found || id.Closer(cand, best, target) {
-				best, found = cand, true
-			}
-		}
-		if found && step > len(skip) {
-			break
-		}
-	}
-	return best, found
-}
-
-// prefixRange returns the numeric bounds [lo, hi] of identifiers sharing
-// the first prefixLen digits of base.
-func prefixRange(base id.ID, prefixLen int) (lo, hi id.ID) {
-	lp, hp := base.Pair().PrefixRange(prefixLen)
-	return lp.ID(), hp.ID()
-}
-
-// ClosestWithPrefix returns the member closest to target among those
-// sharing target's first prefixLen digits, excluding members in skip.
-// Identifiers with a common prefix form a contiguous arc, so this is two
-// binary searches plus a linear scan of the arc. Table construction uses
-// the O(log N) single-exclusion variant ClosestWithPrefixExcl; this scan
-// survives as the general-skip API and as its test reference.
-func (r *Ring) ClosestWithPrefix(target id.ID, prefixLen int, skip map[id.ID]bool) (id.ID, bool) {
-	if prefixLen <= 0 {
-		return r.Closest(target, skip)
-	}
-	start, end, ok := r.arcBounds(target, prefixLen)
-	if !ok {
-		return id.ID{}, false
-	}
-	best, found := id.ID{}, false
-	for i := start; i <= end; i++ {
-		cand := r.ids[i]
-		if skip[cand] {
-			continue
-		}
-		if !found || id.Closer(cand, best, target) {
-			best, found = cand, true
-		}
-	}
-	return best, found
-}
-
 // arcBounds returns the inclusive index range [start, end] of members
 // sharing target's first prefixLen digits, with ok=false when no member
 // qualifies. Callers must pass prefixLen >= 1; prefixLen 0 is the whole
@@ -193,45 +108,16 @@ func (r *Ring) arcBounds(target id.ID, prefixLen int) (start, end int, ok bool) 
 	return start, end, true
 }
 
-// ClosestWithPrefixExcl is ClosestWithPrefix specialized to a single
-// excluded member — the only skip shape table construction needs. Within
-// a shared-prefix arc there is no wraparound, so distance to target is
-// monotone on each side of target's insertion point: the winner is among
-// the nearest two candidates per side (two, because the nearest may be
-// excl). O(log N) instead of a full arc scan.
-func (r *Ring) ClosestWithPrefixExcl(target id.ID, prefixLen int, excl id.ID) (id.ID, bool) {
+// closestWithPrefixExcl returns the ring position of the member closest
+// to target (by id.Closer) among those sharing target's first prefixLen
+// digits, excluding the member at position excl. Within a shared-prefix
+// arc there is no wraparound, so distance to target is monotone on each
+// side of target's insertion point: the winner is among the nearest two
+// candidates per side (two, because the nearest may be excl). O(log N)
+// instead of an arc scan.
+func (r *Ring) closestWithPrefixExcl(target id.ID, prefixLen, excl int) (int, bool) {
 	if prefixLen <= 0 {
 		return r.closestExcl(target, excl)
-	}
-	start, end, ok := r.arcBounds(target, prefixLen)
-	if !ok {
-		return id.ID{}, false
-	}
-	pos := r.searchGE(target)
-	best, found := id.ID{}, false
-	for _, i := range [4]int{pos, pos + 1, pos - 1, pos - 2} {
-		if i < start || i > end {
-			continue
-		}
-		cand := r.ids[i]
-		if cand == excl {
-			continue
-		}
-		if !found || id.Closer(cand, best, target) {
-			best, found = cand, true
-		}
-	}
-	return best, found
-}
-
-// closestWithPrefixExclIdx is ClosestWithPrefixExcl with the excluded
-// member named by index and the winner returned by index — the form the
-// compact core uses, where peers are uint32 ring positions rather than
-// identifiers. Candidate order and tie-breaking match the ID variant
-// exactly, so both return the same winner.
-func (r *Ring) closestWithPrefixExclIdx(target id.ID, prefixLen, excl int) (int, bool) {
-	if prefixLen <= 0 {
-		return r.closestExclIdx(target, excl)
 	}
 	start, end, ok := r.arcBounds(target, prefixLen)
 	if !ok {
@@ -250,8 +136,10 @@ func (r *Ring) closestWithPrefixExclIdx(target id.ID, prefixLen, excl int) (int,
 	return best, found
 }
 
-// closestExclIdx is closestExcl by index.
-func (r *Ring) closestExclIdx(target id.ID, excl int) (int, bool) {
+// closestExcl is closestWithPrefixExcl over the whole ring: the
+// circularly nearest member other than excl is within two ring steps of
+// target's insertion point, so four probes replace an outward walk.
+func (r *Ring) closestExcl(target id.ID, excl int) (int, bool) {
 	n := len(r.ids)
 	pos := r.searchGE(target)
 	best, found := 0, false
@@ -267,8 +155,11 @@ func (r *Ring) closestExclIdx(target id.ID, excl int) (int, bool) {
 	return best, found
 }
 
-// hasOtherWithPrefixIdx is HasOtherWithPrefix with the exclusion by index.
-func (r *Ring) hasOtherWithPrefixIdx(target id.ID, prefixLen, excl int) bool {
+// hasOtherWithPrefix reports whether any member besides the one at
+// position excl shares target's first prefixLen digits — the
+// row-termination probe of table construction, answered from the arc
+// bounds without scanning.
+func (r *Ring) hasOtherWithPrefix(target id.ID, prefixLen, excl int) bool {
 	if prefixLen <= 0 {
 		return len(r.ids) > 1 || excl != 0
 	}
@@ -279,10 +170,12 @@ func (r *Ring) hasOtherWithPrefixIdx(target id.ID, prefixLen, excl int) bool {
 	return end > start || start != excl
 }
 
-// uniformWithPrefixExclIdx is UniformWithPrefixExcl by index. It consumes
-// exactly the same rng draws as the ID variant: one IntN over the arc
-// span when a candidate exists, none otherwise.
-func (r *Ring) uniformWithPrefixExclIdx(target id.ID, prefixLen, excl int, rng interface{ IntN(int) int }) (int, bool) {
+// uniformWithPrefixExcl picks uniformly among the members sharing
+// target's first prefixLen digits, excluding (at most) the one at
+// position excl, and returns the pick's position. It consumes one
+// rng.IntN over the arc span when a candidate exists and no draw
+// otherwise.
+func (r *Ring) uniformWithPrefixExcl(target id.ID, prefixLen, excl int, rng interface{ IntN(int) int }) (int, bool) {
 	start, end := 0, len(r.ids)-1
 	if prefixLen > 0 {
 		var ok bool
@@ -307,110 +200,4 @@ func (r *Ring) uniformWithPrefixExclIdx(target id.ID, prefixLen, excl int, rng i
 		j++
 	}
 	return j, true
-}
-
-// closestExcl is Closest with a single excluded member: the circularly
-// nearest survivor is within two ring steps of the insertion point, so
-// four probes replace the outward walk.
-func (r *Ring) closestExcl(target id.ID, excl id.ID) (id.ID, bool) {
-	n := len(r.ids)
-	pos := r.searchGE(target)
-	best, found := id.ID{}, false
-	for _, off := range [4]int{0, 1, -1, -2} {
-		cand := r.ids[((pos+off)%n+n)%n]
-		if cand == excl {
-			continue
-		}
-		if !found || id.Closer(cand, best, target) {
-			best, found = cand, true
-		}
-	}
-	return best, found
-}
-
-// HasOtherWithPrefix reports whether any member besides excl shares
-// target's first prefixLen digits — the row-termination probe of table
-// construction, answered from the arc bounds without scanning.
-func (r *Ring) HasOtherWithPrefix(target id.ID, prefixLen int, excl id.ID) bool {
-	if prefixLen <= 0 {
-		return len(r.ids) > 1 || r.ids[0] != excl
-	}
-	start, end, ok := r.arcBounds(target, prefixLen)
-	if !ok {
-		return false
-	}
-	if end > start {
-		return true
-	}
-	return r.ids[start] != excl
-}
-
-// UniformWithPrefixExcl picks uniformly among members sharing target's
-// first prefixLen digits, excluding (at most) excl, with one rng draw
-// over the arc span instead of a reservoir pass through it.
-func (r *Ring) UniformWithPrefixExcl(target id.ID, prefixLen int, excl id.ID, rng interface{ IntN(int) int }) (id.ID, bool) {
-	start, end := 0, len(r.ids)-1
-	if prefixLen > 0 {
-		var ok bool
-		start, end, ok = r.arcBounds(target, prefixLen)
-		if !ok {
-			return id.ID{}, false
-		}
-	}
-	exclAt := -1
-	if at, ok := r.IndexOf(excl); ok && at >= start && at <= end {
-		exclAt = at
-	}
-	count := end - start + 1
-	if exclAt >= 0 {
-		count--
-	}
-	if count <= 0 {
-		return id.ID{}, false
-	}
-	j := start + rng.IntN(count)
-	if exclAt >= 0 && j >= exclAt {
-		j++
-	}
-	return r.ids[j], true
-}
-
-// NeighborsClockwise returns up to k members following x on the ring
-// (ascending with wraparound), excluding x itself.
-func (r *Ring) NeighborsClockwise(x id.ID, k int) []id.ID {
-	return r.neighbors(x, k, +1)
-}
-
-// NeighborsCounterClockwise returns up to k members preceding x.
-func (r *Ring) NeighborsCounterClockwise(x id.ID, k int) []id.ID {
-	return r.neighbors(x, k, -1)
-}
-
-func (r *Ring) neighbors(x id.ID, k, dir int) []id.ID {
-	n := len(r.ids)
-	if k > n-1 {
-		k = n - 1
-	}
-	if k <= 0 {
-		return nil
-	}
-	var pos int
-	if at, ok := r.IndexOf(x); ok {
-		pos = at
-	} else {
-		// x is not a member: start from the insertion point.
-		pos = r.searchGE(x)
-		if dir > 0 {
-			pos-- // first clockwise neighbor is ids[pos] itself
-		}
-	}
-	out := make([]id.ID, 0, k)
-	for i := 1; len(out) < k; i++ {
-		cand := r.ids[((pos+dir*i)%n+n)%n]
-		if cand == x {
-			break // wrapped all the way around
-		}
-		out = append(out, cand)
-	}
-	return out
 }

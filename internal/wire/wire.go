@@ -6,39 +6,62 @@
 // heavyweight tree measurement.
 package wire
 
-import (
-	"fmt"
+import "fmt"
 
-	"concilium/internal/core"
-	"concilium/internal/wiresize"
-)
-
-// Sizes from §4.4's accounting, re-exported from the dependency-free
-// internal/wiresize so instrumented protocol layers (which cannot
-// import this package without a cycle through core) share the same
-// byte model.
+// Sizes from §4.4's accounting. Every protocol layer meters its
+// bytes-on-wire with these, so the model and the metrics agree.
 const (
 	// NodeIDBytes is the identifier length in a routing entry.
-	NodeIDBytes = wiresize.NodeID
+	NodeIDBytes = 16
 	// FreshnessTimestampBytes is the per-entry signed timestamp payload.
-	FreshnessTimestampBytes = wiresize.FreshnessTimestamp
+	FreshnessTimestampBytes = 4
 	// PSSREntryBytes is a routing entry (identifier + timestamp) signed
 	// with PSS-R over a 1024-bit key: message recovery folds the 20
 	// payload bytes into the 128-byte signature block, totalling 144.
-	PSSREntryBytes = wiresize.PSSREntry
+	PSSREntryBytes = 144
 	// PathSummaryBytes encodes one path's probe results: "a few bits",
 	// budgeted at one byte.
-	PathSummaryBytes = wiresize.PathSummary
-	// IPUDPHeaderBytes is the IP+UDP header overhead per probe.
-	IPUDPHeaderBytes = wiresize.IPUDPHeader
+	PathSummaryBytes = 1
+	// IPUDPHeaderBytes is the IP+UDP header overhead per packet.
+	IPUDPHeaderBytes = 28
 	// ProbeNonceBytes is the 16-bit probe nonce.
-	ProbeNonceBytes = wiresize.ProbeNonce
+	ProbeNonceBytes = 2
 	// ProbePacketBytes is one striped unicast probe on the wire.
-	ProbePacketBytes = wiresize.ProbePacket
+	ProbePacketBytes = IPUDPHeaderBytes + ProbeNonceBytes
 	// LeafSetEntries is the leaf count added to μφ for total routing
 	// state size.
-	LeafSetEntries = wiresize.LeafSetEntries
+	LeafSetEntries = 16
+
+	// SignatureBytes is an Ed25519 signature (the reproduction's
+	// stand-in for the paper's PSS-R commitments and snapshot
+	// signatures).
+	SignatureBytes = 64
+	// MsgIDBytes is the per-sender message counter carried in
+	// commitments.
+	MsgIDBytes = 8
+	// TimestampBytes is a virtual-time instant on the wire.
+	TimestampBytes = 8
 )
+
+// StewardedHopBytes is the modeled on-wire cost of forwarding one
+// stewarded message across one overlay hop: packet header, source and
+// destination identifiers, the message id, and the next hop's signed
+// forwarding commitment (§3.6: judged identifier + signature).
+const StewardedHopBytes = IPUDPHeaderBytes + 2*NodeIDBytes + MsgIDBytes + NodeIDBytes + SignatureBytes
+
+// AckHopBytes is the modeled cost of one acknowledgment leg: header,
+// the acker's identifier, the message id, and its signature.
+const AckHopBytes = IPUDPHeaderBytes + NodeIDBytes + MsgIDBytes + SignatureBytes
+
+// SnapshotBytes models one signed tomographic snapshot (§3.2) carrying
+// n link observations: header, prober identifier, timestamp, one
+// packed (link id, status) pair per observation, and the signature.
+func SnapshotBytes(n int) int {
+	if n < 0 {
+		n = 0
+	}
+	return IPUDPHeaderBytes + NodeIDBytes + TimestampBytes + n*5 + SignatureBytes
+}
 
 // AdvertBytes returns the size of a full signed routing-state
 // advertisement with the given number of entries: each entry costs the
@@ -51,14 +74,10 @@ func AdvertBytes(entries int) (int, error) {
 }
 
 // ExpectedRoutingEntries returns the paper's estimate of local routing
-// state size for an overlay of n nodes: μφ occupied jump-table slots
-// plus the 16 leaves.
-func ExpectedRoutingEntries(model core.OccupancyModel, n int) (float64, error) {
-	mu, err := model.ExpectedOccupancy(n)
-	if err != nil {
-		return 0, err
-	}
-	return mu + LeafSetEntries, nil
+// state size given the expected jump-table occupancy μφ: the occupied
+// slots plus the 16 leaves.
+func ExpectedRoutingEntries(occupancy float64) float64 {
+	return occupancy + LeafSetEntries
 }
 
 // HeavyweightProbeBytes returns the outgoing traffic for one full
@@ -85,12 +104,10 @@ type BandwidthReport struct {
 }
 
 // Budget computes the full bandwidth table for an overlay of n nodes
-// with the given heavyweight parameters.
-func Budget(model core.OccupancyModel, n, stripesPerPair, packetsPerStripe int) (BandwidthReport, error) {
-	entries, err := ExpectedRoutingEntries(model, n)
-	if err != nil {
-		return BandwidthReport{}, err
-	}
+// whose expected jump-table occupancy is μφ = occupancy (the occupancy
+// model's ExpectedOccupancy(n)), with the given heavyweight parameters.
+func Budget(occupancy float64, n, stripesPerPair, packetsPerStripe int) (BandwidthReport, error) {
+	entries := ExpectedRoutingEntries(occupancy)
 	advert := entries * (PSSREntryBytes + PathSummaryBytes)
 	hw, err := HeavyweightProbeBytes(int(entries+0.5), stripesPerPair, packetsPerStripe, ProbePacketBytes)
 	if err != nil {
