@@ -3,8 +3,8 @@ package main
 import (
 	"fmt"
 
-	"concilium/internal/adversary"
 	"concilium/internal/benchreport"
+	"concilium/internal/campaign"
 	"concilium/internal/experiments"
 )
 
@@ -22,11 +22,11 @@ import (
 // an error: the figure must not land in a report looking like a
 // measurement when the protocol's defenses did not hold.
 func runAdversary(c figCtx) ([]benchreport.Figure, error) {
-	cfg := adversary.ShortConfig(c.seed)
+	cfg := campaign.ShortAdversaryConfig(c.seed)
 	cfg.Workers = c.workers
-	var rep *adversary.Report
+	var rep *campaign.AdversaryReport
 	allocs, bytes, err := countAllocs(func() (err error) {
-		rep, err = adversary.Run(cfg)
+		rep, err = campaign.RunAdversary(cfg)
 		return err
 	})
 	if err != nil {
@@ -55,7 +55,7 @@ func runAdversary(c figCtx) ([]benchreport.Figure, error) {
 
 // adversaryTable renders the campaign's operating points for text/csv
 // mode: one row per (strategy, fraction) cell.
-func adversaryTable(rep *adversary.Report) experiments.Table {
+func adversaryTable(rep *campaign.AdversaryReport) experiments.Table {
 	t := experiments.Table{
 		Title: "Figure 12: adversarial conviction ROC operating points (strategy x attacker fraction)",
 		Columns: []string{

@@ -12,7 +12,7 @@
 // 6 (accusation error vs m), 7 (§4.4 bandwidth), plus extensions:
 // 8 (collusion-fraction sweep), 9 (median-consensus suppression
 // defense), 10 (BuildCompactSystem scale at the -scale-n overlay sizes),
-// 12 (adversarial conviction ROC grid; see internal/adversary), and
+// 12 (adversarial conviction ROC grid; see internal/campaign), and
 // 13 (compact-plane diagnosis traffic at the -traffic-n overlay sizes).
 // The figures table below is the one list of them. -fig 0 runs the
 // paper's seven in text mode, plus figures 10, 12, and 13 in benchmark
@@ -42,7 +42,7 @@ import (
 	"time"
 
 	"concilium/internal/benchreport"
-	"concilium/internal/chaos"
+	"concilium/internal/campaign"
 	"concilium/internal/experiments"
 	"concilium/internal/parexec"
 	"concilium/internal/profiling"
@@ -251,9 +251,9 @@ func runBenchmark(w io.Writer, jsonPath, scale string, sel []figure, c figCtx) e
 	// The metrics snapshot comes from an instrumented chaos campaign —
 	// the one scenario that drives every instrumented layer (probing,
 	// stewarded delivery, blame, DHT, netsim churn) under one registry.
-	chaosCfg := chaos.ShortConfig(c.seed)
+	chaosCfg := campaign.ShortChaosConfig(c.seed)
 	chaosCfg.Workers = c.workers
-	chaosRep, err := chaos.Run(chaosCfg)
+	chaosRep, err := campaign.RunChaos(chaosCfg)
 	if err != nil {
 		return fmt.Errorf("chaos scenario: %w", err)
 	}

@@ -14,10 +14,9 @@ import (
 	"runtime"
 	"time"
 
-	"concilium/internal/adversary"
 	"concilium/internal/baseline"
 	"concilium/internal/benchreport"
-	"concilium/internal/chaos"
+	"concilium/internal/campaign"
 	"concilium/internal/core"
 	"concilium/internal/id"
 	"concilium/internal/metrics"
@@ -59,10 +58,8 @@ func run(w io.Writer, args []string) error {
 	switch {
 	case *chaosMode && *adversaryMode:
 		err = fmt.Errorf("-chaos and -adversary are mutually exclusive")
-	case *chaosMode:
-		err = runChaos(w, *seed, *workers, *chaosDuration, *jsonPath)
-	case *adversaryMode:
-		err = runAdversary(w, *seed, *workers, *jsonPath)
+	case *chaosMode || *adversaryMode:
+		err = runCampaign(w, *adversaryMode, *seed, *workers, *chaosDuration, *jsonPath)
 	default:
 		err = runSim(w, simOpts{
 			seed: *seed, messages: *messages, malicious: *malicious,
@@ -297,71 +294,69 @@ func writeReport(w io.Writer, path string, report *benchreport.Report) error {
 	return nil
 }
 
-// runChaos executes a seeded chaos campaign and prints its invariant
-// report. A violated invariant is a nonzero exit, so CI can gate on
-// the campaign directly.
-func runChaos(w io.Writer, seed uint64, workers int, duration, jsonPath string) error {
-	var cfg chaos.Config
-	switch duration {
-	case "short":
-		cfg = chaos.ShortConfig(seed)
-	case "long":
-		cfg = chaos.LongConfig(seed)
-	default:
-		return fmt.Errorf("unknown chaos duration %q (want short or long)", duration)
-	}
-	cfg.Workers = workers
-	fmt.Fprintf(w, "running %s chaos campaign (seed=%d)...\n", duration, seed)
-	rep, err := chaos.Run(cfg)
-	if err != nil {
-		return err
-	}
-	fmt.Fprint(w, rep.String())
-	if jsonPath != "" {
-		report := newReport(seed, duration, workers)
-		report.Metrics = rep.Metrics
-		report.Figures = []benchreport.Figure{{
-			Name:   "chaos-" + duration,
-			Checks: rep.Checks(),
-			Timing: benchreport.Timing{Ops: int64(rep.Sent)},
-		}}
-		if err := writeReport(w, jsonPath, report); err != nil {
-			return err
-		}
-	}
-	if !rep.Passed() {
-		return fmt.Errorf("chaos campaign violated invariants")
-	}
-	return nil
+// campaignReport is what runCampaign needs of either campaign kind's
+// report.
+type campaignReport interface {
+	String() string
+	Passed() bool
+	Checks() map[string]float64
 }
 
-// runAdversary executes the seeded adversarial campaign grid and
-// prints its conviction report. A violated invariant (ROC separation,
-// honest-conviction bound, overlay-still-routing, ...) is a nonzero
-// exit, so CI can gate on the campaign directly.
-func runAdversary(w io.Writer, seed uint64, workers int, jsonPath string) error {
-	cfg := adversary.ShortConfig(seed)
-	cfg.Workers = workers
-	fmt.Fprintf(w, "running adversarial campaign (seed=%d)...\n", seed)
-	rep, err := adversary.Run(cfg)
-	if err != nil {
-		return err
+// runCampaign executes a seeded campaign — the adversarial grid, or
+// the chaos campaign of the given duration — and prints its invariant
+// report, optionally filing it as a bench report. A violated invariant
+// is a nonzero exit, so CI can gate on the campaign directly.
+func runCampaign(w io.Writer, adversarial bool, seed uint64, workers int, duration, jsonPath string) error {
+	var (
+		rep                 campaignReport
+		snap                metrics.Snapshot
+		ops                 int
+		kind, label, figure string
+	)
+	if adversarial {
+		cfg := campaign.ShortAdversaryConfig(seed)
+		cfg.Workers = workers
+		kind, label, figure = "adversarial", "adversary", "adversary"
+		fmt.Fprintf(w, "running %s campaign (seed=%d)...\n", kind, seed)
+		r, err := campaign.RunAdversary(cfg)
+		if err != nil {
+			return err
+		}
+		rep, snap, ops = r, r.Metrics, len(r.Cells)
+	} else {
+		var cfg campaign.ChaosConfig
+		switch duration {
+		case "short":
+			cfg = campaign.ShortChaosConfig(seed)
+		case "long":
+			cfg = campaign.LongChaosConfig(seed)
+		default:
+			return fmt.Errorf("unknown chaos duration %q (want short or long)", duration)
+		}
+		cfg.Workers = workers
+		kind, label, figure = duration+" chaos", duration, "chaos-"+duration
+		fmt.Fprintf(w, "running %s campaign (seed=%d)...\n", kind, seed)
+		r, err := campaign.RunChaos(cfg)
+		if err != nil {
+			return err
+		}
+		rep, snap, ops = r, r.Metrics, r.Sent
 	}
 	fmt.Fprint(w, rep.String())
 	if jsonPath != "" {
-		report := newReport(seed, "adversary", workers)
-		report.Metrics = rep.Metrics
+		report := newReport(seed, label, workers)
+		report.Metrics = snap
 		report.Figures = []benchreport.Figure{{
-			Name:   "adversary",
+			Name:   figure,
 			Checks: rep.Checks(),
-			Timing: benchreport.Timing{Ops: int64(len(rep.Cells))},
+			Timing: benchreport.Timing{Ops: int64(ops)},
 		}}
 		if err := writeReport(w, jsonPath, report); err != nil {
 			return err
 		}
 	}
 	if !rep.Passed() {
-		return fmt.Errorf("adversarial campaign violated invariants")
+		return fmt.Errorf("%s campaign violated invariants", kind)
 	}
 	return nil
 }

@@ -138,6 +138,14 @@ func (a *Accusation) Verify(keys KeyDirectory, threshold float64) error {
 	if keys == nil {
 		return fmt.Errorf("core: nil key directory")
 	}
+	// The payload signs each probe count as 32 bits; a count outside
+	// that range would verify under its truncation's signature while
+	// encoding to different bytes.
+	for _, lc := range a.Evidence {
+		if lc.Probes < 0 || lc.Probes > math.MaxUint32 {
+			return fmt.Errorf("core: evidence for link %d claims %d probes, outside the signed 32-bit range", lc.Link, lc.Probes)
+		}
+	}
 	accuserPub, ok := keys(a.Accuser)
 	if !ok {
 		return fmt.Errorf("%w: accuser %s", ErrUnknownSigner, a.Accuser.Short())
@@ -174,23 +182,35 @@ type RevisionChain struct {
 	Links []Accusation
 }
 
-// NewRevisionChain validates chain structure: each accusation's accused
-// must be the next accusation's accuser, for the same message.
+// NewRevisionChain validates chain structure (see connected) and
+// copies the links into a new chain.
 func NewRevisionChain(links []Accusation) (*RevisionChain, error) {
+	if err := connected(links); err != nil {
+		return nil, err
+	}
+	return &RevisionChain{Links: append([]Accusation(nil), links...)}, nil
+}
+
+// connected checks chain structure: at least one link, and each
+// accusation's accused is the next accusation's accuser, for the same
+// message. Verify applies it too, because chains decoded from the DHT
+// never pass through NewRevisionChain. It neither copies nor
+// allocates unless it fails.
+func connected(links []Accusation) error {
 	if len(links) == 0 {
-		return nil, fmt.Errorf("core: empty revision chain")
+		return fmt.Errorf("core: empty revision chain")
 	}
 	for i := 0; i+1 < len(links); i++ {
 		if links[i].Accused != links[i+1].Accuser {
-			return nil, fmt.Errorf("%w: link %d accuses %s but link %d is from %s",
+			return fmt.Errorf("%w: link %d accuses %s but link %d is from %s",
 				ErrBrokenChain, i, links[i].Accused.Short(), i+1, links[i+1].Accuser.Short())
 		}
 		if links[i].MsgID != links[i+1].MsgID {
-			return nil, fmt.Errorf("%w: message ids %d and %d differ",
+			return fmt.Errorf("%w: message ids %d and %d differ",
 				ErrBrokenChain, links[i].MsgID, links[i+1].MsgID)
 		}
 	}
-	return &RevisionChain{Links: append([]Accusation(nil), links...)}, nil
+	return nil
 }
 
 // Culprit returns the host the amended accusation ultimately blames.
@@ -209,9 +229,12 @@ func (rc *RevisionChain) Exonerated() []id.ID {
 	return out
 }
 
-// Verify validates every link in the chain; a valid chain transfers the
-// original accusation's blame onto the culprit.
+// Verify validates the chain's structure and every link in it; a valid
+// chain transfers the original accusation's blame onto the culprit.
 func (rc *RevisionChain) Verify(keys KeyDirectory, threshold float64) error {
+	if err := connected(rc.Links); err != nil {
+		return err
+	}
 	for i := range rc.Links {
 		if err := rc.Links[i].Verify(keys, threshold); err != nil {
 			return fmt.Errorf("core: chain link %d: %w", i, err)

@@ -412,3 +412,60 @@ func TestSnapshotValidatorRejections(t *testing.T) {
 		t.Error("archive polluted by invalid snapshot")
 	}
 }
+
+// TestRevisionChainVerifyRejectsSplice holds Verify to NewRevisionChain's
+// structure rules. Chains arrive decoded off the wire, never through the
+// constructor, so valid links from unrelated chains must not verify as
+// one chain — neither two disjoint accusations (whose Exonerated would
+// clear a host nobody blamed) nor links for different messages.
+func TestRevisionChainVerifyRejectsSplice(t *testing.T) {
+	t.Parallel()
+	r := rand.New(rand.NewPCG(131, 133))
+	ids, keys := newIdentities(8, r)
+	ab := buildChain(t, ids[:4])[0] // A→B on message 99
+	xy := buildChain(t, ids[4:])[0] // X→Y on message 99
+	spliced := &RevisionChain{Links: []Accusation{ab, xy}}
+	if err := spliced.Verify(keys, 0.4); !errors.Is(err, ErrBrokenChain) {
+		t.Errorf("spliced A→B, X→Y chain: %v", err)
+	}
+
+	// B→C signed for message 7 connects by identity but not by message.
+	b, c, d := ids[1], ids[2], ids[3]
+	commit := NewCommitment(c.keys, b.id, c.id, d.id, 7, 4900)
+	bc7, err := NewAccusation(b.keys, b.id, buildGuiltyResult(t, c.id, 5000), 7, []topology.LinkID{1, 2}, commit)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := bc7.Verify(keys, 0.4); err != nil {
+		t.Fatalf("B→C on message 7 alone: %v", err)
+	}
+	crossMsg := &RevisionChain{Links: []Accusation{ab, bc7}}
+	if err := crossMsg.Verify(keys, 0.4); !errors.Is(err, ErrBrokenChain) {
+		t.Errorf("chain across messages 99 and 7: %v", err)
+	}
+	if err := (&RevisionChain{}).Verify(keys, 0.4); err == nil {
+		t.Error("empty chain verified")
+	}
+}
+
+// TestAccusationVerifyRejectsWrappedProbes: the signed payload carries
+// each evidence probe count as 32 bits, so a count outside [0, 2^32)
+// would verify under the signature of its truncation while encoding to
+// different bytes — a replayed chain that dodges duplicate detection.
+func TestAccusationVerifyRejectsWrappedProbes(t *testing.T) {
+	t.Parallel()
+	r := rand.New(rand.NewPCG(141, 143))
+	ids, keys := newIdentities(4, r)
+	acc := buildChain(t, ids)[0]
+	if err := acc.Verify(keys, 0.4); err != nil {
+		t.Fatal(err)
+	}
+	for _, probes := range []int{acc.Evidence[0].Probes + 1<<32, -1} {
+		bad := acc
+		bad.Evidence = append([]LinkConfidence(nil), acc.Evidence...)
+		bad.Evidence[0].Probes = probes
+		if err := bad.Verify(keys, 0.4); err == nil {
+			t.Errorf("evidence with %d probes verified", probes)
+		}
+	}
+}

@@ -174,3 +174,82 @@ func TestSendBulkCleanAndLossy(t *testing.T) {
 		t.Error("unknown source accepted")
 	}
 }
+
+// bulkThroughFirstHop routes n messages src→dst through a system whose
+// first interior hop runs policy b, once as a bulk batch and once as n
+// single sends, and returns how many each delivered. No link ever
+// fails, so every loss is the hop's doing.
+func bulkThroughFirstHop(t *testing.T, b Behavior, n int) (bulk, single int) {
+	t.Helper()
+	s := buildTestCompactSystem(t, nil)
+	src, dst, route := findMultiHopPair(t, s, 2)
+	if err := s.SetBehavior(route[1], b); err != nil {
+		t.Fatal(err)
+	}
+	rep, err := s.SendBulk(src, dst, n)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < n; i++ {
+		r, err := s.SendMessage(src, dst)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if r.Delivered {
+			single++
+		}
+	}
+	return rep.Delivered, single
+}
+
+// TestSendBulkSelectiveDropper holds SendBulk to SendMessage's drop
+// rule for a periodic dropper: every second forward is dropped, in a
+// batch as in single sends.
+func TestSendBulkSelectiveDropper(t *testing.T) {
+	t.Parallel()
+	bulk, single := bulkThroughFirstHop(t, Behavior{DropPeriod: 2}, 10)
+	if bulk != 5 || single != 5 {
+		t.Errorf("DropPeriod 2 hop delivered %d of 10 in bulk, %d of 10 singly; want 5 and 5", bulk, single)
+	}
+}
+
+// TestSendBulkProbabilisticDropper: a hop that drops with probability
+// 0.9 must drop most of a batch too.
+func TestSendBulkProbabilisticDropper(t *testing.T) {
+	t.Parallel()
+	bulk, single := bulkThroughFirstHop(t, Behavior{DropProb: 0.9}, 10)
+	if bulk > 5 || single > 5 {
+		t.Errorf("DropProb 0.9 hop delivered %d of 10 in bulk, %d of 10 singly", bulk, single)
+	}
+}
+
+// TestSendBulkHopDepartsMidBatch fails the first interior hop halfway
+// through a batch: the messages that reach it after its departure are
+// not received, as DropByChurn is for a single send.
+func TestSendBulkHopDepartsMidBatch(t *testing.T) {
+	t.Parallel()
+	s := buildTestCompactSystem(t, nil)
+	src, dst, route := findMultiHopPair(t, s, 2)
+	// One message's forward pass takes the route's whole latency; the
+	// batch sends back to back, so message m reaches the first hop
+	// before m+1 passes start.
+	start := s.Sim.Now()
+	if _, err := s.SendBulk(src, dst, 1); err != nil {
+		t.Fatal(err)
+	}
+	pass := time.Duration(s.Sim.Now() - start)
+	if err := s.Sim.ScheduleAfter(5*pass-1, func() {
+		if err := s.FailNode(route[1]); err != nil {
+			t.Error(err)
+		}
+	}); err != nil {
+		t.Fatal(err)
+	}
+	rep, err := s.SendBulk(src, dst, 10)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.Delivered != 5 || len(rep.Missing) != 5 {
+		t.Errorf("hop departed after 5 of 10: delivered %d, missing %d", rep.Delivered, len(rep.Missing))
+	}
+}

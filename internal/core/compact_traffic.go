@@ -456,13 +456,12 @@ func (cs *CompactSystem) SendBulk(src, dst id.ID, n int) (*BulkReport, error) {
 		ok := true
 		for i := 0; i+1 < len(route) && ok; i++ {
 			cs.Run(cs.Net.Latency(paths[i]))
-			if !cs.Net.PathUp(paths[i]) {
-				ok = false
-				break
-			}
-			if cs.behaviorOfSlab(slabs[i+1]).DropsMessages && route[i+1] != dst {
-				ok = false
-			}
+			// SendMessage's rules: a down link or a departed next hop
+			// loses the message, and an interior hop applies its drop
+			// policy.
+			ok = cs.Net.PathUp(paths[i]) &&
+				cs.Overlay.Pos(slabs[i+1]) != overlay.NoIndex &&
+				(route[i+1] == dst || !cs.dropsMessageSlab(slabs[i+1]))
 		}
 		if ok {
 			received = append(received, msgID)

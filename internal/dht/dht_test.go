@@ -451,6 +451,29 @@ func TestAccusationRepoRejectsBadChains(t *testing.T) {
 	}
 }
 
+// TestAccusationRepoRejectsEmptyChain: a chain with no links names no
+// culprit, so publishing one is an error, never a panic.
+func TestAccusationRepoRejectsEmptyChain(t *testing.T) {
+	t.Parallel()
+	r := rand.New(rand.NewPCG(15, 16))
+	_, keys := buildVerifiedChain(t, r)
+	ring, _ := testRing(t, 20, r)
+	store, err := New(ring, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	repo, err := NewAccusationRepo(store, keys, 0.4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := repo.Publish(&core.RevisionChain{}); err == nil {
+		t.Error("empty chain published")
+	}
+	if err := repo.PublishAt(&core.RevisionChain{Links: []core.Accusation{}}, 0); err == nil {
+		t.Error("empty chain published with a clock")
+	}
+}
+
 func TestNewAccusationRepoValidation(t *testing.T) {
 	t.Parallel()
 	r := rand.New(rand.NewPCG(13, 14))

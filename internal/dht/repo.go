@@ -223,7 +223,7 @@ func (r *AccusationRepo) FetchChecked(accused id.ID) ([]*core.RevisionChain, Hea
 		if chain.Verify(r.keys, r.threshold) != nil {
 			continue
 		}
-		if len(chain.Links) == 0 || chain.Culprit() != accused {
+		if chain.Culprit() != accused {
 			continue
 		}
 		out = append(out, &chain)

@@ -21,13 +21,13 @@ import (
 // paper's Eq. 2 on zero evidence), so tests can mint verifiable chains
 // from arbitrary accuser sets.
 type repoFixture struct {
-	t   *testing.T
+	t   testing.TB
 	dir map[id.ID]ed25519.PublicKey
 	kp  map[id.ID]sigcrypto.KeyPair
 	eng *core.BlameEngine
 }
 
-func newRepoFixture(t *testing.T, r *rand.Rand, n int) (*repoFixture, []id.ID) {
+func newRepoFixture(t testing.TB, r *rand.Rand, n int) (*repoFixture, []id.ID) {
 	t.Helper()
 	f := &repoFixture{
 		t:   t,
