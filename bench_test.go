@@ -335,6 +335,26 @@ func BenchmarkTable44Bandwidth(b *testing.B) {
 	b.ReportMetric(hw, "heavyweight-MB-100k")
 }
 
+// probers names the ablation archives' probers: handle h is
+// probers[h-1].
+type probers []id.ID
+
+func (p probers) ProberHandle(nid id.ID) tomography.ProberHandle {
+	for i, x := range p {
+		if x == nid {
+			return tomography.ProberHandle(i + 1)
+		}
+	}
+	return 0
+}
+
+func (p probers) ProberID(h tomography.ProberHandle) id.ID {
+	if h == 0 || int(h) > len(p) {
+		return id.ID{}
+	}
+	return p[h-1]
+}
+
 // BenchmarkAblationProbeExclusion measures what §3.4's rule — a node's
 // own probes never count toward its blame — buys: without it, a dropper
 // that publishes "my links were down" talks its way out of every
@@ -344,16 +364,17 @@ func BenchmarkAblationProbeExclusion(b *testing.B) {
 	dropper := id.Random(rng)
 	honest := id.Random(rng)
 	path := []topology.LinkID{1, 2, 3}
+	names := probers{honest, dropper}
 	mkArchive := func() *tomography.Archive {
 		arch := tomography.NewArchive(4)
 		// Honest prober says all links up; the dropper floods claims
 		// that they were down.
 		for _, l := range path {
-			_ = arch.Record(honest, 0, []tomography.LinkObservation{{Link: l, Up: true}})
+			_ = arch.Record(names.ProberHandle(honest), 0, []tomography.LinkObservation{{Link: l, Up: true}})
 		}
 		for i := 0; i < 8; i++ {
 			for _, l := range path {
-				_ = arch.Record(dropper, 1, []tomography.LinkObservation{{Link: l, Up: false}})
+				_ = arch.Record(names.ProberHandle(dropper), 1, []tomography.LinkObservation{{Link: l, Up: false}})
 			}
 		}
 		return arch
@@ -362,7 +383,7 @@ func BenchmarkAblationProbeExclusion(b *testing.B) {
 	var withRule, withoutRule float64
 	for i := 0; i < b.N; i++ {
 		arch := mkArchive()
-		eng, err := core.NewBlameEngine(arch, core.DefaultBlameConfig())
+		eng, err := core.NewBlameEngine(arch, names, core.DefaultBlameConfig())
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -371,7 +392,7 @@ func BenchmarkAblationProbeExclusion(b *testing.B) {
 			b.Fatal(err)
 		}
 		withRule = res.Blame
-		engOff, err := core.NewBlameEngine(arch, core.DefaultBlameConfig(), core.WithSelfExclusion(false))
+		engOff, err := core.NewBlameEngine(arch, names, core.DefaultBlameConfig(), core.WithSelfExclusion(false))
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -398,9 +419,9 @@ func BenchmarkAblationFuzzyOR(b *testing.B) {
 	path := make([]topology.LinkID, pathLen)
 	for i := range path {
 		path[i] = topology.LinkID(i)
-		_ = arch.Record(prober, 0, []tomography.LinkObservation{{Link: path[i], Up: i != 5}})
+		_ = arch.Record(1, 0, []tomography.LinkObservation{{Link: path[i], Up: i != 5}})
 	}
-	eng, err := core.NewBlameEngine(arch, core.DefaultBlameConfig())
+	eng, err := core.NewBlameEngine(arch, probers{prober}, core.DefaultBlameConfig())
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -430,7 +451,7 @@ func BenchmarkAblationFuzzyOR(b *testing.B) {
 func BenchmarkAblationRecursiveRevision(b *testing.B) {
 	rng := benchRand()
 	arch := tomography.NewArchive(0) // every path unprobed
-	eng, err := core.NewBlameEngine(arch, core.DefaultBlameConfig())
+	eng, err := core.NewBlameEngine(arch, probers{}, core.DefaultBlameConfig())
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -487,7 +508,7 @@ func BenchmarkAblationCommitments(b *testing.B) {
 	accuserKeys := sigcrypto.KeyPairFromRand(rng)
 	victimKeys := sigcrypto.KeyPairFromRand(rng)
 
-	eng, err := core.NewBlameEngine(tomography.NewArchive(0), core.DefaultBlameConfig())
+	eng, err := core.NewBlameEngine(tomography.NewArchive(0), probers{}, core.DefaultBlameConfig())
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -64,7 +64,7 @@ func TestCommitmentSignAndVerify(t *testing.T) {
 // evidence: full blame on the judged node.
 func buildGuiltyResult(t *testing.T, judged id.ID, at netsim.Time) BlameResult {
 	t.Helper()
-	eng, err := NewBlameEngine(tomography.NewArchive(0), DefaultBlameConfig())
+	eng, err := newHandArchive(0).engine(DefaultBlameConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -304,14 +304,6 @@ func TestSnapshotSignAndValidate(t *testing.T) {
 		t.Fatalf("valid snapshot rejected: %v", err)
 	}
 
-	// Archive ingestion.
-	arch := tomography.NewArchive(4)
-	if err := v.Ingest(arch, snap); err != nil {
-		t.Fatal(err)
-	}
-	if got := arch.Window(2, 0, now.Add(time.Hour)); len(got) != 1 || got[0].Up() {
-		t.Errorf("ingested observation wrong: %+v", got)
-	}
 }
 
 func TestSnapshotValidatorRejections(t *testing.T) {
@@ -402,14 +394,6 @@ func TestSnapshotValidatorRejections(t *testing.T) {
 	s.Sign(prober.keys)
 	if err := v.Validate(s); !errors.Is(err, ErrUnknownSigner) {
 		t.Errorf("unknown signer: %v", err)
-	}
-	// Invalid ingest never archives.
-	arch := tomography.NewArchive(4)
-	if err := v.Ingest(arch, s); err == nil {
-		t.Error("invalid snapshot ingested")
-	}
-	if arch.Size() != 0 {
-		t.Error("archive polluted by invalid snapshot")
 	}
 }
 

@@ -100,12 +100,22 @@ type BlameResult struct {
 // judgment time. The accusation experiments use it to model colluders
 // who adapt their published results to whoever is being judged (§4.3);
 // returning false discards the record. It is called once per admissible
-// record. rec.Prober and judgedHandle are handles of the engine's
-// archive — judgedHandle is the judged node's, zero if it never
-// recorded — so a filter can resolve both identities without touching
-// the identifier space (Archive.ProberID maps back when it must). A
-// filter must not mutate shared state: Blame may run concurrently.
+// record. rec.Prober and judgedHandle are archive handles — judgedHandle
+// is the judged node's, from the engine's Probers, zero if it has none —
+// so a filter over a CompactSystem reads both slabs as handle − 1
+// without touching the identifier space. A filter must not mutate
+// shared state: Blame may run concurrently.
 type RecordFilter func(judged id.ID, judgedHandle tomography.ProberHandle, rec tomography.ProbeRecord) (tomography.ProbeRecord, bool)
+
+// Probers names the probers behind an archive's handles, both ways:
+// Blame needs the judged node's handle for self-exclusion and, under a
+// witness grouping, each handle's identifier. CompactSystem is one.
+type Probers interface {
+	// ProberHandle returns nid's handle, or zero, which no record carries.
+	ProberHandle(nid id.ID) tomography.ProberHandle
+	// ProberID returns h's prober, or the zero identifier if none.
+	ProberID(h tomography.ProberHandle) id.ID
+}
 
 // WitnessGrouping maps a prober to its witness group. Probers sharing
 // a group aggregate into ONE witness before link confidences are
@@ -134,21 +144,23 @@ func WithSelfExclusion(enabled bool) BlameOption {
 // results.
 type BlameEngine struct {
 	archive       *tomography.Archive
+	probers       Probers
 	cfg           BlameConfig
 	filter        RecordFilter
 	group         WitnessGrouping
 	selfExclusion bool
 }
 
-// NewBlameEngine creates an engine reading from archive.
-func NewBlameEngine(archive *tomography.Archive, cfg BlameConfig, opts ...BlameOption) (*BlameEngine, error) {
-	if archive == nil {
-		return nil, fmt.Errorf("core: blame engine requires an archive")
+// NewBlameEngine creates an engine reading from archive, whose record
+// handles probers names.
+func NewBlameEngine(archive *tomography.Archive, probers Probers, cfg BlameConfig, opts ...BlameOption) (*BlameEngine, error) {
+	if archive == nil || probers == nil {
+		return nil, fmt.Errorf("core: blame engine requires an archive and its probers")
 	}
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	e := &BlameEngine{archive: archive, cfg: cfg, selfExclusion: true}
+	e := &BlameEngine{archive: archive, probers: probers, cfg: cfg, selfExclusion: true}
 	for _, opt := range opts {
 		opt(e)
 	}
@@ -171,7 +183,7 @@ func (e *BlameEngine) SetWitnessGrouping(g WitnessGrouping) { e.group = g }
 // evidence the link was bad (confidence 0). It iterates the archive's
 // zero-copy span and applies the self-exclusion rule inline, so a
 // judgment allocates nothing per link. self is the judged node's
-// archive handle (zero if it never probed), so the rule costs one
+// archive handle (zero if it has none), so the rule costs one
 // integer compare per record; groups is the call's witness-group state,
 // nil without a grouping.
 func (e *BlameEngine) linkConfidence(judged id.ID, self tomography.ProberHandle, groups *witnessGroups, link topology.LinkID, at netsim.Time) LinkConfidence {
@@ -244,7 +256,7 @@ func (e *BlameEngine) newWitnessGroups(judged id.ID) *witnessGroups {
 func (w *witnessGroups) of(e *BlameEngine, h tomography.ProberHandle) int32 {
 	g, ok := w.ofHandle[h]
 	if !ok {
-		g = w.numberOf(e.group(e.archive.ProberID(h)))
+		g = w.numberOf(e.group(e.probers.ProberID(h)))
 		w.ofHandle[h] = g
 	}
 	return g
@@ -324,7 +336,7 @@ func (e *BlameEngine) Blame(judged id.ID, path []topology.LinkID, at netsim.Time
 		return BlameResult{}, fmt.Errorf("core: blame over empty path")
 	}
 	res := BlameResult{Judged: judged, At: at, Evidence: make([]LinkConfidence, 0, len(path))}
-	self := e.archive.Handle(judged)
+	self := e.probers.ProberHandle(judged)
 	var groups *witnessGroups
 	if e.group != nil {
 		groups = e.newWitnessGroups(judged)

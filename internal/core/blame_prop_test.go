@@ -13,8 +13,8 @@ import (
 
 // randomBlameCase builds an archive with random probe evidence over a
 // random path and returns everything needed to evaluate blame.
-func randomBlameCase(r *rand.Rand) (*tomography.Archive, id.ID, []topology.LinkID, netsim.Time) {
-	arch := tomography.NewArchive(20)
+func randomBlameCase(r *rand.Rand) (*handArchive, id.ID, []topology.LinkID, netsim.Time) {
+	arch := newHandArchive(20)
 	judged := id.Random(r)
 	pathLen := 1 + r.IntN(10)
 	path := make([]topology.LinkID, pathLen)
@@ -29,7 +29,7 @@ func randomBlameCase(r *rand.Rand) (*tomography.Archive, id.ID, []topology.LinkI
 	for rec := 0; rec < r.IntN(40); rec++ {
 		prober := probers[r.IntN(len(probers))]
 		link := path[r.IntN(len(path))]
-		_ = arch.Record(prober, at, []tomography.LinkObservation{
+		_ = arch.Record(arch.handle(prober), at, []tomography.LinkObservation{
 			{Link: link, Up: r.IntN(2) == 0},
 		})
 	}
@@ -43,7 +43,7 @@ func TestPropBlameInRangeAndSelfConsistent(t *testing.T) {
 	f := func(seed uint32) bool {
 		r := rand.New(rand.NewPCG(uint64(seed), 77))
 		arch, judged, path, at := randomBlameCase(r)
-		eng, err := NewBlameEngine(arch, DefaultBlameConfig())
+		eng, err := arch.engine(DefaultBlameConfig())
 		if err != nil {
 			return false
 		}
@@ -77,7 +77,7 @@ func TestPropBlameMonotoneInEvidence(t *testing.T) {
 	f := func(seed uint32, downObs bool) bool {
 		r := rand.New(rand.NewPCG(uint64(seed), 99))
 		arch, judged, path, at := randomBlameCase(r)
-		eng, err := NewBlameEngine(arch, DefaultBlameConfig())
+		eng, err := arch.engine(DefaultBlameConfig())
 		if err != nil {
 			return false
 		}
@@ -96,7 +96,7 @@ func TestPropBlameMonotoneInEvidence(t *testing.T) {
 		if !downObs && before.Evidence[idx].Probes == 0 {
 			return true
 		}
-		if err := arch.Record(witness, at, []tomography.LinkObservation{
+		if err := arch.Record(arch.handle(witness), at, []tomography.LinkObservation{
 			{Link: link, Up: !downObs},
 		}); err != nil {
 			return false
@@ -121,7 +121,7 @@ func TestPropSelfProbesNeverMatter(t *testing.T) {
 	f := func(seed uint32, up bool) bool {
 		r := rand.New(rand.NewPCG(uint64(seed), 111))
 		arch, judged, path, at := randomBlameCase(r)
-		eng, err := NewBlameEngine(arch, DefaultBlameConfig())
+		eng, err := arch.engine(DefaultBlameConfig())
 		if err != nil {
 			return false
 		}
@@ -130,7 +130,7 @@ func TestPropSelfProbesNeverMatter(t *testing.T) {
 			return false
 		}
 		for _, l := range path {
-			if err := arch.Record(judged, at, []tomography.LinkObservation{{Link: l, Up: up}}); err != nil {
+			if err := arch.Record(arch.handle(judged), at, []tomography.LinkObservation{{Link: l, Up: up}}); err != nil {
 				return false
 			}
 		}

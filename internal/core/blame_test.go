@@ -13,14 +13,14 @@ import (
 
 // newArchive returns an archive for the small link identifiers these
 // tests use.
-func newArchive(t *testing.T) *tomography.Archive {
+func newArchive(t *testing.T) *handArchive {
 	t.Helper()
-	return tomography.NewArchive(16)
+	return newHandArchive(16)
 }
 
-func record(t *testing.T, a *tomography.Archive, prober id.ID, at netsim.Time, link topology.LinkID, up bool) {
+func record(t *testing.T, a *handArchive, prober id.ID, at netsim.Time, link topology.LinkID, up bool) {
 	t.Helper()
-	if err := a.Record(prober, at, []tomography.LinkObservation{{Link: link, Up: up}}); err != nil {
+	if err := a.Record(a.handle(prober), at, []tomography.LinkObservation{{Link: link, Up: up}}); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -42,8 +42,11 @@ func TestBlameConfigValidate(t *testing.T) {
 			t.Errorf("case %d accepted", i)
 		}
 	}
-	if _, err := NewBlameEngine(nil, DefaultBlameConfig()); err == nil {
+	if _, err := NewBlameEngine(nil, newArchive(t), DefaultBlameConfig()); err == nil {
 		t.Error("nil archive accepted")
+	}
+	if _, err := NewBlameEngine(tomography.NewArchive(1), nil, DefaultBlameConfig()); err == nil {
+		t.Error("nil probers accepted")
 	}
 }
 
@@ -61,7 +64,7 @@ func TestBlamePaperWorkedExample(t *testing.T) {
 	record(t, arch, r, at, 7, false)
 	record(t, arch, s, at, 7, true)
 
-	eng, err := NewBlameEngine(arch, BlameConfig{ProbeAccuracy: 0.8, Delta: time.Minute, GuiltyThreshold: 0.4})
+	eng, err := arch.engine(BlameConfig{ProbeAccuracy: 0.8, Delta: time.Minute, GuiltyThreshold: 0.4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -84,7 +87,7 @@ func TestBlameNoEvidenceMeansFaulty(t *testing.T) {
 	t.Parallel()
 	// With no probes covering the path, nothing suggests the network was
 	// bad, so the forwarder takes full blame (§3.4).
-	eng, err := NewBlameEngine(newArchive(t), DefaultBlameConfig())
+	eng, err := newArchive(t).engine(DefaultBlameConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -114,7 +117,7 @@ func TestBlameDegradedOnStaleEvidence(t *testing.T) {
 
 	cfg := DefaultBlameConfig()
 	cfg.MinProbesPerLink = 1
-	eng, err := NewBlameEngine(arch, cfg)
+	eng, err := arch.engine(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -149,7 +152,7 @@ func TestBlameDegradedPartialEvidence(t *testing.T) {
 
 	cfg := DefaultBlameConfig()
 	cfg.MinProbesPerLink = 1
-	eng, err := NewBlameEngine(arch, cfg)
+	eng, err := arch.engine(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -194,7 +197,7 @@ func TestBlameDownLinkExoneratesForwarder(t *testing.T) {
 	// Two independent probers saw link 5 down.
 	record(t, arch, prober, at, 5, false)
 	record(t, arch, id.MustParse("0000000000000000000000000000000c"), at, 5, false)
-	eng, err := NewBlameEngine(arch, DefaultBlameConfig())
+	eng, err := arch.engine(DefaultBlameConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -221,7 +224,7 @@ func TestBlameExcludesJudgedNodesOwnProbes(t *testing.T) {
 	arch := newArchive(t)
 	judged := id.MustParse("000000000000000000000000000000bb")
 	record(t, arch, judged, 0, 9, false)
-	eng, err := NewBlameEngine(arch, DefaultBlameConfig())
+	eng, err := arch.engine(DefaultBlameConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -242,7 +245,7 @@ func TestBlameRespectsDeltaWindow(t *testing.T) {
 	sendAt := netsim.Time(0).Add(10 * time.Minute)
 	// A down observation 2 minutes before the send: outside Δ=60s.
 	record(t, arch, prober, sendAt.Add(-2*time.Minute), 3, false)
-	eng, err := NewBlameEngine(arch, DefaultBlameConfig())
+	eng, err := arch.engine(DefaultBlameConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -256,7 +259,7 @@ func TestBlameRespectsDeltaWindow(t *testing.T) {
 	// The same observation 30 seconds before: inside the window.
 	arch2 := newArchive(t)
 	record(t, arch2, prober, sendAt.Add(-30*time.Second), 3, false)
-	eng2, err := NewBlameEngine(arch2, DefaultBlameConfig())
+	eng2, err := arch2.engine(DefaultBlameConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -280,7 +283,7 @@ func TestBlameUsesWorstLink(t *testing.T) {
 	record(t, arch, p1, 0, 1, true)
 	record(t, arch, p2, 0, 1, false)
 	record(t, arch, p1, 0, 2, false)
-	eng, err := NewBlameEngine(arch, DefaultBlameConfig())
+	eng, err := arch.engine(DefaultBlameConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -301,7 +304,7 @@ func TestBlameUsesWorstLink(t *testing.T) {
 
 func TestBlameEmptyPathRejected(t *testing.T) {
 	t.Parallel()
-	eng, err := NewBlameEngine(newArchive(t), DefaultBlameConfig())
+	eng, err := newArchive(t).engine(DefaultBlameConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -317,7 +320,7 @@ func TestRecomputeBlameMatchesEngine(t *testing.T) {
 	judged := id.MustParse("000000000000000000000000000000f2")
 	record(t, arch, p, 0, 1, false)
 	record(t, arch, p, 0, 2, true)
-	eng, err := NewBlameEngine(arch, DefaultBlameConfig())
+	eng, err := arch.engine(DefaultBlameConfig())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -112,7 +112,7 @@ func TestJoinNodeIntegrates(t *testing.T) {
 		t.Error("cannot deliver to newcomer")
 	}
 	s.Run(5 * time.Minute)
-	self := s.Archive.Handle(newID)
+	self := s.ProberHandle(newID)
 	probed := false
 	for _, l := range tree.Links() {
 		for _, r := range s.Archive.Window(l, 0, s.Sim.Now()) {

@@ -30,7 +30,9 @@ import (
 // mapping (Overlay.Slab, Overlay.Pos), and every slab-indexed array
 // here follows it. Departures keep their slab rows — churn at compact
 // scale leaks 165 B per departure, which is the right trade against
-// compacting four arrays per event. The diagnosis protocol —
+// compacting four arrays per event. A slab also names its node's probe
+// records (archive handle = slab + 1), and the system is the blame
+// engine's Probers. The diagnosis protocol —
 // probing, SendMessage, blame, verdict windows, batched acks — runs over
 // these indices; see compact_traffic.go.
 type CompactSystem struct {
@@ -48,13 +50,6 @@ type CompactSystem struct {
 	// Counters surfaces errors and degradations that would otherwise be
 	// swallowed on hot paths, for the chaos invariant report.
 	Counters SystemCounters
-
-	// slabOfHandle maps an archive prober handle to its slab plus one
-	// (zero: unknown), so blame's collusion filter resolves probers
-	// without the ring. It is filled where this plane records a sweep
-	// (bindHandle) and only read during Blame; memberSlab falls back to
-	// the ring for whatever it cannot answer. 4 B per prober ever seen.
-	slabOfHandle []uint32
 
 	routers      []topology.RouterID // by slab position
 	pubKeys      []byte              // ed25519.PublicKeySize per slab row
@@ -86,10 +81,13 @@ type CompactSystem struct {
 	treeStats TreeCacheStats
 	sweeps    []func()
 	// departedSlab remembers the slab of every departed identifier so
-	// cold verdict-window queries can still key by slab after churn. The
-	// CA never reissues an identifier, so a departed one never rejoins
-	// and its entry never goes stale.
+	// verdict-window queries and blame's self-exclusion still key by
+	// slab after churn; departedID is its inverse, naming the prober of
+	// a departed slab's archive records. The CA never reissues an
+	// identifier, so a departed one never rejoins and neither entry
+	// goes stale. Both grow by one entry per departure.
 	departedSlab map[id.ID]uint32
+	departedID   map[uint32]id.ID
 
 	rng       stats.Rand
 	met       systemMetrics
@@ -274,7 +272,7 @@ func BuildCompactSystem(cfg SystemConfig, rng stats.Rand) (*CompactSystem, error
 		return nil, err
 	}
 
-	cs.Engine, err = NewBlameEngine(cs.Archive, cfg.Blame, WithRecordFilter(cs.collusionFilter))
+	cs.Engine, err = NewBlameEngine(cs.Archive, cs, cfg.Blame, WithRecordFilter(cs.collusionFilter))
 	if err != nil {
 		return nil, err
 	}
@@ -517,8 +515,10 @@ func (cs *CompactSystem) FailNode(failed id.ID) error {
 	cs.changedScratch = changed
 	if cs.departedSlab == nil {
 		cs.departedSlab = make(map[id.ID]uint32)
+		cs.departedID = make(map[uint32]id.ID)
 	}
 	cs.departedSlab[failed] = slab
+	cs.departedID[slab] = failed
 	cs.trees[slab] = nil
 	cs.markTreesStale(changed)
 	return nil
@@ -600,10 +600,11 @@ func (cs *CompactSystem) AliveIDs() []id.ID {
 // CheckInvariants checks the overlay's rules (overlay.Compact's
 // CheckInvariants) and the system's own bookkeeping around it: every
 // per-slab array has one row per slab ever issued, a departed slab
-// caches no tree, departedSlab names only departed slabs, and every
-// slabOfHandle entry naming a live slab resolves to the identifier the
-// archive gives for that handle. Like the overlay check it costs O(N²);
-// it is meant for tests and soaks.
+// caches no tree, the departure record (departedSlab and departedID)
+// holds exactly the slabs Overlay.Pos says departed, each under the
+// identifier it held, and every archived record's handle names an
+// issued slab. Like the overlay check it costs O(N²), plus one pass
+// over the archive; it is meant for tests and soaks.
 func (cs *CompactSystem) CheckInvariants() error {
 	if err := cs.Overlay.CheckInvariants(); err != nil {
 		return err
@@ -628,39 +629,46 @@ func (cs *CompactSystem) CheckInvariants() error {
 			return fmt.Errorf("core: %s has %d rows for %d slabs", a.name, a.rows, slabs)
 		}
 	}
+	departed := 0
 	for p := 0; p < slabs; p++ {
-		if cs.Overlay.Pos(uint32(p)) == overlay.NoIndex && cs.trees[p] != nil {
-			return fmt.Errorf("core: departed slab %d still caches a tree", p)
+		if cs.Overlay.Pos(uint32(p)) == overlay.NoIndex {
+			departed++
+			if cs.trees[p] != nil {
+				return fmt.Errorf("core: departed slab %d still caches a tree", p)
+			}
 		}
 	}
 	for nid, p := range cs.departedSlab {
-		if int(p) >= slabs || cs.Overlay.Pos(p) != overlay.NoIndex {
-			return fmt.Errorf("core: departedSlab names %s at live or unissued slab %d", nid.Short(), p)
+		if int(p) >= slabs || cs.Overlay.Pos(p) != overlay.NoIndex || cs.departedID[p] != nid {
+			return fmt.Errorf("core: departedSlab names %s at live, unissued or differently held slab %d", nid.Short(), p)
 		}
 	}
-	for h, s := range cs.slabOfHandle {
-		if s == 0 || cs.Overlay.Pos(s-1) == overlay.NoIndex {
-			continue
-		}
-		got, want := cs.Overlay.ID(cs.Overlay.Pos(s-1)), cs.Archive.ProberID(tomography.ProberHandle(h))
-		if got != want {
-			return fmt.Errorf("core: handle %d bound to slab %d (%s), archive says %s", h, s-1, got.Short(), want.Short())
+	if len(cs.departedSlab) != departed || len(cs.departedID) != departed {
+		return fmt.Errorf("core: departure record holds %d identifiers and %d slabs for %d departed slabs",
+			len(cs.departedSlab), len(cs.departedID), departed)
+	}
+	for l := 0; l < cs.Topo.NumLinks(); l++ {
+		for _, rec := range cs.Archive.Window(topology.LinkID(l), math.MinInt64, math.MaxInt64) {
+			if int(rec.Prober()) > slabs {
+				return fmt.Errorf("core: link %d holds a record by handle %d; %d slabs issued", l, rec.Prober(), slabs)
+			}
 		}
 	}
 	return nil
 }
 
 // Footprint returns the resident bytes of the compact core: overlay
-// state (the ring↔slab mapping included), identity slabs, and the
-// traffic plane's per-slab state (tree
-// cache and sweep-closure headers included; cached tree contents are
-// derived data and excluded). The topology and the CA registry are
-// excluded too: both are fixed by the configuration, not by the
-// overlay's representation.
+// state (the ring↔slab mapping included), identity slabs, the traffic
+// plane's per-slab state (tree cache and sweep-closure headers
+// included; cached tree contents are derived data and excluded), and
+// departedID, departedIDBytes per departure. The topology and the CA
+// registry are excluded too: both are fixed by the configuration, not
+// by the overlay's representation.
 func (cs *CompactSystem) Footprint() int64 {
+	const departedIDBytes = 40 // slab, identifier and map overhead: 28–45 B measured (Go 1.24, amd64)
 	total := cs.Overlay.Footprint()
 	total += int64(len(cs.routers)) * 4
-	total += int64(len(cs.slabOfHandle)) * 4
+	total += int64(len(cs.departedID)) * departedIDBytes
 	total += int64(len(cs.behaviorBits))
 	total += int64(len(cs.pubKeys) + len(cs.privKeys) + len(cs.certSigs))
 	total += int64(len(cs.msgSeq)+len(cs.fwdSeq)) * 8

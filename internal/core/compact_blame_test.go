@@ -17,16 +17,55 @@ import (
 	"concilium/internal/topology"
 )
 
-// The compact collusion filter resolves probers and the judged node
-// through the archive's handles (slabOfHandle) instead of the ring. Its
-// contract is that nothing observable changed: ringCollusionFilter, the
-// filter as it stood when both identities went through Overlay.IndexOf
-// per record, is the oracle.
+// The compact collusion filter reads both identities as slabs, a
+// handle being its node's slab plus one, instead of going through the
+// ring. Its contract is that nothing observable changed:
+// ringCollusionFilter, the filter as it stood when both identities went
+// through Overlay.IndexOf per record, is the oracle, and slabNames, the
+// test's own record of which identifier each slab was issued to, names
+// the probers it resolves.
+
+// slabNames is the oracles' Probers: the identifier of every slab ever
+// issued, noted by the test at build and on each join.
+type slabNames struct {
+	ids  []id.ID // by slab
+	slab map[id.ID]uint32
+}
+
+// newSlabNames notes a freshly built system's slabs, which are its
+// members in build order.
+func newSlabNames(cs *CompactSystem) *slabNames {
+	n := &slabNames{slab: make(map[id.ID]uint32)}
+	for _, nid := range cs.AliveIDs() {
+		n.join(nid)
+	}
+	return n
+}
+
+// join notes the next slab issued, to nid.
+func (n *slabNames) join(nid id.ID) {
+	n.slab[nid] = uint32(len(n.ids))
+	n.ids = append(n.ids, nid)
+}
+
+func (n *slabNames) ProberHandle(nid id.ID) tomography.ProberHandle {
+	if p, ok := n.slab[nid]; ok {
+		return tomography.ProberHandle(p + 1)
+	}
+	return 0
+}
+
+func (n *slabNames) ProberID(h tomography.ProberHandle) id.ID {
+	if h == 0 || int(h) > len(n.ids) {
+		return id.ID{}
+	}
+	return n.ids[h-1]
+}
 
 // ringCollusionFilter is the IndexOf-based compact collusion filter.
-func ringCollusionFilter(cs *CompactSystem) RecordFilter {
+func ringCollusionFilter(cs *CompactSystem, names *slabNames) RecordFilter {
 	return func(judged id.ID, _ tomography.ProberHandle, rec tomography.ProbeRecord) (tomography.ProbeRecord, bool) {
-		pi, ok := cs.Overlay.IndexOf(cs.Archive.ProberID(rec.Prober()))
+		pi, ok := cs.Overlay.IndexOf(names.ProberID(rec.Prober()))
 		if !ok {
 			return rec, true
 		}
@@ -66,8 +105,7 @@ func randomBehavior(pick *rand.Rand) Behavior {
 }
 
 // judgedCandidates lists every identifier a judgment could name: the
-// live members, the departed ones, and the strangers foreign callers
-// recorded under.
+// live members, the departed ones, and strangers who never held a slab.
 func judgedCandidates(cs *CompactSystem, strangers []id.ID) []id.ID {
 	var departed []id.ID
 	for nid := range cs.departedSlab {
@@ -80,43 +118,40 @@ func judgedCandidates(cs *CompactSystem, strangers []id.ID) []id.ID {
 // requireFilterMatchesRing checks the filter against the oracle for
 // every judged candidate and every archived record, then Engine.Blame
 // over hop spans against an engine wired to the oracle.
-func requireFilterMatchesRing(t *testing.T, cs *CompactSystem, oracle *BlameEngine, strangers []id.ID, step int) {
+func requireFilterMatchesRing(t *testing.T, cs *CompactSystem, oracle *BlameEngine, names *slabNames, strangers []id.ID, step int) {
 	t.Helper()
-	ring := ringCollusionFilter(cs)
+	ring := ringCollusionFilter(cs, names)
 	now := cs.Sim.Now()
 	var recs []tomography.ProbeRecord
-	var maxHandle tomography.ProberHandle
 	for l := 0; l < cs.Topo.NumLinks(); l++ {
-		for _, rec := range cs.Archive.Window(topology.LinkID(l), 0, now) {
-			recs = append(recs, rec)
-			maxHandle = max(maxHandle, rec.Prober())
-		}
+		recs = append(recs, cs.Archive.Window(topology.LinkID(l), 0, now)...)
 	}
 	// The oracle's binary searches would dominate the run, so its answer
 	// is memoised per (prober, bit) — all it reads of a record — while
 	// the filter under test sees every record.
-	memo := make([]int8, 2*int(maxHandle)+2) // 0 unknown, 1 down, 2 up
+	memo := make(map[tomography.ProbeRecord]bool)
 	judged := judgedCandidates(cs, strangers)
 	for _, j := range judged {
-		jh := cs.Archive.Handle(j)
+		jh := names.ProberHandle(j)
+		if got := cs.ProberHandle(j); got != jh {
+			t.Fatalf("step %d: ProberHandle(%s) = %d, slab names give %d", step, j.Short(), got, jh)
+		}
 		clear(memo)
 		for _, rec := range recs {
 			got, keep := cs.collusionFilter(j, jh, rec)
-			k := 2 * int(rec.Prober())
-			if rec.Up() {
-				k++
-			}
-			if memo[k] == 0 {
-				memo[k] = 1
-				if want, _ := ring(j, 0, rec); want.Up() {
-					memo[k] = 2
+			key := tomography.NewProbeRecord(0, rec.Prober(), rec.Up())
+			up, ok := memo[key]
+			if !ok {
+				if got, want := cs.ProberID(rec.Prober()), names.ProberID(rec.Prober()); got != want {
+					t.Fatalf("step %d: ProberID(%d) = %s, slab names give %s", step, rec.Prober(), got.Short(), want.Short())
 				}
+				want, _ := ring(j, 0, rec)
+				up = want.Up()
+				memo[key] = up
 			}
-			want := rec
-			want = want.WithUp(memo[k] == 2)
-			if !keep || got != want {
+			if want := rec.WithUp(up); !keep || got != want {
 				t.Fatalf("step %d: judging %s, record %+v by %s: filter gives %+v/%v, ring oracle %+v",
-					step, j.Short(), rec, cs.Archive.ProberID(rec.Prober()).Short(), got, keep, want)
+					step, j.Short(), rec, names.ProberID(rec.Prober()).Short(), got, keep, want)
 			}
 		}
 	}
@@ -154,10 +189,11 @@ func requireFilterMatchesRing(t *testing.T, cs *CompactSystem, oracle *BlameEngi
 
 // TestCollusionFilterMatchesRingOracle runs randomized op sequences —
 // behaviour changes (packed, extended, clique), departures, joins, and
-// records a foreign Archive.Record caller writes under non-member
-// identifiers, with probing time in between — over seeds from the
-// test's own generator at N≈48 and N≈256, and checks the handle-indexed
-// filter against the ring oracle after every step.
+// records a foreign Archive.Record caller writes under handles no slab
+// will ever reach, with probing time in between — over seeds from the
+// test's own generator at N≈48 and N≈256, and checks the slab-handle
+// filter against the ring oracle, and the system's ProberHandle and
+// ProberID against the test's slab names, after every step.
 func TestCollusionFilterMatchesRingOracle(t *testing.T) {
 	t.Parallel()
 	seeds := rand.New(rand.NewPCG(0x68616e646c65, 0x736c6162))
@@ -176,7 +212,8 @@ func TestCollusionFilterMatchesRingOracle(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			oracle, err := NewBlameEngine(cs.Archive, cfg.Blame, WithRecordFilter(ringCollusionFilter(cs)))
+			names := newSlabNames(cs)
+			oracle, err := NewBlameEngine(cs.Archive, names, cfg.Blame, WithRecordFilter(ringCollusionFilter(cs, names)))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -216,9 +253,11 @@ func TestCollusionFilterMatchesRingOracle(t *testing.T) {
 						}
 					}
 				case 2:
-					if _, err := cs.JoinNode(hosts[pick.IntN(len(hosts))]); err != nil {
+					nid, err := cs.JoinNode(hosts[pick.IntN(len(hosts))])
+					if err != nil {
 						t.Fatal(err)
 					}
+					names.join(nid)
 				case 3:
 					stranger := id.Random(pick)
 					strangers = append(strangers, stranger)
@@ -228,13 +267,14 @@ func TestCollusionFilterMatchesRingOracle(t *testing.T) {
 							Link: topology.LinkID(pick.IntN(cs.Topo.NumLinks())), Up: pick.IntN(2) == 0,
 						}
 					}
-					if err := cs.Archive.Record(stranger, cs.Sim.Now(), obs); err != nil {
+					foreign := tomography.ProberHandle(1<<31 - len(strangers))
+					if err := cs.Archive.Record(foreign, cs.Sim.Now(), obs); err != nil {
 						t.Fatal(err)
 					}
 				}
 				// Less than one MaxProbeTime: a joiner may not have recorded yet.
 				cs.Run(time.Duration(1+pick.IntN(30)) * time.Second)
-				requireFilterMatchesRing(t, cs, oracle, strangers, step)
+				requireFilterMatchesRing(t, cs, oracle, names, strangers, step)
 			}
 		})
 	}
@@ -325,7 +365,7 @@ func TestCompactBlameAllocatesOnlyEvidence(t *testing.T) {
 	for _, tr := range triples[:8] {
 		for _, l := range tr.span {
 			for _, rec := range cs.Archive.Window(l, tr.at.Add(-cs.Config.Blame.Delta), tr.at.Add(cs.Config.Blame.Delta)) {
-				if s, ok := cs.memberSlab(rec.Prober(), cs.Archive.ProberID(rec.Prober())); ok && cs.behaviorBits[s]&2 != 0 {
+				if s, ok := cs.liveSlab(rec.Prober()); ok && cs.behaviorBits[s]&2 != 0 {
 					inverted++
 				}
 			}
@@ -347,11 +387,12 @@ func TestCompactBlameAllocatesOnlyEvidence(t *testing.T) {
 }
 
 // parentGroupedConfidence is the clique-discounted link confidence as it
-// stood when every record resolved its witness group through
-// Archive.ProberID and a per-link map: the oracle for the call-local
-// group numbering, down to the floating-point summation order.
-func parentGroupedConfidence(e *BlameEngine, judged id.ID, link topology.LinkID, at netsim.Time) LinkConfidence {
-	self := e.archive.Handle(judged)
+// stood when every record resolved its witness group through its
+// prober's identifier and a per-link map: the oracle for the call-local
+// group numbering, down to the floating-point summation order. names
+// resolves the probers.
+func parentGroupedConfidence(e *BlameEngine, names Probers, judged id.ID, link topology.LinkID, at netsim.Time) LinkConfidence {
+	self := names.ProberHandle(judged)
 	recs := e.archive.Window(link, at.Add(-e.cfg.Delta), at.Add(e.cfg.Delta))
 	lc := LinkConfidence{Link: link}
 	a := e.cfg.ProbeAccuracy
@@ -366,7 +407,7 @@ func parentGroupedConfidence(e *BlameEngine, judged id.ID, link topology.LinkID,
 		if e.selfExclusion && r.Prober() == self {
 			continue
 		}
-		g := e.group(e.archive.ProberID(r.Prober()))
+		g := e.group(names.ProberID(r.Prober()))
 		if e.selfExclusion && g == jg {
 			continue
 		}
@@ -414,6 +455,7 @@ func TestGroupedBlameMatchesPerRecordGrouping(t *testing.T) {
 	for k := 0; k < len(alive)/4; k++ {
 		sus.Suspect(alive[pick.IntN(len(alive)/5)], alive[pick.IntN(len(alive))])
 	}
+	names := newSlabNames(cs)
 	cs.Engine.SetWitnessGrouping(sus.Group)
 	defer cs.Engine.SetWitnessGrouping(nil)
 	for _, tr := range triples {
@@ -422,7 +464,7 @@ func TestGroupedBlameMatchesPerRecordGrouping(t *testing.T) {
 			t.Fatal(err)
 		}
 		for k, l := range tr.span {
-			want := parentGroupedConfidence(cs.Engine, tr.judged, l, tr.at)
+			want := parentGroupedConfidence(cs.Engine, names, tr.judged, l, tr.at)
 			if got := res.Evidence[k]; got != want {
 				t.Fatalf("Blame(%s) link %d: grouped confidence %+v, per-record grouping %+v", tr.judged.Short(), l, got, want)
 			}

@@ -5,6 +5,7 @@ import (
 	"math/rand/v2"
 	"strings"
 	"testing"
+	"time"
 
 	"concilium/internal/id"
 	"concilium/internal/overlay"
@@ -219,6 +220,16 @@ func TestCompactSystemFootprint(t *testing.T) {
 	perNode := cs.Footprint() / int64(cs.Size())
 	if perNode <= 0 || perNode > 2048 {
 		t.Fatalf("compact footprint %d bytes/node, want (0, 2048]", perNode)
+	}
+	// Probing fills the archive, which Footprint leaves out, and no
+	// per-prober state beside it.
+	before := cs.Footprint()
+	if err := cs.StartProbing(); err != nil {
+		t.Fatal(err)
+	}
+	cs.Run(3 * time.Minute)
+	if cs.Archive.Size() == 0 || cs.Footprint() != before {
+		t.Errorf("probing %d records moved the footprint %d → %d B", cs.Archive.Size(), before, cs.Footprint())
 	}
 }
 

@@ -52,21 +52,18 @@ func (cs *CompactSystem) KeyDir() KeyDirectory {
 // links up when a target is judged (framing it), links down when an
 // ally is (excusing it as a network fault). Allies are fellow clique
 // members when the prober belongs to a clique, and any fellow dropper
-// otherwise; only current members count on either side. Both the
-// prober and the judged node resolve through their archive handles
-// (boundSlab, then ringSlab), so an honest prober's record costs a
-// table load and a bit test.
+// otherwise; only current members count on either side. A handle is
+// its node's slab plus one, so both the prober and the judged node
+// resolve without the ring, and an honest prober's record costs a
+// presence test and a bit test.
 func (cs *CompactSystem) collusionFilter(judged id.ID, judgedHandle tomography.ProberHandle, rec tomography.ProbeRecord) (tomography.ProbeRecord, bool) {
-	ps, ok := cs.boundSlab(rec.Prober())
-	if !ok {
-		ps, ok = cs.ringSlab(cs.Archive.ProberID(rec.Prober()))
-	}
+	ps, ok := cs.liveSlab(rec.Prober())
 	if !ok || cs.behaviorBits[ps]&2 == 0 {
 		return rec, true
 	}
 	prober := cs.behaviorOfSlab(ps)
 	ally := false
-	if js, ok := cs.memberSlab(judgedHandle, judged); ok {
+	if js, ok := cs.liveSlab(judgedHandle); ok {
 		jb := cs.behaviorOfSlab(js)
 		if c := prober.Clique; c != 0 {
 			ally = jb.Clique == c
@@ -77,55 +74,39 @@ func (cs *CompactSystem) collusionFilter(judged id.ID, judgedHandle tomography.P
 	return rec.WithUp(!ally), true
 }
 
-// memberSlab returns the slab of the current member behind archive
-// handle h, nid being the identifier h names (or, for a judged node that
-// never recorded, its identifier with h zero). The slabOfHandle table
-// answers for every prober this plane recorded, and since a slab and its
-// identifier are bound for life, a live entry is exactly what the ring
-// would say. Whatever the table cannot answer — a departed slab, a
-// handle issued to a foreign Archive.Record caller, a node that never
-// probed — falls back to the ring.
-func (cs *CompactSystem) memberSlab(h tomography.ProberHandle, nid id.ID) (uint32, bool) {
-	if s, ok := cs.boundSlab(h); ok {
-		return s, true
-	}
-	return cs.ringSlab(nid)
+// liveSlab returns the slab behind archive handle h, if h names one and
+// its node is a current member.
+func (cs *CompactSystem) liveSlab(h tomography.ProberHandle) (uint32, bool) {
+	p := uint32(h) - 1
+	return p, int(p) < cs.Overlay.Slabs() && cs.Overlay.Pos(p) != overlay.NoIndex
 }
 
-// ringSlab is memberSlab's ring fallback alone: the slab of the
-// current member nid, if nid is one.
-func (cs *CompactSystem) ringSlab(nid id.ID) (uint32, bool) {
-	i, ok := cs.Overlay.IndexOf(nid)
-	if !ok {
-		return 0, false
+// slabOf returns the slab nid holds or, if it departed, held.
+func (cs *CompactSystem) slabOf(nid id.ID) (uint32, bool) {
+	if i, ok := cs.Overlay.IndexOf(nid); ok {
+		return cs.Overlay.Slab(i), true
 	}
-	return cs.Overlay.Slab(i), true
+	p, ok := cs.departedSlab[nid]
+	return p, ok
 }
 
-// boundSlab is memberSlab's table lookup alone: the slab bound to
-// handle h, if that slab is a current member.
-func (cs *CompactSystem) boundSlab(h tomography.ProberHandle) (uint32, bool) {
-	if int(h) < len(cs.slabOfHandle) {
-		if s := cs.slabOfHandle[h]; s != 0 && cs.Overlay.Pos(s-1) != overlay.NoIndex {
-			return s - 1, true
-		}
+// ProberHandle returns the archive handle of nid's probe records, its
+// slab plus one, or zero for an identifier that never held a slab.
+func (cs *CompactSystem) ProberHandle(nid id.ID) tomography.ProberHandle {
+	if p, ok := cs.slabOf(nid); ok {
+		return tomography.ProberHandle(p + 1)
 	}
-	return 0, false
+	return 0
 }
 
-// bindHandle enters slab p under the archive handle of nid, p's
-// identifier, once p's sweep has been recorded: one intern-map lookup
-// per sweep. A sweep the archive never saw (a rejected snapshot from a
-// first-time prober) has no handle and binds nothing.
-func (cs *CompactSystem) bindHandle(p uint32, nid id.ID) {
-	h := cs.Archive.Handle(nid)
-	if h == 0 {
-		return
+// ProberID returns the identifier behind archive handle h: the member
+// or departed node that holds slab h − 1, or the zero identifier when
+// no such slab was issued.
+func (cs *CompactSystem) ProberID(h tomography.ProberHandle) id.ID {
+	if p, ok := cs.liveSlab(h); ok {
+		return cs.Overlay.ID(cs.Overlay.Pos(p))
 	}
-	if int(h) >= len(cs.slabOfHandle) {
-		cs.slabOfHandle = append(cs.slabOfHandle, make([]uint32, int(h)+1-len(cs.slabOfHandle))...)
-	}
-	cs.slabOfHandle[h] = p + 1
+	return cs.departedID[uint32(h)-1]
 }
 
 // PathToPeer returns the IP link path from node i to one of its routing
@@ -688,14 +669,12 @@ func (cs *CompactSystem) probeSweep(p uint32) {
 		for i := range tree.Leaves {
 			cs.met.probeRTT.ObserveDuration(2 * cs.Net.Latency(tree.Leaves[i].Path))
 		}
-		nid := cs.Overlay.ID(cs.Overlay.Pos(p))
 		if cs.Config.SignedSnapshots {
 			cs.publishSnapshot(p, obs)
-		} else if err := cs.Archive.Record(nid, cs.Sim.Now(), obs); err != nil {
+		} else if err := cs.Archive.Record(tomography.ProberHandle(p+1), cs.Sim.Now(), obs); err != nil {
 			cs.Counters.ArchiveRecordErrors++
 		}
-		cs.bindHandle(p, nid)
-		cs.emit(trace.Event{At: cs.Sim.Now(), Kind: trace.KindProbe, Node: nid})
+		cs.emit(trace.Event{At: cs.Sim.Now(), Kind: trace.KindProbe, Node: cs.Overlay.ID(cs.Overlay.Pos(p))})
 	}
 	if cs.Config.ArchiveRetention > 0 {
 		now := cs.Sim.Now()
@@ -717,7 +696,7 @@ func (cs *CompactSystem) reschedProbe(p uint32) {
 
 // publishSnapshot runs the full §3.2 dissemination path for slab p: the
 // prober signs its snapshot (leaf spacing from the derived leaf set)
-// and receivers validate the signature before archiving.
+// and receivers admit it (admitSnapshot) before archiving.
 func (cs *CompactSystem) publishSnapshot(p uint32, obs []tomography.LinkObservation) {
 	i := cs.Overlay.Pos(p)
 	spacing, err := cs.Overlay.LeafMeanSpacing(i)
@@ -732,11 +711,21 @@ func (cs *CompactSystem) publishSnapshot(p uint32, obs []tomography.LinkObservat
 	}
 	snap.Sign(cs.keysOfSlab(p))
 	cs.met.snapshotBytes.Add(uint64(wire.SnapshotBytes(len(obs))))
-	validator := &SnapshotValidator{Keys: cs.KeyDir()}
-	if err := validator.Ingest(cs.Archive, snap); err != nil {
+	if err := cs.admitSnapshot(snap); err != nil {
 		cs.emit(trace.Event{
 			At: cs.Sim.Now(), Kind: trace.KindSnapshotRejected,
 			Node: cs.Overlay.ID(i), Detail: err.Error(),
 		})
 	}
+}
+
+// admitSnapshot archives a snapshot that verifies under a current
+// member's key, whole, under that member's slab handle; any other
+// snapshot, or one the archive refuses, archives nothing.
+func (cs *CompactSystem) admitSnapshot(snap *Snapshot) error {
+	validator := SnapshotValidator{Keys: cs.KeyDir()}
+	if err := validator.Validate(snap); err != nil {
+		return err
+	}
+	return cs.Archive.Record(cs.ProberHandle(snap.Prober), snap.At, snap.Observations)
 }

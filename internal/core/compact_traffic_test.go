@@ -136,7 +136,7 @@ func runTrafficEquivalence(t *testing.T, seed uint64, medium, churn bool) {
 	}
 
 	d.counters(cs.Counters)
-	d.archive(cs.Archive, cs.Topo.NumLinks())
+	d.archive(cs.Archive, cs, cs.Topo.NumLinks())
 	for _, nid := range cs.AliveIDs() {
 		d.id(nid)
 		d.u64(uint64(cs.GuiltyCount(nid)))
@@ -223,7 +223,7 @@ func TestCompactSignedSnapshotEquivalence(t *testing.T) {
 	if cs.Archive.Size() == 0 {
 		t.Fatal("signed probing recorded nothing")
 	}
-	d.archive(cs.Archive, cs.Topo.NumLinks())
+	d.archive(cs.Archive, cs, cs.Topo.NumLinks())
 	requireGolden(t, "signed", d.sum(), signedGolden)
 }
 

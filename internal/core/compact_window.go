@@ -82,10 +82,7 @@ func (vw *CompactVerdictWindow) Recent(judged uint32) []Verdict {
 // window: a current member resolves through the ring, a departed one
 // through the slab it held, and an identifier never seen has none.
 func (cs *CompactSystem) GuiltyCount(nid id.ID) int {
-	if i, ok := cs.Overlay.IndexOf(nid); ok {
-		return cs.Window.GuiltyCount(cs.Overlay.Slab(i))
-	}
-	if p, ok := cs.departedSlab[nid]; ok {
+	if p, ok := cs.slabOf(nid); ok {
 		return cs.Window.GuiltyCount(p)
 	}
 	return 0

@@ -12,6 +12,26 @@ import (
 	"concilium/internal/topology"
 )
 
+// probers names the examples' probers: handle h is probers[h-1]. A
+// deployment's CompactSystem plays this part, its handles being slabs.
+type probers []id.ID
+
+func (p probers) ProberHandle(nid id.ID) tomography.ProberHandle {
+	for i, x := range p {
+		if x == nid {
+			return tomography.ProberHandle(i + 1)
+		}
+	}
+	return 0
+}
+
+func (p probers) ProberID(h tomography.ProberHandle) id.ID {
+	if h == 0 || int(h) > len(p) {
+		return id.ID{}
+	}
+	return p[h-1]
+}
+
 // ExampleBlameEngine_Blame reproduces the paper's §3.4 worked example:
 // two probes saw the link down, one saw it up, probe accuracy is 0.8 —
 // so the confidence the link was bad is 0.6 and the forwarder's blame
@@ -23,12 +43,14 @@ func ExampleBlameEngine_Blame() {
 	s := id.MustParse("00000000000000000000000000000003")
 	judged := id.MustParse("000000000000000000000000000000ff")
 
-	link := topology.LinkID(7)
-	_ = archive.Record(q, 0, []tomography.LinkObservation{{Link: link, Up: false}})
-	_ = archive.Record(r, 0, []tomography.LinkObservation{{Link: link, Up: false}})
-	_ = archive.Record(s, 0, []tomography.LinkObservation{{Link: link, Up: true}})
+	names := probers{q, r, s, judged}
 
-	engine, err := core.NewBlameEngine(archive, core.BlameConfig{
+	link := topology.LinkID(7)
+	_ = archive.Record(names.ProberHandle(q), 0, []tomography.LinkObservation{{Link: link, Up: false}})
+	_ = archive.Record(names.ProberHandle(r), 0, []tomography.LinkObservation{{Link: link, Up: false}})
+	_ = archive.Record(names.ProberHandle(s), 0, []tomography.LinkObservation{{Link: link, Up: true}})
+
+	engine, err := core.NewBlameEngine(archive, names, core.BlameConfig{
 		ProbeAccuracy:   0.8,
 		Delta:           time.Minute,
 		GuiltyThreshold: 0.4,
@@ -59,7 +81,7 @@ func ExampleRevisionChain() {
 		ids[i] = id.Random(rng)
 		keys[i] = sigcrypto.KeyPairFromRand(rng)
 	}
-	engine, err := core.NewBlameEngine(tomography.NewArchive(0), core.DefaultBlameConfig())
+	engine, err := core.NewBlameEngine(tomography.NewArchive(0), probers(ids), core.DefaultBlameConfig())
 	if err != nil {
 		fmt.Println(err)
 		return

@@ -119,14 +119,15 @@ func (d *digest) counters(c SystemCounters) {
 }
 
 // archive folds every record the archive holds, link by link in
-// identifier order up to links, in archive order within a link.
-func (d *digest) archive(a *tomography.Archive, links int) {
+// identifier order up to links, in archive order within a link, each
+// under its prober's identifier as names resolves it.
+func (d *digest) archive(a *tomography.Archive, names Probers, links int) {
 	d.u64(uint64(a.Size()))
 	for l := 0; l < links; l++ {
 		recs := a.Window(topology.LinkID(l), math.MinInt64, math.MaxInt64)
 		d.u64(uint64(len(recs)))
 		for _, r := range recs {
-			d.id(a.ProberID(r.Prober()))
+			d.id(names.ProberID(r.Prober()))
 			d.u64(uint64(r.At()))
 			d.flag(r.Up())
 		}

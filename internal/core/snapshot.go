@@ -163,15 +163,3 @@ func (v *SnapshotValidator) Validate(s *Snapshot) error {
 	}
 	return nil
 }
-
-// Ingest validates a snapshot and, on success, archives its link
-// observations — the normal processing path for received snapshots.
-func (v *SnapshotValidator) Ingest(archive *tomography.Archive, s *Snapshot) error {
-	if archive == nil {
-		return fmt.Errorf("core: nil archive")
-	}
-	if err := v.Validate(s); err != nil {
-		return err
-	}
-	return archive.Record(s.Prober, s.At, s.Observations)
-}

@@ -7,6 +7,7 @@ import (
 
 	"concilium/internal/id"
 	"concilium/internal/sigcrypto"
+	"concilium/internal/tomography"
 	"concilium/internal/topology"
 	"concilium/internal/trace"
 )
@@ -348,18 +349,18 @@ func TestCollusionFilterAdaptsToJudgment(t *testing.T) {
 	// A truthful "down" record from a liar flips to "up" when an honest
 	// node is judged (framing) and stays "down" when a colluder is
 	// judged (cover).
-	rec := probeRecord(s.Archive, liar, false)
-	out, keep := s.collusionFilter(honest, 0, rec)
+	rec := tomography.NewProbeRecord(0, s.ProberHandle(liar), false)
+	out, keep := s.collusionFilter(honest, s.ProberHandle(honest), rec)
 	if !keep || !out.Up() {
 		t.Errorf("judging honest: up=%v keep=%v, want up=true", out.Up(), keep)
 	}
-	out, keep = s.collusionFilter(liar, 0, rec)
+	out, keep = s.collusionFilter(liar, s.ProberHandle(liar), rec)
 	if !keep || out.Up() {
 		t.Errorf("judging colluder: up=%v keep=%v, want up=false", out.Up(), keep)
 	}
 	// Honest probers' records pass through untouched.
-	rec = probeRecord(s.Archive, honest, false)
-	out, keep = s.collusionFilter(honest, 0, rec)
+	rec = tomography.NewProbeRecord(0, s.ProberHandle(honest), false)
+	out, keep = s.collusionFilter(honest, s.ProberHandle(honest), rec)
 	if !keep || out.Up() {
 		t.Error("honest record altered")
 	}

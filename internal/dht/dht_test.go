@@ -312,7 +312,7 @@ func buildVerifiedChain(t *testing.T, r *rand.Rand) (*core.RevisionChain, core.K
 	}
 	keys := func(x id.ID) (ed25519.PublicKey, bool) { k, ok := dir[x]; return k, ok }
 
-	eng, err := core.NewBlameEngine(tomography.NewArchive(0), core.DefaultBlameConfig())
+	eng, err := core.NewBlameEngine(tomography.NewArchive(0), noProbers{}, core.DefaultBlameConfig())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -41,13 +41,19 @@ func newRepoFixture(t testing.TB, r *rand.Rand, n int) (*repoFixture, []id.ID) {
 		f.dir[ids[i]] = kp.Public
 		f.kp[ids[i]] = kp
 	}
-	eng, err := core.NewBlameEngine(tomography.NewArchive(0), core.DefaultBlameConfig())
+	eng, err := core.NewBlameEngine(tomography.NewArchive(0), noProbers{}, core.DefaultBlameConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
 	f.eng = eng
 	return f, ids
 }
+
+// noProbers names the probers of an archive nobody recorded in.
+type noProbers struct{}
+
+func (noProbers) ProberHandle(id.ID) tomography.ProberHandle { return 0 }
+func (noProbers) ProberID(tomography.ProberHandle) id.ID     { return id.ID{} }
 
 func (f *repoFixture) keys() core.KeyDirectory {
 	return func(x id.ID) (ed25519.PublicKey, bool) { k, ok := f.dir[x]; return k, ok }

@@ -5,17 +5,16 @@ import (
 	"math/bits"
 	"sort"
 
-	"concilium/internal/id"
 	"concilium/internal/metrics"
 	"concilium/internal/netsim"
 	"concilium/internal/topology"
 )
 
-// ProberHandle names a prober within one Archive: the archive interns
-// each prober's identifier on its first Record and stores the 4-byte
-// handle in every record instead of the 16-byte identifier. Handles are
-// meaningful only to the archive that issued them; the zero handle names
-// nobody, so no record carries it.
+// ProberHandle names the prober of an archived record in 31 bits, in
+// place of its 16-byte identifier. The archive stores the handle its
+// caller records under and gives it no meaning: the traffic plane uses
+// the prober's slab plus one (core.CompactSystem). The zero handle
+// names nobody, so no record carries it.
 type ProberHandle uint32
 
 // ProbeRecord is one archived link observation: which host probed, when,
@@ -31,7 +30,7 @@ type ProbeRecord struct {
 }
 
 // NewProbeRecord packs one observation. The handle must fit 31 bits,
-// which every handle an Archive issues does.
+// which every handle Record accepts does.
 func NewProbeRecord(at netsim.Time, prober ProberHandle, up bool) ProbeRecord {
 	r := ProbeRecord{atHi: uint32(uint64(at) >> 32), atLo: uint32(at), proberUp: uint32(prober) << 1}
 	return r.WithUp(up)
@@ -40,7 +39,7 @@ func NewProbeRecord(at netsim.Time, prober ProberHandle, up bool) ProbeRecord {
 // At returns the time the prober observed the link.
 func (r ProbeRecord) At() netsim.Time { return netsim.Time(int64(r.atHi)<<32 | int64(r.atLo)) }
 
-// Prober returns the prober's handle; resolve it with Archive.ProberID.
+// Prober returns the prober's handle.
 func (r ProbeRecord) Prober() ProberHandle { return ProberHandle(r.proberUp >> 1) }
 
 // Up returns the probed status.
@@ -101,15 +100,6 @@ type Archive struct {
 	ages []ageCount
 	size int
 
-	// The intern table: probers[h-1] is handle h's identifier. It only
-	// grows — a handle stays resolvable after Prune has dropped the
-	// prober's last record and after the prober has left the overlay,
-	// because copies of records may outlive both. That is ~70 B per
-	// identifier that ever recorded, the same leak class as a departed
-	// node's slab row.
-	probers  []id.ID
-	handleOf map[id.ID]ProberHandle
-
 	records *metrics.Counter
 	pruned  *metrics.Counter
 	sizeG   *metrics.Gauge
@@ -130,9 +120,6 @@ const (
 	headBytes   = 32
 	// chunkMetaBytes is a chunk's entries in loc, next, prev and firstAt.
 	chunkMetaBytes = 4 + 4 + 4 + 8
-	// internBytes estimates one intern-table entry: the identifier in
-	// probers plus its handleOf map entry.
-	internBytes = id.Bytes + 48
 )
 
 // chunkPool holds the records of one chunk size class.
@@ -166,42 +153,11 @@ type ageCount struct {
 
 // NewArchive creates an empty archive for links in [0, numLinks).
 func NewArchive(numLinks int) *Archive {
-	a := &Archive{
-		heads:    make([]linkHead, numLinks),
-		spare:    -1,
-		handleOf: make(map[id.ID]ProberHandle),
-	}
+	a := &Archive{heads: make([]linkHead, numLinks), spare: -1}
 	for k := range a.pools {
 		a.pools[k].free = -1
 	}
 	return a
-}
-
-// Intern returns prober's handle, issuing one on first sight.
-func (a *Archive) Intern(prober id.ID) ProberHandle {
-	h, ok := a.handleOf[prober]
-	if !ok {
-		if len(a.probers) == maxHandle {
-			panic("tomography: archive interned 2^31-1 probers")
-		}
-		a.probers = append(a.probers, prober)
-		h = ProberHandle(len(a.probers))
-		a.handleOf[prober] = h
-	}
-	return h
-}
-
-// Handle returns prober's handle, or zero — which matches no record —
-// if it never recorded here.
-func (a *Archive) Handle(prober id.ID) ProberHandle { return a.handleOf[prober] }
-
-// ProberID resolves a handle this archive issued; the zero handle and
-// foreign handles resolve to the zero identifier.
-func (a *Archive) ProberID(h ProberHandle) id.ID {
-	if h == 0 || int(h) > len(a.probers) {
-		return id.ID{}
-	}
-	return a.probers[h-1]
 }
 
 // SetMetrics publishes the archive's record/prune counters and size
@@ -213,39 +169,43 @@ func (a *Archive) SetMetrics(reg *metrics.Registry) {
 	a.sizeG = reg.Gauge("tomography/archive_size")
 }
 
-// Record archives one prober's observations taken at time at. A link
-// outside the archive's range or an observation older than its link's
-// newest record is an error; the observations before it stay archived.
-func (a *Archive) Record(prober id.ID, at netsim.Time, obs []LinkObservation) error {
-	h := a.Intern(prober)
-	n, err := a.append(h, at, obs)
-	if n > 0 {
-		a.countAge(at, n)
-		a.size += n
+// Record archives one prober's observations taken at time at under
+// handle h. A call is all or nothing: the zero handle, a handle wider
+// than a record's 31 bits, a link outside the archive's range and an
+// observation older than its link's newest record are errors, and a
+// call that returns one archives none of obs.
+func (a *Archive) Record(h ProberHandle, at netsim.Time, obs []LinkObservation) error {
+	if h == 0 || h > maxHandle {
+		return fmt.Errorf("tomography: prober handle %d outside [1, %d]", h, maxHandle)
 	}
-	if err != nil {
-		return err
+	for _, o := range obs {
+		if uint(o.Link) >= uint(len(a.heads)) {
+			return fmt.Errorf("tomography: link %d outside [0, %d)", o.Link, len(a.heads))
+		}
+		if hd := &a.heads[o.Link]; hd.fill != 0 && hd.last > at {
+			return fmt.Errorf("tomography: out-of-order record for link %d (%v after %v)",
+				o.Link, at, hd.last)
+		}
+	}
+	a.append(h, at, obs)
+	if len(obs) > 0 {
+		a.countAge(at, len(obs))
+		a.size += len(obs)
 	}
 	a.records.Add(uint64(len(obs)))
 	a.sizeG.Set(int64(a.size))
 	return nil
 }
 
-// append writes obs into their links' tail chunks and returns how many
-// it wrote before stopping at an error.
-func (a *Archive) append(h ProberHandle, at netsim.Time, obs []LinkObservation) (int, error) {
-	for i, o := range obs {
-		if uint(o.Link) >= uint(len(a.heads)) {
-			return i, fmt.Errorf("tomography: link %d outside [0, %d)", o.Link, len(a.heads))
-		}
+// append writes obs, which Record has checked, into their links' tail
+// chunks.
+func (a *Archive) append(h ProberHandle, at netsim.Time, obs []LinkObservation) {
+	for _, o := range obs {
 		hd := &a.heads[o.Link]
 		switch {
 		case hd.fill == 0:
 			c := a.newChunk(0, at)
 			*hd = linkHead{cut: at, head: c, tail: c}
-		case hd.last > at:
-			return i, fmt.Errorf("tomography: out-of-order record for link %d (%v after %v)",
-				o.Link, at, hd.last)
 		case hd.fill == a.chunkLen(hd.tail):
 			c := a.newChunk(hd.n, at)
 			a.next[hd.tail], a.prev[c] = c, hd.tail
@@ -256,7 +216,6 @@ func (a *Archive) append(h ProberHandle, at netsim.Time, obs []LinkObservation) 
 		hd.n++
 		hd.last = at
 	}
-	return len(obs), nil
 }
 
 func (a *Archive) chunkLen(c int32) int32 { return 1 << (a.loc[c]>>classShift + minChunkLog) }
@@ -512,8 +471,8 @@ func (a *Archive) Prune(before netsim.Time) {
 func (a *Archive) Size() int { return a.size }
 
 // Footprint estimates the archive's resident bytes: the chunk pools
-// with their per-chunk arrays, the link heads, the age census and the
-// intern table.
+// with their per-chunk arrays, the link heads and the age census. It
+// does not depend on how many distinct probers recorded.
 func (a *Archive) Footprint() int64 {
 	var total int64
 	for k := range a.pools {
@@ -522,6 +481,5 @@ func (a *Archive) Footprint() int64 {
 	total += int64(cap(a.loc)) * chunkMetaBytes
 	total += int64(cap(a.heads)) * headBytes
 	total += int64(cap(a.ages)) * 16
-	total += int64(len(a.probers)) * internBytes
 	return total
 }

@@ -5,7 +5,6 @@ import (
 	"testing"
 	"unsafe"
 
-	"concilium/internal/id"
 	"concilium/internal/netsim"
 	"concilium/internal/topology"
 )
@@ -16,18 +15,20 @@ import (
 // are skewed toward low link identifiers, so a few links are on most
 // trees and most links on a few, as near an overlay's core and edge.
 type sweeper struct {
-	r     *rand.Rand
-	links int
-	ids   []id.ID
-	trees [][]LinkObservation
-	turn  int
-	now   netsim.Time
+	r       *rand.Rand
+	links   int
+	handles []ProberHandle
+	issued  ProberHandle
+	trees   [][]LinkObservation
+	turn    int
+	now     netsim.Time
 }
 
 func newSweeper(seed uint64, probers, treeLinks, links int) *sweeper {
 	s := &sweeper{r: rand.New(rand.NewPCG(seed, 0x5eed)), links: links}
 	for p := 0; p < probers; p++ {
-		s.ids = append(s.ids, id.Random(s.r))
+		s.issued++
+		s.handles = append(s.handles, s.issued)
 		s.trees = append(s.trees, make([]LinkObservation, treeLinks))
 		s.replant(p)
 	}
@@ -44,16 +45,17 @@ func (s *sweeper) replant(p int) {
 
 // churn replaces prober p with a newcomer on a new tree.
 func (s *sweeper) churn(p int) {
-	s.ids[p] = id.Random(s.r)
+	s.issued++
+	s.handles[p] = s.issued
 	s.replant(p)
 }
 
 func (s *sweeper) sweep(t testing.TB, a *Archive) {
 	s.now++
-	if err := a.Record(s.ids[s.turn], s.now, s.trees[s.turn]); err != nil {
+	if err := a.Record(s.handles[s.turn], s.now, s.trees[s.turn]); err != nil {
 		t.Fatal(err)
 	}
-	s.turn = (s.turn + 1) % len(s.ids)
+	s.turn = (s.turn + 1) % len(s.handles)
 }
 
 // run sweeps n times, pruning every quarter retention as the
@@ -73,8 +75,8 @@ func (s *sweeper) run(t testing.TB, a *Archive, n int, retention netsim.Time) {
 // joins every 25 sweeps, so links empty, new links fill and links move
 // between size classes throughout. The bound covers the pools (live
 // records, chunk slack, the quarter retention that expires between
-// prunes), the per-chunk arrays, the link heads, the age census, and
-// the intern table's growth of one identifier per newcomer.
+// prunes), the per-chunk arrays, the link heads and the age census;
+// the newcomers' handles cost nothing.
 func TestArchiveFootprintBoundedUnderChurn(t *testing.T) {
 	t.Parallel()
 	const (
@@ -90,7 +92,7 @@ func TestArchiveFootprintBoundedUnderChurn(t *testing.T) {
 	s.run(t, a, retention, retention)
 	worst := 0.0
 	for i := 0; i < periods*retention/25; i++ {
-		s.churn(s.r.IntN(len(s.ids)))
+		s.churn(s.r.IntN(len(s.handles)))
 		s.run(t, a, 25, retention)
 		ratio := float64(a.Footprint()) / float64(a.Size()*recordBytes)
 		worst = max(worst, ratio)
@@ -100,6 +102,78 @@ func TestArchiveFootprintBoundedUnderChurn(t *testing.T) {
 		}
 	}
 	t.Logf("worst footprint: %.2f× live record bytes", worst)
+}
+
+// TestArchiveRecordValidatesHandle holds Record to a record's 31 bits
+// of handle: the zero handle, which names nobody, and a handle too wide
+// to pack are errors that archive nothing, and the extremes that fit
+// are archived and read back.
+func TestArchiveRecordValidatesHandle(t *testing.T) {
+	t.Parallel()
+	for _, tc := range []struct {
+		h  ProberHandle
+		ok bool
+	}{
+		{0, false},
+		{1, true},
+		{maxHandle, true},
+		{maxHandle + 1, false},
+	} {
+		a := NewArchive(4)
+		if err := a.Record(1, 10, []LinkObservation{{Link: 0, Up: true}}); err != nil {
+			t.Fatal(err)
+		}
+		err := a.Record(tc.h, 20, []LinkObservation{{Link: 1, Up: false}, {Link: 2, Up: true}})
+		if (err == nil) != tc.ok {
+			t.Errorf("Record under handle %d: error %v, want ok=%v", tc.h, err, tc.ok)
+		}
+		wantSize := 1
+		if tc.ok {
+			wantSize = 3
+		}
+		if a.Size() != wantSize {
+			t.Errorf("handle %d: Size %d, want %d", tc.h, a.Size(), wantSize)
+		}
+		for _, l := range []topology.LinkID{1, 2} {
+			recs := a.Window(l, 0, 100)
+			if !tc.ok && len(recs) != 0 {
+				t.Errorf("rejected handle %d archived %+v on link %d", tc.h, recs, l)
+			}
+			if tc.ok && (len(recs) != 1 || recs[0].Prober() != tc.h) {
+				t.Errorf("handle %d reads back %+v on link %d", tc.h, recs, l)
+			}
+		}
+	}
+}
+
+// TestArchiveFootprintIgnoresProberCount writes the same sweeps — the
+// same links, statuses and times — under k and under 4k distinct
+// handles, and requires equal footprints: the archive's state is its
+// records, not the probers who wrote them.
+func TestArchiveFootprintIgnoresProberCount(t *testing.T) {
+	t.Parallel()
+	const k, retention = 64, 2000
+	few, many := NewArchive(3000), NewArchive(3000)
+	s := newSweeper(5, 4*k, 40, 3000)
+	for i := 0; i < 3*retention; i++ {
+		s.now++
+		obs := s.trees[s.turn]
+		if err := few.Record(ProberHandle(1+s.turn%k), s.now, obs); err != nil {
+			t.Fatal(err)
+		}
+		if err := many.Record(s.handles[s.turn], s.now, obs); err != nil {
+			t.Fatal(err)
+		}
+		s.turn = (s.turn + 1) % len(s.handles)
+		if s.now%(retention/4) == 0 {
+			few.Prune(s.now - retention)
+			many.Prune(s.now - retention)
+		}
+	}
+	if few.Size() != many.Size() || few.Footprint() != many.Footprint() {
+		t.Errorf("%d handles: %d records in %d B; %d handles: %d records in %d B",
+			k, few.Size(), few.Footprint(), 4*k, many.Size(), many.Footprint())
+	}
 }
 
 // BenchmarkArchiveRecord times one prober sweep into an archive shaped

@@ -109,20 +109,18 @@ func TestPatchTreeEqualsBuildTree(t *testing.T) {
 	}
 }
 
-// TestArchiveProberHandles covers what interning changed: records carry
-// a handle in a 12-byte record, the archive resolves it both ways, a
-// prober that never recorded has the zero handle no record carries, and
-// a handle outlives both the pruning of the prober's last record and
-// later re-recording by the same prober.
+// TestArchiveProberHandles covers what a record keeps of its prober:
+// the 12-byte record carries the handle its caller recorded under, a
+// window reads it back, and a copy keeps it after Prune has dropped the
+// prober's records.
 func TestArchiveProberHandles(t *testing.T) {
 	t.Parallel()
 	if got := unsafe.Sizeof(ProbeRecord{}); got != recordBytes {
 		t.Errorf("ProbeRecord is %d bytes, want %d", got, recordBytes)
 	}
 	a := NewArchive(4)
-	r := testRand()
-	early, late, never := id.Random(r), id.Random(r), id.Random(r)
-	record := func(prober id.ID, at netsim.Time) {
+	const early, late = ProberHandle(7), ProberHandle(maxHandle)
+	record := func(prober ProberHandle, at netsim.Time) {
 		t.Helper()
 		if err := a.Record(prober, at, []LinkObservation{{Link: 3, Up: true}}); err != nil {
 			t.Fatal(err)
@@ -132,45 +130,24 @@ func TestArchiveProberHandles(t *testing.T) {
 	record(late, 200)
 	record(late, 300)
 
-	he, hl := a.Handle(early), a.Handle(late)
-	if he == 0 || hl == 0 || he == hl {
-		t.Fatalf("handles %d, %d: want two distinct non-zero handles", he, hl)
-	}
-	if a.Handle(never) != 0 {
-		t.Error("a prober that never recorded has a handle")
-	}
-	if a.ProberID(he) != early || a.ProberID(hl) != late {
-		t.Error("handles do not resolve to their probers")
-	}
-	if a.ProberID(0) != (id.ID{}) || a.ProberID(99) != (id.ID{}) {
-		t.Error("zero or foreign handle resolved to a prober")
-	}
-	if a.Intern(early) != he {
-		t.Error("interning a known prober issued a new handle")
-	}
-
 	recs := a.Window(3, 0, 1000)
-	if len(recs) != 3 || recs[0].Prober() != he || recs[1].Prober() != hl || recs[2].Prober() != hl {
+	if len(recs) != 3 || recs[0].Prober() != early || recs[1].Prober() != late || recs[2].Prober() != late {
 		t.Fatalf("window = %+v", recs)
 	}
 
 	// Prune away every record of early: a copy of one of its records is
-	// still attributable, and a fresh record reuses the handle.
+	// still attributable, and a fresh record carries the same handle.
 	kept := recs[0]
 	a.Prune(150)
 	if a.Size() != 2 {
 		t.Fatalf("after prune Size = %d, want 2", a.Size())
 	}
-	if a.ProberID(kept.Prober()) != early || a.Handle(early) != he {
-		t.Error("pruned-away prober's handle no longer resolves")
+	if kept.Prober() != early {
+		t.Error("a copied record lost its handle to Prune")
 	}
 	record(early, 400)
-	if recs := a.Window(3, 400, 400); len(recs) != 1 || recs[0].Prober() != he {
-		t.Errorf("re-recording prober got %+v, want handle %d", recs, he)
-	}
-	a.Prune(1000)
-	if a.Size() != 0 || a.ProberID(hl) != late {
-		t.Error("emptied archive lost its intern table")
+	if recs := a.Window(3, 400, 400); len(recs) != 1 || recs[0].Prober() != early {
+		t.Errorf("re-recording prober got %+v, want handle %d", recs, early)
 	}
 }
 

@@ -522,9 +522,8 @@ func TestObserveLinksAccuracy(t *testing.T) {
 func TestArchiveWindowQueries(t *testing.T) {
 	t.Parallel()
 	a := NewArchive(8)
-	r := testRand()
-	p1, p2 := id.Random(r), id.Random(r)
-	add := func(prober id.ID, at netsim.Time, up bool) {
+	const p1, p2 = ProberHandle(1), ProberHandle(2)
+	add := func(prober ProberHandle, at netsim.Time, up bool) {
 		t.Helper()
 		if err := a.Record(prober, at, []LinkObservation{{Link: 7, Up: up}}); err != nil {
 			t.Fatal(err)
@@ -535,7 +534,7 @@ func TestArchiveWindowQueries(t *testing.T) {
 	add(p1, 300, true)
 
 	recs := a.Window(7, 150, 250)
-	if len(recs) != 1 || a.ProberID(recs[0].Prober()) != p2 || recs[0].Up() {
+	if len(recs) != 1 || recs[0].Prober() != p2 || recs[0].Up() {
 		t.Errorf("window [150,250] = %+v", recs)
 	}
 	// Inclusive bounds.
@@ -575,8 +574,7 @@ func TestArchiveWindowQueries(t *testing.T) {
 func TestArchivePrune(t *testing.T) {
 	t.Parallel()
 	a := NewArchive(8)
-	r := testRand()
-	p := id.Random(r)
+	const p = ProberHandle(1)
 	for i := 0; i < 10; i++ {
 		if err := a.Record(p, netsim.Time(i*100), []LinkObservation{{Link: 1, Up: true}}); err != nil {
 			t.Fatal(err)
