@@ -5,7 +5,9 @@ import (
 	"time"
 
 	"concilium/internal/id"
+	"concilium/internal/metrics"
 	"concilium/internal/topology"
+	"concilium/internal/wire"
 )
 
 func TestFailNodeRepairsSurvivors(t *testing.T) {
@@ -173,6 +175,49 @@ func TestSendBulkCleanAndLossy(t *testing.T) {
 	if _, err := s.SendBulk(id.Zero, dst, 1); err == nil {
 		t.Error("unknown source accepted")
 	}
+}
+
+// TestSendBulkCountsLikeSendMessage holds a batch to SendMessage's
+// accounting: every message counts as sent, every leg it crosses as
+// stewarded-hop bytes, and every judgment of a missing message as a
+// blame call.
+func TestSendBulkCountsLikeSendMessage(t *testing.T) {
+	t.Parallel()
+	reg := metrics.NewRegistry()
+	s := buildTestCompactSystem(t, func(c *SystemConfig) { c.Metrics = reg })
+	if err := s.StartProbing(); err != nil {
+		t.Fatal(err)
+	}
+	s.Run(3 * time.Minute)
+	src, dst, route := findMultiHopPair(t, s, 2)
+	hops := uint64(len(route) - 1)
+	counters := func() (sent, bytes, blames uint64) {
+		return reg.Counter("core/messages_sent").Value(),
+			reg.Counter("wire/message_bytes").Value(),
+			reg.Counter("core/blame_calls").Value()
+	}
+	check := func(label string, n int, legs uint64) {
+		t.Helper()
+		sent0, bytes0, blames0 := counters()
+		rep, err := s.SendBulk(src, dst, n)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sent, bytes, blames := counters()
+		if got := sent - sent0; got != uint64(n) {
+			t.Errorf("%s: core/messages_sent rose %d, want %d", label, got, n)
+		}
+		if got, want := bytes-bytes0, uint64(n)*legs*wire.StewardedHopBytes; got != want {
+			t.Errorf("%s: wire/message_bytes rose %d, want %d", label, got, want)
+		}
+		if got := blames - blames0; got != uint64(len(rep.Missing)) {
+			t.Errorf("%s: core/blame_calls rose %d, want %d (one per missing message)", label, got, len(rep.Missing))
+		}
+	}
+	check("clean", 20, hops)
+	// A dropper at the first hop: each message crosses one leg and dies.
+	markDropper(t, s, route[1])
+	check("dropper", 10, 1)
 }
 
 // bulkThroughFirstHop routes n messages src→dst through a system whose

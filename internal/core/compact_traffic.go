@@ -17,11 +17,13 @@ import (
 
 // The traffic plane (DESIGN.md §9): the full diagnosis protocol —
 // randomized probing, stewarded delivery, per-hop blame, recursive
-// revision, batched acks — running over CompactSystem's index-based
-// state: uint32 ring/slab indices in place of map lookups, lazily cached
-// tomography trees, and slab-keyed verdict windows and ledgers whose
-// keys survive churn without liveness checks. The golden digests in
-// compact_traffic_test.go pin its outputs draw for draw.
+// revision, batched digest acks — running over CompactSystem's
+// index-based state: uint32 ring/slab indices in place of map lookups,
+// lazily cached tomography trees, and slab-keyed verdict windows whose
+// keys survive churn without liveness checks. Delivery is written once:
+// SendMessage and SendBulk share the route capture (captureRoute), the
+// forward pass (forward) and the per-hop judgment (judge). The golden
+// digests in compact_traffic_test.go pin its outputs draw for draw.
 
 // Run advances the simulation by d of virtual time.
 func (cs *CompactSystem) Run(d time.Duration) { cs.Sim.RunFor(d) }
@@ -127,9 +129,110 @@ func (cs *CompactSystem) PathToPeer(i uint32, peer id.ID) ([]topology.LinkID, er
 // NextMsgID issues node i's next locally unique message number, from the
 // same per-slab sequence SendMessage and SendBulk number messages from.
 func (cs *CompactSystem) NextMsgID(i uint32) uint64 {
-	p := cs.Overlay.Slab(i)
+	return cs.nextMsgIDOfSlab(cs.Overlay.Slab(i))
+}
+
+func (cs *CompactSystem) nextMsgIDOfSlab(p uint32) uint64 {
 	cs.msgSeq[p]++
 	return cs.msgSeq[p]
+}
+
+// capture is one send's route. ids escape into the report; slabs
+// (churn-stable hop keys: ring indices shift when membership changes
+// mid-flight, slabs never do) and paths (each leg's IP links, shared
+// tree storage) alias the route scratch arenas until the next send.
+type capture struct {
+	ids   []id.ID
+	slabs []uint32
+	paths [][]topology.LinkID
+}
+
+// captureRoute validates src and dst and resolves the secure route
+// between them, with every leg's IP path. Tree lookups draw no
+// randomness, so resolving the paths up front moves no draw.
+func (cs *CompactSystem) captureRoute(src, dst id.ID) (capture, error) {
+	si, ok := cs.Overlay.IndexOf(src)
+	if !ok {
+		return capture{}, fmt.Errorf("core: unknown source %s", src.Short())
+	}
+	if _, ok := cs.Overlay.IndexOf(dst); !ok {
+		return capture{}, fmt.Errorf("core: unknown destination %s", dst.Short())
+	}
+	idxBuf, err := cs.Overlay.AppendRouteSecure(si, dst, 0, cs.routeIdxScratch[:0])
+	if err != nil {
+		return capture{}, err
+	}
+	cs.routeIdxScratch = idxBuf
+	c := capture{ids: make([]id.ID, len(idxBuf)), slabs: cs.routeSlabScratch[:0], paths: cs.pathScratch[:0]}
+	for h, i := range idxBuf {
+		c.ids[h] = cs.Overlay.ID(i)
+		c.slabs = append(c.slabs, cs.Overlay.Slab(i))
+	}
+	cs.routeSlabScratch = c.slabs
+	for h := 0; h+1 < len(idxBuf); h++ {
+		p, err := cs.PathToPeer(idxBuf[h], c.ids[h+1])
+		if err != nil {
+			return capture{}, err
+		}
+		c.paths = append(c.paths, p)
+	}
+	cs.pathScratch = c.paths
+	return c, nil
+}
+
+// span appends to dst the IP links steward i's judgment of its next hop
+// covers: the steward's own path to the next hop plus the next hop's
+// onward path. A probed-down link anywhere in it exonerates the next hop.
+func (c capture) span(dst []topology.LinkID, i int) []topology.LinkID {
+	dst = append(dst, c.paths[i]...)
+	if i+1 < len(c.paths) {
+		dst = append(dst, c.paths[i+1]...)
+	}
+	return dst
+}
+
+// forward runs one message's forward pass and finds where it dies. Each
+// leg advances the virtual clock by its propagation delay, so link state
+// is whatever the failure process says when the packet actually crosses.
+// It returns the leg the message died on (len(c.paths) when it arrived),
+// how it died, and the down link for DropByLink; DropByNode and
+// DropByChurn name the hop at the leg's far end.
+func (cs *CompactSystem) forward(c capture) (leg int, kind DropKind, broken topology.LinkID) {
+	for i, path := range c.paths {
+		cs.met.msgBytes.Add(wire.StewardedHopBytes)
+		cs.Run(cs.Net.Latency(path))
+		if bad, down := cs.Net.FirstDownLink(path); down {
+			return i, DropByLink, bad
+		}
+		if cs.Overlay.Pos(c.slabs[i+1]) == overlay.NoIndex {
+			// The next hop departed while the message was in flight
+			// (churn events fire inside the latency advance above):
+			// nobody received it.
+			cs.Counters.ChurnDrops++
+			return i, DropByChurn, 0
+		}
+		if i+1 < len(c.paths) && cs.dropsMessageSlab(c.slabs[i+1]) {
+			return i, DropByNode, 0
+		}
+	}
+	return len(c.paths), DropNone, 0
+}
+
+// judge has steward i judge its next hop at time at over the hop's span,
+// records the verdict in the next hop's window, and traces it.
+func (cs *CompactSystem) judge(c capture, i int, at netsim.Time) (Verdict, error) {
+	cs.spanScratch = c.span(cs.spanScratch[:0], i)
+	res, err := cs.timedBlame(c.ids[i+1], cs.spanScratch, at)
+	if err != nil {
+		return Verdict{}, err
+	}
+	v := Verdict{Judged: c.ids[i+1], At: at, Blame: res.Blame, Guilty: res.Guilty}
+	cs.Window.Add(c.slabs[i+1], v)
+	cs.emit(trace.Event{
+		At: at, Kind: trace.KindVerdict,
+		Node: c.ids[i], Peer: c.ids[i+1], Guilty: res.Guilty,
+	})
+	return v, nil
 }
 
 // SendMessage routes one stewarded message from src to dst over the
@@ -139,95 +242,40 @@ func (cs *CompactSystem) NextMsgID(i uint32) uint64 {
 // that pushes blame to the true fault point.
 //
 // Each steward judges its next hop over the IP links that the message
-// needed after leaving the steward: the steward's own path to the next
-// hop plus the next hop's onward path. A probed-down link anywhere in
-// that span exonerates the next hop. The warm delivered path allocates
-// only the report and its route copy; everything else lives in system
-// scratch (DESIGN.md §9 ownership protocol) or the per-slab caches.
+// needed after leaving the steward (capture.span). The warm delivered
+// path allocates only the report and its route copy; everything else
+// lives in system scratch (DESIGN.md §9 ownership protocol) or the
+// per-slab caches.
 func (cs *CompactSystem) SendMessage(src, dst id.ID) (*DeliveryReport, error) {
-	si, ok := cs.Overlay.IndexOf(src)
-	if !ok {
-		return nil, fmt.Errorf("core: unknown source %s", src.Short())
-	}
-	if _, ok := cs.Overlay.IndexOf(dst); !ok {
-		return nil, fmt.Errorf("core: unknown destination %s", dst.Short())
-	}
-	// Trace into index scratch, then capture identifiers (they escape
-	// into the report) and slab positions (churn-stable hop keys: ring
-	// indices shift when membership changes mid-flight, slabs never do).
-	idxBuf, err := cs.Overlay.AppendRouteSecure(si, dst, 0, cs.routeIdxScratch[:0])
+	c, err := cs.captureRoute(src, dst)
 	if err != nil {
 		return nil, err
 	}
-	cs.routeIdxScratch = idxBuf
-	route := make([]id.ID, len(idxBuf))
-	slabs := cs.routeSlabScratch[:0]
-	for h, i := range idxBuf {
-		route[h] = cs.Overlay.ID(i)
-		slabs = append(slabs, cs.Overlay.Slab(i))
-	}
-	cs.routeSlabScratch = slabs
-	rep := &DeliveryReport{MsgID: cs.NextMsgID(si), Route: route, Kind: DropNone}
+	rep := &DeliveryReport{MsgID: cs.nextMsgIDOfSlab(c.slabs[0]), Route: c.ids, Kind: DropNone}
 	cs.met.msgsSent.Inc()
 	cs.emit(trace.Event{At: cs.Sim.Now(), Kind: trace.KindMessageSent, Node: src, Peer: dst})
-	if len(route) == 1 {
+	if len(c.paths) == 0 {
 		rep.Delivered, rep.AckReceived = true, true
 		return rep, nil
 	}
 	sendTime := cs.Sim.Now()
 
-	// Hop-by-hop IP paths, resolved before the first leg: tree lookups
-	// draw no randomness, and the paths are shared tree storage behind a
-	// reused slice-of-slices header.
-	paths := cs.pathScratch[:0]
-	for i := 0; i+1 < len(route); i++ {
-		p, err := cs.PathToPeer(idxBuf[i], route[i+1])
-		if err != nil {
-			return nil, err
-		}
-		paths = append(paths, p)
+	leg, kind, broken := cs.forward(c)
+	rep.Kind, rep.BrokenLink = kind, broken
+	if kind == DropByNode || kind == DropByChurn {
+		rep.DroppedBy = c.ids[leg+1]
 	}
-	cs.pathScratch = paths
-
-	// Forward pass: find where the message dies. Each leg advances the
-	// virtual clock by its propagation delay, so link state is whatever
-	// the failure process says when the packet actually crosses.
-	reached := 0
-	for i := 0; i+1 < len(route); i++ {
-		cs.met.msgBytes.Add(wire.StewardedHopBytes)
-		cs.Run(cs.Net.Latency(paths[i]))
-		if bad, down := cs.Net.FirstDownLink(paths[i]); down {
-			rep.Kind = DropByLink
-			rep.BrokenLink = bad
-			break
-		}
-		if cs.Overlay.Pos(slabs[i+1]) == overlay.NoIndex {
-			// The next hop departed while the message was in flight
-			// (churn events fire inside the latency advance above):
-			// nobody received it.
-			rep.Kind = DropByChurn
-			rep.DroppedBy = route[i+1]
-			cs.Counters.ChurnDrops++
-			break
-		}
-		reached = i + 1
-		if route[i+1] != dst && cs.dropsMessageSlab(slabs[i+1]) {
-			rep.Kind = DropByNode
-			rep.DroppedBy = route[i+1]
-			break
-		}
-	}
-	rep.Delivered = reached == len(route)-1 && rep.Kind == DropNone
+	rep.Delivered = kind == DropNone
 
 	// Acknowledgment pass over the reverse path, again in real virtual
 	// time: a link can fail between the message leg and the ack leg
 	// (§3.5's "acknowledgment dropped along the reverse path").
 	if rep.Delivered {
 		rep.AckReceived = true
-		for i := len(paths) - 1; i >= 0; i-- {
+		for i := len(c.paths) - 1; i >= 0; i-- {
 			cs.met.ackBytes.Add(wire.AckHopBytes)
-			cs.Run(cs.Net.Latency(paths[i]))
-			if bad, down := cs.Net.FirstDownLink(paths[i]); down {
+			cs.Run(cs.Net.Latency(c.paths[i]))
+			if bad, down := cs.Net.FirstDownLink(c.paths[i]); down {
 				rep.Kind = DropAckByLink
 				rep.BrokenLink = bad
 				rep.AckReceived = false
@@ -246,37 +294,14 @@ func (cs *CompactSystem) SendMessage(src, dst id.ID) (*DeliveryReport, error) {
 	// Evidence windows center on the send time (§3.4).
 	now := sendTime
 
-	// Diagnosis: every steward judges its next hop over the span its
-	// own transmission path plus the next hop's onward path covers.
-	lastSteward := reached
-	if rep.Kind == DropByNode {
-		lastSteward = reached - 1
-	}
-	if lastSteward >= 0 {
-		rep.Verdicts = make([]Verdict, 0, lastSteward+1)
-	}
-	for i := 0; i <= lastSteward && i+1 < len(route); i++ {
-		span := append(cs.spanScratch[:0], paths[i]...)
-		if i+1 < len(paths) {
-			span = append(span, paths[i+1]...)
-		}
-		cs.spanScratch = span
-		res, err := cs.timedBlame(route[i+1], span, now)
+	// Diagnosis: every steward that saw the message judges its next hop.
+	rep.Verdicts = make([]Verdict, 0, leg+1)
+	for i := 0; i <= leg && i < len(c.paths); i++ {
+		v, err := cs.judge(c, i, now)
 		if err != nil {
 			return nil, err
 		}
-		rep.Verdicts = append(rep.Verdicts, Verdict{
-			Judged: route[i+1], At: now, Blame: res.Blame, Guilty: res.Guilty,
-		})
-		cs.Window.Add(slabs[i+1], rep.Verdicts[len(rep.Verdicts)-1])
-		cs.emit(trace.Event{
-			At: now, Kind: trace.KindVerdict,
-			Node: route[i], Peer: route[i+1], Guilty: res.Guilty,
-		})
-	}
-	if len(rep.Verdicts) == 0 {
-		rep.NetworkBlamed = true
-		return rep, nil
+		rep.Verdicts = append(rep.Verdicts, v)
 	}
 
 	// Recursive revision (§3.5): the deepest steward's verdict stands.
@@ -297,8 +322,8 @@ func (cs *CompactSystem) SendMessage(src, dst id.ID) (*DeliveryReport, error) {
 		start--
 	}
 	for vi := start; vi < len(rep.Verdicts); vi++ {
-		haveAccuser := cs.Overlay.Pos(slabs[vi]) != overlay.NoIndex
-		haveJudged := cs.Overlay.Pos(slabs[vi+1]) != overlay.NoIndex
+		haveAccuser := cs.Overlay.Pos(c.slabs[vi]) != overlay.NoIndex
+		haveJudged := cs.Overlay.Pos(c.slabs[vi+1]) != overlay.NoIndex
 		if !haveAccuser || !haveJudged {
 			start = vi + 1
 			rep.ChainUnavailable = true
@@ -312,24 +337,18 @@ func (cs *CompactSystem) SendMessage(src, dst id.ID) (*DeliveryReport, error) {
 	}
 	links := make([]Accusation, 0, len(rep.Verdicts)-start)
 	for vi := start; vi < len(rep.Verdicts); vi++ {
-		accuser := route[vi]
+		accuser := c.ids[vi]
 		judged := rep.Verdicts[vi].Judged
 		// Accusation spans escape into the signed chain: exact-size
 		// copies, never scratch.
-		spanLen := len(paths[vi])
-		if vi+1 < len(paths) {
-			spanLen += len(paths[vi+1])
-		}
-		span := append(make([]topology.LinkID, 0, spanLen), paths[vi]...)
-		if vi+1 < len(paths) {
-			span = append(span, paths[vi+1]...)
-		}
+		cs.spanScratch = c.span(cs.spanScratch[:0], vi)
+		span := append(make([]topology.LinkID, 0, len(cs.spanScratch)), cs.spanScratch...)
 		res, err := cs.timedBlame(judged, span, now)
 		if err != nil {
 			return nil, err
 		}
-		commit := NewCommitment(cs.keysOfSlab(slabs[vi+1]), accuser, judged, dst, rep.MsgID, now)
-		acc, err := NewAccusation(cs.keysOfSlab(slabs[vi]), accuser, res, rep.MsgID, span, commit)
+		commit := NewCommitment(cs.keysOfSlab(c.slabs[vi+1]), accuser, judged, dst, rep.MsgID, now)
+		acc, err := NewAccusation(cs.keysOfSlab(c.slabs[vi]), accuser, res, rep.MsgID, span, commit)
 		if err != nil {
 			return nil, err
 		}
@@ -383,106 +402,61 @@ func (cs *CompactSystem) timedBlame(judged id.ID, span []topology.LinkID, at net
 	return res, err
 }
 
-// SendBulk routes n messages from src to dst as one batch over the
-// current secure route, collects the destination's digest
-// acknowledgment, and judges the first hop for every missing message —
-// §3.7's aggregated acknowledgments: one signed digest ack covers the
-// batch, the source steward clears the covered messages from its ledger
-// and judges its next hop only for the ones that went missing.
+// SendBulk routes n messages from src to dst as one batch over one
+// captured route — §3.7's aggregated acknowledgments: every message
+// takes SendMessage's forward pass, the destination signs one digest
+// acknowledgment for the batch, and the source judges its next hop
+// once, at the send time, for each message the ack does not cover.
 func (cs *CompactSystem) SendBulk(src, dst id.ID, n int) (*BulkReport, error) {
 	if n <= 0 {
 		return nil, fmt.Errorf("core: bulk size %d must be positive", n)
 	}
-	si, ok := cs.Overlay.IndexOf(src)
-	if !ok {
-		return nil, fmt.Errorf("core: unknown source %s", src.Short())
-	}
-	if _, ok := cs.Overlay.IndexOf(dst); !ok {
-		return nil, fmt.Errorf("core: unknown destination %s", dst.Short())
-	}
-	idxRoute, err := cs.Overlay.AppendRouteSecure(si, dst, 0, nil)
+	c, err := cs.captureRoute(src, dst)
 	if err != nil {
 		return nil, err
 	}
-	route := make([]id.ID, len(idxRoute))
-	slabs := make([]uint32, len(idxRoute))
-	for h, i := range idxRoute {
-		route[h] = cs.Overlay.ID(i)
-		slabs[h] = cs.Overlay.Slab(i)
-	}
-	rep := &BulkReport{Route: route, Sent: n}
-	if len(route) == 1 {
+	rep := &BulkReport{Route: c.ids, Sent: n}
+	if len(c.paths) == 0 {
 		rep.Delivered, rep.Cleared = n, n
 		return rep, nil
 	}
-	paths := make([][]topology.LinkID, len(route)-1)
-	for i := 0; i+1 < len(route); i++ {
-		p, err := cs.PathToPeer(idxRoute[i], route[i+1])
-		if err != nil {
-			return nil, err
-		}
-		paths[i] = p
-	}
-	dstSlab := slabs[len(slabs)-1]
-
-	ledger := NewCompactStewardLedger(src)
 	sendTime := cs.Sim.Now()
+	sent := make([]uint64, n)
 	var received []uint64
-	for m := 0; m < n; m++ {
+	for m := range sent {
 		// The batch advances virtual time, so churn can shift ring
 		// positions mid-batch: number from the captured slab.
-		cs.msgSeq[slabs[0]]++
-		msgID := cs.msgSeq[slabs[0]]
-		ledger.RecordSent(dstSlab, msgID, cs.Sim.Now())
-		ok := true
-		for i := 0; i+1 < len(route) && ok; i++ {
-			cs.Run(cs.Net.Latency(paths[i]))
-			// SendMessage's rules: a down link or a departed next hop
-			// loses the message, and an interior hop applies its drop
-			// policy.
-			ok = cs.Net.PathUp(paths[i]) &&
-				cs.Overlay.Pos(slabs[i+1]) != overlay.NoIndex &&
-				(route[i+1] == dst || !cs.dropsMessageSlab(slabs[i+1]))
-		}
-		if ok {
-			received = append(received, msgID)
+		sent[m] = cs.nextMsgIDOfSlab(c.slabs[0])
+		cs.met.msgsSent.Inc()
+		if _, kind, _ := cs.forward(c); kind == DropNone {
+			received = append(received, sent[m])
 		}
 	}
 	rep.Delivered = len(received)
 
-	// One digest acknowledgment covers the batch.
-	ack, err := NewDigestAck(cs.keysOfSlab(dstSlab), src, dst, cs.Sim.Now(), uint32(n), received)
+	keys := cs.keysOfSlab(c.slabs[len(c.slabs)-1])
+	ack, err := NewDigestAck(keys, src, dst, cs.Sim.Now(), uint32(n), received)
 	if err != nil {
+		return nil, err
+	}
+	if err := ack.Verify(keys.Public); err != nil {
 		return nil, err
 	}
 	rep.AckDigests = len(ack.Digests)
-	cleared, err := ledger.ConsumeAck(dstSlab, dst, &ack, cs.keysOfSlab(dstSlab).Public)
-	if err != nil {
-		return nil, err
+	for _, m := range sent {
+		if ack.Covers(src, m) {
+			rep.Cleared++
+			cs.met.msgsDelivered.Inc()
+		} else {
+			rep.Missing = append(rep.Missing, m)
+		}
 	}
-	rep.Cleared = len(cleared)
-	rep.Missing = ledger.NeedsBlame(dstSlab, cs.Sim.Now())
-
-	// Judge the first hop once per missing message, over the span its
-	// messages needed after leaving the source.
-	if len(rep.Missing) > 0 && len(route) > 1 {
-		span := append([]topology.LinkID(nil), paths[0]...)
-		if len(paths) > 1 {
-			span = append(span, paths[1]...)
+	for range rep.Missing {
+		v, err := cs.judge(c, 0, sendTime)
+		if err != nil {
+			return nil, err
 		}
-		for range rep.Missing {
-			res, err := cs.Engine.Blame(route[1], span, sendTime)
-			if err != nil {
-				return nil, err
-			}
-			v := Verdict{Judged: route[1], At: sendTime, Blame: res.Blame, Guilty: res.Guilty}
-			rep.Verdicts = append(rep.Verdicts, v)
-			cs.Window.Add(slabs[1], v)
-			cs.emit(trace.Event{
-				At: sendTime, Kind: trace.KindVerdict,
-				Node: src, Peer: route[1], Guilty: res.Guilty,
-			})
-		}
+		rep.Verdicts = append(rep.Verdicts, v)
 	}
 	return rep, nil
 }

@@ -22,11 +22,14 @@ const DefaultReplicas = 4
 
 // Store is a replicated key-value store over the overlay membership.
 // Values are opaque bytes; multiple distinct values may accumulate under
-// one key (a host can be accused by many peers).
+// one key (a host can be accused by many peers). Every current member
+// of the ring is a replica: the ring is shared with the overlay, so a
+// node that joins after New or Rebalance serves at once, its storage
+// created on its first write and read as empty until then.
 type Store struct {
 	ring     *overlay.Ring
 	replicas int
-	nodes    map[id.ID]*nodeStore
+	nodes    map[id.ID]map[id.ID][][]byte // replica → key → values
 	faulty   map[id.ID]bool
 
 	met storeMetrics
@@ -41,10 +44,6 @@ type storeMetrics struct {
 	valueBytes       *metrics.Counter
 }
 
-type nodeStore struct {
-	values map[id.ID][][]byte
-}
-
 // New creates a store replicating each key onto the `replicas` closest
 // ring members.
 func New(ring *overlay.Ring, replicas int) (*Store, error) {
@@ -57,16 +56,12 @@ func New(ring *overlay.Ring, replicas int) (*Store, error) {
 	if replicas > ring.Size() {
 		replicas = ring.Size()
 	}
-	s := &Store{
+	return &Store{
 		ring:     ring,
 		replicas: replicas,
-		nodes:    make(map[id.ID]*nodeStore, ring.Size()),
+		nodes:    make(map[id.ID]map[id.ID][][]byte),
 		faulty:   make(map[id.ID]bool),
-	}
-	for _, m := range ring.Members() {
-		s.nodes[m] = &nodeStore{values: make(map[id.ID][][]byte)}
-	}
-	return s, nil
+	}, nil
 }
 
 // SetMetrics publishes the store's operation counters, degraded-op
@@ -88,9 +83,11 @@ func (s *Store) SetMetrics(reg *metrics.Registry) {
 // SetFaulty marks a replica as misbehaving: it drops writes and returns
 // nothing on reads. Used by failure injection (tests and the chaos
 // campaign's scheduled replica outages) to check that replication
-// tolerates bad replicas.
+// tolerates bad replicas. It accepts current members and any node still
+// holding data — a crashed member marked faulty before the next
+// Rebalance takes its data with it.
 func (s *Store) SetFaulty(node id.ID, faulty bool) error {
-	if _, ok := s.nodes[node]; !ok {
+	if _, held := s.nodes[node]; !held && !s.member(node) {
 		return fmt.Errorf("dht: unknown node %s", node.Short())
 	}
 	s.faulty[node] = faulty
@@ -101,13 +98,16 @@ func (s *Store) SetFaulty(node id.ID, faulty bool) error {
 func (s *Store) FaultyCount() int {
 	n := 0
 	for node, bad := range s.faulty {
-		if bad {
-			if _, ok := s.nodes[node]; ok {
-				n++
-			}
+		if bad && s.member(node) {
+			n++
 		}
 	}
 	return n
+}
+
+func (s *Store) member(node id.ID) bool {
+	_, ok := s.ring.IndexOf(node)
+	return ok
 }
 
 // Health describes how much of a key's replica set answered an
@@ -178,9 +178,13 @@ func (s *Store) PutChecked(key id.ID, value []byte) (Health, error) {
 			continue
 		}
 		ns := s.nodes[r]
+		if ns == nil {
+			ns = make(map[id.ID][][]byte)
+			s.nodes[r] = ns
+		}
 		// Deduplicate identical values on the same replica.
 		dup := false
-		for _, v := range ns.values[key] {
+		for _, v := range ns[key] {
 			if bytes.Equal(v, value) {
 				dup = true
 				break
@@ -188,7 +192,7 @@ func (s *Store) PutChecked(key id.ID, value []byte) (Health, error) {
 		}
 		if !dup {
 			cp := append([]byte(nil), value...)
-			ns.values[key] = append(ns.values[key], cp)
+			ns[key] = append(ns[key], cp)
 		}
 		h.Live++
 	}
@@ -226,7 +230,7 @@ func (s *Store) GetChecked(key id.ID) ([][]byte, Health, error) {
 			continue
 		}
 		h.Live++
-		for _, v := range s.nodes[r].values[key] {
+		for _, v := range s.nodes[r][key] {
 			k := string(v)
 			if !seen[k] {
 				seen[k] = true
@@ -257,13 +261,7 @@ func (s *Store) KeyHealth(key id.ID) Health {
 
 // Load returns the number of keys a node is responsible for — used to
 // check replica balance.
-func (s *Store) Load(node id.ID) int {
-	ns, ok := s.nodes[node]
-	if !ok {
-		return 0
-	}
-	return len(ns.values)
-}
+func (s *Store) Load(node id.ID) int { return len(s.nodes[node]) }
 
 // Rebalance migrates the store onto a new membership ring: every value
 // still held by a live replica is re-homed onto the key's new replica
@@ -275,19 +273,26 @@ func (s *Store) Rebalance(newRing *overlay.Ring) error {
 	if newRing == nil {
 		return fmt.Errorf("dht: nil ring")
 	}
-	// Collect surviving values: only from live members of the OLD ring
-	// that remain live (faulty nodes contribute nothing).
+	// Collect surviving values from every replica holding data that is
+	// not faulty (faulty nodes contribute nothing), in ascending node
+	// order: replicas can hold one key's values in different orders
+	// (one missed a write during an outage), and the first holder
+	// visited fixes the order the new replica set stores and returns.
 	type kv struct {
 		key   id.ID
 		value []byte
 	}
+	holders := make([]id.ID, 0, len(s.nodes))
+	for node := range s.nodes {
+		if !s.faulty[node] {
+			holders = append(holders, node)
+		}
+	}
+	sort.Slice(holders, func(i, j int) bool { return id.Less(holders[i], holders[j]) })
 	var survivors []kv
 	seen := make(map[string]bool)
-	for node, ns := range s.nodes {
-		if s.faulty[node] {
-			continue
-		}
-		for key, values := range ns.values {
+	for _, node := range holders {
+		for key, values := range s.nodes[node] {
 			for _, v := range values {
 				dedupe := string(key[:]) + "\x00" + string(v)
 				if !seen[dedupe] {
@@ -302,17 +307,15 @@ func (s *Store) Rebalance(newRing *overlay.Ring) error {
 	if replicas > newRing.Size() {
 		replicas = newRing.Size()
 	}
-	fresh := make(map[id.ID]*nodeStore, newRing.Size())
 	faulty := make(map[id.ID]bool)
 	for _, m := range newRing.Members() {
-		fresh[m] = &nodeStore{values: make(map[id.ID][][]byte)}
 		if s.faulty[m] {
 			faulty[m] = true // a faulty node stays faulty across churn
 		}
 	}
 	s.ring = newRing
 	s.replicas = replicas
-	s.nodes = fresh
+	s.nodes = make(map[id.ID]map[id.ID][][]byte)
 	s.faulty = faulty
 
 	for _, item := range survivors {

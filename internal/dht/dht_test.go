@@ -1,6 +1,7 @@
 package dht
 
 import (
+	"bytes"
 	"crypto/ed25519"
 	"math/rand/v2"
 	"slices"
@@ -663,4 +664,112 @@ func testRingQuick(n int, r *rand.Rand) (*overlay.Ring, []id.ID) {
 		panic(err)
 	}
 	return ring, ids
+}
+
+// TestJoinerServesBeforeRebalance: the store shares the overlay's live
+// ring, so a node that joins after New sits in replica sets at once.
+// Writes and reads keyed at it must land on it, before any Rebalance.
+func TestJoinerServesBeforeRebalance(t *testing.T) {
+	t.Parallel()
+	cfg := core.DefaultSystemConfig()
+	cfg.Topology = topology.TestConfig()
+	cfg.OverlayFraction = 0.5
+	sys, err := core.BuildCompactSystem(cfg, rand.New(rand.NewPCG(61, 62)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	store, err := New(sys.Overlay.Ring(), DefaultReplicas)
+	if err != nil {
+		t.Fatal(err)
+	}
+	used := map[topology.RouterID]bool{}
+	for i := 0; i < sys.Size(); i++ {
+		used[sys.Router(uint32(i))] = true
+	}
+	var joiner id.ID
+	for _, h := range sys.Topo.EndHosts() {
+		if !used[h] {
+			if joiner, err = sys.JoinNode(h); err != nil {
+				t.Fatal(err)
+			}
+			break
+		}
+	}
+	if joiner == id.Zero {
+		t.Skip("no free end host")
+	}
+
+	if err := store.Put(joiner, []byte("v")); err != nil {
+		t.Fatal(err)
+	}
+	if got := store.Get(joiner); len(got) != 1 || string(got[0]) != "v" {
+		t.Fatalf("Get at joiner = %q", got)
+	}
+	if store.Load(joiner) != 1 {
+		t.Errorf("joiner holds %d keys, want its own", store.Load(joiner))
+	}
+
+	r := rand.New(rand.NewPCG(63, 64))
+	f, ids := newRepoFixture(t, r, 1)
+	kp := sigcrypto.KeyPairFromRand(r)
+	f.dir[joiner], f.kp[joiner] = kp.Public, kp
+	repo, err := NewAccusationRepo(store, f.keys(), 0.4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := repo.Publish(f.chain([]id.ID{ids[0], joiner}, 1, 100)); err != nil {
+		t.Fatal(err)
+	}
+	if chains, err := repo.Fetch(joiner); err != nil || len(chains) != 1 {
+		t.Fatalf("Fetch at joiner = %d chains, %v", len(chains), err)
+	}
+
+	if err := store.SetFaulty(joiner, true); err != nil {
+		t.Fatalf("SetFaulty on a joined member: %v", err)
+	}
+	if store.FaultyCount() != 1 {
+		t.Errorf("FaultyCount = %d, want 1", store.FaultyCount())
+	}
+}
+
+// TestRebalanceOrderIsFixed: replicas that hold one key's values in
+// different orders (one missed a write while faulty) must rebalance to
+// one order, not to whichever replica a map range visits first.
+func TestRebalanceOrderIsFixed(t *testing.T) {
+	t.Parallel()
+	var want [][]byte
+	for trial := 0; trial < 50; trial++ {
+		r := rand.New(rand.NewPCG(71, 72))
+		ring, _ := testRing(t, 10, r)
+		s, err := New(ring, 3)
+		if err != nil {
+			t.Fatal(err)
+		}
+		key := id.Random(r)
+		missed := s.ReplicaSet(key)[1]
+		if err := s.SetFaulty(missed, true); err != nil {
+			t.Fatal(err)
+		}
+		if err := s.Put(key, []byte("A")); err != nil {
+			t.Fatal(err)
+		}
+		if err := s.SetFaulty(missed, false); err != nil {
+			t.Fatal(err)
+		}
+		if err := s.Put(key, []byte("B")); err != nil {
+			t.Fatal(err)
+		}
+		if err := s.Rebalance(ring); err != nil {
+			t.Fatal(err)
+		}
+		got := s.Get(key)
+		if len(got) != 2 {
+			t.Fatalf("trial %d: Get = %q, want both values", trial, got)
+		}
+		if trial == 0 {
+			want = got
+		} else if !slices.EqualFunc(got, want, bytes.Equal) {
+			t.Fatalf("trial %d: Get = %q, trial 0 returned %q", trial, got, want)
+		}
+	}
 }

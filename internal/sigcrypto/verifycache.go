@@ -10,9 +10,8 @@ import (
 
 // The protocol re-verifies the same bytes constantly: a jump-table
 // advert carries one certificate and one freshness timestamp per entry,
-// and verifiers see the same entries from many peers; stewards re-check
-// the same batch acks when replaying ledgers; accusation chains are
-// re-verified by every third party they are presented to. An Ed25519
+// and verifiers see the same entries from many peers; accusation chains
+// are re-verified by every third party they are presented to. An Ed25519
 // verification costs tens of microseconds, while recognizing an
 // already-verified (pub, msg, sig) triple costs one SHA-256 — so Verify
 // consults a bounded LRU of past outcomes first.
