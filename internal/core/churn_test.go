@@ -220,6 +220,35 @@ func TestSendBulkCountsLikeSendMessage(t *testing.T) {
 	check("dropper", 10, 1)
 }
 
+// TestSelfSendsCountDelivered holds a send to oneself, which crosses no
+// link, to the counters of a delivered message: one self-send and one
+// self-batch of n each raise core/messages_sent and
+// core/messages_delivered by their message count.
+func TestSelfSendsCountDelivered(t *testing.T) {
+	t.Parallel()
+	reg := metrics.NewRegistry()
+	s := buildTestCompactSystem(t, func(c *SystemConfig) { c.Metrics = reg })
+	self, _, _ := findMultiHopPair(t, s, 2)
+	sent, delivered := reg.Counter("core/messages_sent"), reg.Counter("core/messages_delivered")
+	rep, err := s.SendMessage(self, self)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !rep.Delivered || sent.Value() != 1 || delivered.Value() != 1 {
+		t.Errorf("self-send: delivered %v, counters sent %d delivered %d; want true, 1, 1",
+			rep.Delivered, sent.Value(), delivered.Value())
+	}
+	const n = 7
+	bulk, err := s.SendBulk(self, self, n)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if bulk.Delivered != n || sent.Value() != 1+n || delivered.Value() != 1+n {
+		t.Errorf("self-batch of %d: delivered %d, counters sent %d delivered %d; want %d, %d, %d",
+			n, bulk.Delivered, sent.Value(), delivered.Value(), n, 1+n, 1+n)
+	}
+}
+
 // bulkThroughFirstHop routes n messages src→dst through a system whose
 // first interior hop runs policy b, once as a bulk batch and once as n
 // single sends, and returns how many each delivered. No link ever

@@ -256,6 +256,7 @@ func (cs *CompactSystem) SendMessage(src, dst id.ID) (*DeliveryReport, error) {
 	cs.emit(trace.Event{At: cs.Sim.Now(), Kind: trace.KindMessageSent, Node: src, Peer: dst})
 	if len(c.paths) == 0 {
 		rep.Delivered, rep.AckReceived = true, true
+		cs.met.msgsDelivered.Inc()
 		return rep, nil
 	}
 	sendTime := cs.Sim.Now()
@@ -418,6 +419,8 @@ func (cs *CompactSystem) SendBulk(src, dst id.ID, n int) (*BulkReport, error) {
 	rep := &BulkReport{Route: c.ids, Sent: n}
 	if len(c.paths) == 0 {
 		rep.Delivered, rep.Cleared = n, n
+		cs.met.msgsSent.Add(uint64(n))
+		cs.met.msgsDelivered.Add(uint64(n))
 		return rep, nil
 	}
 	sendTime := cs.Sim.Now()
