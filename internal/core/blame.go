@@ -330,7 +330,9 @@ func (e *BlameEngine) groupedConfidence(judged id.ID, self tomography.ProberHand
 // The fuzzy-OR accumulates incrementally, so without a witness grouping
 // the only allocation is the Evidence slice that escapes into the
 // result; with one, the call's group tables are allocated once per call.
-// Blame writes no shared state and is safe to call concurrently.
+// Blame is safe to call concurrently. The only shared state it writes
+// is the archive's: the first read after a probe sweep settles the
+// staged sweeps, under the archive's lock.
 func (e *BlameEngine) Blame(judged id.ID, path []topology.LinkID, at netsim.Time) (BlameResult, error) {
 	if len(path) == 0 {
 		return BlameResult{}, fmt.Errorf("core: blame over empty path")

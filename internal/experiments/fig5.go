@@ -205,9 +205,11 @@ func Fig5(cfg Fig5Config, rng stats.Rand) (*Fig5Result, error) {
 				}
 				triples = append(triples, triple{b: b, path: path, faulty: faulty})
 			}
-			// Phase 2 (parallel): blame evaluation reads only the frozen
-			// archive and network state — no randomness, no writes — so
-			// the triples fan out across workers.
+			// Phase 2 (parallel): blame evaluation reads only the archive
+			// and network state — no randomness, and no writes but the
+			// archive's settle of its staged sweeps, which the first
+			// read makes under the archive's lock — so the triples fan
+			// out across workers.
 			now := sys.Sim.Now()
 			blames := make([]core.BlameResult, len(triples))
 			if err := parexec.ForEach(cfg.Workers, len(triples), func(i int) error {

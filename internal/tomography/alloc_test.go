@@ -45,6 +45,30 @@ func TestArchiveRecordSteadyStateAllocFree(t *testing.T) {
 	}
 }
 
+// TestArchiveSettledSteadyStateAllocFree is the same lock for an
+// archive read as it is written: a Span every 50 sweeps settles what
+// was staged since the last one, so the log's blocks return to the
+// free list and the chunk pools turn over as well.
+func TestArchiveSettledSteadyStateAllocFree(t *testing.T) {
+	const retention, every = 800, 50
+	s := newSweeper(2, 256, 64, 20000)
+	a := NewArchive(s.links)
+	run := func(n int) {
+		for i := 0; i < n; i += every {
+			s.run(t, a, every, retention)
+			a.Span(0, 0, s.now)
+		}
+	}
+	run(12 * retention)
+	if a.pending.Load() {
+		t.Fatal("a read left sweeps staged")
+	}
+	n := testing.AllocsPerRun(8, func() { run(retention / 4) })
+	if n != 0 {
+		t.Errorf("steady-state sweeps, reads and prune allocate %.1f per quarter retention, want 0", n)
+	}
+}
+
 // TestHeavyweightProbeReusesScratch verifies the heavyweight path's
 // measurement and branch-tree scratch: a second round on the same
 // prober must reuse the accumulators and produce results identical to
