@@ -71,7 +71,7 @@ var figures = []figure{
 	{6, "fig6", true, true, paper(fig6)},
 	{7, "fig7", true, true, paper(fig7)},
 	{8, "fig8", false, false, paper(fig8)},
-	{9, "fig9", false, false, paper(fig9)},
+	{9, "fig9", false, true, paper(fig9)},
 	{10, "scale", false, true, runScale},
 	{12, "adversary", false, true, runAdversary},
 	{13, "traffic", false, true, runTraffic},
