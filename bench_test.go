@@ -669,19 +669,18 @@ func BenchmarkExtensionCollusionSweep(b *testing.B) {
 // BenchmarkExtensionConsensusDefense quantifies the median-consensus
 // suppression defense against the standard self-referenced test.
 func BenchmarkExtensionConsensusDefense(b *testing.B) {
-	model := core.DefaultOccupancyModel()
 	scen := core.DensityScenario{N: 1131, Collusion: 0.3, Suppression: true}
 	b.ReportAllocs()
 	var stdSum, consSum float64
 	for i := 0; i < b.N; i++ {
-		std, err := core.OptimalGamma(model, scen, 1.0001, 3, 150)
+		std, err := core.OptimalGamma(scen, 1.0001, 3, 150)
 		if err != nil {
 			b.Fatal(err)
 		}
 		stdSum = std.Sum()
 		best := core.DensityErrorRates{FalsePositive: 1, FalseNegative: 1}
 		for g := 1.01; g < 3; g += 0.01 {
-			r, err := core.ConsensusErrorRates(model, scen, g)
+			r, err := core.ConsensusErrorRates(scen, g)
 			if err != nil {
 				b.Fatal(err)
 			}

@@ -174,7 +174,6 @@ func fig8(c figCtx) (map[string]float64, error) {
 }
 
 func fig9(c figCtx) (map[string]float64, error) {
-	model := core.DefaultOccupancyModel()
 	t := experiments.Table{
 		Title:   "Extension: median-consensus suppression defense (N=1131, optimal gamma per cell)",
 		Columns: []string{"collusion", "standard FP", "standard FN", "consensus FP", "consensus FN"},
@@ -182,13 +181,13 @@ func fig9(c figCtx) (map[string]float64, error) {
 	checks := make(map[string]float64)
 	for _, collusion := range []float64{0.1, 0.2, 0.3, 0.4} {
 		scen := core.DensityScenario{N: 1131, Collusion: collusion, Suppression: true}
-		std, err := core.OptimalGamma(model, scen, 1.0001, 3, 150)
+		std, err := core.OptimalGamma(scen, 1.0001, 3, 150)
 		if err != nil {
 			return nil, err
 		}
 		best := core.DensityErrorRates{FalsePositive: 1, FalseNegative: 1}
 		for g := 1.01; g < 3; g += 0.01 {
-			r, err := core.ConsensusErrorRates(model, scen, g)
+			r, err := core.ConsensusErrorRates(scen, g)
 			if err != nil {
 				return nil, err
 			}

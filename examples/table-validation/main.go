@@ -112,13 +112,12 @@ func main() {
 		outcome(err), errors.Is(err, core.ErrLeafSetTooSparse))
 
 	// 6. The analytics behind choosing gamma (Figure 2/3 machinery).
-	model := core.DefaultOccupancyModel()
 	for _, c := range []float64{0.2, 0.3} {
-		plain, err := core.OptimalGamma(model, core.DensityScenario{N: 1131, Collusion: c}, 1.001, 2.5, 120)
+		plain, err := core.OptimalGamma(core.DensityScenario{N: 1131, Collusion: c}, 1.001, 2.5, 120)
 		if err != nil {
 			log.Fatal(err)
 		}
-		sup, err := core.OptimalGamma(model, core.DensityScenario{N: 1131, Collusion: c, Suppression: true}, 1.001, 2.5, 120)
+		sup, err := core.OptimalGamma(core.DensityScenario{N: 1131, Collusion: c, Suppression: true}, 1.001, 2.5, 120)
 		if err != nil {
 			log.Fatal(err)
 		}

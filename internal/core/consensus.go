@@ -49,19 +49,15 @@ func ConsensusN(estimates []float64) (float64, error) {
 // expected occupancy of an overlay of consensusN nodes: the advert is
 // accepted when γ·d_peer ≥ μφ(consensusN).
 type ConsensusDensityTest struct {
-	Model OccupancyModel
 	Gamma float64
 }
 
 // NewConsensusDensityTest validates the parameters.
-func NewConsensusDensityTest(m OccupancyModel, gamma float64) (ConsensusDensityTest, error) {
-	if err := m.Validate(); err != nil {
-		return ConsensusDensityTest{}, err
-	}
+func NewConsensusDensityTest(gamma float64) (ConsensusDensityTest, error) {
 	if gamma <= 1 {
 		return ConsensusDensityTest{}, fmt.Errorf("core: consensus-test γ %v must exceed 1", gamma)
 	}
-	return ConsensusDensityTest{Model: m, Gamma: gamma}, nil
+	return ConsensusDensityTest{Gamma: gamma}, nil
 }
 
 // Check reports whether the advertised occupancy passes against the
@@ -70,7 +66,7 @@ func (t ConsensusDensityTest) Check(peerOccupancy, consensusN float64) (bool, er
 	if consensusN <= 1 {
 		return false, fmt.Errorf("core: consensus population %v too small", consensusN)
 	}
-	mu, err := t.Model.ExpectedOccupancy(int(consensusN + 0.5))
+	mu, err := ExpectedOccupancy(int(consensusN + 0.5))
 	if err != nil {
 		return false, err
 	}
@@ -86,7 +82,7 @@ func (t ConsensusDensityTest) Check(peerOccupancy, consensusN float64) (bool, er
 //     preserves as long as c < 1/2;
 //   - false positive: an honest-but-suppressed peer's table (drawn from
 //     N(1−c)) fails against the same reference.
-func ConsensusErrorRates(m OccupancyModel, s DensityScenario, gamma float64) (DensityErrorRates, error) {
+func ConsensusErrorRates(s DensityScenario, gamma float64) (DensityErrorRates, error) {
 	if err := s.Validate(); err != nil {
 		return DensityErrorRates{}, err
 	}
@@ -98,7 +94,7 @@ func ConsensusErrorRates(m OccupancyModel, s DensityScenario, gamma float64) (De
 	if s.Collusion >= 0.5 {
 		reference = atLeast2(int(float64(s.N) * s.Collusion))
 	}
-	mu, err := m.ExpectedOccupancy(reference)
+	mu, err := ExpectedOccupancy(reference)
 	if err != nil {
 		return DensityErrorRates{}, err
 	}
@@ -108,11 +104,11 @@ func ConsensusErrorRates(m OccupancyModel, s DensityScenario, gamma float64) (De
 	if s.Suppression {
 		peerN = atLeast2(int(float64(s.N) * (1 - s.Collusion)))
 	}
-	peer, err := m.NormalApprox(peerN)
+	peer, err := NormalApprox(peerN)
 	if err != nil {
 		return DensityErrorRates{}, err
 	}
-	attacker, err := m.NormalApprox(atLeast2(int(float64(s.N) * s.Collusion)))
+	attacker, err := NormalApprox(atLeast2(int(float64(s.N) * s.Collusion)))
 	if err != nil {
 		return DensityErrorRates{}, err
 	}

@@ -38,8 +38,7 @@ func TestConsensusNRobustToMinorityCorruption(t *testing.T) {
 
 func TestConsensusDensityTestCheck(t *testing.T) {
 	t.Parallel()
-	m := DefaultOccupancyModel()
-	test, err := NewConsensusDensityTest(m, 1.2)
+	test, err := NewConsensusDensityTest(1.2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -55,11 +54,8 @@ func TestConsensusDensityTestCheck(t *testing.T) {
 	if _, err := test.Check(30, 1); err == nil {
 		t.Error("tiny consensus population accepted")
 	}
-	if _, err := NewConsensusDensityTest(m, 1); err == nil {
+	if _, err := NewConsensusDensityTest(1); err == nil {
 		t.Error("γ=1 accepted")
-	}
-	if _, err := NewConsensusDensityTest(OccupancyModel{}, 1.2); err == nil {
-		t.Error("invalid model accepted")
 	}
 }
 
@@ -69,16 +65,15 @@ func TestConsensusDefenseBeatsStandardUnderSuppression(t *testing.T) {
 	// consensus-referenced test has a strictly lower combined error
 	// than the self-referenced test, because the median reference is
 	// immune to minority suppression.
-	m := DefaultOccupancyModel()
 	for _, c := range []float64{0.2, 0.3} {
 		s := DensityScenario{N: 1131, Collusion: c, Suppression: true}
-		standard, err := OptimalGamma(m, s, 1.0001, 3, 150)
+		standard, err := OptimalGamma(s, 1.0001, 3, 150)
 		if err != nil {
 			t.Fatal(err)
 		}
 		best := DensityErrorRates{FalsePositive: 1, FalseNegative: 1}
 		for g := 1.01; g < 3; g += 0.01 {
-			r, err := ConsensusErrorRates(m, s, g)
+			r, err := ConsensusErrorRates(s, g)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -95,17 +90,16 @@ func TestConsensusDefenseBeatsStandardUnderSuppression(t *testing.T) {
 
 func TestConsensusErrorRatesValidation(t *testing.T) {
 	t.Parallel()
-	m := DefaultOccupancyModel()
-	if _, err := ConsensusErrorRates(m, DensityScenario{N: 1, Collusion: 0.2}, 1.2); err == nil {
+	if _, err := ConsensusErrorRates(DensityScenario{N: 1, Collusion: 0.2}, 1.2); err == nil {
 		t.Error("invalid scenario accepted")
 	}
-	if _, err := ConsensusErrorRates(m, DensityScenario{N: 100, Collusion: 0.2}, 0); err == nil {
+	if _, err := ConsensusErrorRates(DensityScenario{N: 100, Collusion: 0.2}, 0); err == nil {
 		t.Error("γ=0 accepted")
 	}
 	// Majority collusion breaks the median: the reference collapses to
 	// the colluders' population and the defense degrades (documented
 	// behavior, not an error).
-	r, err := ConsensusErrorRates(m, DensityScenario{N: 1131, Collusion: 0.6, Suppression: true}, 1.2)
+	r, err := ConsensusErrorRates(DensityScenario{N: 1131, Collusion: 0.6, Suppression: true}, 1.2)
 	if err != nil {
 		t.Fatal(err)
 	}

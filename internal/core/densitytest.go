@@ -17,127 +17,97 @@ import (
 	"concilium/internal/stats"
 )
 
-// OccupancyModel is the analytic model of jump-table occupancy from
-// §3.1: in an overlay of N nodes with random identifiers, the slot at
-// row i (0-indexed) is filled with probability
+// The analytic model of jump-table occupancy from §3.1, over this
+// package's identifier space of ℓ = id.Digits rows and v = id.Base
+// columns. In an overlay of n nodes with random identifiers, the slot
+// at row i (0-indexed) is filled with probability
 //
-//	p_i = 1 − [1 − (1/v)^(i+1)]^(N−1)        (Eq. 1)
+//	p_i = 1 − [1 − (1/v)^(i+1)]^(n−1)        (Eq. 1)
 //
-// and total occupancy follows a Poisson binomial, approximated by the
-// normal φ(μφ, σφ).
-type OccupancyModel struct {
-	// L is ℓ, the identifier length in digits; V is v, the digit radix.
-	L, V int
-}
+// and total occupancy follows a Poisson binomial over the ℓ·v slots,
+// approximated by the normal φ(μφ, σφ).
 
-// DefaultOccupancyModel returns the model for this package's identifier
-// space (ℓ=32, v=16).
-func DefaultOccupancyModel() OccupancyModel {
-	return OccupancyModel{L: id.Digits, V: id.Base}
-}
-
-// Validate reports invalid dimensions.
-func (m OccupancyModel) Validate() error {
-	if m.L <= 0 || m.V <= 1 {
-		return fmt.Errorf("core: occupancy model dimensions ℓ=%d v=%d invalid", m.L, m.V)
-	}
-	return nil
-}
-
-// Slots returns ℓ·v, the table size.
-func (m OccupancyModel) Slots() int { return m.L * m.V }
+// slots is ℓ·v, the table size.
+const slots = id.Digits * id.Base
 
 // FillProb returns Eq. 1 for 0-indexed row i with n total overlay nodes.
-func (m OccupancyModel) FillProb(row, n int) float64 {
-	if n <= 1 || row < 0 || row >= m.L {
+func FillProb(row, n int) float64 {
+	if n <= 1 || row < 0 || row >= id.Digits {
 		return 0
 	}
-	p := math.Pow(1/float64(m.V), float64(row+1))
+	p := math.Pow(1/float64(id.Base), float64(row+1))
 	return 1 - math.Pow(1-p, float64(n-1))
 }
 
-// Distribution returns the Poisson binomial over all ℓ·v slots for an
-// overlay of n nodes. Construction is memoized per (ℓ, v, n) — density
-// sweeps request the same few population sizes thousands of times — and
-// the returned distribution is shared and immutable.
-func (m OccupancyModel) Distribution(n int) (*stats.PoissonBinomial, error) {
-	if err := m.Validate(); err != nil {
-		return nil, err
-	}
+// occupancyMoments returns the paper's per-slot moments of Eq. 1's
+// ℓ·v fill probabilities,
+//
+//	μ = (1/ℓv) Σ p        σ² = (1/ℓv) Σ (p − μ)²,
+//
+// and the sum Σ p itself. Each row's probability is evaluated once and
+// added v times, row-major, so every value is bit-identical to
+// stats.PoissonBinomial's Mean and PaperMoments over the same slots.
+func occupancyMoments(n int) (sum, mu, sigma2 float64, err error) {
 	if n <= 1 {
-		return nil, fmt.Errorf("core: occupancy model needs n > 1, got %d", n)
+		return 0, 0, 0, fmt.Errorf("core: occupancy model needs n > 1, got %d", n)
 	}
-	return cachedDistribution(occKey{l: m.L, v: m.V, n: n}, func() (*stats.PoissonBinomial, error) {
-		return m.buildDistribution(n)
-	})
-}
-
-// buildDistribution constructs the distribution afresh, bypassing the
-// cache. Tests use it to assert cache-hit equivalence.
-func (m OccupancyModel) buildDistribution(n int) (*stats.PoissonBinomial, error) {
-	probs := make([]float64, 0, m.Slots())
-	for row := 0; row < m.L; row++ {
-		p := m.FillProb(row, n)
-		for col := 0; col < m.V; col++ {
-			probs = append(probs, p)
+	var rows [id.Digits]float64
+	for row := range rows {
+		rows[row] = FillProb(row, n)
+	}
+	for _, p := range rows {
+		for col := 0; col < id.Base; col++ {
+			sum += p
 		}
 	}
-	return stats.NewPoissonBinomial(probs)
-}
-
-// NormalApprox returns the paper's φ(μφ, σφ) for an overlay of n nodes,
-// memoized per (ℓ, v, n) alongside Distribution.
-func (m OccupancyModel) NormalApprox(n int) (stats.Normal, error) {
-	if err := m.Validate(); err != nil {
-		return stats.Normal{}, err
-	}
-	if n <= 1 {
-		return stats.Normal{}, fmt.Errorf("core: occupancy model needs n > 1, got %d", n)
-	}
-	return cachedNormal(occKey{l: m.L, v: m.V, n: n}, func() (stats.Normal, error) {
-		pb, err := m.Distribution(n)
-		if err != nil {
-			return stats.Normal{}, err
+	mu = sum / slots
+	for _, p := range rows {
+		for col := 0; col < id.Base; col++ {
+			d := p - mu
+			sigma2 += d * d
 		}
-		return pb.NormalApprox()
-	})
+	}
+	sigma2 /= slots
+	return sum, mu, sigma2, nil
 }
 
 // ExpectedOccupancy returns μφ for an overlay of n nodes.
-func (m OccupancyModel) ExpectedOccupancy(n int) (float64, error) {
-	pb, err := m.Distribution(n)
+func ExpectedOccupancy(n int) (float64, error) {
+	sum, _, _, err := occupancyMoments(n)
+	return sum, err
+}
+
+// NormalApprox returns the paper's φ(μφ, σφ) for an overlay of n nodes:
+//
+//	μφ  = ℓv·μ
+//	σφ² = ℓv·μ(1−μ) − ℓv·σ²
+//
+// which equals the exact Poisson-binomial variance Σ p(1−p).
+func NormalApprox(n int) (stats.Normal, error) {
+	_, mu, sigma2, err := occupancyMoments(n)
 	if err != nil {
-		return 0, err
+		return stats.Normal{}, err
 	}
-	return pb.Mean(), nil
+	varPhi := slots*mu*(1-mu) - slots*sigma2
+	if varPhi <= 0 {
+		return stats.Normal{}, fmt.Errorf("core: occupancy at n=%d has variance %v", n, varPhi)
+	}
+	return stats.Normal{Mu: slots * mu, Sigma: math.Sqrt(varPhi)}, nil
 }
 
 // MonteCarloOccupancy estimates table occupancy empirically — the
 // "reality" series of Figure 1. Each trial draws a random owner and n−1
 // random peers and counts how many distinct (row, col) slots the peers
-// could fill. It returns the sample mean and standard deviation.
-func (m OccupancyModel) MonteCarloOccupancy(n, trials int, rng stats.Rand) (mean, std float64, err error) {
-	if err := m.validateMonteCarlo(n, trials); err != nil {
-		return 0, 0, err
-	}
-	counts := make([]float64, trials)
-	scratch := m.newScratch()
-	for t := 0; t < trials; t++ {
-		counts[t] = m.monteCarloTrial(n, rng, scratch)
-	}
-	return stats.Mean(counts), stats.StdDev(counts), nil
-}
-
-// MonteCarloOccupancyStreams is the deterministic parallel variant: each
-// trial draws from its own PCG substream derived from seed and the trial
-// index, so the result is bit-identical for every worker count
+// could fill. It returns the sample mean and standard deviation. Each
+// trial draws from its own PCG substream derived from seed and the
+// trial index, so the result is bit-identical for every worker count
 // (including workers=1). workers <= 0 selects GOMAXPROCS.
-func (m OccupancyModel) MonteCarloOccupancyStreams(n, trials, workers int, seed parexec.Seed) (mean, std float64, err error) {
-	if err := m.validateMonteCarlo(n, trials); err != nil {
-		return 0, 0, err
+func MonteCarloOccupancy(n, trials, workers int, seed parexec.Seed) (mean, std float64, err error) {
+	if n <= 1 || trials <= 0 {
+		return 0, 0, fmt.Errorf("core: Monte Carlo needs n > 1 and positive trials")
 	}
 	counts, err := parexec.MapTrials(workers, trials, seed, func(_ int, rng *rand.Rand) (float64, error) {
-		return m.monteCarloTrial(n, rng, m.newScratch()), nil
+		return monteCarloTrial(n, rng), nil
 	})
 	if err != nil {
 		return 0, 0, err
@@ -145,44 +115,14 @@ func (m OccupancyModel) MonteCarloOccupancyStreams(n, trials, workers int, seed 
 	return stats.Mean(counts), stats.StdDev(counts), nil
 }
 
-func (m OccupancyModel) validateMonteCarlo(n, trials int) error {
-	if err := m.Validate(); err != nil {
-		return err
-	}
-	if m.L > id.Digits || m.V != id.Base {
-		return fmt.Errorf("core: Monte Carlo requires the native identifier space (ℓ<=%d, v=%d)", id.Digits, id.Base)
-	}
-	if n <= 1 || trials <= 0 {
-		return fmt.Errorf("core: Monte Carlo needs n > 1 and positive trials")
-	}
-	return nil
-}
-
-// newScratch allocates the per-trial slot matrix.
-func (m OccupancyModel) newScratch() [][]bool {
-	filled := make([][]bool, m.L)
-	for i := range filled {
-		filled[i] = make([]bool, m.V)
-	}
-	return filled
-}
-
 // monteCarloTrial draws one random table and counts occupied slots.
-// filled is caller-provided scratch and is reset here.
-func (m OccupancyModel) monteCarloTrial(n int, rng stats.Rand, filled [][]bool) float64 {
-	for i := range filled {
-		for j := range filled[i] {
-			filled[i][j] = false
-		}
-	}
+func monteCarloTrial(n int, rng stats.Rand) float64 {
+	var filled [id.Digits][id.Base]bool
 	owner := id.Random(rng)
 	var occ int
 	for k := 0; k < n-1; k++ {
 		peer := id.Random(rng)
 		cpl := id.CommonPrefixLen(owner, peer)
-		if cpl > m.L {
-			cpl = m.L
-		}
 		// Eq. 1's event for slot (i, j) is "some node exists with the
 		// i-digit shared prefix and j as its next digit". A peer with
 		// cpl shared digits therefore fills its divergence slot
@@ -195,7 +135,7 @@ func (m OccupancyModel) monteCarloTrial(n int, rng stats.Rand, filled [][]bool) 
 				occ++
 			}
 		}
-		if cpl < m.L {
+		if cpl < id.Digits {
 			col := peer.Digit(cpl)
 			if !filled[cpl][col] {
 				filled[cpl][col] = true
@@ -237,20 +177,20 @@ func (t DensityTest) Check(localOccupancy, peerOccupancy float64) bool {
 // peerN sizes the honest peer's. Without suppression attacks both equal
 // the true overlay size; under suppression the peer's view shrinks to
 // N(1−c) because colluders hide from it (§4.1).
-func FalsePositiveRate(m OccupancyModel, localN, peerN int, gamma float64) (float64, error) {
+func FalsePositiveRate(localN, peerN int, gamma float64) (float64, error) {
 	if gamma <= 0 {
 		return 0, fmt.Errorf("core: γ %v must be positive", gamma)
 	}
-	local, err := m.NormalApprox(localN)
+	local, err := NormalApprox(localN)
 	if err != nil {
 		return 0, err
 	}
-	peer, err := m.NormalApprox(peerN)
+	peer, err := NormalApprox(peerN)
 	if err != nil {
 		return 0, err
 	}
 	var sum float64
-	for d := 0; d <= m.Slots(); d++ {
+	for d := 0; d <= slots; d++ {
 		mass := local.PointMass(float64(d))
 		if mass == 0 {
 			continue
@@ -265,20 +205,20 @@ func FalsePositiveRate(m OccupancyModel, localN, peerN int, gamma float64) (floa
 // against a verifier whose own table reflects localN nodes:
 //
 //	Pr(γ d_peer ≥ d_local) = Σ_{d} [φ_att(d+½) − φ_att(d−½)]·φ_local(γ d)
-func FalseNegativeRate(m OccupancyModel, localN, attackerN int, gamma float64) (float64, error) {
+func FalseNegativeRate(localN, attackerN int, gamma float64) (float64, error) {
 	if gamma <= 0 {
 		return 0, fmt.Errorf("core: γ %v must be positive", gamma)
 	}
-	local, err := m.NormalApprox(localN)
+	local, err := NormalApprox(localN)
 	if err != nil {
 		return 0, err
 	}
-	attacker, err := m.NormalApprox(attackerN)
+	attacker, err := NormalApprox(attackerN)
 	if err != nil {
 		return 0, err
 	}
 	var sum float64
-	for d := 0; d <= m.Slots(); d++ {
+	for d := 0; d <= slots; d++ {
 		mass := attacker.PointMass(float64(d))
 		if mass == 0 {
 			continue
@@ -349,16 +289,16 @@ func atLeast2(n int) int {
 
 // ErrorRatesAt evaluates both density-test error rates at γ under the
 // scenario.
-func ErrorRatesAt(m OccupancyModel, s DensityScenario, gamma float64) (DensityErrorRates, error) {
+func ErrorRatesAt(s DensityScenario, gamma float64) (DensityErrorRates, error) {
 	if err := s.Validate(); err != nil {
 		return DensityErrorRates{}, err
 	}
 	fpLocal, fpPeer, fnLocal, fnAttacker := s.populations()
-	fp, err := FalsePositiveRate(m, fpLocal, fpPeer, gamma)
+	fp, err := FalsePositiveRate(fpLocal, fpPeer, gamma)
 	if err != nil {
 		return DensityErrorRates{}, err
 	}
-	fn, err := FalseNegativeRate(m, fnLocal, fnAttacker, gamma)
+	fn, err := FalseNegativeRate(fnLocal, fnAttacker, gamma)
 	if err != nil {
 		return DensityErrorRates{}, err
 	}
@@ -368,14 +308,14 @@ func ErrorRatesAt(m OccupancyModel, s DensityScenario, gamma float64) (DensityEr
 // OptimalGamma sweeps γ over [lo, hi] in the given number of steps and
 // returns the rates at the γ minimizing FP+FN — the choice behind
 // Figures 2(c) and 3(c).
-func OptimalGamma(m OccupancyModel, s DensityScenario, lo, hi float64, steps int) (DensityErrorRates, error) {
+func OptimalGamma(s DensityScenario, lo, hi float64, steps int) (DensityErrorRates, error) {
 	if !(lo > 0 && hi > lo) || steps < 2 {
 		return DensityErrorRates{}, fmt.Errorf("core: bad γ sweep [%v, %v] x%d", lo, hi, steps)
 	}
 	best := DensityErrorRates{FalsePositive: 1, FalseNegative: 1}
 	for i := 0; i < steps; i++ {
 		gamma := lo + (hi-lo)*float64(i)/float64(steps-1)
-		r, err := ErrorRatesAt(m, s, gamma)
+		r, err := ErrorRatesAt(s, gamma)
 		if err != nil {
 			return DensityErrorRates{}, err
 		}

@@ -118,12 +118,11 @@ func ExampleRevisionChain() {
 	// B exonerated: true
 }
 
-// ExampleOccupancyModel shows the §3.1 occupancy analytics behind the
-// density test: the expected routing-table size of a 100,000-node
+// ExampleExpectedOccupancy shows the §3.1 occupancy analytics behind
+// the density test: the expected routing-table size of a 100,000-node
 // overlay matches the paper's 77 entries (μφ + 16 leaves).
-func ExampleOccupancyModel() {
-	model := core.DefaultOccupancyModel()
-	mu, err := model.ExpectedOccupancy(100000)
+func ExampleExpectedOccupancy() {
+	mu, err := core.ExpectedOccupancy(100000)
 	if err != nil {
 		fmt.Println(err)
 		return

@@ -31,7 +31,6 @@ func Bandwidth(cfg BandwidthConfig) (Table, []wire.BandwidthReport, error) {
 	if len(cfg.OverlaySizes) == 0 {
 		return Table{}, nil, fmt.Errorf("experiments: bandwidth needs overlay sizes")
 	}
-	model := core.DefaultOccupancyModel()
 	t := Table{
 		Title: "Section 4.4: Concilium bandwidth requirements",
 		Columns: []string{
@@ -40,7 +39,7 @@ func Bandwidth(cfg BandwidthConfig) (Table, []wire.BandwidthReport, error) {
 	}
 	var reports []wire.BandwidthReport
 	for _, n := range cfg.OverlaySizes {
-		mu, err := model.ExpectedOccupancy(n)
+		mu, err := core.ExpectedOccupancy(n)
 		if err != nil {
 			return Table{}, nil, err
 		}

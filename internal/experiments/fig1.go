@@ -58,13 +58,12 @@ func Fig1(cfg Fig1Config, rng stats.Rand) (*Fig1Result, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	model := core.DefaultOccupancyModel()
 	res := &Fig1Result{
 		Analytic:   Series{Name: "analytic phi(mu,sigma)"},
 		MonteCarlo: Series{Name: "monte carlo"},
 	}
 	for _, n := range cfg.Ns {
-		approx, err := model.NormalApprox(n)
+		approx, err := core.NormalApprox(n)
 		if err != nil {
 			return nil, err
 		}
@@ -76,7 +75,7 @@ func Fig1(cfg Fig1Config, rng stats.Rand) (*Fig1Result, error) {
 		// rng; the per-trial substreams derived from it make the Monte
 		// Carlo independent of the worker count.
 		seed := parexec.SeedFrom(rng)
-		mcMean, mcStd, err := model.MonteCarloOccupancyStreams(n, cfg.Trials, cfg.Workers, seed)
+		mcMean, mcStd, err := core.MonteCarloOccupancy(n, cfg.Trials, cfg.Workers, seed)
 		if err != nil {
 			return nil, err
 		}

@@ -73,7 +73,6 @@ func Fig23(cfg Fig23Config) (*Fig23Result, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	model := core.DefaultOccupancyModel()
 	res := &Fig23Result{Optimal: Series{Name: "misclassification at optimal gamma"}}
 
 	// Evaluate the full (collusion, γ) grid in parallel — each cell is
@@ -88,7 +87,7 @@ func Fig23(cfg Fig23Config) (*Fig23Result, error) {
 			Collusion:   cfg.Collusions[i/ng],
 			Suppression: cfg.Suppression,
 		}
-		rates, err := core.ErrorRatesAt(model, scen, cfg.Gammas[i%ng])
+		rates, err := core.ErrorRatesAt(scen, cfg.Gammas[i%ng])
 		if err != nil {
 			return err
 		}

@@ -9,7 +9,9 @@ import (
 // independent Bernoulli trials with heterogeneous probabilities. Jump-table
 // occupancy is exactly this distribution: slot (i, j) is filled with
 // probability p_{i,j} (paper Eq. 1), and the occupied-slot count is the sum
-// of those indicators (§3.1).
+// of those indicators (§3.1). core computes the occupancy moments
+// directly from Eq. 1's rows; this type is the reference its tests
+// compare against, bit for bit.
 type PoissonBinomial struct {
 	probs []float64
 }
@@ -91,9 +93,9 @@ func (pb *PoissonBinomial) NormalApprox() (Normal, error) {
 
 // ExactPMF computes the exact probability mass function by dynamic
 // programming in O(n²). It exists to validate the normal approximation
-// (Figure 1's "analytic model vs reality" comparison) and for tests;
-// experiments use NormalApprox, as the paper notes exact computation is
-// intractable at scale.
+// (Figure 1's "analytic model vs reality" comparison) in tests; the
+// experiments use the normal approximation, as the paper notes exact
+// computation is intractable at scale.
 func (pb *PoissonBinomial) ExactPMF() []float64 {
 	pmf := make([]float64, len(pb.probs)+1)
 	pmf[0] = 1

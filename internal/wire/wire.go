@@ -105,7 +105,7 @@ type BandwidthReport struct {
 
 // Budget computes the full bandwidth table for an overlay of n nodes
 // whose expected jump-table occupancy is μφ = occupancy (the occupancy
-// model's ExpectedOccupancy(n)), with the given heavyweight parameters.
+// core.ExpectedOccupancy(n)), with the given heavyweight parameters.
 func Budget(occupancy float64, n, stripesPerPair, packetsPerStripe int) (BandwidthReport, error) {
 	entries := ExpectedRoutingEntries(occupancy)
 	advert := entries * (PSSREntryBytes + PathSummaryBytes)

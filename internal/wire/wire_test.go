@@ -8,11 +8,11 @@ import (
 	"concilium/internal/wire"
 )
 
-// budget tabulates §4.4 at overlay size n under the default occupancy
-// model, as the fig 7 bandwidth table does.
+// budget tabulates §4.4 at overlay size n under the occupancy model,
+// as the fig 7 bandwidth table does.
 func budget(t *testing.T, n, stripes, packets int) wire.BandwidthReport {
 	t.Helper()
-	mu, err := core.DefaultOccupancyModel().ExpectedOccupancy(n)
+	mu, err := core.ExpectedOccupancy(n)
 	if err != nil {
 		t.Fatal(err)
 	}
