@@ -10,6 +10,7 @@ import (
 	"testing"
 
 	"concilium/internal/benchreport"
+	"concilium/internal/experiments"
 	"concilium/internal/metrics"
 )
 
@@ -240,7 +241,7 @@ func TestRunJSONReport(t *testing.T) {
 	t.Parallel()
 	path := filepath.Join(t.TempDir(), "bench.json")
 	var buf bytes.Buffer
-	if err := run(&buf, []string{"-fig", "1", "-scale", "small", "-seed", "3", "-json", path}); err != nil {
+	if err := run(&buf, []string{"-fig", "7", "-scale", "small", "-seed", "3", "-json", path}); err != nil {
 		t.Fatalf("%v\n%s", err, buf.String())
 	}
 	rep, err := benchreport.ReadFile(path)
@@ -250,9 +251,10 @@ func TestRunJSONReport(t *testing.T) {
 	if rep.Seed != 3 || rep.Scale != "small" {
 		t.Errorf("header wrong: seed=%d scale=%q", rep.Seed, rep.Scale)
 	}
-	fig := rep.Figure("fig1")
-	if fig == nil || fig.Checks["max_mean_error"] <= 0 || fig.Timing.Ops != 1 || fig.Timing.AllocsPerOp <= 0 || fig.Timing.BytesPerOp <= 0 {
-		t.Errorf("fig1 entry malformed: %+v", fig)
+	fig := rep.Figure("fig7")
+	sizes := len(experiments.DefaultBandwidthConfig().OverlaySizes)
+	if fig == nil || fig.Checks["overlay_sizes"] != float64(sizes) || fig.Timing.Ops != 1 || fig.Timing.AllocsPerOp <= 0 || fig.Timing.BytesPerOp <= 0 {
+		t.Errorf("fig7 entry malformed: %+v", fig)
 	}
 	chaos := rep.Figure("chaos-short")
 	if chaos == nil || chaos.Checks["invariants_ok"] != 1 {
@@ -278,7 +280,7 @@ func TestRunJSONWorkerInvariance(t *testing.T) {
 	report := func(workers string) *benchreport.Report {
 		path := filepath.Join(dir, "bench-w"+workers+".json")
 		var buf bytes.Buffer
-		if err := run(&buf, []string{"-fig", "1", "-scale", "small", "-seed", "7", "-workers", workers, "-json", path}); err != nil {
+		if err := run(&buf, []string{"-fig", "7", "-scale", "small", "-seed", "7", "-workers", workers, "-json", path}); err != nil {
 			t.Fatalf("workers=%s: %v\n%s", workers, err, buf.String())
 		}
 		rep, err := benchreport.ReadFile(path)
@@ -416,7 +418,7 @@ func TestRunProfileFlags(t *testing.T) {
 	dir := t.TempDir()
 	cpu, mem := filepath.Join(dir, "cpu.pprof"), filepath.Join(dir, "mem.pprof")
 	var buf bytes.Buffer
-	if err := run(&buf, []string{"-fig", "1", "-cpuprofile", cpu, "-memprofile", mem}); err != nil {
+	if err := run(&buf, []string{"-fig", "7", "-cpuprofile", cpu, "-memprofile", mem}); err != nil {
 		t.Fatal(err)
 	}
 	for _, p := range []string{cpu, mem} {
