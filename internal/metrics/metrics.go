@@ -269,18 +269,6 @@ func ExpBuckets(start int64, factor float64, n int) []int64 {
 	return out
 }
 
-// LinearBuckets returns n bounds start, start+width, ...
-func LinearBuckets(start, width int64, n int) []int64 {
-	if n <= 0 || width <= 0 {
-		return []int64{start}
-	}
-	out := make([]int64, n)
-	for i := range out {
-		out[i] = start + int64(i)*width
-	}
-	return out
-}
-
 // Standard bucket families, shared so every layer's histograms of the
 // same physical quantity merge cleanly.
 var (

@@ -137,16 +137,6 @@ func TestExpBuckets(t *testing.T) {
 	}
 }
 
-func TestLinearBuckets(t *testing.T) {
-	b := LinearBuckets(10, 5, 4)
-	want := []int64{10, 15, 20, 25}
-	for i := range want {
-		if b[i] != want[i] {
-			t.Fatalf("LinearBuckets = %v, want %v", b, want)
-		}
-	}
-}
-
 func TestStandardFamiliesValid(t *testing.T) {
 	for name, bounds := range map[string][]int64{
 		"latency": LatencyBuckets, "size": SizeBuckets, "count": CountBuckets,

@@ -246,44 +246,6 @@ func TestNetworkLossModel(t *testing.T) {
 	}
 }
 
-func TestNetworkDeliver(t *testing.T) {
-	t.Parallel()
-	g := lineGraph(t, 4)
-	sim := NewSimulator()
-	n, err := NewNetwork(g, sim, testRand(), WithHopLatency(time.Millisecond))
-	if err != nil {
-		t.Fatal(err)
-	}
-	path := []topology.LinkID{0, 1, 2}
-
-	var deliveredAt Time
-	if err := n.Deliver(path, func() { deliveredAt = sim.Now() }, nil); err != nil {
-		t.Fatal(err)
-	}
-	sim.RunFor(time.Second)
-	if deliveredAt != Time(3*time.Millisecond) {
-		t.Errorf("delivered at %v, want 3ms", deliveredAt)
-	}
-
-	// A down link triggers the drop callback instead.
-	if err := n.SetLinkDown(1, true); err != nil {
-		t.Fatal(err)
-	}
-	var dropped, delivered bool
-	err = n.Deliver(path, func() { delivered = true }, func() { dropped = true })
-	if err != nil {
-		t.Fatal(err)
-	}
-	sim.RunFor(time.Second)
-	if delivered || !dropped {
-		t.Errorf("delivered=%v dropped=%v, want drop only", delivered, dropped)
-	}
-
-	if err := n.Deliver(path[:0], nil, nil); err == nil {
-		t.Error("nil deliver callback accepted for surviving packet")
-	}
-}
-
 func TestFailureConfigValidate(t *testing.T) {
 	t.Parallel()
 	good := DefaultFailureConfig()

@@ -208,24 +208,3 @@ func (n *Network) SamplePacket(path []topology.LinkID) bool {
 func (n *Network) Latency(path []topology.LinkID) time.Duration {
 	return time.Duration(len(path)) * n.hopLatency
 }
-
-// Deliver simulates sending one packet along path. Loss is sampled hop
-// by hop at send time; if the packet survives, deliver runs at the
-// path's latency, otherwise drop (which may be nil) runs at the same
-// instant the loss would have been observed.
-func (n *Network) Deliver(path []topology.LinkID, deliver func(), drop func()) error {
-	ok := n.SamplePacket(path)
-	lat := n.Latency(path)
-	if ok {
-		if deliver == nil {
-			return fmt.Errorf("netsim: nil deliver callback")
-		}
-		n.met.delivered.Inc()
-		return n.sim.ScheduleAfter(lat, deliver)
-	}
-	n.met.dropped.Inc()
-	if drop != nil {
-		return n.sim.ScheduleAfter(lat, drop)
-	}
-	return nil
-}

@@ -12,7 +12,6 @@ package sigcrypto
 
 import (
 	"crypto/ed25519"
-	"crypto/rand"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -33,15 +32,6 @@ var (
 type KeyPair struct {
 	Public  ed25519.PublicKey
 	Private ed25519.PrivateKey
-}
-
-// GenerateKeyPair creates a key pair from the system entropy source.
-func GenerateKeyPair() (KeyPair, error) {
-	pub, priv, err := ed25519.GenerateKey(rand.Reader)
-	if err != nil {
-		return KeyPair{}, fmt.Errorf("sigcrypto: generate key: %w", err)
-	}
-	return KeyPair{Public: pub, Private: priv}, nil
 }
 
 // KeyPairFromSeed derives a key pair deterministically. Experiments use
@@ -242,34 +232,4 @@ func NewNonce(src id.RandSource) Nonce {
 	var n Nonce
 	binary.BigEndian.PutUint64(n[:], src.Uint64())
 	return n
-}
-
-// SignedBlob couples an opaque payload with its signer and signature; the
-// snapshot and accusation layers use it for self-verifying records.
-type SignedBlob struct {
-	Signer    id.ID
-	Payload   []byte
-	Signature []byte
-}
-
-func blobPayload(signer id.ID, payload []byte) []byte {
-	buf := make([]byte, 0, 4+id.Bytes+len(payload))
-	buf = append(buf, "blob"...)
-	buf = append(buf, signer[:]...)
-	buf = append(buf, payload...)
-	return buf
-}
-
-// SignBlob signs payload as signer. The payload slice is copied.
-func SignBlob(kp KeyPair, signer id.ID, payload []byte) SignedBlob {
-	cp := append([]byte(nil), payload...)
-	return SignedBlob{Signer: signer, Payload: cp, Signature: kp.Sign(blobPayload(signer, cp))}
-}
-
-// VerifyBlob checks the blob's signature under pub.
-func VerifyBlob(pub ed25519.PublicKey, b SignedBlob) error {
-	if !Verify(pub, blobPayload(b.Signer, b.Payload), b.Signature) {
-		return ErrBadSignature
-	}
-	return nil
 }

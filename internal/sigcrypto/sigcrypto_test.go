@@ -40,21 +40,6 @@ func TestKeyPairFromSeedDeterministic(t *testing.T) {
 	}
 }
 
-func TestGenerateKeyPair(t *testing.T) {
-	t.Parallel()
-	a, err := GenerateKeyPair()
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := GenerateKeyPair()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if a.Public.Equal(b.Public) {
-		t.Error("two generated keys collide")
-	}
-}
-
 func TestAuthorityIssueAndVerify(t *testing.T) {
 	t.Parallel()
 	r := testRand()
@@ -151,35 +136,6 @@ func TestNonceDeterministicFromSource(t *testing.T) {
 	c := NewNonce(rand.New(rand.NewPCG(6, 6)))
 	if a == c {
 		t.Error("distinct sources collided (unlikely)")
-	}
-}
-
-func TestSignedBlob(t *testing.T) {
-	t.Parallel()
-	r := testRand()
-	kp := KeyPairFromRand(r)
-	signer := id.Random(r)
-	payload := []byte("tomographic snapshot bytes")
-	blob := SignBlob(kp, signer, payload)
-	if err := VerifyBlob(kp.Public, blob); err != nil {
-		t.Fatalf("valid blob rejected: %v", err)
-	}
-
-	// The blob must hold its own copy of the payload.
-	payload[0] = 'X'
-	if err := VerifyBlob(kp.Public, blob); err != nil {
-		t.Error("blob aliased caller's payload slice")
-	}
-
-	tampered := blob
-	tampered.Payload = []byte("forged")
-	if err := VerifyBlob(kp.Public, tampered); err == nil {
-		t.Error("tampered payload accepted")
-	}
-	respun := blob
-	respun.Signer = id.Random(r)
-	if err := VerifyBlob(kp.Public, respun); err == nil {
-		t.Error("re-attributed blob accepted")
 	}
 }
 

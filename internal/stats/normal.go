@@ -9,33 +9,13 @@
 // reproducible; nothing in the package touches global state.
 package stats
 
-import (
-	"fmt"
-	"math"
-)
+import "math"
 
 // Normal is a normal (Gaussian) distribution with mean Mu and standard
 // deviation Sigma.
 type Normal struct {
 	Mu    float64
 	Sigma float64
-}
-
-// NewNormal returns a Normal, rejecting non-positive or non-finite sigma.
-func NewNormal(mu, sigma float64) (Normal, error) {
-	if sigma <= 0 || math.IsNaN(sigma) || math.IsInf(sigma, 0) {
-		return Normal{}, fmt.Errorf("stats: invalid sigma %v", sigma)
-	}
-	if math.IsNaN(mu) || math.IsInf(mu, 0) {
-		return Normal{}, fmt.Errorf("stats: invalid mu %v", mu)
-	}
-	return Normal{Mu: mu, Sigma: sigma}, nil
-}
-
-// PDF evaluates the density at x.
-func (n Normal) PDF(x float64) float64 {
-	z := (x - n.Mu) / n.Sigma
-	return math.Exp(-0.5*z*z) / (n.Sigma * math.Sqrt(2*math.Pi))
 }
 
 // CDF evaluates the cumulative distribution at x: Pr(X <= x).
@@ -56,25 +36,6 @@ func (n Normal) Survival(x float64) float64 {
 // φ(k+1/2) − φ(k−1/2) exactly as the paper's density-test equations do.
 func (n Normal) PointMass(k float64) float64 {
 	return n.CDF(k+0.5) - n.CDF(k-0.5)
-}
-
-// Quantile returns the x with CDF(x) == p, for p in (0, 1). It inverts
-// the CDF with bisection; accuracy is ~1e-12 relative to sigma, which is
-// far finer than anything the experiments need.
-func (n Normal) Quantile(p float64) (float64, error) {
-	if p <= 0 || p >= 1 || math.IsNaN(p) {
-		return 0, fmt.Errorf("stats: quantile probability %v out of (0,1)", p)
-	}
-	lo, hi := n.Mu-40*n.Sigma, n.Mu+40*n.Sigma
-	for i := 0; i < 200; i++ {
-		mid := (lo + hi) / 2
-		if n.CDF(mid) < p {
-			lo = mid
-		} else {
-			hi = mid
-		}
-	}
-	return (lo + hi) / 2, nil
 }
 
 // Sample draws one variate using the Box-Muller transform.

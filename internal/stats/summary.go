@@ -3,7 +3,6 @@ package stats
 import (
 	"fmt"
 	"math"
-	"sort"
 )
 
 // Mean returns the arithmetic mean of xs, or 0 for an empty slice.
@@ -35,32 +34,6 @@ func Variance(xs []float64) float64 {
 
 // StdDev returns the population standard deviation of xs.
 func StdDev(xs []float64) float64 { return math.Sqrt(Variance(xs)) }
-
-// Percentile returns the p-th percentile (p in [0, 100]) of xs using
-// linear interpolation between closest ranks. It copies xs rather than
-// sorting the caller's slice.
-func Percentile(xs []float64, p float64) (float64, error) {
-	if len(xs) == 0 {
-		return 0, fmt.Errorf("stats: percentile of empty slice")
-	}
-	if p < 0 || p > 100 || math.IsNaN(p) {
-		return 0, fmt.Errorf("stats: percentile %v out of [0,100]", p)
-	}
-	cp := make([]float64, len(xs))
-	copy(cp, xs)
-	sort.Float64s(cp)
-	if len(cp) == 1 {
-		return cp[0], nil
-	}
-	rank := p / 100 * float64(len(cp)-1)
-	lo := int(math.Floor(rank))
-	hi := int(math.Ceil(rank))
-	if lo == hi {
-		return cp[lo], nil
-	}
-	frac := rank - float64(lo)
-	return cp[lo]*(1-frac) + cp[hi]*frac, nil
-}
 
 // Histogram is a fixed-width-bin histogram over [Lo, Hi). Values outside
 // the range clamp into the first or last bin; the experiment harness uses
@@ -115,21 +88,4 @@ func (h *Histogram) Density() []float64 {
 func (h *Histogram) BinCenter(i int) float64 {
 	w := (h.Hi - h.Lo) / float64(len(h.Counts))
 	return h.Lo + (float64(i)+0.5)*w
-}
-
-// MassAbove returns the fraction of observations with value >= x — the
-// quantity behind the paper's "guilty verdict if blame >= threshold"
-// rates in §4.3.
-func (h *Histogram) MassAbove(x float64) float64 {
-	if h.total == 0 {
-		return 0
-	}
-	var n int
-	w := (h.Hi - h.Lo) / float64(len(h.Counts))
-	for i, c := range h.Counts {
-		if h.Lo+float64(i)*w >= x {
-			n += c
-		}
-	}
-	return float64(n) / float64(h.total)
 }

@@ -194,22 +194,3 @@ func (m *multi) Record(e Event) {
 		r.Record(e)
 	}
 }
-
-// Filter passes through only events matching keep.
-func Filter(next Recorder, keep func(Event) bool) (Recorder, error) {
-	if next == nil || keep == nil {
-		return nil, fmt.Errorf("trace: filter needs recorder and predicate")
-	}
-	return &filter{next: next, keep: keep}, nil
-}
-
-type filter struct {
-	next Recorder
-	keep func(Event) bool
-}
-
-func (f *filter) Record(e Event) {
-	if f.keep(e) {
-		f.next.Record(e)
-	}
-}
