@@ -9,8 +9,11 @@
 // from the baseline's (the baseline is generated at the same seed, so
 // that is a behaviour change), or when a count — allocs/op or bytes/op
 // above benchreport.MinAllocs, bytes/node always — grew by more than
-// benchreport.MaxCountRegress. Added figures are reported only. No
-// clock-derived value is read: bench/ alone measures time.
+// benchreport.MaxCountRegress, or fell by more than that below its pin
+// (the baseline is stale and must be re-pinned, or it would pass the
+// same growth back unseen). A count the current report leaves at zero
+// was not measured and is not compared. Added figures are reported
+// only. No clock-derived value is read: bench/ alone measures time.
 //
 // -canonical replaces the gate with a byte compare of the two reports'
 // deterministic cores — the worker-count invariance check. Counts are
@@ -95,6 +98,10 @@ func run(w io.Writer, args []string) error {
 	for _, d := range res.Regressions {
 		fmt.Fprintf(w, "COUNT REGRESSION %-16s %d -> %d %s (%.2fx, tolerance %.2fx)\n",
 			d.Figure, d.Base, d.Cur, d.Metric, d.Ratio, 1+benchreport.MaxCountRegress)
+	}
+	for _, d := range res.Stale {
+		fmt.Fprintf(w, "STALE PIN  %-16s %d -> %d %s (%.2fx, tolerance %.2fx): re-pin %s from this report\n",
+			d.Figure, d.Base, d.Cur, d.Metric, d.Ratio, 1-benchreport.MaxCountRegress, fs.Arg(0))
 	}
 	if !res.OK() {
 		return fmt.Errorf("gate failed")

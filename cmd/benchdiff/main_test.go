@@ -117,6 +117,32 @@ func TestFootprintGateIgnoresAllocFloor(t *testing.T) {
 	}
 }
 
+// TestStalePinGate: a count that fell more than 25% below its pin
+// fails the gate with a line that names the baseline to re-pin.
+func TestStalePinGate(t *testing.T) {
+	dir := t.TempDir()
+	base := writeReport(t, dir, "base.json", nil)
+	cur := writeReport(t, dir, "cur.json", func(r *benchreport.Report) {
+		r.Figures[0].Timing.AllocsPerOp = 4575
+		r.Figures[0].Timing.BytesPerOp = 95416
+	})
+	var buf bytes.Buffer
+	if err := run(&buf, []string{base, cur}); err == nil {
+		t.Fatalf("gate passed despite a stale pin:\n%s", buf.String())
+	}
+	if !strings.Contains(buf.String(), "STALE PIN  fig1") || !strings.Contains(buf.String(), "re-pin "+base) {
+		t.Errorf("output missing stale-pin line:\n%s", buf.String())
+	}
+	// A report that measured no counts (a campaign run) is not stale.
+	unmeasured := writeReport(t, dir, "unmeasured.json", func(r *benchreport.Report) {
+		r.Figures[0].Timing = benchreport.Timing{Ops: 1}
+	})
+	buf.Reset()
+	if err := run(&buf, []string{base, unmeasured}); err != nil {
+		t.Fatalf("gate failed on unmeasured counts: %v\n%s", err, buf.String())
+	}
+}
+
 func TestGateFailsOnMissingFigure(t *testing.T) {
 	dir := t.TempDir()
 	base := writeReport(t, dir, "base.json", nil)

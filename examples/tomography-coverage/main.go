@@ -49,7 +49,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	net, err := netsim.NewNetwork(g, netsim.NewSimulator(), rng,
+	net, err := netsim.NewNetwork(g, netsim.NewSimulator(),
 		netsim.WithLossModel(netsim.LossModel{BaseLoss: 0.005, DownLoss: 0.45}))
 	if err != nil {
 		log.Fatal(err)

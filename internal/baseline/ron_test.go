@@ -22,7 +22,7 @@ func triangle(t *testing.T) (*netsim.Network, []id.ID, map[id.ID]map[id.ID][]top
 	l01, _ := g.AddLink(0, 1)
 	l12, _ := g.AddLink(1, 2)
 	l02, _ := g.AddLink(0, 2)
-	net, err := netsim.NewNetwork(g, netsim.NewSimulator(), rand.New(rand.NewPCG(1, 2)))
+	net, err := netsim.NewNetwork(g, netsim.NewSimulator())
 	if err != nil {
 		t.Fatal(err)
 	}

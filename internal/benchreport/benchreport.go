@@ -277,7 +277,9 @@ func VerifyCacheSnapshot() metrics.Snapshot {
 }
 
 // Gate constants. A count that grows by more than MaxCountRegress
-// (0.25 = +25%) over its baseline is a regression. Figures whose
+// (0.25 = +25%) over its baseline is a regression; one that falls by
+// more than MaxCountRegress below it is a stale pin, which would let
+// the same growth back in unseen, so it fails too. Figures whose
 // baseline allocs_per_op is at or below MinAllocs are exempt on the
 // allocs/op and bytes/op axes, where GC bookkeeping alone moves a tiny
 // count past any percentage; bytes_per_node is resident state, not
@@ -287,7 +289,7 @@ const (
 	MinAllocs       = 1000
 )
 
-// CountDelta is one figure's growth on one count axis between a
+// CountDelta is one figure's change on one count axis between a
 // baseline and a current report.
 type CountDelta struct {
 	Figure string
@@ -313,18 +315,22 @@ type CompareResult struct {
 	ChecksDiverged []string
 	// Regressions are count axes that grew past MaxCountRegress.
 	Regressions []CountDelta
+	// Stale are count axes that fell more than MaxCountRegress below
+	// their baseline: the baseline needs re-pinning.
+	Stale []CountDelta
 }
 
 // OK reports whether the gate passes: no missing figure, no diverged
-// check and no count regression.
+// check, no count regression and no stale pin.
 func (c *CompareResult) OK() bool {
-	return len(c.Missing) == 0 && len(c.ChecksDiverged) == 0 && len(c.Regressions) == 0
+	return len(c.Missing) == 0 && len(c.ChecksDiverged) == 0 && len(c.Regressions) == 0 && len(c.Stale) == 0
 }
 
 // Compare gates cur against base: every baseline figure must be
-// present with equal checks, and none of its counts (allocs/op,
-// bytes/op, bytes/node) may grow past MaxCountRegress. An axis with a
-// zero baseline is skipped.
+// present with equal checks, and each of its counts (allocs/op,
+// bytes/op, bytes/node) must stay within MaxCountRegress of the
+// baseline's, above or below. An axis either report leaves at zero was
+// not measured there and is skipped.
 func Compare(base, cur *Report) *CompareResult {
 	res := &CompareResult{}
 	curByName := make(map[string]*Figure, len(cur.Figures))
@@ -353,14 +359,18 @@ func Compare(base, cur *Report) *CompareResult {
 			{"bytes/node", bf.Timing.BytesPerNode, cf.Timing.BytesPerNode, false},
 		}
 		for _, ax := range axes {
-			if ax.floored || ax.base <= 0 {
+			if ax.floored || ax.base <= 0 || ax.cur <= 0 {
 				continue
 			}
-			if ratio := float64(ax.cur) / float64(ax.base); ratio > 1+MaxCountRegress {
-				res.Regressions = append(res.Regressions, CountDelta{
-					Figure: bf.Name, Metric: ax.metric,
-					Base: ax.base, Cur: ax.cur, Ratio: ratio,
-				})
+			d := CountDelta{
+				Figure: bf.Name, Metric: ax.metric,
+				Base: ax.base, Cur: ax.cur, Ratio: float64(ax.cur) / float64(ax.base),
+			}
+			switch {
+			case d.Ratio > 1+MaxCountRegress:
+				res.Regressions = append(res.Regressions, d)
+			case d.Ratio < 1-MaxCountRegress:
+				res.Stale = append(res.Stale, d)
 			}
 		}
 	}
@@ -372,11 +382,17 @@ func Compare(base, cur *Report) *CompareResult {
 	sort.Strings(res.Missing)
 	sort.Strings(res.Added)
 	sort.Strings(res.ChecksDiverged)
-	sort.Slice(res.Regressions, func(i, j int) bool {
-		if res.Regressions[i].Figure != res.Regressions[j].Figure {
-			return res.Regressions[i].Figure < res.Regressions[j].Figure
-		}
-		return res.Regressions[i].Metric < res.Regressions[j].Metric
-	})
+	sortDeltas(res.Regressions)
+	sortDeltas(res.Stale)
 	return res
+}
+
+// sortDeltas orders deltas by figure, then metric.
+func sortDeltas(ds []CountDelta) {
+	sort.Slice(ds, func(i, j int) bool {
+		if ds[i].Figure != ds[j].Figure {
+			return ds[i].Figure < ds[j].Figure
+		}
+		return ds[i].Metric < ds[j].Metric
+	})
 }

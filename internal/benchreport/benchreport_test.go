@@ -5,6 +5,7 @@ import (
 	"flag"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 
@@ -282,6 +283,43 @@ func TestCompareAllocs(t *testing.T) {
 	}
 	if regs[2].Figure != "resident" || regs[2].Metric != "bytes/node" || regs[2].Ratio != 2.0 {
 		t.Errorf("regs[2] = %+v, want resident bytes/node 2.0x", regs[2])
+	}
+}
+
+// TestCompareStalePins: a count more than MaxCountRegress below its
+// pin fails as stale; one inside the band, one under the allocs floor
+// and one the current report did not measure do not.
+func TestCompareStalePins(t *testing.T) {
+	base := New("bench", 1, "small")
+	base.Figures = []Figure{
+		countFig("steady", 10000, 1<<20, 900, nil),
+		countFig("shrunk", 77223, 3286216, 0, nil),
+		countFig("resident", 17, 2248, 926, nil),
+		countFig("tiny", 500, 1<<16, 0, nil),
+		countFig("unmeasured", 42642, 1<<23, 0, nil),
+	}
+	cur := New("bench", 1, "small")
+	cur.Figures = []Figure{
+		countFig("steady", 8000, 1<<20-1<<16, 700, nil), // −20%, −6%, −22%: inside tolerance
+		countFig("shrunk", 4575, 95416, 0, nil),         // both allocation axes far below
+		countFig("resident", 17, 2248, 600, nil),        // footprint −35%: gated whatever the allocs floor
+		countFig("tiny", 50, 1<<10, 0, nil),             // under the allocs floor
+		countFig("unmeasured", 0, 0, 0, nil),            // the run measured no counts
+	}
+	res := Compare(base, cur)
+	if len(res.Regressions) != 0 {
+		t.Errorf("regressions = %+v, want none", res.Regressions)
+	}
+	want := []string{"resident bytes/node", "shrunk allocs/op", "shrunk bytes/op"}
+	var got []string
+	for _, d := range res.Stale {
+		got = append(got, d.Figure+" "+d.Metric)
+	}
+	if !slices.Equal(got, want) {
+		t.Fatalf("stale = %v, want %v", got, want)
+	}
+	if res.OK() {
+		t.Error("gate passed with stale pins")
 	}
 }
 

@@ -160,7 +160,7 @@ func BuildCompactSystem(cfg SystemConfig, rng stats.Rand) (*CompactSystem, error
 			cfg.Tracer.Record(trace.Event{At: sim.Now(), Kind: kind, Link: l})
 		}))
 	}
-	net, err := netsim.NewNetwork(graph, sim, rng, netOpts...)
+	net, err := netsim.NewNetwork(graph, sim, netOpts...)
 	if err != nil {
 		return nil, err
 	}

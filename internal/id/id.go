@@ -192,6 +192,20 @@ func (p Pair) Less(q Pair) bool {
 	return p.Lo < q.Lo
 }
 
+// Digit returns the i-th base-16 digit of p, digit 0 being the most
+// significant: the word-pair form of ID.Digit, reading rows ≥ Digits/2
+// from the low word. It panics if i is outside [0, Digits).
+func (p Pair) Digit(i int) byte {
+	if uint(i) >= Digits {
+		panic("id: digit index out of range")
+	}
+	w := p.Hi
+	if i >= Digits/2 {
+		w, i = p.Lo, i-Digits/2
+	}
+	return byte(w>>(60-BitsPerDigit*i)) & 0x0f
+}
+
 // PrefixRange returns the numeric bounds [lo, hi] of identifiers
 // sharing p's first prefixLen digits: p with every trailing digit
 // cleared and with every trailing digit saturated, as two word masks.

@@ -88,6 +88,20 @@ func TestDigitPanics(t *testing.T) {
 	Zero.Digit(-1)
 }
 
+func TestPairDigitPanics(t *testing.T) {
+	t.Parallel()
+	for _, i := range []int{-1, Digits} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("Pair.Digit(%d) did not panic", i)
+				}
+			}()
+			Zero.Pair().Digit(i)
+		}()
+	}
+}
+
 func TestWithDigitPanics(t *testing.T) {
 	t.Parallel()
 	defer func() {

@@ -125,6 +125,9 @@ func checkPairEquivalence(t *testing.T, a, b ID) {
 		if got, want := a.Digit(i), refDigit(a, i); got != want {
 			t.Fatalf("%s.Digit(%d) = %x, reference %x", a, i, got, want)
 		}
+		if got, want := a.Pair().Digit(i), a.Digit(i); got != want {
+			t.Fatalf("%s.Pair().Digit(%d) = %x, ID.Digit %x", a, i, got, want)
+		}
 		d := b.Digit(i) // arbitrary but deterministic replacement digit
 		if got, want := a.WithDigit(i, d), refWithDigit(a, i, d); got != want {
 			t.Fatalf("%s.WithDigit(%d, %x) = %s, reference %s", a, i, d, got, want)

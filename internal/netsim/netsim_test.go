@@ -163,7 +163,7 @@ func TestTimeHelpers(t *testing.T) {
 func TestNetworkLinkState(t *testing.T) {
 	t.Parallel()
 	g := lineGraph(t, 4)
-	n, err := NewNetwork(g, NewSimulator(), testRand())
+	n, err := NewNetwork(g, NewSimulator())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -191,7 +191,7 @@ func TestNetworkLinkState(t *testing.T) {
 func TestNetworkPathChecks(t *testing.T) {
 	t.Parallel()
 	g := lineGraph(t, 4)
-	n, err := NewNetwork(g, NewSimulator(), testRand())
+	n, err := NewNetwork(g, NewSimulator())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -212,35 +212,32 @@ func TestNetworkPathChecks(t *testing.T) {
 	if !bad || l != 2 {
 		t.Errorf("FirstDownLink = %d,%v", l, bad)
 	}
-	if !n.SamplePacket(path[:2]) {
-		t.Error("binary model dropped packet on healthy prefix")
+	if p := n.LinkLoss(1); p != 0 {
+		t.Errorf("binary model loses %v on a healthy link", p)
 	}
-	if n.SamplePacket(path) {
-		t.Error("binary model delivered packet over down link")
+	if p := n.LinkLoss(2); p != 1 {
+		t.Errorf("binary model loses %v on a down link, want 1", p)
 	}
 }
 
 func TestNetworkLossModel(t *testing.T) {
 	t.Parallel()
 	g := lineGraph(t, 2)
-	n, err := NewNetwork(g, NewSimulator(), testRand(),
+	n, err := NewNetwork(g, NewSimulator(),
 		WithLossModel(LossModel{BaseLoss: 0.5, DownLoss: 1}))
 	if err != nil {
 		t.Fatal(err)
 	}
-	path := []topology.LinkID{0}
-	var ok int
-	const trials = 10000
-	for i := 0; i < trials; i++ {
-		if n.SamplePacket(path) {
-			ok++
-		}
+	if p := n.LinkLoss(0); p != 0.5 {
+		t.Errorf("healthy link loss %v, want the base 0.5", p)
 	}
-	frac := float64(ok) / trials
-	if frac < 0.45 || frac > 0.55 {
-		t.Errorf("survival %v, want ~0.5", frac)
+	if err := n.SetLinkDown(0, true); err != nil {
+		t.Fatal(err)
 	}
-	if _, err := NewNetwork(g, NewSimulator(), testRand(),
+	if p := n.LinkLoss(0); p != 1 {
+		t.Errorf("down link loss %v, want the down 1", p)
+	}
+	if _, err := NewNetwork(g, NewSimulator(),
 		WithLossModel(LossModel{BaseLoss: -1})); err == nil {
 		t.Error("invalid loss model accepted")
 	}
@@ -275,7 +272,7 @@ func TestFailureInjectorHoldsTarget(t *testing.T) {
 	g := lineGraph(t, 101) // 100 links
 	sim := NewSimulator()
 	r := testRand()
-	n, err := NewNetwork(g, sim, r)
+	n, err := NewNetwork(g, sim)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -322,7 +319,7 @@ func TestFailureInjectorDepthBias(t *testing.T) {
 	g := lineGraph(t, 101)
 	sim := NewSimulator()
 	r := testRand()
-	n, err := NewNetwork(g, sim, r)
+	n, err := NewNetwork(g, sim)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -359,7 +356,7 @@ func TestFailureInjectorRejectsBadInput(t *testing.T) {
 	g := lineGraph(t, 3)
 	sim := NewSimulator()
 	r := testRand()
-	n, err := NewNetwork(g, sim, r)
+	n, err := NewNetwork(g, sim)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -384,7 +381,7 @@ func TestFailureInjectorReinjectsDeficit(t *testing.T) {
 	g := lineGraph(t, 5) // 4 links
 	sim := NewSimulator()
 	r := testRand()
-	n, err := NewNetwork(g, sim, r)
+	n, err := NewNetwork(g, sim)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -489,7 +486,7 @@ func TestPropDownCountConsistent(t *testing.T) {
 	t.Parallel()
 	g := lineGraphN(t, 33) // 32 links
 	f := func(ops []uint16) bool {
-		n, err := NewNetwork(g, NewSimulator(), testRand())
+		n, err := NewNetwork(g, NewSimulator())
 		if err != nil {
 			return false
 		}

@@ -6,7 +6,6 @@ import (
 	"time"
 
 	"concilium/internal/metrics"
-	"concilium/internal/stats"
 	"concilium/internal/topology"
 )
 
@@ -41,7 +40,6 @@ func BinaryLossModel() LossModel { return LossModel{BaseLoss: 0, DownLoss: 1} }
 type Network struct {
 	graph *topology.Graph
 	sim   *Simulator
-	rng   stats.Rand
 
 	loss       LossModel
 	hopLatency time.Duration
@@ -97,16 +95,14 @@ func WithMetrics(reg *metrics.Registry) NetworkOption {
 	}
 }
 
-// NewNetwork creates a network over g, scheduling deliveries on sim and
-// sampling losses from rng.
-func NewNetwork(g *topology.Graph, sim *Simulator, rng stats.Rand, opts ...NetworkOption) (*Network, error) {
-	if g == nil || sim == nil || rng == nil {
-		return nil, fmt.Errorf("netsim: network requires graph, simulator, and rng")
+// NewNetwork creates a network over g, scheduling deliveries on sim.
+func NewNetwork(g *topology.Graph, sim *Simulator, opts ...NetworkOption) (*Network, error) {
+	if g == nil || sim == nil {
+		return nil, fmt.Errorf("netsim: network requires graph and simulator")
 	}
 	n := &Network{
 		graph:      g,
 		sim:        sim,
-		rng:        rng,
 		loss:       BinaryLossModel(),
 		hopLatency: 2 * time.Millisecond,
 		down:       make([]bool, g.NumLinks()),
@@ -187,21 +183,6 @@ func (n *Network) FirstDownLink(path []topology.LinkID) (topology.LinkID, bool) 
 	}
 	n.met.delivered.Inc()
 	return 0, false
-}
-
-// SamplePacket simulates one packet traversal of path, sampling each
-// link's loss independently. It reports survival.
-func (n *Network) SamplePacket(path []topology.LinkID) bool {
-	for _, l := range path {
-		p := n.LinkLoss(l)
-		if p >= 1 {
-			return false
-		}
-		if p > 0 && n.rng.Float64() < p {
-			return false
-		}
-	}
-	return true
 }
 
 // Latency returns the one-way delay of a path.

@@ -166,41 +166,40 @@ func (c *Compact) leafK() int {
 	return c.perSide
 }
 
-// FillNode constructs node i's secure and standard tables from scratch.
-// Each secure slot takes the closest qualifying member, and the fill
-// stops after the first row beyond which no other member shares i's
-// prefix. Each standard slot with a qualifying member takes one uniform
-// rng draw over them, row-major; the draw order is part of the output,
-// and per-node substreams make the build reproducible.
+// FillNode constructs node i's secure and standard tables from scratch,
+// one row at a time over nested arcs. Row r starts from the arc of
+// members sharing i's first r digits (the whole ring at row 0) and cuts
+// it into its Base digit sub-arcs. The sub-arc of each column other
+// than i's own digit holds exactly the members qualifying for slot
+// (r, col): the secure slot takes the one closest to the slot's target
+// point, the standard slot one uniform rng draw over the sub-arc. Row
+// r+1's arc is i's own sub-arc; once that holds i alone, every deeper
+// sub-arc is empty and the fill stops. Draws happen only for occupied
+// standard slots, row-major; the draw order is part of the output, and
+// per-node substreams make the build reproducible. The fill allocates
+// nothing beyond the sparse-tail entries it stores.
 func (c *Compact) FillNode(i uint32, rng stats.Rand) {
-	self := c.ring.ids[i]
+	self, sp := c.ring.ids[i], c.ring.pairs[i]
+	lo, hi := 0, len(c.ring.pairs)
+	var cut [id.Base + 1]int
 	for row := 0; row < id.Digits; row++ {
-		own := self.Digit(row)
+		c.ring.splitArc(lo, hi, row, &cut)
+		own := sp.Digit(row)
 		for col := byte(0); col < id.Base; col++ {
-			if col == own {
+			a, b := cut[col], cut[col+1]
+			if col == own || a == b {
 				continue
 			}
-			target := self.WithDigit(row, col)
-			cand, ok := c.ring.closestWithPrefixExcl(target, row+1, int(i))
-			if !ok {
-				continue
+			if cand, ok := c.ring.closestInArc(self.WithDigit(row, col), a, b, int(i)); ok {
+				c.secure.set(c.denseRows, i, row, col, c.slabAt[cand])
 			}
-			c.secure.set(c.denseRows, i, row, col, c.slabAt[cand])
-		}
-		if !c.ring.hasOtherWithPrefix(self, row+1, int(i)) {
-			break
-		}
-	}
-	for row := 0; row < id.Digits; row++ {
-		own := self.Digit(row)
-		for col := byte(0); col < id.Base; col++ {
-			if col == own {
-				continue
-			}
-			target := self.WithDigit(row, col)
-			if cand, ok := c.ring.uniformWithPrefixExcl(target, row+1, int(i), rng); ok {
+			if cand, ok := uniformInArc(a, b, int(i), rng); ok {
 				c.standard.set(c.denseRows, i, row, col, c.slabAt[cand])
 			}
+		}
+		lo, hi = cut[own], cut[own+1]
+		if hi-lo == 1 {
+			break
 		}
 	}
 }

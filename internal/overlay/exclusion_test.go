@@ -7,8 +7,8 @@ import (
 )
 
 // The ring searches the table fills and churn refills call —
-// closestWithPrefixExcl, hasOtherWithPrefix and uniformWithPrefixExcl —
-// answer from a binary search plus a constant number of probes. These
+// closestWithPrefixExcl, splitArc and uniformWithPrefixExcl — answer
+// from binary searches plus a constant number of probes. These
 // properties pin each to a full scan of the ring.
 
 func TestPropClosestWithPrefixExclMatchesBruteForce(t *testing.T) {
@@ -36,28 +36,60 @@ func TestPropClosestWithPrefixExclMatchesBruteForce(t *testing.T) {
 	}
 }
 
-func TestPropHasOtherWithPrefixMatchesBruteForce(t *testing.T) {
+// TestPropSplitArcMatchesBruteForce: on clustered rings, so that long
+// shared prefixes reach the low word (rows ≥ 16) and the last rows,
+// every digit sub-arc splitArc cuts from a member's row-r arc is
+// exactly the members sharing that member's first r digits whose digit
+// r is the column — and the arc arcBounds finds for that prefix.
+func TestPropSplitArcMatchesBruteForce(t *testing.T) {
 	t.Parallel()
 	r := testRand()
 	for trial := 0; trial < 300; trial++ {
-		n := 1 + r.IntN(60)
-		ring := mustRing(t, randomIDs(n, r))
+		n := 1 + r.IntN(120)
+		ring := mustRing(t, clusteredIDs(n, r))
 		at := r.IntN(n)
 		owner := ring.Members()[at]
-		plen := r.IntN(5)
-		got := ring.hasOtherWithPrefix(owner, plen, at)
-		want := false
-		for i, x := range ring.Members() {
-			if i != at && id.CommonPrefixLen(x, owner) >= plen {
-				want = true
-				break
+		row := r.IntN(id.Digits)
+		if trial%2 == 0 {
+			// Half the trials take a row the owner's arc still spans.
+			row = r.IntN(1 + deepestShared(ring, at))
+		}
+		lo, hi := ring.arcBounds(owner, row)
+		var cut [id.Base + 1]int
+		ring.splitArc(lo, hi, row, &cut)
+		for col := byte(0); col < id.Base; col++ {
+			var want []int
+			for i, x := range ring.Members() {
+				if id.CommonPrefixLen(x, owner) >= row && x.Digit(row) == col {
+					want = append(want, i)
+				}
+			}
+			a, b := cut[col], cut[col+1]
+			if b-a != len(want) || (len(want) > 0 && (a != want[0] || b-1 != want[len(want)-1])) {
+				t.Fatalf("trial %d (n=%d, row=%d, col=%x): sub-arc [%d,%d), brute force %v",
+					trial, n, row, col, a, b, want)
+			}
+			if len(want) == 0 {
+				continue
+			}
+			if plo, phi := ring.arcBounds(owner.WithDigit(row, col), row+1); plo != a || phi != b {
+				t.Fatalf("trial %d (n=%d, row=%d, col=%x): sub-arc [%d,%d), arcBounds [%d,%d)",
+					trial, n, row, col, a, b, plo, phi)
 			}
 		}
-		if got != want {
-			t.Fatalf("trial %d (n=%d, plen=%d): hasOtherWithPrefix = %v, brute force %v",
-				trial, n, plen, got, want)
+	}
+}
+
+// deepestShared returns the longest prefix the member at position at
+// shares with any other member (0 on a ring of one).
+func deepestShared(ring *Ring, at int) int {
+	deepest := 0
+	for i, x := range ring.Members() {
+		if i != at {
+			deepest = max(deepest, id.CommonPrefixLen(x, ring.Members()[at]))
 		}
 	}
+	return min(deepest, id.Digits-1)
 }
 
 // TestPropUniformWithPrefixExcl checks the single-draw uniform pick:

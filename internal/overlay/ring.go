@@ -69,14 +69,14 @@ func (r *Ring) IndexOf(x id.ID) (int, bool) {
 
 // searchGE returns the index of the first member >= x, possibly len(ids).
 func (r *Ring) searchGE(x id.ID) int {
-	return r.searchGEPair(x.Pair())
+	return r.searchGEIn(x.Pair(), 0, len(r.pairs))
 }
 
-// searchGEPair is searchGE over the decomposed member view, with the
-// binary search inlined: sort.Search's closure indirection and id.Cmp's
-// per-probe byte decomposition both show up at million-member scale.
-func (r *Ring) searchGEPair(xp id.Pair) int {
-	lo, hi := 0, len(r.pairs)
+// searchGEIn returns the index of the first member >= xp within the
+// positions [lo, hi), or hi when there is none. The binary search is
+// inlined: sort.Search's closure indirection and id.Cmp's per-probe
+// byte decomposition both show up at million-member scale.
+func (r *Ring) searchGEIn(xp id.Pair, lo, hi int) int {
 	for lo < hi {
 		m := int(uint(lo+hi) >> 1)
 		if r.pairs[m].Less(xp) {
@@ -88,45 +88,66 @@ func (r *Ring) searchGEPair(xp id.Pair) int {
 	return lo
 }
 
-// arcBounds returns the inclusive index range [start, end] of members
-// sharing target's first prefixLen digits, with ok=false when no member
-// qualifies. Callers must pass prefixLen >= 1; prefixLen 0 is the whole
-// ring, which is not a half-open arc.
-func (r *Ring) arcBounds(target id.ID, prefixLen int) (start, end int, ok bool) {
+// arcBounds returns the half-open index range [start, end) of members
+// sharing target's first prefixLen digits, empty when no member
+// qualifies; prefixLen 0 is the whole ring.
+func (r *Ring) arcBounds(target id.ID, prefixLen int) (start, end int) {
 	if prefixLen > id.Digits {
 		prefixLen = id.Digits
 	}
 	lo, hi := target.Pair().PrefixRange(prefixLen)
-	start = r.searchGEPair(lo)
-	end = r.searchGEPair(hi)
-	if end == len(r.pairs) || r.pairs[end] != hi {
-		end--
+	start = r.searchGEIn(lo, 0, len(r.pairs))
+	end = r.searchGEIn(hi, start, len(r.pairs))
+	if end < len(r.pairs) && r.pairs[end] == hi {
+		end++
 	}
-	if start > end {
-		return 0, 0, false
+	return start, end
+}
+
+// splitArc cuts the arc [lo, hi) of members sharing their first row
+// digits into its Base digit sub-arcs: the members whose digit row is d
+// are [cut[d], cut[d+1]). Members are sorted, so digit row never
+// decreases along the arc, and each cut is one binary search over the
+// part of the arc the previous cut left.
+func (r *Ring) splitArc(lo, hi, row int, cut *[id.Base + 1]int) {
+	cut[0], cut[id.Base] = lo, hi
+	for d := byte(1); d < id.Base; d++ {
+		a, b := cut[d-1], hi
+		for a < b {
+			m := int(uint(a+b) >> 1)
+			if r.pairs[m].Digit(row) < d {
+				a = m + 1
+			} else {
+				b = m
+			}
+		}
+		cut[d] = a
 	}
-	return start, end, true
 }
 
 // closestWithPrefixExcl returns the ring position of the member closest
 // to target (by id.Closer) among those sharing target's first prefixLen
-// digits, excluding the member at position excl. Within a shared-prefix
-// arc there is no wraparound, so distance to target is monotone on each
-// side of target's insertion point: the winner is among the nearest two
-// candidates per side (two, because the nearest may be excl). O(log N)
-// instead of an arc scan.
+// digits, excluding the member at position excl.
 func (r *Ring) closestWithPrefixExcl(target id.ID, prefixLen, excl int) (int, bool) {
 	if prefixLen <= 0 {
 		return r.closestExcl(target, excl)
 	}
-	start, end, ok := r.arcBounds(target, prefixLen)
-	if !ok {
-		return 0, false
-	}
-	pos := r.searchGE(target)
+	lo, hi := r.arcBounds(target, prefixLen)
+	return r.closestInArc(target, lo, hi, excl)
+}
+
+// closestInArc returns the position of the member of the arc [lo, hi)
+// closest to target, excluding position excl. target must share the
+// arc's prefix, so its insertion point inside the arc is the one a
+// whole-ring searchGE finds. Within a shared-prefix arc there is no
+// wraparound, so distance to target is monotone on each side of that
+// point: the winner is among the nearest two candidates per side (two,
+// because the nearest may be excl). O(log arc) instead of an arc scan.
+func (r *Ring) closestInArc(target id.ID, lo, hi, excl int) (int, bool) {
+	pos := r.searchGEIn(target.Pair(), lo, hi)
 	best, found := 0, false
 	for _, i := range [4]int{pos, pos + 1, pos - 1, pos - 2} {
-		if i < start || i > end || i == excl {
+		if i < lo || i >= hi || i == excl {
 			continue
 		}
 		if !found || id.Closer(r.ids[i], r.ids[best], target) {
@@ -155,48 +176,28 @@ func (r *Ring) closestExcl(target id.ID, excl int) (int, bool) {
 	return best, found
 }
 
-// hasOtherWithPrefix reports whether any member besides the one at
-// position excl shares target's first prefixLen digits — the
-// row-termination probe of table construction, answered from the arc
-// bounds without scanning.
-func (r *Ring) hasOtherWithPrefix(target id.ID, prefixLen, excl int) bool {
-	if prefixLen <= 0 {
-		return len(r.ids) > 1 || excl != 0
-	}
-	start, end, ok := r.arcBounds(target, prefixLen)
-	if !ok {
-		return false
-	}
-	return end > start || start != excl
-}
-
 // uniformWithPrefixExcl picks uniformly among the members sharing
 // target's first prefixLen digits, excluding (at most) the one at
-// position excl, and returns the pick's position. It consumes one
-// rng.IntN over the arc span when a candidate exists and no draw
-// otherwise.
+// position excl, and returns the pick's position.
 func (r *Ring) uniformWithPrefixExcl(target id.ID, prefixLen, excl int, rng interface{ IntN(int) int }) (int, bool) {
-	start, end := 0, len(r.ids)-1
-	if prefixLen > 0 {
-		var ok bool
-		start, end, ok = r.arcBounds(target, prefixLen)
-		if !ok {
-			return 0, false
-		}
-	}
-	exclAt := -1
-	if excl >= start && excl <= end {
-		exclAt = excl
-	}
-	count := end - start + 1
-	if exclAt >= 0 {
+	lo, hi := r.arcBounds(target, prefixLen)
+	return uniformInArc(lo, hi, excl, rng)
+}
+
+// uniformInArc picks uniformly among the positions [lo, hi) other than
+// excl. It consumes one rng.IntN over the candidate count when a
+// candidate exists and no draw otherwise.
+func uniformInArc(lo, hi, excl int, rng interface{ IntN(int) int }) (int, bool) {
+	count := hi - lo
+	skip := excl >= lo && excl < hi
+	if skip {
 		count--
 	}
 	if count <= 0 {
 		return 0, false
 	}
-	j := start + rng.IntN(count)
-	if exclAt >= 0 && j >= exclAt {
+	j := lo + rng.IntN(count)
+	if skip && j >= excl {
 		j++
 	}
 	return j, true

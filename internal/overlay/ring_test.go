@@ -23,6 +23,31 @@ func randomIDs(n int, r *rand.Rand) []id.ID {
 	return out
 }
 
+// sharedPrefixes are the depths clusteredIDs shares with a base: the
+// word boundary (15, 16, 17) and the last rows (30, 31) are where a
+// digit split reads the low word or runs out of members.
+var sharedPrefixes = [...]int{0, 8, 15, 16, 17, 24, 30, 31}
+
+// clusteredIDs returns n distinct identifiers, each a random one with
+// its first k digits taken from one of up to three random bases, k
+// drawn from sharedPrefixes.
+func clusteredIDs(n int, r *rand.Rand) []id.ID {
+	bases := randomIDs(1+r.IntN(3), r)
+	out := make([]id.ID, 0, n)
+	seen := make(map[id.ID]bool, n)
+	for len(out) < n {
+		x, base := id.Random(r), bases[r.IntN(len(bases))]
+		for d := 0; d < sharedPrefixes[r.IntN(len(sharedPrefixes))]; d++ {
+			x = x.WithDigit(d, base.Digit(d))
+		}
+		if !seen[x] {
+			seen[x] = true
+			out = append(out, x)
+		}
+	}
+	return out
+}
+
 func mustRing(t *testing.T, ids []id.ID) *Ring {
 	t.Helper()
 	r, err := NewRing(ids)
@@ -168,11 +193,28 @@ func TestRingClosestWithPrefix(t *testing.T) {
 	if _, ok := ring.closestWithPrefixExcl(id.MustParse("ff000000000000000000000000000000"), 2, -1); ok {
 		t.Error("found a member with prefix ff")
 	}
-	if ring.hasOtherWithPrefix(id.MustParse("ac000000000000000000000000000000"), 2, 2) {
-		t.Error("ac.. has no other member sharing its prefix")
+	// Row 1 of ab0..'s table: its arc (prefix a) cuts into sub-arcs
+	// b = {ab0.., ab1..} and c = {ac..}, every other digit empty.
+	lo, hi := ring.arcBounds(members[0], 1)
+	var cut [id.Base + 1]int
+	ring.splitArc(lo, hi, 1, &cut)
+	for col := byte(0); col < id.Base; col++ {
+		want := [2]int{cut[col], cut[col]}
+		switch col {
+		case 0xb:
+			want = [2]int{0, 2}
+		case 0xc:
+			want = [2]int{2, 3}
+		}
+		if got := [2]int{cut[col], cut[col+1]}; got != want {
+			t.Errorf("row 1 sub-arc %x = %v, want %v", col, got, want)
+		}
 	}
-	if !ring.hasOtherWithPrefix(members[0], 2, 0) {
-		t.Error("ab0.. shares prefix ab with ab1..")
+	// Row 2 of ac..'s table: its own sub-arc holds it alone.
+	lo, hi = ring.arcBounds(members[2], 2)
+	ring.splitArc(lo, hi, 2, &cut)
+	if own := members[2].Digit(2); cut[own+1]-cut[own] != 1 {
+		t.Errorf("ac..'s own row-2 sub-arc = [%d,%d), want it alone", cut[own], cut[own+1])
 	}
 }
 

@@ -133,7 +133,7 @@ func TestPropHeavyweightEstimatesBounded(t *testing.T) {
 		if len(tree.Leaves) < 2 {
 			continue
 		}
-		net, err := netsim.NewNetwork(g, netsim.NewSimulator(), r,
+		net, err := netsim.NewNetwork(g, netsim.NewSimulator(),
 			netsim.WithLossModel(netsim.LossModel{BaseLoss: 0.02, DownLoss: 0.6}))
 		if err != nil {
 			t.Fatal(err)

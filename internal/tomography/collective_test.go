@@ -89,7 +89,7 @@ func TestCollectiveProbeOnce(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	net, err := netsim.NewNetwork(g, netsim.NewSimulator(), testRand())
+	net, err := netsim.NewNetwork(g, netsim.NewSimulator())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -124,7 +124,7 @@ func TestEscalateSchedulesEveryPeer(t *testing.T) {
 	t.Parallel()
 	g, tree, _ := fixtureTree(t)
 	r := testRand()
-	net, err := netsim.NewNetwork(g, netsim.NewSimulator(), r)
+	net, err := netsim.NewNetwork(g, netsim.NewSimulator())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -164,7 +164,7 @@ func TestEscalateValidation(t *testing.T) {
 	t.Parallel()
 	g, tree, _ := fixtureTree(t)
 	r := testRand()
-	net, err := netsim.NewNetwork(g, netsim.NewSimulator(), r)
+	net, err := netsim.NewNetwork(g, netsim.NewSimulator())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -225,7 +225,7 @@ func TestEscalateErrorCallback(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	net, err := netsim.NewNetwork(g, netsim.NewSimulator(), r)
+	net, err := netsim.NewNetwork(g, netsim.NewSimulator())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -213,7 +213,7 @@ func TestBranchTreeStructure(t *testing.T) {
 
 func newFixtureNetwork(t *testing.T, g *topology.Graph, loss netsim.LossModel) *netsim.Network {
 	t.Helper()
-	net, err := netsim.NewNetwork(g, netsim.NewSimulator(), testRand(), netsim.WithLossModel(loss))
+	net, err := netsim.NewNetwork(g, netsim.NewSimulator(), netsim.WithLossModel(loss))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -703,7 +703,7 @@ func BenchmarkHeavyweightProbe(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	net, err := netsim.NewNetwork(g, netsim.NewSimulator(), r,
+	net, err := netsim.NewNetwork(g, netsim.NewSimulator(),
 		netsim.WithLossModel(netsim.LossModel{BaseLoss: 0.02, DownLoss: 1}))
 	if err != nil {
 		b.Fatal(err)
