@@ -25,7 +25,7 @@ func runAdversary(c figCtx) ([]benchreport.Figure, error) {
 	cfg := campaign.ShortAdversaryConfig(c.seed)
 	cfg.Workers = c.workers
 	var rep *campaign.AdversaryReport
-	allocs, bytes, err := countAllocs(func() (err error) {
+	allocs, bytes, err := benchreport.CountAllocs(func() (err error) {
 		rep, err = campaign.RunAdversary(cfg)
 		return err
 	})

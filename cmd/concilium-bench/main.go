@@ -36,6 +36,7 @@ import (
 	"math/rand/v2"
 	"os"
 	"runtime"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -221,18 +222,45 @@ func runBenchmark(w io.Writer, jsonPath, scale string, sel []figure, c figCtx) e
 		fc.rng = c.root.Stream(uint64(f.num))
 		return fc
 	}
-	for _, f := range sel {
+	// The metrics snapshot comes from an instrumented chaos campaign —
+	// the one scenario that drives every instrumented layer (probing,
+	// stewarded delivery, blame, DHT, netsim churn) under one registry.
+	// It is the loop's last entry, so its counts are a serial run's too,
+	// and the snapshot is the measured run's.
+	var chaos *campaign.ChaosReport
+	chaosShort := figure{name: "chaos-short", run: func(fc figCtx) ([]benchreport.Figure, error) {
+		cfg := campaign.ShortChaosConfig(fc.seed)
+		cfg.Workers = fc.workers
+		var rep *campaign.ChaosReport
+		allocs, bytes, err := benchreport.CountAllocs(func() (err error) {
+			rep, err = campaign.RunChaos(cfg)
+			return err
+		})
+		if err != nil {
+			return nil, fmt.Errorf("chaos scenario: %w", err)
+		}
+		if chaos == nil {
+			chaos = rep
+		}
+		ops := int64(max(rep.Sent, 1))
+		return []benchreport.Figure{{
+			Name:   fc.name,
+			Checks: rep.Checks(),
+			Timing: benchreport.Timing{Ops: int64(rep.Sent), AllocsPerOp: allocs / ops, BytesPerOp: bytes / ops},
+		}}, nil
+	}}
+	for _, f := range append(slices.Clip(sel), chaosShort) {
 		entries, err := f.run(at(f, c.workers))
 		if err != nil {
-			return fmt.Errorf("figure %d: %w", f.num, err)
+			return fmt.Errorf("%s: %w", f.name, err)
 		}
 		if c.workers != 1 {
 			serial, err := f.run(at(f, 1))
 			if err != nil {
-				return fmt.Errorf("figure %d (serial reference): %w", f.num, err)
+				return fmt.Errorf("%s (serial reference): %w", f.name, err)
 			}
 			if err := sameChecks(serial, entries); err != nil {
-				return fmt.Errorf("figure %d: checks diverge between workers=1 and workers=%d: %w", f.num, c.workers, err)
+				return fmt.Errorf("%s: checks diverge between workers=1 and workers=%d: %w", f.name, c.workers, err)
 			}
 			// A pool allocates per worker, so only serial counts compare
 			// across hosts: report those.
@@ -248,21 +276,7 @@ func runBenchmark(w io.Writer, jsonPath, scale string, sel []figure, c figCtx) e
 		report.Figures = append(report.Figures, entries...)
 	}
 
-	// The metrics snapshot comes from an instrumented chaos campaign —
-	// the one scenario that drives every instrumented layer (probing,
-	// stewarded delivery, blame, DHT, netsim churn) under one registry.
-	chaosCfg := campaign.ShortChaosConfig(c.seed)
-	chaosCfg.Workers = c.workers
-	chaosRep, err := campaign.RunChaos(chaosCfg)
-	if err != nil {
-		return fmt.Errorf("chaos scenario: %w", err)
-	}
-	report.Metrics = chaosRep.Metrics
-	report.Figures = append(report.Figures, benchreport.Figure{
-		Name:   "chaos-short",
-		Checks: chaosRep.Checks(),
-		Timing: benchreport.Timing{Ops: int64(chaosRep.Sent)},
-	})
+	report.Metrics = chaos.Metrics
 	fmt.Fprintf(w, "chaos-short: %d canonical metric series\n",
 		len(report.Metrics.Counters)+len(report.Metrics.Gauges)+len(report.Metrics.Histograms))
 
@@ -298,7 +312,7 @@ func sameChecks(serial, measured []benchreport.Figure) error {
 func paper(fn func(c figCtx) (map[string]float64, error)) func(c figCtx) ([]benchreport.Figure, error) {
 	return func(c figCtx) ([]benchreport.Figure, error) {
 		var checks map[string]float64
-		allocs, bytes, err := countAllocs(func() (err error) {
+		allocs, bytes, err := benchreport.CountAllocs(func() (err error) {
 			checks, err = fn(c)
 			return err
 		})
@@ -311,16 +325,6 @@ func paper(fn func(c figCtx) (map[string]float64, error)) func(c figCtx) ([]benc
 			Timing: benchreport.Timing{Ops: 1, AllocsPerOp: allocs, BytesPerOp: bytes},
 		}}, nil
 	}
-}
-
-// countAllocs runs fn and returns the heap allocations and bytes it
-// made, from runtime.MemStats deltas.
-func countAllocs(fn func() error) (allocs, bytes int64, err error) {
-	var before, after runtime.MemStats
-	runtime.ReadMemStats(&before)
-	err = fn()
-	runtime.ReadMemStats(&after)
-	return int64(after.Mallocs - before.Mallocs), int64(after.TotalAlloc - before.TotalAlloc), err
 }
 
 // parseSizes parses a comma-separated list of overlay node counts

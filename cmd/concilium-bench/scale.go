@@ -63,7 +63,7 @@ func scaleSystemConfig(n, workers int) core.SystemConfig {
 func measureScaleBuild(name string, n, workers int, rng *rand.Rand) (benchreport.Figure, error) {
 	cfg := scaleSystemConfig(n, workers)
 	var sys *core.CompactSystem
-	allocs, bytes, err := countAllocs(func() (err error) {
+	allocs, bytes, err := benchreport.CountAllocs(func() (err error) {
 		sys, err = core.BuildCompactSystem(cfg, rng)
 		return err
 	})

@@ -114,7 +114,7 @@ func measureTraffic(name string, n, workers int, rng *rand.Rand) (benchreport.Fi
 		return benchreport.Figure{}, err
 	}
 	var warm trafficStats
-	allocs, bytes, err := countAllocs(func() error {
+	allocs, bytes, err := benchreport.CountAllocs(func() error {
 		return runTrafficBatch(cs, pool, uint64(n), &warm)
 	})
 	if err != nil {

@@ -312,17 +312,19 @@ func runCampaign(w io.Writer, adversarial bool, seed uint64, workers int, durati
 		snap                metrics.Snapshot
 		ops                 int
 		kind, label, figure string
+		run                 func() error
 	)
 	if adversarial {
 		cfg := campaign.ShortAdversaryConfig(seed)
 		cfg.Workers = workers
 		kind, label, figure = "adversarial", "adversary", "adversary"
-		fmt.Fprintf(w, "running %s campaign (seed=%d)...\n", kind, seed)
-		r, err := campaign.RunAdversary(cfg)
-		if err != nil {
+		run = func() error {
+			r, err := campaign.RunAdversary(cfg)
+			if err == nil {
+				rep, snap, ops = r, r.Metrics, len(r.Cells)
+			}
 			return err
 		}
-		rep, snap, ops = r, r.Metrics, len(r.Cells)
 	} else {
 		var cfg campaign.ChaosConfig
 		switch duration {
@@ -335,12 +337,18 @@ func runCampaign(w io.Writer, adversarial bool, seed uint64, workers int, durati
 		}
 		cfg.Workers = workers
 		kind, label, figure = duration+" chaos", duration, "chaos-"+duration
-		fmt.Fprintf(w, "running %s campaign (seed=%d)...\n", kind, seed)
-		r, err := campaign.RunChaos(cfg)
-		if err != nil {
+		run = func() error {
+			r, err := campaign.RunChaos(cfg)
+			if err == nil {
+				rep, snap, ops = r, r.Metrics, r.Sent
+			}
 			return err
 		}
-		rep, snap, ops = r, r.Metrics, r.Sent
+	}
+	fmt.Fprintf(w, "running %s campaign (seed=%d)...\n", kind, seed)
+	allocs, bytes, err := benchreport.CountAllocs(run)
+	if err != nil {
+		return err
 	}
 	fmt.Fprint(w, rep.String())
 	if jsonPath != "" {
@@ -349,7 +357,11 @@ func runCampaign(w io.Writer, adversarial bool, seed uint64, workers int, durati
 		report.Figures = []benchreport.Figure{{
 			Name:   figure,
 			Checks: rep.Checks(),
-			Timing: benchreport.Timing{Ops: int64(ops)},
+			Timing: benchreport.Timing{
+				Ops:         int64(ops),
+				AllocsPerOp: allocs / int64(max(ops, 1)),
+				BytesPerOp:  bytes / int64(max(ops, 1)),
+			},
 		}}
 		if err := writeReport(w, jsonPath, report); err != nil {
 			return err

@@ -34,6 +34,7 @@ import (
 	"io"
 	"maps"
 	"os"
+	"runtime"
 	"sort"
 
 	"concilium/internal/metrics"
@@ -261,6 +262,16 @@ func Decode(rd io.Reader) (*Report, error) {
 		return nil, err
 	}
 	return &r, nil
+}
+
+// CountAllocs runs fn and returns the heap allocations and bytes it
+// made, from runtime.MemStats deltas: the counts a Timing reports.
+func CountAllocs(fn func() error) (allocs, bytes int64, err error) {
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	err = fn()
+	runtime.ReadMemStats(&after)
+	return int64(after.Mallocs - before.Mallocs), int64(after.TotalAlloc - before.TotalAlloc), err
 }
 
 // VerifyCacheSnapshot freezes the global Ed25519 verify-cache counters

@@ -643,8 +643,8 @@ func (cs *CompactSystem) probeSweep(p uint32) {
 	if err == nil {
 		cs.met.probeSweeps.Inc()
 		cs.met.probeBytes.Add(uint64(len(obs) * wire.ProbePacketBytes))
-		for i := range tree.Leaves {
-			cs.met.probeRTT.ObserveDuration(2 * cs.Net.Latency(tree.Leaves[i].Path))
+		for _, c := range cs.rtts[p] {
+			cs.met.probeRTT.ObserveN(int64(c.rtt), c.leaves)
 		}
 		if cs.Config.SignedSnapshots {
 			cs.publishSnapshot(p, obs)

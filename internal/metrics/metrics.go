@@ -112,8 +112,12 @@ func NewHistogram(bounds []int64) (*Histogram, error) {
 }
 
 // Observe records one value.
-func (h *Histogram) Observe(v int64) {
-	if h == nil {
+func (h *Histogram) Observe(v int64) { h.ObserveN(v, 1) }
+
+// ObserveN records n observations of one value, as n calls to Observe
+// would, with one bucket search.
+func (h *Histogram) ObserveN(v int64, n uint64) {
+	if h == nil || n == 0 {
 		return
 	}
 	// Binary search for the first bound >= v.
@@ -126,9 +130,9 @@ func (h *Histogram) Observe(v int64) {
 			hi = mid
 		}
 	}
-	h.counts[lo].Add(1)
-	h.sum.Add(v)
-	h.total.Add(1)
+	h.counts[lo].Add(n)
+	h.sum.Add(v * int64(n))
+	h.total.Add(n)
 }
 
 // ObserveDuration records a duration in nanoseconds.

@@ -89,6 +89,45 @@ func TestHistogramBucketBoundaries(t *testing.T) {
 	}
 }
 
+// TestHistogramObserveNMatchesObserve checks ObserveN(v, n) against n
+// calls to Observe(v): bucket counts, sum and total, including n = 0
+// and values on, between and past the bounds. A nil histogram discards
+// both.
+func TestHistogramObserveNMatchesObserve(t *testing.T) {
+	bounds := []int64{10, 100, 1000}
+	many, err := NewHistogram(bounds)
+	if err != nil {
+		t.Fatal(err)
+	}
+	once, err := NewHistogram(bounds)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct {
+		v int64
+		n uint64
+	}{{-5, 3}, {10, 1}, {11, 0}, {100, 7}, {500, 2}, {1 << 40, 4}, {1000, 0}, {10, 5}} {
+		for k := uint64(0); k < c.n; k++ {
+			many.Observe(c.v)
+		}
+		once.ObserveN(c.v, c.n)
+	}
+	for b := range many.counts {
+		if m, o := many.counts[b].Load(), once.counts[b].Load(); m != o {
+			t.Errorf("bucket %d: %d Observe calls, %d through ObserveN", b, m, o)
+		}
+	}
+	if many.Count() != once.Count() || many.Sum() != once.Sum() {
+		t.Errorf("count/sum %d/%d through Observe, %d/%d through ObserveN", many.Count(), many.Sum(), once.Count(), once.Sum())
+	}
+	var none *Histogram
+	none.ObserveN(5, 3)
+	none.ObserveN(5, 0)
+	if none.Count() != 0 || none.Sum() != 0 {
+		t.Error("a nil histogram kept an observation")
+	}
+}
+
 func TestHistogramRejectsBadBounds(t *testing.T) {
 	if _, err := NewHistogram(nil); err == nil {
 		t.Error("empty bounds accepted")

@@ -3,6 +3,7 @@ package tomography
 import (
 	"fmt"
 	"math"
+	"slices"
 	"time"
 
 	"concilium/internal/metrics"
@@ -329,17 +330,19 @@ func ObserveLinks(net *netsim.Network, links []topology.LinkID, accuracy float64
 // AppendObserveLinks appends one observation per link to out (which may
 // be a reused scratch slice) and returns the extended slice — the
 // allocation-free variant of ObserveLinks for callers whose consumer
-// copies the observations out (the archive does).
+// copies the observations out (the archive does). Each link draws one
+// rng.Float64(), in link order; while no link is down, none is looked
+// up.
 func AppendObserveLinks(out []LinkObservation, net *netsim.Network, links []topology.LinkID, accuracy float64, rng stats.Rand) ([]LinkObservation, error) {
 	if accuracy < 0.5 || accuracy > 1 || math.IsNaN(accuracy) {
 		return nil, fmt.Errorf("tomography: probe accuracy %v out of [0.5, 1]", accuracy)
 	}
-	for _, l := range links {
-		up := !net.LinkDown(l)
-		if rng.Float64() >= accuracy {
-			up = !up
-		}
-		out = append(out, LinkObservation{Link: l, Up: up})
+	anyDown := net.DownCount() > 0
+	n := len(out)
+	out = slices.Grow(out, len(links))[:n+len(links)]
+	for i, l := range links {
+		down := anyDown && net.LinkDown(l)
+		out[n+i] = LinkObservation{Link: l, Up: (rng.Float64() < accuracy) != down}
 	}
 	return out, nil
 }

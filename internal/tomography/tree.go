@@ -93,27 +93,33 @@ func BuildTreeBFS(bfs *topology.RouteTree, root id.ID, rootRouter topology.Route
 		path := flat[start:len(flat):len(flat)]
 		t.Leaves = append(t.Leaves, Leaf{Node: p.Node, Router: p.Router, Path: path})
 	}
-	t.links = distinctLinks(flat)
+	var sorted []topology.LinkID
+	t.links = distinctLinks(flat, &sorted)
 	return t, nil
 }
 
 // distinctLinks returns the distinct links of a tree's flat path
-// storage, ascending. Trees are retained by the thousand, so the result
-// is copied out at its exact size rather than left in the sorted copy.
-func distinctLinks(flat []topology.LinkID) []topology.LinkID {
-	all := slices.Clone(flat)
+// storage, ascending, sorting them in *sorted. Trees are retained by
+// the thousand, so the result is one exact-size copy.
+func distinctLinks(flat []topology.LinkID, sorted *[]topology.LinkID) []topology.LinkID {
+	all := append((*sorted)[:0], flat...)
 	slices.Sort(all)
-	return slices.Clone(slices.Compact(all))
+	all = slices.Compact(all)
+	*sorted = all
+	out := make([]topology.LinkID, len(all))
+	copy(out, all)
+	return out
 }
 
 // PatchScratch holds the reusable state of PatchTree calls: the search
-// labels, the per-peer match against the old tree and the routers still
-// to be found. The zero value is ready to use; a scratch belongs to one
-// goroutine.
+// labels, the per-peer match against the old tree, the routers still
+// to be found and the links being sorted. The zero value is ready to
+// use; a scratch belongs to one goroutine.
 type PatchScratch struct {
 	bfs     topology.BFSScratch
 	from    []int32 // per peer: the old leaf whose path is kept, -1 if none
 	missing []topology.RouterID
+	sorted  []topology.LinkID
 }
 
 // PatchTree derives the same T_H BuildTree does, paying only for what
@@ -184,7 +190,7 @@ func PatchTree(g *topology.Graph, s *PatchScratch, old *Tree, root id.ID, rootRo
 		}
 		t.Leaves = append(t.Leaves, Leaf{Node: p.Node, Router: p.Router, Path: flat[start:len(flat):len(flat)]})
 	}
-	t.links = distinctLinks(flat)
+	t.links = distinctLinks(flat, &s.sorted)
 	return t, nil
 }
 
