@@ -257,7 +257,8 @@ func TestRunJSONReport(t *testing.T) {
 		t.Errorf("fig7 entry malformed: %+v", fig)
 	}
 	chaos := rep.Figure("chaos-short")
-	if chaos == nil || chaos.Checks["invariants_ok"] != 1 {
+	if chaos == nil || chaos.Checks["invariants_ok"] != 1 || chaos.Timing.Ops != int64(chaos.Checks["sent"]) ||
+		chaos.Timing.AllocsPerOp <= 0 || chaos.Timing.BytesPerOp <= 0 {
 		t.Errorf("chaos-short entry malformed: %+v", chaos)
 	}
 	// The embedded metrics snapshot must be canonical and populated.

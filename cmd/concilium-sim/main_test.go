@@ -125,7 +125,8 @@ func TestRunAdversaryMode(t *testing.T) {
 		t.Fatal(err)
 	}
 	fig := rep.Figure("adversary")
-	if fig == nil || fig.Checks["invariants_ok"] != 1 || fig.Checks["cells"] != 16 {
+	if fig == nil || fig.Checks["invariants_ok"] != 1 || fig.Checks["cells"] != 16 ||
+		fig.Timing.Ops != 16 || fig.Timing.AllocsPerOp <= 0 || fig.Timing.BytesPerOp <= 0 {
 		t.Errorf("adversary figure malformed: %+v", fig)
 	}
 	if fig.Checks["att_selective-drop_f10"] <= fig.Checks["hon_selective-drop_f10"] {
@@ -178,7 +179,8 @@ func TestRunChaosJSONReport(t *testing.T) {
 		t.Fatal(err)
 	}
 	fig := rep.Figure("chaos-short")
-	if fig == nil || fig.Checks["invariants_ok"] != 1 || fig.Checks["sent"] <= 0 {
+	if fig == nil || fig.Checks["invariants_ok"] != 1 || fig.Checks["sent"] <= 0 ||
+		fig.Timing.AllocsPerOp <= 0 || fig.Timing.BytesPerOp <= 0 {
 		t.Errorf("chaos figure malformed: %+v", fig)
 	}
 }
