@@ -142,20 +142,14 @@ func BenchmarkVerifyCached(b *testing.B) {
 	sig := kp.Sign(msg)
 
 	b.Run("uncached", func(b *testing.B) {
-		sigcrypto.SetVerifyCacheCapacity(0)
-		defer func() {
-			sigcrypto.SetVerifyCacheCapacity(sigcrypto.DefaultVerifyCacheSize)
-			sigcrypto.ResetVerifyCache()
-		}()
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			if !sigcrypto.Verify(kp.Public, msg, sig) {
+			if !ed25519.Verify(kp.Public, msg, sig) {
 				b.Fatal("valid signature rejected")
 			}
 		}
 	})
 	b.Run("cached", func(b *testing.B) {
-		sigcrypto.SetVerifyCacheCapacity(sigcrypto.DefaultVerifyCacheSize)
 		sigcrypto.ResetVerifyCache()
 		defer sigcrypto.ResetVerifyCache()
 		b.ReportAllocs()

@@ -90,8 +90,3 @@ func (r *RON) Diagnose(src, dst id.ID) Diagnosis {
 	}
 	return d
 }
-
-// BlamesNode reports whether RON ever attributes a fault to an overlay
-// node. It exists so comparison harnesses read as prose: RON's answer is
-// always false, by design.
-func (r *RON) BlamesNode() bool { return false }

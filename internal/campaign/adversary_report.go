@@ -84,16 +84,6 @@ type AdversaryReport struct {
 	Invariants
 }
 
-// Cell returns the result for (strategy, fraction), or nil.
-func (r *AdversaryReport) Cell(strategy string, fraction float64) *CellResult {
-	for i := range r.Cells {
-		if r.Cells[i].Strategy == strategy && r.Cells[i].Fraction == fraction {
-			return &r.Cells[i]
-		}
-	}
-	return nil
-}
-
 // Checks returns every cell's operating point (attacker and honest
 // conviction rates, keyed att_/hon_<strategy>_f<percent>) plus the cell
 // count and the invariant verdict, under the keys a bench report

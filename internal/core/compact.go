@@ -525,10 +525,6 @@ type TreeCacheStats struct {
 	MarkedStale uint64 // cached trees outdated by a churn event
 }
 
-// TreeCacheStats returns the tree cache's counters. Plain counts, not
-// registry series: the canonical metrics snapshot is unchanged by them.
-func (cs *CompactSystem) TreeCacheStats() TreeCacheStats { return cs.treeStats }
-
 // FailNode removes a node — a crash or permanent departure: the overlay
 // repairs every survivor in ring order through the index-based
 // maintenance ops, and the node's ring position is spliced out. Its

@@ -189,7 +189,7 @@ func TestCompactChurnSecureInvariant(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	fresh, err := overlay.NewCompact(cs.Overlay.IDs(), cs.Overlay.PerSide())
+	fresh, err := overlay.NewCompact(ringIDs(cs), overlay.DefaultLeafSetPerSide)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -264,14 +264,14 @@ func TestCompactFailNodeGuards(t *testing.T) {
 				}
 			}
 			size, slabs := cs.Size(), cs.Overlay.Slabs()
-			ring := append([]id.ID(nil), cs.Overlay.IDs()...)
+			ring := ringIDs(cs)
 			if err := tc.op(cs); err == nil || !strings.Contains(err.Error(), tc.wantErr) {
 				t.Fatalf("error %v, want one containing %q", err, tc.wantErr)
 			}
 			if cs.Size() != size || cs.Overlay.Slabs() != slabs {
 				t.Fatalf("size %d→%d, slabs %d→%d", size, cs.Size(), slabs, cs.Overlay.Slabs())
 			}
-			for i, x := range cs.Overlay.IDs() {
+			for i, x := range ringIDs(cs) {
 				if x != ring[i] {
 					t.Fatalf("ring changed at %d", i)
 				}
@@ -301,4 +301,13 @@ func TestDepartedIdentifierNeverRejoins(t *testing.T) {
 	if err := cs.CheckInvariants(); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// ringIDs returns cs's members in ring order.
+func ringIDs(cs *CompactSystem) []id.ID {
+	ids := make([]id.ID, cs.Size())
+	for i := range ids {
+		ids[i] = cs.Overlay.ID(uint32(i))
+	}
+	return ids
 }

@@ -628,19 +628,11 @@ func (cs *CompactSystem) probeSweep(p uint32) {
 		cs.reschedProbe(p)
 		return
 	}
-	// The archive copies observations out record by record, so the
-	// unsigned path reuses one scratch slice across every sweep. Signed
-	// snapshots retain obs, so that path keeps a fresh allocation.
-	var obs []tomography.LinkObservation
-	if cs.Config.SignedSnapshots {
-		obs, err = tomography.ObserveLinks(cs.Net, tree.Links(), cs.Config.Blame.ProbeAccuracy, cs.rng)
-	} else {
-		obs, err = tomography.AppendObserveLinks(cs.obsScratch[:0], cs.Net, tree.Links(), cs.Config.Blame.ProbeAccuracy, cs.rng)
-		if err == nil {
-			cs.obsScratch = obs
-		}
-	}
+	// The archive copies observations out record by record, so every
+	// sweep reuses one scratch slice.
+	obs, err := tomography.AppendObserveLinks(cs.obsScratch[:0], cs.Net, tree.Links(), cs.Config.Blame.ProbeAccuracy, cs.rng)
 	if err == nil {
+		cs.obsScratch = obs
 		cs.met.probeSweeps.Inc()
 		cs.met.probeBytes.Add(uint64(len(obs) * wire.ProbePacketBytes))
 		for _, c := range cs.rtts[p] {

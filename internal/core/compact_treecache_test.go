@@ -162,7 +162,7 @@ func TestTreeCacheCoherentUnderChurn(t *testing.T) {
 				}
 				requireCoherentTrees(t, cs, &scratch, step)
 			}
-			st := cs.TreeCacheStats()
+			st := cs.treeStats
 			if st.Patched == 0 || st.MarkedStale < st.Patched {
 				t.Errorf("cache stats %+v: churn patched nothing, or patched more than it marked", st)
 			}
@@ -182,7 +182,7 @@ func TestTreeCacheInvalidatesSelectively(t *testing.T) {
 	var scratch topology.BFSScratch
 	requireCoherentTrees(t, cs, &scratch, -1)
 	live := uint64(cs.Size())
-	if st := cs.TreeCacheStats(); st.Built != live || st.Patched != 0 || st.Hits != 0 || st.MarkedStale != 0 {
+	if st := cs.treeStats; st.Built != live || st.Patched != 0 || st.Hits != 0 || st.MarkedStale != 0 {
 		t.Fatalf("after first consult of %d slabs: %+v", live, st)
 	}
 	hosts := cs.Topo.EndHosts()
@@ -191,12 +191,12 @@ func TestTreeCacheInvalidatesSelectively(t *testing.T) {
 		func() error { _, err := cs.JoinNode(hosts[len(hosts)/2]); return err },
 	}
 	for e, event := range events {
-		before := cs.TreeCacheStats()
+		before := cs.treeStats
 		if err := event(); err != nil {
 			t.Fatal(err)
 		}
 		requireCoherentTrees(t, cs, &scratch, e)
-		after := cs.TreeCacheStats()
+		after := cs.treeStats
 		rebuilt := after.Patched + after.Built - before.Patched - before.Built
 		marked := after.MarkedStale - before.MarkedStale
 		hits := after.Hits - before.Hits

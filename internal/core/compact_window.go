@@ -56,21 +56,6 @@ func (vw *CompactVerdictWindow) GuiltyCount(judged uint32) int {
 	return 0
 }
 
-// Recent returns the verdicts currently in the slab's window, oldest
-// first — the evidence bundle a formal accusation archives (§3.4).
-func (vw *CompactVerdictWindow) Recent(judged uint32) []Verdict {
-	pw := vw.per[judged]
-	if pw == nil {
-		return nil
-	}
-	out := make([]Verdict, 0, pw.filled)
-	start := pw.next - pw.filled
-	for i := 0; i < pw.filled; i++ {
-		out = append(out, pw.verdicts[((start+i)%vw.cfg.W+vw.cfg.W)%vw.cfg.W])
-	}
-	return out
-}
-
 // GuiltyCount returns the number of guilty verdicts in nid's verdict
 // window: a current member resolves through the ring, a departed one
 // through the slab it held, and an identifier never seen has none.

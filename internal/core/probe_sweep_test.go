@@ -67,7 +67,7 @@ func TestProbeRTTCensusMatchesPerLeaf(t *testing.T) {
 			}
 			cs.Run(time.Minute)
 		}
-		if cs.TreeCacheStats().Patched == 0 {
+		if cs.treeStats.Patched == 0 {
 			t.Fatal("no tree was patched: the churn did not reach the census")
 		}
 		got := cfg.Metrics.Snapshot().Histograms["core/probe_rtt_ns"]
@@ -118,15 +118,33 @@ func probeSweepSystem(tb testing.TB, n int, signed bool, warm time.Duration) *Co
 // block about once in ten thousand sweeps, under AllocsPerRun's
 // one-per-run resolution.
 func TestProbeSweepAllocatesNothing(t *testing.T) {
-	cs := probeSweepSystem(t, 200, false, 12*time.Minute)
+	if n := warmSweepAllocs(t, false, 12*time.Minute); n != 0 {
+		t.Errorf("a warm unsigned probe sweep allocates %.2f/op, want 0", n)
+	}
+}
+
+// TestSignedProbeSweepAllocs pins a warm signed sweep's allocations:
+// the same observation pass into the same scratch slice, then the
+// snapshot, its signing payload and signature, and the verification on
+// admission. Fewer is a gain to pin here; more is a regression.
+func TestSignedProbeSweepAllocs(t *testing.T) {
+	const want = 16
+	if n := warmSweepAllocs(t, true, 12*time.Minute); n != want {
+		t.Errorf("a warm signed probe sweep allocates %.2f/op, want %d", n, want)
+	}
+}
+
+// warmSweepAllocs returns the mean allocations of one event-heap step,
+// every one a probe sweep, on a warm deployment of about 200 members.
+func warmSweepAllocs(t *testing.T, signed bool, warm time.Duration) float64 {
+	t.Helper()
+	cs := probeSweepSystem(t, 200, signed, warm)
 	sweeps := cs.met.probeSweeps.Value()
 	n := testing.AllocsPerRun(500, func() { cs.Sim.Step() })
 	if cs.met.probeSweeps.Value() <= sweeps {
 		t.Fatal("no sweep ran")
 	}
-	if n != 0 {
-		t.Errorf("a warm unsigned probe sweep allocates %.2f/op, want 0", n)
-	}
+	return n
 }
 
 // BenchmarkProbeSweep times one probe sweep, event-heap turn included,

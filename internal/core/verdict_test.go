@@ -2,8 +2,6 @@ package core
 
 import (
 	"testing"
-
-	"concilium/internal/netsim"
 )
 
 func TestWindowConfigValidate(t *testing.T) {
@@ -82,31 +80,6 @@ func TestVerdictWindowPerPeerIsolation(t *testing.T) {
 	}
 	if vw.GuiltyCount(a) != 1 || vw.GuiltyCount(b) != 1 {
 		t.Error("per-peer counts wrong")
-	}
-}
-
-func TestVerdictWindowRecent(t *testing.T) {
-	t.Parallel()
-	vw, err := NewCompactVerdictWindow(WindowConfig{W: 3, M: 3})
-	if err != nil {
-		t.Fatal(err)
-	}
-	const peer = uint32(0xcc)
-	for i := 0; i < 5; i++ {
-		vw.Add(peer, Verdict{At: netsim.Time(i), Guilty: i%2 == 0})
-	}
-	recent := vw.Recent(peer)
-	if len(recent) != 3 {
-		t.Fatalf("Recent len = %d", len(recent))
-	}
-	// Should hold verdicts 2, 3, 4 in order.
-	for i, v := range recent {
-		if v.At != netsim.Time(i+2) {
-			t.Errorf("recent[%d].At = %v, want %d", i, v.At, i+2)
-		}
-	}
-	if vw.Recent(peer+1) != nil {
-		t.Error("unknown peer has verdicts")
 	}
 }
 

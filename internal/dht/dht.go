@@ -94,17 +94,6 @@ func (s *Store) SetFaulty(node id.ID, faulty bool) error {
 	return nil
 }
 
-// FaultyCount returns the number of currently faulty members.
-func (s *Store) FaultyCount() int {
-	n := 0
-	for node, bad := range s.faulty {
-		if bad && s.member(node) {
-			n++
-		}
-	}
-	return n
-}
-
 func (s *Store) member(node id.ID) bool {
 	_, ok := s.ring.IndexOf(node)
 	return ok
@@ -203,13 +192,6 @@ func (s *Store) PutChecked(key id.ID, value []byte) (Health, error) {
 		s.met.putsDeg.Inc()
 	}
 	return h, nil
-}
-
-// Get returns the distinct values stored under key across the replica
-// set, in first-seen order.
-func (s *Store) Get(key id.ID) [][]byte {
-	out, _, _ := s.GetChecked(key)
-	return out
 }
 
 // GetChecked returns the distinct values stored under key across the

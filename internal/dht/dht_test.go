@@ -75,11 +75,11 @@ func TestStorePutGet(t *testing.T) {
 	if err := s.Put(key, []byte("accusation-1")); err != nil {
 		t.Fatal(err)
 	}
-	got := s.Get(key)
+	got := mustGet(t, s, key)
 	if len(got) != 2 {
 		t.Fatalf("Get returned %d values, want 2", len(got))
 	}
-	if s.Get(id.Zero) != nil {
+	if mustGet(t, s, id.Zero) != nil {
 		t.Error("empty key returned values")
 	}
 	if err := s.Put(key, nil); err == nil {
@@ -190,7 +190,7 @@ func TestStoreSurvivesFaultyReplicas(t *testing.T) {
 	if err := s.Put(key, []byte("survives")); err != nil {
 		t.Fatal(err)
 	}
-	if got := s.Get(key); len(got) != 1 || string(got[0]) != "survives" {
+	if got := mustGet(t, s, key); len(got) != 1 || string(got[0]) != "survives" {
 		t.Fatalf("Get through faulty replicas = %v", got)
 	}
 	// All replicas faulty: Put fails loudly.
@@ -259,9 +259,6 @@ func TestStoreDegradedReads(t *testing.T) {
 	}
 	if h.Live != 0 {
 		t.Errorf("total outage health = %+v", h)
-	}
-	if s.FaultyCount() != 4 {
-		t.Errorf("FaultyCount = %d, want 4", s.FaultyCount())
 	}
 	// An empty key on a healthy replica set stays distinguishable: nil
 	// values with nil error.
@@ -560,7 +557,7 @@ func TestRebalanceSurvivesChurn(t *testing.T) {
 	}
 	// Every value survives: at most 3 of 4 replicas departed.
 	for i, key := range keys {
-		got := s.Get(key)
+		got := mustGet(t, s, key)
 		if len(got) != 1 || got[0][0] != byte(i) {
 			t.Fatalf("key %d lost after rebalance: %v", i, got)
 		}
@@ -600,7 +597,7 @@ func TestRebalancePreservesFaultMarks(t *testing.T) {
 	if !s.faulty[ids[3]] {
 		t.Error("fault mark lost in rebalance")
 	}
-	if got := s.Get(key); len(got) != 1 {
+	if got := mustGet(t, s, key); len(got) != 1 {
 		t.Errorf("value lost in same-ring rebalance: %v", got)
 	}
 }
@@ -631,7 +628,11 @@ func TestPropPutGetComplete(t *testing.T) {
 		}
 		for i, item := range stored {
 			found := false
-			for _, got := range s.Get(item.key) {
+			vals, _, err := s.GetChecked(item.key)
+			if err != nil {
+				return false
+			}
+			for _, got := range vals {
 				if len(got) == 2 && got[0] == item.value && got[1] == byte(i) {
 					found = true
 					break
@@ -702,7 +703,7 @@ func TestJoinerServesBeforeRebalance(t *testing.T) {
 	if err := store.Put(joiner, []byte("v")); err != nil {
 		t.Fatal(err)
 	}
-	if got := store.Get(joiner); len(got) != 1 || string(got[0]) != "v" {
+	if got := mustGet(t, store, joiner); len(got) != 1 || string(got[0]) != "v" {
 		t.Fatalf("Get at joiner = %q", got)
 	}
 	if store.Load(joiner) != 1 {
@@ -727,8 +728,8 @@ func TestJoinerServesBeforeRebalance(t *testing.T) {
 	if err := store.SetFaulty(joiner, true); err != nil {
 		t.Fatalf("SetFaulty on a joined member: %v", err)
 	}
-	if store.FaultyCount() != 1 {
-		t.Errorf("FaultyCount = %d, want 1", store.FaultyCount())
+	if h := store.KeyHealth(joiner); h.Live != h.Total-1 {
+		t.Errorf("joiner's own key health = %+v, want one faulty replica", h)
 	}
 }
 
@@ -762,7 +763,7 @@ func TestRebalanceOrderIsFixed(t *testing.T) {
 		if err := s.Rebalance(ring); err != nil {
 			t.Fatal(err)
 		}
-		got := s.Get(key)
+		got := mustGet(t, s, key)
 		if len(got) != 2 {
 			t.Fatalf("trial %d: Get = %q, want both values", trial, got)
 		}
@@ -772,4 +773,15 @@ func TestRebalanceOrderIsFixed(t *testing.T) {
 			t.Fatalf("trial %d: Get = %q, trial 0 returned %q", trial, got, want)
 		}
 	}
+}
+
+// mustGet reads every value under key, failing the test on a total
+// replica outage.
+func mustGet(t *testing.T, s *Store, key id.ID) [][]byte {
+	t.Helper()
+	vals, _, err := s.GetChecked(key)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return vals
 }

@@ -22,11 +22,6 @@ type Fig4Config struct {
 	MaxTrees int
 }
 
-// DefaultFig4Config uses the medium-scale deployment.
-func DefaultFig4Config() Fig4Config {
-	return Fig4Config{System: core.DefaultSystemConfig(), SampleHosts: 40}
-}
-
 // Fig4Result holds both series.
 type Fig4Result struct {
 	// Coverage: x = number of peer trees included (0 = own tree only),

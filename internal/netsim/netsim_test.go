@@ -124,8 +124,8 @@ func TestSimulatorNestedScheduling(t *testing.T) {
 	if fired != 5 {
 		t.Errorf("fired %d times, want 5", fired)
 	}
-	if s.Pending() != 0 {
-		t.Errorf("pending = %d", s.Pending())
+	if len(s.heap) != 0 {
+		t.Errorf("pending = %d", len(s.heap))
 	}
 }
 

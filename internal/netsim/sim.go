@@ -89,9 +89,6 @@ func NewSimulator() *Simulator { return &Simulator{} }
 // Now returns the current virtual time.
 func (s *Simulator) Now() Time { return s.now }
 
-// Pending returns the number of queued events.
-func (s *Simulator) Pending() int { return len(s.heap) }
-
 // Schedule queues fn to run at the absolute virtual time at. Scheduling
 // into the past is an error.
 func (s *Simulator) Schedule(at Time, fn func()) error {

@@ -14,7 +14,7 @@ import (
 func requireRebuilt(t *testing.T, c *Compact, when string) {
 	t.Helper()
 	mustInvariants(t, c, when)
-	fresh := fillCompact(t, c.IDs(), 1)
+	fresh := fillCompact(t, c.ring.ids, 1)
 	for i := uint32(0); i < uint32(c.Size()); i++ {
 		if !slices.Equal(secureIDs(c, i), secureIDs(fresh, i)) {
 			t.Fatalf("%s: node %s secure table diverged from a from-scratch fill", when, c.ID(i).Short())

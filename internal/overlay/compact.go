@@ -124,13 +124,6 @@ func NewCompact(members []id.ID, perSide int) (*Compact, error) {
 // Size returns the current member count.
 func (c *Compact) Size() int { return len(c.ring.ids) }
 
-// PerSide returns the leaf-set half-width.
-func (c *Compact) PerSide() int { return c.perSide }
-
-// DenseRows returns the dense/sparse split depth. It is fixed at build
-// time; churn does not rebalance the layout.
-func (c *Compact) DenseRows() int { return c.denseRows }
-
 // ID returns the identifier at ring position i.
 func (c *Compact) ID(i uint32) id.ID { return c.ring.ids[i] }
 
@@ -142,10 +135,6 @@ func (c *Compact) Pos(p uint32) uint32 { return c.posOf[p] }
 
 // Slabs returns the number of slabs ever issued, departed ones included.
 func (c *Compact) Slabs() int { return len(c.posOf) }
-
-// IDs returns the sorted members. The slice is shared and must not be
-// modified; churn invalidates it.
-func (c *Compact) IDs() []id.ID { return c.ring.ids }
 
 // IndexOf returns the ring position of x.
 func (c *Compact) IndexOf(x id.ID) (uint32, bool) {
@@ -369,19 +358,10 @@ func (c *Compact) AppendRoutingPeers(i uint32, out []uint32) []uint32 {
 // NextHopSecure routes one hop toward target over node i's secure
 // table, by Pastry's rule: leaf delivery when covered, else the
 // jump-table slot, else any known peer making strict progress. The
-// boolean is false when the route terminates at node i. Messages that
-// need Concilium's fault attribution must use this, not the standard
-// table (§2).
+// boolean is false when the route terminates at node i. Every route
+// runs over the secure tables, which Concilium's fault attribution
+// needs (§2); no route reads the standard table.
 func (c *Compact) NextHopSecure(i uint32, target id.ID) (uint32, bool) {
-	return c.nextHop(&c.secure, i, target)
-}
-
-// NextHopStandard routes one hop over node i's standard table.
-func (c *Compact) NextHopStandard(i uint32, target id.ID) (uint32, bool) {
-	return c.nextHop(&c.standard, i, target)
-}
-
-func (c *Compact) nextHop(t *compactTable, i uint32, target id.ID) (uint32, bool) {
 	self := c.ring.ids[i]
 	if target == self {
 		return 0, false
@@ -394,14 +374,14 @@ func (c *Compact) nextHop(t *compactTable, i uint32, target id.ID) (uint32, bool
 		return closest, true
 	}
 	row := id.CommonPrefixLen(self, target)
-	if slab, ok := t.slot(c.denseRows, i, row, target.Digit(row)); ok {
+	if slab, ok := c.secure.slot(c.denseRows, i, row, target.Digit(row)); ok {
 		return c.posOf[slab], true
 	}
 	// Rare case: the exact slot is empty. Any known peer strictly closer
 	// to the target than we are keeps Pastry's progress guarantee —
 	// table slots row-major, then leaves, first strict improvement wins.
 	best, found := i, false
-	t.forEach(c.denseRows, i, func(_ int, _ byte, slab uint32) {
+	c.secure.forEach(c.denseRows, i, func(_ int, _ byte, slab uint32) {
 		if peer := c.posOf[slab]; id.Closer(c.ring.ids[peer], c.ring.ids[best], target) {
 			best, found = peer, true
 		}

@@ -191,7 +191,7 @@ func (cr *churnRun) depart(t testing.TB, peer id.ID) {
 		if _, ok := slot(i, h.row, h.col); ok {
 			continue
 		}
-		if h.row < c.DenseRows() {
+		if h.row < c.denseRows {
 			cr.emptyDense++
 		} else {
 			cr.emptyTail++
@@ -558,7 +558,7 @@ func TestJumpTableNextHop(t *testing.T) {
 func TestBuildSecureTableConstraints(t *testing.T) {
 	t.Parallel()
 	c := buildCompact(t, 500, 41)
-	ring := mustRing(t, c.IDs())
+	ring := mustRing(t, c.ring.ids)
 	for _, i := range []uint32{0, 250, 499} {
 		if err := c.ValidateSecure(i); err != nil {
 			t.Fatal(err)

@@ -133,7 +133,7 @@ func TestLeafSetCoversAndClosest(t *testing.T) {
 	r := testRand()
 	for n := 2; n <= 2*DefaultLeafSetPerSide+1; n++ {
 		small := mustCompact(t, randomIDs(n, r), DefaultLeafSetPerSide)
-		ring := mustRing(t, small.IDs())
+		ring := mustRing(t, small.ring.ids)
 		for trial := 0; trial < 50; trial++ {
 			j := uint32(r.IntN(n))
 			target := id.Random(r)

@@ -31,7 +31,7 @@ func routeKeys(c *Compact, count int) []id.ID {
 // root: the member a whole-ring scan finds closest to it.
 func checkRoutesReachRoot(t *testing.T, c *Compact, keys []id.ID, sources int) {
 	t.Helper()
-	ring := mustRing(t, c.IDs())
+	ring := mustRing(t, c.ring.ids)
 	var route []uint32
 	step := max(1, c.Size()/sources)
 	for src := 0; src < c.Size(); src += step {
@@ -80,23 +80,4 @@ func TestRouteSecureToNonMemberKey(t *testing.T) {
 		keys[k] = id.Random(r)
 	}
 	checkRoutesReachRoot(t, c, keys, 20)
-}
-
-// TestRouteStandardConverges: routes over the standard tables reach
-// member destinations too.
-func TestRouteStandardConverges(t *testing.T) {
-	t.Parallel()
-	r := testRand()
-	c := buildCompact(t, 300, 61)
-	for trial := 0; trial < 200; trial++ {
-		src, dst := uint32(r.IntN(c.Size())), uint32(r.IntN(c.Size()))
-		at := src
-		for hop := 0; at != dst; hop++ {
-			next, more := c.NextHopStandard(at, c.ID(dst))
-			if !more || hop == 2*id.Digits {
-				t.Fatalf("standard route %d -> %d stopped at %d after %d hops", src, dst, at, hop)
-			}
-			at = next
-		}
-	}
 }

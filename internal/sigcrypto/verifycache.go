@@ -21,9 +21,9 @@ import (
 // successes and failures are cacheable. The only invalidation is LRU
 // eviction for capacity.
 
-// DefaultVerifyCacheSize is the initial capacity (entries) of the
-// process-wide verification cache. An entry is ~64 bytes.
-const DefaultVerifyCacheSize = 8192
+// verifyCacheSize is the capacity (entries) of the process-wide
+// verification cache. An entry is ~64 bytes.
+const verifyCacheSize = 8192
 
 // verifyKey fingerprints one verification: SHA-256 over the public key,
 // the message digest, and the signature, each length-prefixed so field
@@ -108,46 +108,22 @@ func (c *verifyCache) stats() (hits, misses uint64, size int) {
 	return c.hits, c.misses, c.order.Len()
 }
 
-var (
-	cacheMu      sync.RWMutex
-	defaultCache = newVerifyCache(DefaultVerifyCacheSize)
-)
+// defaultCache is the process-wide verification cache every Verify
+// consults.
+var defaultCache = newVerifyCache(verifyCacheSize)
 
-func currentCache() *verifyCache {
-	cacheMu.RLock()
-	defer cacheMu.RUnlock()
-	return defaultCache
-}
-
-// SetVerifyCacheCapacity resizes the process-wide verification cache,
-// dropping its contents. A capacity of 0 disables caching entirely
-// (every Verify performs the full Ed25519 check).
-func SetVerifyCacheCapacity(entries int) {
-	cacheMu.Lock()
-	defer cacheMu.Unlock()
-	if entries <= 0 {
-		defaultCache = nil
-		return
-	}
-	defaultCache = newVerifyCache(entries)
-}
-
-// ResetVerifyCache drops all cached outcomes and statistics, keeping
-// the current capacity.
+// ResetVerifyCache drops all cached outcomes and statistics.
 func ResetVerifyCache() {
-	cacheMu.Lock()
-	defer cacheMu.Unlock()
-	if defaultCache != nil {
-		defaultCache = newVerifyCache(defaultCache.capacity)
-	}
+	c := defaultCache
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	c.order.Init()
+	c.entries = make(map[verifyKey]*list.Element)
+	c.hits, c.misses = 0, 0
 }
 
 // VerifyCacheStats reports cumulative cache hits and misses plus the
-// current entry count. All zeros when caching is disabled.
+// current entry count.
 func VerifyCacheStats() (hits, misses uint64, size int) {
-	c := currentCache()
-	if c == nil {
-		return 0, 0, 0
-	}
-	return c.stats()
+	return defaultCache.stats()
 }

@@ -15,12 +15,17 @@ func seedPair(b byte) KeyPair {
 
 func resetCache(t *testing.T) {
 	t.Helper()
-	SetVerifyCacheCapacity(DefaultVerifyCacheSize)
 	ResetVerifyCache()
-	t.Cleanup(func() {
-		SetVerifyCacheCapacity(DefaultVerifyCacheSize)
-		ResetVerifyCache()
-	})
+	t.Cleanup(ResetVerifyCache)
+}
+
+// useSmallCache installs an empty cache of the given capacity for the
+// rest of the test, restoring the process-wide one afterwards.
+func useSmallCache(t *testing.T, capacity int) {
+	t.Helper()
+	saved := defaultCache
+	defaultCache = newVerifyCache(capacity)
+	t.Cleanup(func() { defaultCache = saved })
 }
 
 func TestVerifyCacheHit(t *testing.T) {
@@ -89,12 +94,7 @@ func TestVerifyCacheKeySeparation(t *testing.T) {
 }
 
 func TestVerifyCacheEviction(t *testing.T) {
-	SetVerifyCacheCapacity(4)
-	ResetVerifyCache()
-	t.Cleanup(func() {
-		SetVerifyCacheCapacity(DefaultVerifyCacheSize)
-		ResetVerifyCache()
-	})
+	useSmallCache(t, 4)
 	kp := seedPair(5)
 
 	msgs := make([][]byte, 6)
@@ -124,12 +124,7 @@ func TestVerifyCacheEviction(t *testing.T) {
 }
 
 func TestVerifyCacheLRUPromotion(t *testing.T) {
-	SetVerifyCacheCapacity(2)
-	ResetVerifyCache()
-	t.Cleanup(func() {
-		SetVerifyCacheCapacity(DefaultVerifyCacheSize)
-		ResetVerifyCache()
-	})
+	useSmallCache(t, 2)
 	kp := seedPair(6)
 	m0, m1, m2 := []byte("m0"), []byte("m1"), []byte("m2")
 	s0, s1, s2 := kp.Sign(m0), kp.Sign(m1), kp.Sign(m2)
@@ -146,25 +141,6 @@ func TestVerifyCacheLRUPromotion(t *testing.T) {
 	if hitsAfter != hitsBefore+1 || missesAfter != missesBefore+1 {
 		t.Fatalf("promotion broken: hits %d->%d misses %d->%d",
 			hitsBefore, hitsAfter, missesBefore, missesAfter)
-	}
-}
-
-func TestVerifyCacheDisabled(t *testing.T) {
-	SetVerifyCacheCapacity(0)
-	t.Cleanup(func() {
-		SetVerifyCacheCapacity(DefaultVerifyCacheSize)
-		ResetVerifyCache()
-	})
-	kp := seedPair(7)
-	msg := []byte("uncached")
-	sig := kp.Sign(msg)
-	for i := 0; i < 3; i++ {
-		if !Verify(kp.Public, msg, sig) {
-			t.Fatal("valid signature rejected with cache disabled")
-		}
-	}
-	if hits, misses, size := VerifyCacheStats(); hits != 0 || misses != 0 || size != 0 {
-		t.Fatalf("disabled cache recorded activity: hits=%d misses=%d size=%d", hits, misses, size)
 	}
 }
 

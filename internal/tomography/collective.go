@@ -84,7 +84,7 @@ func (c *Collective) NextProber() id.ID {
 // behalf of the collective. It returns the prober and its observations.
 func (c *Collective) ProbeOnce(net *netsim.Network, accuracy float64, rng stats.Rand) (id.ID, []LinkObservation, error) {
 	prober := c.NextProber()
-	obs, err := ObserveLinks(net, c.union, accuracy, rng)
+	obs, err := AppendObserveLinks(nil, net, c.union, accuracy, rng)
 	if err != nil {
 		return id.ID{}, nil, err
 	}

@@ -27,21 +27,7 @@ func TestPatchTreeEqualsBuildTree(t *testing.T) {
 		t.Fatal(err)
 	}
 	hosts := g.EndHosts()
-	island, err := topology.NewGraph(g.NumRouters() + 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for l := 0; l < g.NumLinks(); l++ {
-		a, b, err := g.LinkEndpoints(topology.LinkID(l))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if _, err := island.AddLink(a, b); err != nil {
-			t.Fatal(err)
-		}
-	}
-	g = island // same links, same link IDs, plus one isolated router
-	unreachable := topology.RouterID(g.NumRouters() - 1)
+	unreachable := g.AddRouter() // a router nothing connects to
 
 	root, rootRouter := id.Random(r), hosts[0]
 	pool := make([]Leaf, 60)

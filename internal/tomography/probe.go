@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math"
 	"slices"
-	"time"
 
 	"concilium/internal/metrics"
 	"concilium/internal/netsim"
@@ -60,49 +59,12 @@ func (p *Prober) SetMetrics(reg *metrics.Registry) {
 type LightweightResult struct {
 	// Acked[i] corresponds to tree.Leaves[i]. The slice aliases the
 	// prober's scratch arena: it is valid until that prober's next
-	// sweep, and callers that retain it across sweeps must copy it out
-	// (see CopyAcked).
+	// sweep, and callers that retain it across sweeps must copy it out.
 	Acked []bool
 	// Packets counts probe packets sent (for bandwidth accounting).
 	Packets int
 	// Unreached counts leaves still silent when the sweep ended.
 	Unreached int
-	// BudgetExhausted reports that the sweep stopped early because its
-	// retry packet budget ran out, not because every leaf answered or
-	// every retry round completed.
-	BudgetExhausted bool
-	// BackoffTotal is the cumulative delay a live deployment would have
-	// waited between retry rounds under the sweep's backoff schedule.
-	BackoffTotal time.Duration
-}
-
-// CopyAcked returns a fresh copy of the per-leaf ack bits, for callers
-// that keep a sweep's outcome beyond the prober's next sweep.
-func (r *LightweightResult) CopyAcked() []bool {
-	return append([]bool(nil), r.Acked...)
-}
-
-// RetryBudget bounds how hard a prober chases silent leaves before
-// giving up: a round count, an optional total packet cap, and an
-// exponential backoff between rounds. Under injected probe-packet loss
-// an unbounded retry loop turns a lossy episode into a probe storm; the
-// budget makes the sweep degrade into declared-unreached leaves
-// instead.
-type RetryBudget struct {
-	// Retries is the number of retry rounds after the initial stripe.
-	Retries int
-	// PacketBudget caps the total retry packets across all rounds;
-	// 0 means unlimited.
-	PacketBudget int
-	// Backoff is the delay before the first retry round; each further
-	// round doubles it. 0 disables backoff accounting.
-	Backoff time.Duration
-}
-
-// DefaultRetryBudget matches the paper's §3.2 behavior (a couple of
-// immediate retries) with a packet cap sized for one tree sweep.
-func DefaultRetryBudget() RetryBudget {
-	return RetryBudget{Retries: 2, PacketBudget: 0, Backoff: 0}
 }
 
 // LightweightProbe emulates the paper's lightweight tomography: the
@@ -111,18 +73,6 @@ func DefaultRetryBudget() RetryBudget {
 // `retries` further independent probes before being declared unreached
 // (§3.2).
 func (p *Prober) LightweightProbe(retries int) LightweightResult {
-	return p.LightweightProbeBudget(RetryBudget{Retries: retries})
-}
-
-// LightweightProbeBudget runs one availability sweep under a retry
-// budget. The initial stripe always goes out; retry rounds stop when
-// every leaf answered, the round count is spent, or the packet budget
-// is exhausted — whichever comes first. Randomness consumption is
-// identical to LightweightProbe when the packet budget is unlimited.
-func (p *Prober) LightweightProbeBudget(b RetryBudget) LightweightResult {
-	if b.Retries < 0 {
-		b.Retries = 0
-	}
 	res := LightweightResult{Acked: p.ackBuffer()}
 	// Initial stripe: one shared fate per link.
 	fate := p.fateBuffer()
@@ -130,11 +80,9 @@ func (p *Prober) LightweightProbeBudget(b RetryBudget) LightweightResult {
 		res.Acked[i] = p.sampleStriped(leaf.Path, fate)
 		res.Packets++
 	}
-	// Retries are separate packets: independent samples, backed off
-	// round by round, stopping at the packet budget.
-	retryPackets := 0
-	backoff := b.Backoff
-	for r := 0; r < b.Retries; r++ {
+	// Retries are separate packets: independent samples, round by round
+	// until every leaf has answered.
+	for r := 0; r < retries; r++ {
 		silent := false
 		for i := range p.tree.Leaves {
 			if !res.Acked[i] {
@@ -145,24 +93,14 @@ func (p *Prober) LightweightProbeBudget(b RetryBudget) LightweightResult {
 		if !silent {
 			break
 		}
-		res.BackoffTotal += backoff
-		backoff *= 2
 		for i, leaf := range p.tree.Leaves {
 			if res.Acked[i] {
 				continue
 			}
-			if b.PacketBudget > 0 && retryPackets >= b.PacketBudget {
-				res.BudgetExhausted = true
-				break
-			}
 			res.Packets++
-			retryPackets++
 			if p.samplePath(leaf.Path) {
 				res.Acked[i] = true
 			}
-		}
-		if res.BudgetExhausted {
-			break
 		}
 	}
 	for _, acked := range res.Acked {
@@ -318,21 +256,14 @@ func (p *Prober) HeavyweightProbe(cfg HeavyweightConfig) (*LossEstimate, error) 
 	return inferLoss(p.tree, bt, m)
 }
 
-// ObserveLinks is the accuracy-model shortcut used by the large-scale
-// accusation experiments: per §4.3 the paper assumes "hosts can identify
-// whether a link was up or down with 90% accuracy", so each tree link's
-// true status is reported correctly with probability accuracy and
-// inverted otherwise.
-func ObserveLinks(net *netsim.Network, links []topology.LinkID, accuracy float64, rng stats.Rand) ([]LinkObservation, error) {
-	return AppendObserveLinks(nil, net, links, accuracy, rng)
-}
-
-// AppendObserveLinks appends one observation per link to out (which may
-// be a reused scratch slice) and returns the extended slice — the
-// allocation-free variant of ObserveLinks for callers whose consumer
-// copies the observations out (the archive does). Each link draws one
-// rng.Float64(), in link order; while no link is down, none is looked
-// up.
+// AppendObserveLinks is the accuracy-model shortcut used by the
+// large-scale accusation experiments: per §4.3 the paper assumes "hosts
+// can identify whether a link was up or down with 90% accuracy", so
+// each link's true status is reported correctly with probability
+// accuracy and inverted otherwise. It appends one observation per link
+// to out (which may be a reused scratch slice) and returns the extended
+// slice. Each link draws one rng.Float64(), in link order; while no
+// link is down, none is looked up.
 func AppendObserveLinks(out []LinkObservation, net *netsim.Network, links []topology.LinkID, accuracy float64, rng stats.Rand) ([]LinkObservation, error) {
 	if accuracy < 0.5 || accuracy > 1 || math.IsNaN(accuracy) {
 		return nil, fmt.Errorf("tomography: probe accuracy %v out of [0.5, 1]", accuracy)

@@ -3,8 +3,8 @@ package tomography
 import (
 	"math"
 	"math/rand/v2"
+	"strings"
 	"testing"
-	"time"
 
 	"concilium/internal/id"
 	"concilium/internal/netsim"
@@ -285,63 +285,29 @@ func TestLightweightProbeSharedTrunkFate(t *testing.T) {
 	}
 }
 
-func TestLightweightProbeBudgetStopsAtPacketCap(t *testing.T) {
+// TestLightweightProbeRetriesUnderLoss pins a lossy sweep's packet
+// counts and acks over 20 sweeps with three retry rounds, so any change
+// to the order or number of the sweep's rng draws shows.
+func TestLightweightProbeRetriesUnderLoss(t *testing.T) {
 	t.Parallel()
 	g, tree, _ := fixtureTree(t)
-	net := newFixtureNetwork(t, g, netsim.BinaryLossModel())
-	// Trunk down: all three leaves silent, so unlimited retries would
-	// spend 3 packets per round.
-	if err := net.SetLinkDown(0, true); err != nil {
-		t.Fatal(err)
-	}
-	p, err := NewProber(tree, net, testRand())
+	net := newFixtureNetwork(t, g, netsim.LossModel{BaseLoss: 0.3, DownLoss: 1})
+	p, err := NewProber(tree, net, rand.New(rand.NewPCG(41, 42)))
 	if err != nil {
 		t.Fatal(err)
 	}
-	res := p.LightweightProbeBudget(RetryBudget{Retries: 10, PacketBudget: 4, Backoff: time.Second})
-	if !res.BudgetExhausted {
-		t.Error("packet cap never tripped")
-	}
-	// 3 initial + 4 budgeted retries.
-	if res.Packets != 7 {
-		t.Errorf("packets = %d, want 7", res.Packets)
-	}
-	if res.Unreached != 3 {
-		t.Errorf("unreached = %d, want 3", res.Unreached)
-	}
-	// Backoff doubles per completed round: 1s then 2s.
-	if res.BackoffTotal != 3*time.Second {
-		t.Errorf("backoff total = %v, want 3s", res.BackoffTotal)
-	}
-}
-
-func TestLightweightProbeBudgetMatchesLegacySweep(t *testing.T) {
-	t.Parallel()
-	// With an unlimited packet budget the budgeted sweep must consume
-	// randomness identically to LightweightProbe — same acks, same
-	// packet count — for a lossy network where retries matter.
-	g, tree, _ := fixtureTree(t)
-	lossy := netsim.LossModel{BaseLoss: 0.3, DownLoss: 1}
-	netA := newFixtureNetwork(t, g, lossy)
-	netB := newFixtureNetwork(t, g, lossy)
-	pa, err := NewProber(tree, netA, rand.New(rand.NewPCG(41, 42)))
-	if err != nil {
-		t.Fatal(err)
-	}
-	pb, err := NewProber(tree, netB, rand.New(rand.NewPCG(41, 42)))
-	if err != nil {
-		t.Fatal(err)
-	}
-	for sweep := 0; sweep < 20; sweep++ {
-		legacy := pa.LightweightProbe(3)
-		budget := pb.LightweightProbeBudget(RetryBudget{Retries: 3})
-		if legacy.Packets != budget.Packets {
-			t.Fatalf("sweep %d: packets %d vs %d", sweep, legacy.Packets, budget.Packets)
-		}
-		for i := range legacy.Acked {
-			if legacy.Acked[i] != budget.Acked[i] {
-				t.Fatalf("sweep %d leaf %d: ack %v vs %v", sweep, i, legacy.Acked[i], budget.Acked[i])
+	wantPackets := []int{6, 8, 5, 10, 6, 10, 6, 5, 3, 9, 6, 10, 9, 8, 6, 7, 3, 9, 8, 9}
+	wantAcks := strings.Fields("111 111 111 011 111 101 111 111 111 110 101 111 110 111 111 011 111 010 111 110")
+	for sweep := range wantPackets {
+		res := p.LightweightProbe(3)
+		acks := []byte(strings.Repeat("0", len(res.Acked)))
+		for i, a := range res.Acked {
+			if a {
+				acks[i] = '1'
 			}
+		}
+		if res.Packets != wantPackets[sweep] || string(acks) != wantAcks[sweep] {
+			t.Fatalf("sweep %d: packets %d acks %s, want %d %s", sweep, res.Packets, acks, wantPackets[sweep], wantAcks[sweep])
 		}
 	}
 }
@@ -487,7 +453,7 @@ func TestObserveLinksAccuracy(t *testing.T) {
 	}
 	r := testRand()
 	// Perfect accuracy: observations match truth.
-	obs, err := ObserveLinks(net, tree.Links(), 1.0, r)
+	obs, err := AppendObserveLinks(nil, net, tree.Links(), 1.0, r)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -499,7 +465,7 @@ func TestObserveLinksAccuracy(t *testing.T) {
 	// 90% accuracy: error rate ~10%.
 	var wrong, total int
 	for trial := 0; trial < 3000; trial++ {
-		obs, err := ObserveLinks(net, tree.Links(), 0.9, r)
+		obs, err := AppendObserveLinks(nil, net, tree.Links(), 0.9, r)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -514,7 +480,7 @@ func TestObserveLinksAccuracy(t *testing.T) {
 	if math.Abs(rate-0.10) > 0.02 {
 		t.Errorf("observation error rate = %v, want ~0.10", rate)
 	}
-	if _, err := ObserveLinks(net, tree.Links(), 0.3, r); err == nil {
+	if _, err := AppendObserveLinks(nil, net, tree.Links(), 0.3, r); err == nil {
 		t.Error("accuracy below 0.5 accepted")
 	}
 }

@@ -88,30 +88,12 @@ func (g *Graph) validRouter(r RouterID) bool {
 	return r >= 0 && int(r) < len(g.adj)
 }
 
-// LinkEndpoints returns the two routers joined by l.
-func (g *Graph) LinkEndpoints(l LinkID) (RouterID, RouterID, error) {
-	if l < 0 || int(l) >= len(g.links) {
-		return 0, 0, fmt.Errorf("topology: unknown link %d", l)
-	}
-	lk := g.links[l]
-	return lk.A, lk.B, nil
-}
-
 // Degree returns the number of links at router r.
 func (g *Graph) Degree(r RouterID) int {
 	if !g.validRouter(r) {
 		return 0
 	}
 	return len(g.adj[r])
-}
-
-// Neighbors returns r's adjacency list. The returned slice is shared with
-// the graph and must not be modified.
-func (g *Graph) Neighbors(r RouterID) []Neighbor {
-	if !g.validRouter(r) {
-		return nil
-	}
-	return g.adj[r]
 }
 
 // EndHosts returns all degree-1 routers, the candidates for overlay

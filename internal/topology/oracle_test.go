@@ -31,7 +31,7 @@ func oracleBFS(g *Graph, src RouterID) *oracleTree {
 	queue := []RouterID{src}
 	for head := 0; head < len(queue); head++ {
 		u := queue[head]
-		for _, nb := range g.Neighbors(u) {
+		for _, nb := range g.adj[u] {
 			if o.dist[nb.Router] >= 0 {
 				continue
 			}

@@ -35,9 +35,8 @@ func TestAddLinkBasics(t *testing.T) {
 	if g.NumLinks() != 1 {
 		t.Fatalf("NumLinks = %d", g.NumLinks())
 	}
-	a, b, err := g.LinkEndpoints(l0)
-	if err != nil || a != 0 || b != 1 {
-		t.Fatalf("endpoints = %d,%d (%v)", a, b, err)
+	if lk := g.links[l0]; lk.A != 0 || lk.B != 1 {
+		t.Fatalf("endpoints = %d,%d", lk.A, lk.B)
 	}
 	// Parallel edges merge.
 	l1, err := g.AddLink(1, 0)
@@ -53,9 +52,6 @@ func TestAddLinkBasics(t *testing.T) {
 	}
 	if _, err := g.AddLink(0, 5); err == nil {
 		t.Error("unknown router accepted")
-	}
-	if _, _, err := g.LinkEndpoints(99); err == nil {
-		t.Error("unknown link accepted")
 	}
 }
 
@@ -198,10 +194,8 @@ func TestGenerateDeterministic(t *testing.T) {
 		t.Fatal("same seed gave different graphs")
 	}
 	for l := 0; l < g1.NumLinks(); l++ {
-		a1, b1, _ := g1.LinkEndpoints(LinkID(l))
-		a2, b2, _ := g2.LinkEndpoints(LinkID(l))
-		if a1 != a2 || b1 != b2 {
-			t.Fatalf("link %d differs: %d-%d vs %d-%d", l, a1, b1, a2, b2)
+		if g1.links[l] != g2.links[l] {
+			t.Fatalf("link %d differs: %v vs %v", l, g1.links[l], g2.links[l])
 		}
 	}
 }
@@ -270,12 +264,12 @@ func TestPropAdjacencyConsistent(t *testing.T) {
 			return false
 		}
 		for l := 0; l < g.NumLinks(); l++ {
-			a, b, err := g.LinkEndpoints(LinkID(l))
-			if err != nil || a == b {
+			a, b := g.links[l].A, g.links[l].B
+			if a == b {
 				return false
 			}
 			var ab, ba int
-			for _, nb := range g.Neighbors(a) {
+			for _, nb := range g.adj[a] {
 				if nb.Link == LinkID(l) {
 					ab++
 					if nb.Router != b {
@@ -283,7 +277,7 @@ func TestPropAdjacencyConsistent(t *testing.T) {
 					}
 				}
 			}
-			for _, nb := range g.Neighbors(b) {
+			for _, nb := range g.adj[b] {
 				if nb.Link == LinkID(l) {
 					ba++
 					if nb.Router != a {
@@ -338,10 +332,8 @@ func walkPath(t *testing.T, g *Graph, src RouterID, path []LinkID) []RouterID {
 	routers := []RouterID{src}
 	at := src
 	for _, l := range path {
-		a, b, err := g.LinkEndpoints(l)
+		a, b := g.links[l].A, g.links[l].B
 		switch {
-		case err != nil:
-			t.Fatal(err)
 		case a == at:
 			at = b
 		case b == at:
