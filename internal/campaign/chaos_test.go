@@ -180,3 +180,37 @@ func TestCampaignMetricsSnapshot(t *testing.T) {
 		t.Errorf("dht/chains_published = %d, report.ChainsPublished = %d", got, rep.ChainsPublished)
 	}
 }
+
+// TestHistogramsFitCanonicalRuns requires every histogram of the
+// campaign reports a bench report carries (chaos-short at seed 42, as
+// BENCH_baseline.json pins it, and the adversary campaign) to hold at
+// most 5% of its samples outside its bounds. A histogram whose samples
+// pile up past its last bound says nothing about their spread.
+func TestHistogramsFitCanonicalRuns(t *testing.T) {
+	t.Parallel()
+	chaos, err := RunChaos(ShortChaosConfig(42))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for run, snap := range map[string]metrics.Snapshot{
+		"chaos-short": chaos.Metrics,
+		"adversary":   adversaryCampaign(t, 1, sharedWorkers).Metrics,
+	} {
+		for name, h := range snap.Histograms {
+			if h.Count == 0 {
+				continue
+			}
+			// The first bucket holds every sample at or below the first
+			// bound: underflow, unless that bound is 0, the floor of a
+			// count, where it holds exactly the zeros.
+			out := h.Counts[len(h.Bounds)]
+			if h.Bounds[0] > 0 {
+				out += h.Counts[0]
+			}
+			if share := float64(out) / float64(h.Count); share > 0.05 {
+				t.Errorf("%s: %s puts %d of %d samples (%.1f%%) outside its bounds %v: %v",
+					run, name, out, h.Count, 100*share, h.Bounds, h.Counts)
+			}
+		}
+	}
+}

@@ -277,13 +277,16 @@ func ExpBuckets(start int64, factor float64, n int) []int64 {
 // same physical quantity merge cleanly.
 var (
 	// LatencyBuckets covers simulated and wall latencies from 100 µs
-	// to ~1.6 s in powers of two (ns units).
-	LatencyBuckets = ExpBuckets(int64(100*time.Microsecond), 2, 15)
+	// to ~26 s in powers of two (ns units): the campaigns' 200 ms hops
+	// put probe round trips at 2–8 s.
+	LatencyBuckets = ExpBuckets(int64(100*time.Microsecond), 2, 19)
 	// SizeBuckets covers byte sizes from 64 B to ~2 MB in powers of 4.
 	SizeBuckets = ExpBuckets(64, 4, 8)
-	// CountBuckets covers small cardinalities (chain lengths, probes
-	// consulted) 1..128 in powers of two.
-	CountBuckets = ExpBuckets(1, 2, 8)
+	// CountBuckets covers cardinalities (chain lengths, probe records
+	// one blame consults, probe packets per sweep): a bucket of zeros,
+	// then 1..32,768 in powers of two. A blame call may consult no
+	// record at all, and the campaigns' calls consult thousands.
+	CountBuckets = append([]int64{0}, ExpBuckets(1, 2, 16)...)
 )
 
 // sortedKeys returns m's keys in lexicographic order.

@@ -184,8 +184,8 @@ func TestStandardFamiliesValid(t *testing.T) {
 			t.Errorf("%s buckets invalid: %v", name, err)
 		}
 	}
-	if CountBuckets[0] != 1 || CountBuckets[len(CountBuckets)-1] != 128 {
-		t.Errorf("CountBuckets = %v, want 1..128", CountBuckets)
+	if CountBuckets[0] != 0 || CountBuckets[1] != 1 || CountBuckets[len(CountBuckets)-1] != 32768 {
+		t.Errorf("CountBuckets = %v, want 0, then 1..32768", CountBuckets)
 	}
 }
 
