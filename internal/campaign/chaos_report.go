@@ -1,9 +1,8 @@
 package campaign
 
 import (
-	"bytes"
 	"fmt"
-	"sort"
+	"slices"
 	"strings"
 
 	"concilium/internal/core"
@@ -93,6 +92,6 @@ func sortedIDs(m map[id.ID]int) []id.ID {
 	for k := range m {
 		out = append(out, k)
 	}
-	sort.Slice(out, func(i, j int) bool { return bytes.Compare(out[i][:], out[j][:]) < 0 })
+	slices.SortFunc(out, id.Cmp)
 	return out
 }
