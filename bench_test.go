@@ -349,10 +349,27 @@ func (p probers) ProberID(h tomography.ProberHandle) id.ID {
 	return p[h-1]
 }
 
+// unnamed hides one prober's handle: ProberHandle answers zero for it,
+// which no record carries, so an engine reading through it cannot tell
+// that prober's records from anyone else's.
+type unnamed struct {
+	probers
+	hidden id.ID
+}
+
+func (u unnamed) ProberHandle(nid id.ID) tomography.ProberHandle {
+	if nid == u.hidden {
+		return 0
+	}
+	return u.probers.ProberHandle(nid)
+}
+
 // BenchmarkAblationProbeExclusion measures what §3.4's rule — a node's
 // own probes never count toward its blame — buys: without it, a dropper
 // that publishes "my links were down" talks its way out of every
-// verdict.
+// verdict. The engine always applies the rule; the "without" engine
+// reads through probers that hide the dropper's handle, so none of its
+// records is recognised as its own.
 func BenchmarkAblationProbeExclusion(b *testing.B) {
 	rng := benchRand()
 	dropper := id.Random(rng)
@@ -386,7 +403,7 @@ func BenchmarkAblationProbeExclusion(b *testing.B) {
 			b.Fatal(err)
 		}
 		withRule = res.Blame
-		engOff, err := core.NewBlameEngine(arch, names, core.DefaultBlameConfig(), core.WithSelfExclusion(false))
+		engOff, err := core.NewBlameEngine(arch, unnamed{names, dropper}, core.DefaultBlameConfig())
 		if err != nil {
 			b.Fatal(err)
 		}

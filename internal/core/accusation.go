@@ -116,6 +116,10 @@ func NewAccusation(kp sigcrypto.KeyPair, accuser id.ID, res BlameResult, msgID u
 		return Accusation{}, fmt.Errorf("%w: commitment covers message %d, accusing for %d",
 			ErrCommitmentMismatch, commitment.MsgID, msgID)
 	}
+	if commitment.From != accuser {
+		return Accusation{}, fmt.Errorf("%w: commitment given to %s, accuser is %s",
+			ErrCommitmentMismatch, commitment.From.Short(), accuser.Short())
+	}
 	a := Accusation{
 		Accuser:    accuser,
 		Accused:    res.Judged,
@@ -131,9 +135,11 @@ func NewAccusation(kp sigcrypto.KeyPair, accuser id.ID, res BlameResult, msgID u
 }
 
 // Verify performs the third-party checks of §3.4: the accuser's
-// signature, the accused's commitment for this exact message, and an
-// independent recomputation of the blame from the archived evidence
-// against the verifier's guilty threshold.
+// signature, the accused's commitment for this exact message given to
+// this accuser, and an independent recomputation of the blame from the
+// archived evidence against the verifier's guilty threshold. A
+// commitment the accused gave to another host (say, one read from a
+// chain published in the DHT) does not let a third host frame it.
 func (a *Accusation) Verify(keys KeyDirectory, threshold float64) error {
 	if keys == nil {
 		return fmt.Errorf("core: nil key directory")
@@ -160,7 +166,7 @@ func (a *Accusation) Verify(keys KeyDirectory, threshold float64) error {
 	if err := a.Commitment.Verify(accusedPub); err != nil {
 		return err
 	}
-	if a.Commitment.Via != a.Accused || a.Commitment.MsgID != a.MsgID {
+	if a.Commitment.Via != a.Accused || a.Commitment.From != a.Accuser || a.Commitment.MsgID != a.MsgID {
 		return ErrCommitmentMismatch
 	}
 	recomputed := RecomputeBlame(a.Evidence)
@@ -193,9 +199,9 @@ func NewRevisionChain(links []Accusation) (*RevisionChain, error) {
 
 // connected checks chain structure: at least one link, and each
 // accusation's accused is the next accusation's accuser, for the same
-// message. Verify applies it too, because chains decoded from the DHT
-// never pass through NewRevisionChain. It neither copies nor
-// allocates unless it fails.
+// message to the same destination. Verify applies it too, because
+// chains decoded from the DHT never pass through NewRevisionChain. It
+// neither copies nor allocates unless it fails.
 func connected(links []Accusation) error {
 	if len(links) == 0 {
 		return fmt.Errorf("core: empty revision chain")
@@ -208,6 +214,10 @@ func connected(links []Accusation) error {
 		if links[i].MsgID != links[i+1].MsgID {
 			return fmt.Errorf("%w: message ids %d and %d differ",
 				ErrBrokenChain, links[i].MsgID, links[i+1].MsgID)
+		}
+		if links[i].Commitment.Dest != links[i+1].Commitment.Dest {
+			return fmt.Errorf("%w: link %d's commitment is toward %s, link %d's toward %s",
+				ErrBrokenChain, i, links[i].Commitment.Dest.Short(), i+1, links[i+1].Commitment.Dest.Short())
 		}
 	}
 	return nil
@@ -243,9 +253,10 @@ func (rc *RevisionChain) Verify(keys KeyDirectory, threshold float64) error {
 	return nil
 }
 
-// Extend appends a further-downstream verdict — how a wrongly accused
-// host rebuts an accusation against it (§3.5): it presents its own
-// verifiable verdict against the next hop, pushing blame along.
+// Extend appends a further-downstream verdict (§3.5): the accused's own
+// verifiable verdict against its next hop, which pushes blame along.
+// The plane assembles whole chains at diagnosis; examples/recursive-blame
+// builds one link by link through Extend.
 func (rc *RevisionChain) Extend(downstream Accusation) (*RevisionChain, error) {
 	links := append(append([]Accusation(nil), rc.Links...), downstream)
 	return NewRevisionChain(links)

@@ -154,6 +154,31 @@ func TestAccusationRequiresCommitment(t *testing.T) {
 	}
 }
 
+// TestAccusationRejectsForeignCommitment: a commitment the victim gave
+// to one upstream host does not let a different host accuse it (§3.6).
+// The commitment's signature is genuine, so only its From field tells
+// the replay apart.
+func TestAccusationRejectsForeignCommitment(t *testing.T) {
+	t.Parallel()
+	r := rand.New(rand.NewPCG(85, 87))
+	ids, keys := newIdentities(4, r)
+	upstream, victim, framer, dest := ids[0], ids[1], ids[2], ids[3]
+	res := buildGuiltyResult(t, victim.id, 5000)
+	given := NewCommitment(victim.keys, upstream.id, victim.id, dest.id, 42, 4900)
+	if _, err := NewAccusation(framer.keys, framer.id, res, 42, nil, given); !errors.Is(err, ErrCommitmentMismatch) {
+		t.Errorf("accusation built over a commitment given to another host: %v", err)
+	}
+	// Signed by hand, as an attacker would: third parties reject it.
+	framed := Accusation{
+		Accuser: framer.id, Accused: victim.id, MsgID: 42, At: res.At,
+		Blame: res.Blame, Evidence: res.Evidence, Commitment: given,
+	}
+	framed.Signature = framer.keys.Sign(framed.payload())
+	if err := framed.Verify(keys, 0.4); !errors.Is(err, ErrCommitmentMismatch) {
+		t.Errorf("replayed commitment verified: %v", err)
+	}
+}
+
 // buildChain constructs the paper's A→B→C→D scenario: D dropped the
 // message, so A blames B, B blames C, C blames D, and revision walks the
 // blame down to D.
@@ -230,6 +255,31 @@ func TestRevisionChainExtend(t *testing.T) {
 	unrelated := links[0]
 	if _, err := chain.Extend(unrelated); !errors.Is(err, ErrBrokenChain) {
 		t.Errorf("disconnected extension: %v", err)
+	}
+}
+
+// TestRevisionChainRejectsMixedDestinations: two verdicts about the
+// same message number whose commitments name different destinations are
+// about different messages, so they do not chain.
+func TestRevisionChainRejectsMixedDestinations(t *testing.T) {
+	t.Parallel()
+	r := rand.New(rand.NewPCG(115, 117))
+	ids, keys := newIdentities(5, r) // A, B, C, and two destinations
+	links := buildChain(t, ids[:4])[:2]
+	other := ids[4]
+	res := buildGuiltyResult(t, ids[2].id, 5000)
+	commit := NewCommitment(ids[2].keys, ids[1].id, ids[2].id, other.id, 99, 4900)
+	spliced, err := NewAccusation(ids[1].keys, ids[1].id, res, 99, []topology.LinkID{1, 2}, commit)
+	if err != nil {
+		t.Fatal(err)
+	}
+	links[1] = spliced
+	if _, err := NewRevisionChain(links); !errors.Is(err, ErrBrokenChain) {
+		t.Errorf("chain across two destinations built: %v", err)
+	}
+	decoded := &RevisionChain{Links: links} // as read from the DHT
+	if err := decoded.Verify(keys, 0.4); !errors.Is(err, ErrBrokenChain) {
+		t.Errorf("chain across two destinations verified: %v", err)
 	}
 }
 

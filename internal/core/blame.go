@@ -133,22 +133,14 @@ func WithRecordFilter(f RecordFilter) BlameOption {
 	return func(e *BlameEngine) { e.filter = f }
 }
 
-// WithSelfExclusion controls whether the judged node's own probes are
-// ignored (the paper's rule, default true). Disabling it exists only for
-// the ablation benchmarks that measure what the rule buys.
-func WithSelfExclusion(enabled bool) BlameOption {
-	return func(e *BlameEngine) { e.selfExclusion = enabled }
-}
-
 // BlameEngine evaluates Eq. 2/3 against an archive of disseminated probe
 // results.
 type BlameEngine struct {
-	archive       *tomography.Archive
-	probers       Probers
-	cfg           BlameConfig
-	filter        RecordFilter
-	group         WitnessGrouping
-	selfExclusion bool
+	archive *tomography.Archive
+	probers Probers
+	cfg     BlameConfig
+	filter  RecordFilter
+	group   WitnessGrouping
 }
 
 // NewBlameEngine creates an engine reading from archive, whose record
@@ -160,7 +152,7 @@ func NewBlameEngine(archive *tomography.Archive, probers Probers, cfg BlameConfi
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	e := &BlameEngine{archive: archive, probers: probers, cfg: cfg, selfExclusion: true}
+	e := &BlameEngine{archive: archive, probers: probers, cfg: cfg}
 	for _, opt := range opts {
 		opt(e)
 	}
@@ -181,11 +173,11 @@ func (e *BlameEngine) SetWitnessGrouping(g WitnessGrouping) { e.group = g }
 // each admissible probe contributes a when it saw the link down and
 // (1−a) when it saw it up, averaged over the probes. No probes means no
 // evidence the link was bad (confidence 0). It iterates the archive's
-// zero-copy span and applies the self-exclusion rule inline, so a
-// judgment allocates nothing per link. self is the judged node's
-// archive handle (zero if it has none), so the rule costs one
-// integer compare per record; groups is the call's witness-group state,
-// nil without a grouping.
+// zero-copy span, so a judgment allocates nothing per link, and skips
+// the judged node's own records (§3.4: no node testifies about itself).
+// self is the judged node's archive handle (zero if it has none, which
+// no record carries), so the rule costs one integer compare per record;
+// groups is the call's witness-group state, nil without a grouping.
 func (e *BlameEngine) linkConfidence(judged id.ID, self tomography.ProberHandle, groups *witnessGroups, link topology.LinkID, at netsim.Time) LinkConfidence {
 	from := at.Add(-e.cfg.Delta)
 	to := at.Add(e.cfg.Delta)
@@ -198,7 +190,7 @@ func (e *BlameEngine) linkConfidence(judged id.ID, self tomography.ProberHandle,
 	var sum float64
 	for run := span.Next(); run != nil; run = span.Next() {
 		for _, r := range run {
-			if e.selfExclusion && r.Prober() == self {
+			if r.Prober() == self {
 				continue
 			}
 			if e.filter != nil {
@@ -282,11 +274,11 @@ func (w *witnessGroups) numberOf(rep id.ID) int32 {
 func (e *BlameEngine) groupedConfidence(judged id.ID, self tomography.ProberHandle, w *witnessGroups, span *tomography.Span, lc LinkConfidence, a float64) LinkConfidence {
 	for run := span.Next(); run != nil; run = span.Next() {
 		for _, r := range run {
-			if e.selfExclusion && r.Prober() == self {
+			if r.Prober() == self {
 				continue
 			}
 			g := w.of(e, r.Prober())
-			if e.selfExclusion && g == 0 {
+			if g == 0 {
 				continue
 			}
 			if e.filter != nil {

@@ -126,62 +126,11 @@ func TestJoinNodeIntegrates(t *testing.T) {
 	}
 }
 
-func TestSendBulkCleanAndLossy(t *testing.T) {
-	t.Parallel()
-	s := buildTestCompactSystem(t, nil)
-	if err := s.StartProbing(); err != nil {
-		t.Fatal(err)
-	}
-	s.Run(3 * time.Minute)
-	src, dst, route := findMultiHopPair(t, s, 2)
-
-	// Clean batch: everything delivered and cleared; no verdicts.
-	rep, err := s.SendBulk(src, dst, 20)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rep.Delivered != 20 || rep.Cleared != 20 || len(rep.Missing) != 0 {
-		t.Fatalf("clean bulk: %+v", rep)
-	}
-	if rep.AckDigests != 20 {
-		t.Errorf("ack digests = %d", rep.AckDigests)
-	}
-
-	// Dropper on the first hop: everything missing, verdicts issued.
-	dropper := route[1]
-	markDropper(t, s, dropper)
-	rep, err = s.SendBulk(src, dst, 10)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rep.Delivered != 0 || len(rep.Missing) != 10 {
-		t.Fatalf("dropper bulk: %+v", rep)
-	}
-	if len(rep.Verdicts) != 10 {
-		t.Fatalf("verdicts = %d, want 10", len(rep.Verdicts))
-	}
-	for _, v := range rep.Verdicts {
-		if v.Judged != dropper || !v.Guilty {
-			t.Fatalf("verdict %+v, want guilty against dropper", v)
-		}
-	}
-	// Window accumulated them.
-	if got := s.GuiltyCount(dropper); got != 10 {
-		t.Errorf("window guilty count = %d", got)
-	}
-	if _, err := s.SendBulk(src, dst, 0); err == nil {
-		t.Error("zero batch accepted")
-	}
-	if _, err := s.SendBulk(id.Zero, dst, 1); err == nil {
-		t.Error("unknown source accepted")
-	}
-}
-
-// TestSendBulkCountsLikeSendMessage holds a batch to SendMessage's
-// accounting: every message counts as sent, every leg it crosses as
-// stewarded-hop bytes, and every judgment of a missing message as a
-// blame call.
-func TestSendBulkCountsLikeSendMessage(t *testing.T) {
+// TestSendMessageCountsPerLeg holds single sends to the traffic
+// counters: every send counts as sent, every leg it crosses as
+// stewarded-hop bytes, and every judgment (each verdict, and each chain
+// link's re-judgment) as one blame call.
+func TestSendMessageCountsPerLeg(t *testing.T) {
 	t.Parallel()
 	reg := metrics.NewRegistry()
 	s := buildTestCompactSystem(t, func(c *SystemConfig) { c.Metrics = reg })
@@ -199,9 +148,16 @@ func TestSendBulkCountsLikeSendMessage(t *testing.T) {
 	check := func(label string, n int, legs uint64) {
 		t.Helper()
 		sent0, bytes0, blames0 := counters()
-		rep, err := s.SendBulk(src, dst, n)
-		if err != nil {
-			t.Fatal(err)
+		judgments := 0
+		for range n {
+			rep, err := s.SendMessage(src, dst)
+			if err != nil {
+				t.Fatal(err)
+			}
+			judgments += len(rep.Verdicts)
+			if rep.Chain != nil {
+				judgments += len(rep.Chain.Links)
+			}
 		}
 		sent, bytes, blames := counters()
 		if got := sent - sent0; got != uint64(n) {
@@ -210,8 +166,8 @@ func TestSendBulkCountsLikeSendMessage(t *testing.T) {
 		if got, want := bytes-bytes0, uint64(n)*legs*wire.StewardedHopBytes; got != want {
 			t.Errorf("%s: wire/message_bytes rose %d, want %d", label, got, want)
 		}
-		if got := blames - blames0; got != uint64(len(rep.Missing)) {
-			t.Errorf("%s: core/blame_calls rose %d, want %d (one per missing message)", label, got, len(rep.Missing))
+		if got := blames - blames0; got != uint64(judgments) {
+			t.Errorf("%s: core/blame_calls rose %d, want %d (one per judgment)", label, got, judgments)
 		}
 	}
 	check("clean", 20, hops)
@@ -221,9 +177,8 @@ func TestSendBulkCountsLikeSendMessage(t *testing.T) {
 }
 
 // TestSelfSendsCountDelivered holds a send to oneself, which crosses no
-// link, to the counters of a delivered message: one self-send and one
-// self-batch of n each raise core/messages_sent and
-// core/messages_delivered by their message count.
+// link, to the counters of a delivered message: a self-send raises
+// core/messages_sent and core/messages_delivered by one each.
 func TestSelfSendsCountDelivered(t *testing.T) {
 	t.Parallel()
 	reg := metrics.NewRegistry()
@@ -238,92 +193,44 @@ func TestSelfSendsCountDelivered(t *testing.T) {
 		t.Errorf("self-send: delivered %v, counters sent %d delivered %d; want true, 1, 1",
 			rep.Delivered, sent.Value(), delivered.Value())
 	}
-	const n = 7
-	bulk, err := s.SendBulk(self, self, n)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if bulk.Delivered != n || sent.Value() != 1+n || delivered.Value() != 1+n {
-		t.Errorf("self-batch of %d: delivered %d, counters sent %d delivered %d; want %d, %d, %d",
-			n, bulk.Delivered, sent.Value(), delivered.Value(), n, 1+n, 1+n)
-	}
 }
 
-// bulkThroughFirstHop routes n messages src→dst through a system whose
-// first interior hop runs policy b, once as a bulk batch and once as n
-// single sends, and returns how many each delivered. No link ever
-// fails, so every loss is the hop's doing.
-func bulkThroughFirstHop(t *testing.T, b Behavior, n int) (bulk, single int) {
+// sendThroughFirstHop sends n messages src→dst, one at a time, through
+// a system whose first interior hop runs policy b, and returns how many
+// arrived. No link ever fails, so every loss is the hop's doing.
+func sendThroughFirstHop(t *testing.T, b Behavior, n int) (delivered int) {
 	t.Helper()
 	s := buildTestCompactSystem(t, nil)
 	src, dst, route := findMultiHopPair(t, s, 2)
 	if err := s.SetBehavior(route[1], b); err != nil {
 		t.Fatal(err)
 	}
-	rep, err := s.SendBulk(src, dst, n)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < n; i++ {
+	for range n {
 		r, err := s.SendMessage(src, dst)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if r.Delivered {
-			single++
+			delivered++
 		}
 	}
-	return rep.Delivered, single
+	return delivered
 }
 
-// TestSendBulkSelectiveDropper holds SendBulk to SendMessage's drop
-// rule for a periodic dropper: every second forward is dropped, in a
-// batch as in single sends.
-func TestSendBulkSelectiveDropper(t *testing.T) {
+// TestSendMessageSelectiveDropper: a periodic dropper drops every
+// second message it is handed.
+func TestSendMessageSelectiveDropper(t *testing.T) {
 	t.Parallel()
-	bulk, single := bulkThroughFirstHop(t, Behavior{DropPeriod: 2}, 10)
-	if bulk != 5 || single != 5 {
-		t.Errorf("DropPeriod 2 hop delivered %d of 10 in bulk, %d of 10 singly; want 5 and 5", bulk, single)
-	}
-}
-
-// TestSendBulkProbabilisticDropper: a hop that drops with probability
-// 0.9 must drop most of a batch too.
-func TestSendBulkProbabilisticDropper(t *testing.T) {
-	t.Parallel()
-	bulk, single := bulkThroughFirstHop(t, Behavior{DropProb: 0.9}, 10)
-	if bulk > 5 || single > 5 {
-		t.Errorf("DropProb 0.9 hop delivered %d of 10 in bulk, %d of 10 singly", bulk, single)
+	if got := sendThroughFirstHop(t, Behavior{DropPeriod: 2}, 10); got != 5 {
+		t.Errorf("DropPeriod 2 hop delivered %d of 10; want 5", got)
 	}
 }
 
-// TestSendBulkHopDepartsMidBatch fails the first interior hop halfway
-// through a batch: the messages that reach it after its departure are
-// not received, as DropByChurn is for a single send.
-func TestSendBulkHopDepartsMidBatch(t *testing.T) {
+// TestSendMessageProbabilisticDropper: a hop that drops with
+// probability 0.9 drops most messages.
+func TestSendMessageProbabilisticDropper(t *testing.T) {
 	t.Parallel()
-	s := buildTestCompactSystem(t, nil)
-	src, dst, route := findMultiHopPair(t, s, 2)
-	// One message's forward pass takes the route's whole latency; the
-	// batch sends back to back, so message m reaches the first hop
-	// before m+1 passes start.
-	start := s.Sim.Now()
-	if _, err := s.SendBulk(src, dst, 1); err != nil {
-		t.Fatal(err)
-	}
-	pass := time.Duration(s.Sim.Now() - start)
-	if err := s.Sim.ScheduleAfter(5*pass-1, func() {
-		if err := s.FailNode(route[1]); err != nil {
-			t.Error(err)
-		}
-	}); err != nil {
-		t.Fatal(err)
-	}
-	rep, err := s.SendBulk(src, dst, 10)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rep.Delivered != 5 || len(rep.Missing) != 5 {
-		t.Errorf("hop departed after 5 of 10: delivered %d, missing %d", rep.Delivered, len(rep.Missing))
+	if got := sendThroughFirstHop(t, Behavior{DropProb: 0.9}, 10); got > 5 {
+		t.Errorf("DropProb 0.9 hop delivered %d of 10; want at most 5", got)
 	}
 }

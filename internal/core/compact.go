@@ -34,7 +34,7 @@ import (
 // compacting four arrays per event. A slab also names its node's probe
 // records (archive handle = slab + 1), and the system is the blame
 // engine's Probers. The diagnosis protocol —
-// probing, SendMessage, blame, verdict windows, batched acks — runs over
+// probing, SendMessage, blame, verdict windows, revision — runs over
 // these indices; see compact_traffic.go.
 type CompactSystem struct {
 	Config  SystemConfig

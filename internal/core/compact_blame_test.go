@@ -404,11 +404,11 @@ func parentGroupedConfidence(e *BlameEngine, names Probers, judged id.ID, link t
 	var accs []acc
 	idx := make(map[id.ID]int)
 	for _, r := range recs {
-		if e.selfExclusion && r.Prober() == self {
+		if r.Prober() == self {
 			continue
 		}
 		g := e.group(names.ProberID(r.Prober()))
-		if e.selfExclusion && g == jg {
+		if g == jg {
 			continue
 		}
 		if e.filter != nil {

@@ -17,13 +17,13 @@ import (
 
 // The traffic plane (DESIGN.md §9): the full diagnosis protocol —
 // randomized probing, stewarded delivery, per-hop blame, recursive
-// revision, batched digest acks — running over CompactSystem's
-// index-based state: uint32 ring/slab indices in place of map lookups,
-// lazily cached tomography trees, and slab-keyed verdict windows whose
-// keys survive churn without liveness checks. Delivery is written once:
-// SendMessage and SendBulk share the route capture (captureRoute), the
-// forward pass (forward) and the per-hop judgment (judge). The golden
-// digests in compact_traffic_test.go pin its outputs draw for draw.
+// revision — running over CompactSystem's index-based state: uint32
+// ring/slab indices in place of map lookups, lazily cached tomography
+// trees, and slab-keyed verdict windows whose keys survive churn without
+// liveness checks. SendMessage is the one delivery path: route capture
+// (captureRoute), the forward pass (forward) and the per-hop judgment
+// (judge). The golden digests in compact_traffic_test.go pin its outputs
+// draw for draw.
 
 // Run advances the simulation by d of virtual time.
 func (cs *CompactSystem) Run(d time.Duration) { cs.Sim.RunFor(d) }
@@ -127,7 +127,7 @@ func (cs *CompactSystem) PathToPeer(i uint32, peer id.ID) ([]topology.LinkID, er
 }
 
 // NextMsgID issues node i's next locally unique message number, from the
-// same per-slab sequence SendMessage and SendBulk number messages from.
+// same per-slab sequence SendMessage numbers messages from.
 func (cs *CompactSystem) NextMsgID(i uint32) uint64 {
 	return cs.nextMsgIDOfSlab(cs.Overlay.Slab(i))
 }
@@ -401,67 +401,6 @@ func (cs *CompactSystem) timedBlame(judged id.ID, span []topology.LinkID, at net
 		cs.met.blameProbes.Observe(int64(res.TotalProbes))
 	}
 	return res, err
-}
-
-// SendBulk routes n messages from src to dst as one batch over one
-// captured route — §3.7's aggregated acknowledgments: every message
-// takes SendMessage's forward pass, the destination signs one digest
-// acknowledgment for the batch, and the source judges its next hop
-// once, at the send time, for each message the ack does not cover.
-func (cs *CompactSystem) SendBulk(src, dst id.ID, n int) (*BulkReport, error) {
-	if n <= 0 {
-		return nil, fmt.Errorf("core: bulk size %d must be positive", n)
-	}
-	c, err := cs.captureRoute(src, dst)
-	if err != nil {
-		return nil, err
-	}
-	rep := &BulkReport{Route: c.ids, Sent: n}
-	if len(c.paths) == 0 {
-		rep.Delivered, rep.Cleared = n, n
-		cs.met.msgsSent.Add(uint64(n))
-		cs.met.msgsDelivered.Add(uint64(n))
-		return rep, nil
-	}
-	sendTime := cs.Sim.Now()
-	sent := make([]uint64, n)
-	var received []uint64
-	for m := range sent {
-		// The batch advances virtual time, so churn can shift ring
-		// positions mid-batch: number from the captured slab.
-		sent[m] = cs.nextMsgIDOfSlab(c.slabs[0])
-		cs.met.msgsSent.Inc()
-		if _, kind, _ := cs.forward(c); kind == DropNone {
-			received = append(received, sent[m])
-		}
-	}
-	rep.Delivered = len(received)
-
-	keys := cs.keysOfSlab(c.slabs[len(c.slabs)-1])
-	ack, err := NewDigestAck(keys, src, dst, cs.Sim.Now(), uint32(n), received)
-	if err != nil {
-		return nil, err
-	}
-	if err := ack.Verify(keys.Public); err != nil {
-		return nil, err
-	}
-	rep.AckDigests = len(ack.Digests)
-	for _, m := range sent {
-		if ack.Covers(src, m) {
-			rep.Cleared++
-			cs.met.msgsDelivered.Inc()
-		} else {
-			rep.Missing = append(rep.Missing, m)
-		}
-	}
-	for range rep.Missing {
-		v, err := cs.judge(c, 0, sendTime)
-		if err != nil {
-			return nil, err
-		}
-		rep.Verdicts = append(rep.Verdicts, v)
-	}
-	return rep, nil
 }
 
 // OverlayPaths returns every (host → routing peer) IP path — the

@@ -14,7 +14,7 @@ import (
 
 // The traffic plane's golden lock: at fixed seeds, identical traffic —
 // including interleaved and mid-flight churn — must reproduce, bit for
-// bit, the DeliveryReports, bulk reports, archives, counters and verdict
+// bit, the DeliveryReports, archives, counters and verdict
 // windows pinned in the digests below (golden_test.go). The constants
 // are the outputs of the pointer-per-node plane this one replaced, which
 // the compact plane matched report for report; any divergence is a
@@ -160,45 +160,6 @@ func TestCompactTrafficEquivalence(t *testing.T) {
 			})
 		}
 	}
-}
-
-// TestCompactBulkEquivalence locks SendBulk: batch outcomes, digest-ack
-// clearing, and missing-message verdicts must match the pinned digests.
-func TestCompactBulkEquivalence(t *testing.T) {
-	for _, seed := range []uint64{1, 7, 42} {
-		t.Run(fmt.Sprintf("seed%d", seed), func(t *testing.T) {
-			cs := buildEquiv(t, equivSystemConfig(false), seed)
-			if err := cs.StartProbing(); err != nil {
-				t.Fatal(err)
-			}
-			cs.Run(5 * time.Minute)
-			members := cs.AliveIDs()
-			pick := rand.New(rand.NewPCG(seed+100, 3))
-			d := newDigest()
-			for batch := 0; batch < 10; batch++ {
-				a, b := pick.IntN(len(members)), pick.IntN(len(members))
-				if a == b {
-					continue
-				}
-				rep, err := cs.SendBulk(members[a], members[b], 5+pick.IntN(20))
-				if err != nil {
-					d.str(err.Error())
-					continue
-				}
-				d.bulk(rep)
-				cs.Run(time.Second)
-			}
-			name := fmt.Sprintf("seed%d", seed)
-			requireGolden(t, name, d.sum(), bulkGolden[name])
-		})
-	}
-}
-
-// bulkGolden pins the digest of each TestCompactBulkEquivalence run.
-var bulkGolden = map[string]uint64{
-	"seed1":  0xd717e6840339625c,
-	"seed7":  0x70ad44f3f6ea5a8c,
-	"seed42": 0xab95cb9113cf4bb4,
 }
 
 // TestCompactSignedSnapshotEquivalence runs the full §3.2 signed

@@ -1,16 +1,13 @@
 package core
 
-import (
-	"fmt"
-	"sort"
-)
+import "fmt"
 
 // Suppression defense (the future-work direction §4.1 closes with).
 //
 // The density test compares a peer's advertised occupancy against the
 // verifier's own table, so colluders who suppress their identifiers
 // from the verifier shrink its reference point and sneak sparse
-// fraudulent tables past (Figure 3). The defense implemented here
+// fraudulent tables past (Figure 3). The defense analysed here (fig 9)
 // removes the single point of reference: the verifier estimates the
 // overlay population from the *median* of many peers' leaf-spacing
 // population estimates and tests advertised tables against the expected
@@ -22,56 +19,10 @@ import (
 // The defense restores the false-negative rate; it cannot restore false
 // positives, because a suppressed honest peer's table is *genuinely*
 // sparse — no reference point fixes evidence the attacker physically
-// removed. The analysis functions expose both sides honestly.
-
-// ConsensusN returns the median of independent population estimates,
-// rejecting empty or non-positive inputs.
-func ConsensusN(estimates []float64) (float64, error) {
-	if len(estimates) == 0 {
-		return 0, fmt.Errorf("core: consensus over no estimates")
-	}
-	xs := make([]float64, 0, len(estimates))
-	for _, e := range estimates {
-		if e <= 0 {
-			return 0, fmt.Errorf("core: population estimate %v not positive", e)
-		}
-		xs = append(xs, e)
-	}
-	sort.Float64s(xs)
-	mid := len(xs) / 2
-	if len(xs)%2 == 1 {
-		return xs[mid], nil
-	}
-	return (xs[mid-1] + xs[mid]) / 2, nil
-}
-
-// ConsensusDensityTest checks an advertised occupancy against the
-// expected occupancy of an overlay of consensusN nodes: the advert is
-// accepted when γ·d_peer ≥ μφ(consensusN).
-type ConsensusDensityTest struct {
-	Gamma float64
-}
-
-// NewConsensusDensityTest validates the parameters.
-func NewConsensusDensityTest(gamma float64) (ConsensusDensityTest, error) {
-	if gamma <= 1 {
-		return ConsensusDensityTest{}, fmt.Errorf("core: consensus-test γ %v must exceed 1", gamma)
-	}
-	return ConsensusDensityTest{Gamma: gamma}, nil
-}
-
-// Check reports whether the advertised occupancy passes against the
-// consensus population.
-func (t ConsensusDensityTest) Check(peerOccupancy, consensusN float64) (bool, error) {
-	if consensusN <= 1 {
-		return false, fmt.Errorf("core: consensus population %v too small", consensusN)
-	}
-	mu, err := ExpectedOccupancy(int(consensusN + 0.5))
-	if err != nil {
-		return false, err
-	}
-	return t.Gamma*peerOccupancy >= mu, nil
-}
+// removed. ConsensusErrorRates exposes both sides. The simulation
+// models the defense's error rates only: no host runs the runtime check,
+// because no figure, campaign or workload gathers population estimates
+// from peers (DESIGN.md §2).
 
 // ConsensusErrorRates computes the defense's error rates under a
 // suppression attack with colluding fraction c, mirroring the Figure 3

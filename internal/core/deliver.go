@@ -56,25 +56,6 @@ type DeliveryReport struct {
 	NetworkBlamed bool
 }
 
-// BulkReport summarizes one batch.
-type BulkReport struct {
-	Route []id.ID
-	Sent  int
-	// Delivered is how many messages reached the destination.
-	Delivered int
-	// Cleared is how many the digest acknowledgment proved delivered.
-	Cleared int
-	// Missing holds the message IDs that needed blame evaluation.
-	Missing []uint64
-	// Verdicts holds the source's judgment of its next hop, one per
-	// missing message.
-	Verdicts []Verdict
-	// AckDigests counts the digests in the batch's one signed
-	// acknowledgment — the §3.7 saving over a full ack round per
-	// message.
-	AckDigests int
-}
-
 // dropDetail names a drop kind for trace output.
 func dropDetail(k DropKind) string {
 	switch k {

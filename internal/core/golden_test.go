@@ -91,23 +91,6 @@ func (d *digest) report(r *DeliveryReport) {
 	d.flag(r.NetworkBlamed)
 }
 
-// bulk folds one BulkReport.
-func (d *digest) bulk(r *BulkReport) {
-	d.u64(uint64(len(r.Route)))
-	for _, x := range r.Route {
-		d.id(x)
-	}
-	d.u64(uint64(r.Sent))
-	d.u64(uint64(r.Delivered))
-	d.u64(uint64(r.Cleared))
-	d.u64(uint64(r.AckDigests))
-	d.u64(uint64(len(r.Missing)))
-	for _, m := range r.Missing {
-		d.u64(m)
-	}
-	d.verdicts(r.Verdicts)
-}
-
 // counters folds every SystemCounters field.
 func (d *digest) counters(c SystemCounters) {
 	for _, v := range []uint64{

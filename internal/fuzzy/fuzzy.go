@@ -1,6 +1,6 @@
 // Package fuzzy provides the fuzzy-logic connectives Concilium's blame
-// equation uses (§3.4, after Bellman and Giertz): OR is max, AND is min,
-// NOT is complement. Operands are confidences in [0, 1]; out-of-range
+// equation uses (§3.4, after Bellman and Giertz): OR is max, NOT is
+// complement. Operands are confidences in [0, 1]; out-of-range
 // inputs are clamped rather than rejected, since they only arise from
 // floating-point drift in upstream averages.
 package fuzzy
@@ -22,17 +22,6 @@ func Or(xs ...float64) float64 {
 	var out float64
 	for _, x := range xs {
 		if v := Clamp(x); v > out {
-			out = v
-		}
-	}
-	return out
-}
-
-// And returns the fuzzy conjunction (minimum) of the operands, 1 if none.
-func And(xs ...float64) float64 {
-	out := 1.0
-	for _, x := range xs {
-		if v := Clamp(x); v < out {
 			out = v
 		}
 	}

@@ -1,6 +1,7 @@
 package fuzzy
 
 import (
+	"math"
 	"testing"
 	"testing/quick"
 )
@@ -18,19 +19,6 @@ func TestOr(t *testing.T) {
 	}
 }
 
-func TestAnd(t *testing.T) {
-	t.Parallel()
-	if got := And(0.2, 0.6, 0.4); got != 0.2 {
-		t.Errorf("And = %v, want 0.2", got)
-	}
-	if got := And(); got != 1 {
-		t.Errorf("And() = %v, want 1", got)
-	}
-	if got := And(2, 0.5); got != 0.5 {
-		t.Errorf("And clamps: %v, want 0.5", got)
-	}
-}
-
 func TestNot(t *testing.T) {
 	t.Parallel()
 	if got := Not(0.3); got != 0.7 {
@@ -41,13 +29,14 @@ func TestNot(t *testing.T) {
 	}
 }
 
-// De Morgan: Not(Or(a,b)) == And(Not(a), Not(b)) for fuzzy max/min.
+// De Morgan: Not(Or(a,b)) == min(Not(a), Not(b)), with min the fuzzy
+// AND dual to Or's max.
 func TestPropDeMorgan(t *testing.T) {
 	t.Parallel()
 	f := func(a, b float64) bool {
 		a, b = Clamp(a), Clamp(b)
 		lhs := Not(Or(a, b))
-		rhs := And(Not(a), Not(b))
+		rhs := math.Min(Not(a), Not(b))
 		return lhs == rhs
 	}
 	if err := quick.Check(f, nil); err != nil {
@@ -59,12 +48,8 @@ func TestPropDeMorgan(t *testing.T) {
 func TestPropRange(t *testing.T) {
 	t.Parallel()
 	f := func(xs []float64) bool {
-		for _, v := range []float64{Or(xs...), And(xs...)} {
-			if v < 0 || v > 1 {
-				return false
-			}
-		}
-		return true
+		v := Or(xs...)
+		return v >= 0 && v <= 1
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)

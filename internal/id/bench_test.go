@@ -54,17 +54,6 @@ func BenchmarkWithDigit(b *testing.B) {
 	_ = sink
 }
 
-func BenchmarkDistance(b *testing.B) {
-	ids := benchIDs(1024)
-	b.ReportAllocs()
-	var sink byte
-	for i := 0; i < b.N; i++ {
-		d := Distance(ids[i%len(ids)], ids[(i+7)%len(ids)])
-		sink += d[0]
-	}
-	_ = sink
-}
-
 func BenchmarkCmp(b *testing.B) {
 	ids := benchIDs(1024)
 	b.ReportAllocs()

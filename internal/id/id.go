@@ -66,16 +66,6 @@ func (p Pair) ID() ID {
 	return a
 }
 
-// FromBytes builds an ID from a 16-byte slice.
-func FromBytes(b []byte) (ID, error) {
-	var out ID
-	if len(b) != Bytes {
-		return out, fmt.Errorf("id: need %d bytes, got %d", Bytes, len(b))
-	}
-	copy(out[:], b)
-	return out, nil
-}
-
 // Parse decodes a 32-character hexadecimal identifier.
 func Parse(s string) (ID, error) {
 	var out ID
@@ -247,24 +237,6 @@ func cmpPair(a, b Pair) int {
 		return 1
 	}
 	return 0
-}
-
-// Clockwise returns the clockwise (increasing, wrapping) distance from a
-// to b on the identifier ring.
-func Clockwise(a, b ID) ID {
-	return subPair(b.Pair(), a.Pair()).ID()
-}
-
-// Distance returns the minimal ring distance between a and b: the smaller
-// of the clockwise and counterclockwise distances.
-func Distance(a, b ID) ID {
-	pa, pb := a.Pair(), b.Pair()
-	cw := subPair(pb, pa)
-	ccw := subPair(pa, pb)
-	if cmpPair(cw, ccw) <= 0 {
-		return cw.ID()
-	}
-	return ccw.ID()
 }
 
 // Closer reports whether a is strictly closer to target than b is, by

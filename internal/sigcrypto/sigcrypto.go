@@ -57,7 +57,7 @@ func (kp KeyPair) Sign(msg []byte) []byte {
 
 // Verify checks sig over msg under pub. Outcomes are memoized in a
 // bounded LRU keyed by (pub, msg-hash, sig), so repeated verification
-// of the same certificates, timestamps, and ack batches short-circuits
+// of the same certificates, timestamps, and chain links short-circuits
 // to a hash lookup; see verifycache.go for the cache contract.
 func Verify(pub ed25519.PublicKey, msg, sig []byte) bool {
 	if len(pub) != ed25519.PublicKeySize {
@@ -212,20 +212,4 @@ func VerifyTimestamp(pub ed25519.PublicKey, ts Timestamp) error {
 		return ErrBadSignature
 	}
 	return nil
-}
-
-// NonceSize is the probe-nonce length. The paper budgets 16 bits per
-// probe nonce in §4.4; we use 8 bytes in the live protocol (collision
-// safety) and account 2 bytes in the wire-size model.
-const NonceSize = 8
-
-// Nonce is an unpredictable token embedded in tomographic probes so that
-// leaves cannot acknowledge probes they never received (§3.3).
-type Nonce [NonceSize]byte
-
-// NewNonce draws a nonce from src.
-func NewNonce(src id.RandSource) Nonce {
-	var n Nonce
-	binary.BigEndian.PutUint64(n[:], src.Uint64())
-	return n
 }

@@ -126,19 +126,6 @@ func TestTimestampRoundTrip(t *testing.T) {
 	}
 }
 
-func TestNonceDeterministicFromSource(t *testing.T) {
-	t.Parallel()
-	a := NewNonce(rand.New(rand.NewPCG(5, 5)))
-	b := NewNonce(rand.New(rand.NewPCG(5, 5)))
-	if a != b {
-		t.Error("same source gave different nonces")
-	}
-	c := NewNonce(rand.New(rand.NewPCG(6, 6)))
-	if a == c {
-		t.Error("distinct sources collided (unlikely)")
-	}
-}
-
 func BenchmarkSign(b *testing.B) {
 	kp := KeyPairFromRand(testRand())
 	msg := make([]byte, 256)

@@ -1,9 +1,8 @@
 // Package trace is the observability layer: structured events emitted
 // by the simulator and protocol layers (probes, snapshot rejections,
 // verdicts, accusations, link failures), with in-memory recorders for
-// tests, debugging, and operational counters. A deployment diagnosing
-// blame disputes needs exactly this audit trail — §3.5's rebuttals are
-// only possible for hosts that kept records.
+// tests, debugging, and operational counters: the audit trail of who
+// judged whom, when, and on what evidence.
 package trace
 
 import (
