@@ -32,9 +32,6 @@ var deadExportAllow = map[string]string{
 	"internal/id.MustParse":      "cross-package test fixture: literal identifiers; with Parse, tested by TestParseRoundTrip, TestParseErrors",
 	"internal/topology.NewGraph": "cross-package test fixture: hand-built graphs; tested by TestNewGraphRejectsEmpty",
 
-	"internal/core.CompactSystem.Cert":     "§3.1 node certificates, awaiting item 10: the certificate a member's advertisements carry",
-	"internal/sigcrypto.VerifyCertificate": "§3.1 node certificates, awaiting item 10: checks a certificate against the authority",
-
 	"internal/tomography.Prober.LightweightProbe":     "§3.3 tomography, awaiting item 9: lightweight probing",
 	"internal/tomography.Escalate":                    "§3.3 tomography, awaiting item 9: escalation",
 	"internal/tomography.ShouldEscalate":              "§3.3 tomography, awaiting item 9: escalation",
@@ -55,7 +52,6 @@ var deadExportAllow = map[string]string{
 var deadExportGroups = []string{
 	"test oracle: ",
 	"cross-package test fixture: ",
-	"§3.1 node certificates, awaiting item 10: ",
 	"§3.3 tomography, awaiting item 9: ",
 }
 

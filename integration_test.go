@@ -1,6 +1,7 @@
 package concilium_test
 
 import (
+	"bytes"
 	"fmt"
 	"math/rand/v2"
 	"testing"
@@ -359,6 +360,104 @@ func TestTwoVirtualHourSoak(t *testing.T) {
 	for nid, isHonest := range honest {
 		if isHonest && formally[nid] {
 			t.Errorf("honest node %s formally accused during soak", nid.Short())
+		}
+	}
+}
+
+// TestDepartedAccuserChainStillVerifies holds the system's one key
+// directory to its departure rule: slab rows outlive departures, so a
+// chain published before its accusers left still verifies through
+// sys.KeyDir() and is still served by an AccusationRepo built on it,
+// while an identifier the system never admitted stays unknown.
+func TestDepartedAccuserChainStillVerifies(t *testing.T) {
+	t.Parallel()
+	cfg := core.DefaultSystemConfig()
+	cfg.Topology = topology.TestConfig()
+	cfg.OverlayFraction = 0.5
+	rng := rand.New(rand.NewPCG(601, 607))
+	sys, err := core.BuildCompactSystem(cfg, rng)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := sys.StartProbing(); err != nil {
+		t.Fatal(err)
+	}
+	sys.Run(6 * time.Minute)
+	store, err := dht.New(sys.Overlay.Ring(), dht.DefaultReplicas)
+	if err != nil {
+		t.Fatal(err)
+	}
+	repo, err := dht.NewAccusationRepo(store, sys.KeyDir(), cfg.Blame.GuiltyThreshold)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	// Make the middle hop of the first multi-hop route a dropper and
+	// resend until its stewards publish a chain against it.
+	var chain *core.RevisionChain
+	members := sys.AliveIDs()
+	for _, dst := range members[1:] {
+		rep, err := sys.SendMessage(members[0], dst)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(rep.Route) < 3 {
+			continue
+		}
+		if err := sys.SetBehavior(rep.Route[1], core.Behavior{DropsMessages: true}); err != nil {
+			t.Fatal(err)
+		}
+		for try := 0; try < 10 && chain == nil; try++ {
+			sys.Run(5 * time.Second)
+			if rep, err = sys.SendMessage(members[0], dst); err != nil {
+				t.Fatal(err)
+			}
+			chain = rep.Chain
+		}
+		break
+	}
+	if chain == nil {
+		t.Fatal("no accusation chain formed against the dropper")
+	}
+	if err := repo.Publish(chain); err != nil {
+		t.Fatalf("publish: %v", err)
+	}
+
+	keys := sys.KeyDir()
+	before := make(map[id.ID][]byte)
+	for _, l := range chain.Links {
+		pub, _ := keys(l.Accuser)
+		before[l.Accuser] = pub
+		if _, ok := sys.Overlay.IndexOf(l.Accuser); ok {
+			if err := sys.FailNode(l.Accuser); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	if err := store.Rebalance(sys.Overlay.Ring()); err != nil {
+		t.Fatal(err)
+	}
+	for accuser, want := range before {
+		if _, member := sys.Overlay.IndexOf(accuser); member {
+			t.Fatalf("accuser %s did not depart", accuser.Short())
+		}
+		if pub, ok := keys(accuser); !ok || !bytes.Equal(pub, want) {
+			t.Errorf("departed accuser %s resolves to %x, %v; held %x", accuser.Short(), pub, ok, want)
+		}
+	}
+	if err := chain.Verify(keys, cfg.Blame.GuiltyThreshold); err != nil {
+		t.Errorf("chain of departed accusers no longer verifies: %v", err)
+	}
+	got, err := repo.Fetch(chain.Culprit())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(got) != 1 {
+		t.Errorf("repository serves %d chains against %s after its accusers departed, want 1", len(got), chain.Culprit().Short())
+	}
+	for _, stranger := range []id.ID{id.Zero, id.Random(rng)} {
+		if _, ok := keys(stranger); ok {
+			t.Errorf("key directory resolves %s, which was never admitted", stranger.Short())
 		}
 	}
 }

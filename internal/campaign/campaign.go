@@ -34,7 +34,6 @@
 package campaign
 
 import (
-	"crypto/ed25519"
 	"fmt"
 	"math/rand/v2"
 	"strings"
@@ -112,11 +111,6 @@ type testbed struct {
 	// every worker count.
 	reg *metrics.Registry
 
-	// keyDir outlives churn: verifying a chain signed by a node that
-	// later crashed requires its public key, so keys are recorded at
-	// admission and never removed.
-	keyDir map[id.ID]ed25519.PublicKey
-
 	// members is the membership in build order, the pool traffic
 	// endpoints are drawn from; refreshed after each membership change.
 	members []id.ID
@@ -125,8 +119,8 @@ type testbed struct {
 }
 
 // build assembles the deployment: the system from the system stream
-// with a construction pool of workers, then the DHT, the key
-// directory and the accusation repository, all publishing into reg.
+// with a construction pool of workers, then the DHT and the accusation
+// repository over the system's key directory, all publishing into reg.
 // It draws nothing beyond the system build, so whatever a campaign
 // kind arms between build and start leaves every stream untouched.
 func (d *Deployment) build(workers int, system, traffic *rand.Rand, reg *metrics.Registry) (*testbed, error) {
@@ -146,19 +140,11 @@ func (d *Deployment) build(workers int, system, traffic *rand.Rand, reg *metrics
 		sys:     sys,
 		store:   store,
 		reg:     reg,
-		keyDir:  make(map[id.ID]ed25519.PublicKey, sys.Size()),
 		members: sys.AliveIDs(),
 		traffic: traffic,
 		pace:    d.Pace,
 	}
-	for i := uint32(0); i < uint32(sys.Size()); i++ {
-		tb.keyDir[sys.NodeID(i)] = sys.Keys(i).Public
-	}
-	keys := func(x id.ID) (ed25519.PublicKey, bool) {
-		k, ok := tb.keyDir[x]
-		return k, ok
-	}
-	tb.repo, err = dht.NewAccusationRepo(store, keys, d.System.Blame.GuiltyThreshold)
+	tb.repo, err = dht.NewAccusationRepo(store, sys.KeyDir(), d.System.Blame.GuiltyThreshold)
 	if err != nil {
 		return nil, err
 	}
@@ -177,12 +163,6 @@ func (tb *testbed) start(warmup time.Duration) error {
 	}
 	tb.sys.Run(warmup)
 	return nil
-}
-
-// enroll records a newly joined member's public key.
-func (tb *testbed) enroll(nid id.ID) {
-	i, _ := tb.sys.Overlay.IndexOf(nid)
-	tb.keyDir[nid] = tb.sys.Keys(i).Public
 }
 
 // sendTraffic routes n stewarded messages between members drawn from

@@ -302,11 +302,9 @@ func (c *chaosCampaign) phaseChurn() error {
 		c.checkRouting()
 		if r%2 == 1 {
 			hosts := s.Topo.EndHosts()
-			nid, err := s.JoinNode(hosts[c.sched.IntN(len(hosts))])
-			if err != nil {
+			if _, err := s.JoinNode(hosts[c.sched.IntN(len(hosts))]); err != nil {
 				return err
 			}
-			c.enroll(nid)
 			c.members = s.AliveIDs()
 			if err := c.store.Rebalance(s.Overlay.Ring()); err != nil {
 				c.rep.RebalanceErrors++

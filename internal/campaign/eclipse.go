@@ -40,8 +40,8 @@ const eclipseOpGamma = 1 << 10
 
 // Setup joins the attackers at identifiers victim+δ, victim+2δ, ... —
 // a cluster whose internal spacing is ~30 orders of magnitude below
-// the mean gap of the ring. Joins go through the normal certified
-// admission path (the CA claims each identifier), and the accusation
+// the mean gap of the ring. Joins go through the normal admission
+// path (the CA claims each identifier), and the accusation
 // store is rebalanced onto the grown ring exactly as churn would.
 func (s *eclipseStrategy) Setup(env *Env) error {
 	sys := env.sys
@@ -61,7 +61,6 @@ func (s *eclipseStrategy) Setup(env *Env) error {
 		if err != nil {
 			return fmt.Errorf("campaign: eclipse join %d: %w", j, err)
 		}
-		env.enroll(got)
 		joined = append(joined, got)
 	}
 	// The eclipse cluster replaces the pre-selected tail attackers:

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"crypto/ed25519"
 	"encoding/binary"
 	"hash/fnv"
 
@@ -16,7 +15,7 @@ import (
 // routing peers. Two builds from the same SystemConfig and seed must
 // produce identical bytes no matter how many workers constructed them;
 // the golden hash is pinned in compact_test.go, and the identity digest
-// there covers what this stream leaves out (private keys, trees).
+// there covers what this stream leaves out (private-key seeds, trees).
 
 // AppendCanonical appends the compact system's canonical snapshot to
 // buf and returns the extended slice.
@@ -52,9 +51,8 @@ func (cs *CompactSystem) appendNodeCanonical(buf []byte, i uint32, sc *compactCa
 	buf = append(buf, nid[:]...)
 	buf = binary.BigEndian.AppendUint32(buf, uint32(cs.Router(i)))
 	buf = binary.BigEndian.AppendUint32(buf, cs.Overlay.Slab(i))
-	p := int(cs.Overlay.Slab(i))
-	buf = append(buf, cs.pubKeys[p*ed25519.PublicKeySize:(p+1)*ed25519.PublicKeySize]...)
-	buf = append(buf, cs.certSigs[p*ed25519.SignatureSize:(p+1)*ed25519.SignatureSize]...)
+	p := cs.Overlay.Slab(i)
+	buf = append(buf, cs.keysOfSlab(p).Public...)
 	buf = append(buf, cs.behaviorBits[p])
 
 	sc.leaves = cs.Overlay.AppendLeafIndices(i, sc.leaves[:0])

@@ -27,13 +27,12 @@ func buildTestCompactSystem(t *testing.T, mutate func(*SystemConfig)) *CompactSy
 	return cs
 }
 
-// TestCompactSystemMatchesLegacyBuild holds the build to the identity
-// stream the pointer-per-node build produced at the same config and
-// seed — identifiers, routers, keys, certificates, behavior marks, every
-// routing slot, the routing-peer order, and (via on-demand TreeOf) the
-// tomography trees — pinned as identityGolden. The compact canonical
-// stream is a different, index-based format; this digest is what
-// carries the determinism lineage across the two.
+// TestCompactSystemMatchesLegacyBuild holds the build to its identity
+// stream at a fixed config and seed — identifiers, routers, keys,
+// behavior marks, every routing slot, the routing-peer order, and (via
+// on-demand TreeOf) the tomography trees — pinned as identityGolden.
+// The compact canonical stream is a different, index-based format; this
+// digest covers what that stream leaves out.
 func TestCompactSystemMatchesLegacyBuild(t *testing.T) {
 	t.Parallel()
 	cs := buildTestCompactSystem(t, func(c *SystemConfig) { c.MaliciousFraction = 0.25 })
@@ -42,12 +41,13 @@ func TestCompactSystemMatchesLegacyBuild(t *testing.T) {
 
 // identityGolden pins the identity stream of the TestConfig build at
 // seed (201,203) with a quarter of the nodes malicious: for every node
-// in build order, its identifier, slab, router, certificate, key pair,
-// behavior marks, leaf set, both jump tables slot by slot, routing-peer
-// order, and tomography tree with every leaf path. The constant is the
-// stream the pointer-per-node build produced; the compact build must
-// reproduce it.
-const identityGolden = uint64(0x1dcbf7050e978306)
+// in build order, its identifier, slab, router, key pair, behavior
+// marks, leaf set, both jump tables slot by slot, routing-peer order,
+// and tomography tree with every leaf path. The pointer-per-node build's
+// lineage ends here: the digest also folded each node's certificate
+// until certificates were deleted, and the constant was re-pinned then,
+// every other field unchanged.
+const identityGolden = uint64(0xb1b8c78aabcd2d86)
 
 // identityDigest folds the build's identity stream, alive slabs
 // ascending (build order).
@@ -60,15 +60,11 @@ func identityDigest(t *testing.T, cs *CompactSystem) uint64 {
 		if i == overlay.NoIndex {
 			continue
 		}
-		cert, keys := cs.Cert(i), cs.Keys(i)
+		keys := cs.Keys(i)
 		b := cs.Behavior(i)
 		d.id(cs.NodeID(i))
 		d.u64(uint64(p))
 		d.u64(uint64(cs.Router(i)))
-		d.str(cert.Addr)
-		d.id(cert.NodeID)
-		d.bytes(cert.PublicKey)
-		d.bytes(cert.Signature)
 		d.bytes(keys.Public)
 		d.bytes(keys.Private)
 		d.flag(b.DropsMessages)
@@ -129,7 +125,7 @@ func TestBuildCompactSystemWorkerInvariant(t *testing.T) {
 func TestCompactCanonicalGolden(t *testing.T) {
 	t.Parallel()
 	cs := buildTestCompactSystem(t, nil)
-	const want = uint64(0xc85872ef5cc0b6eb)
+	const want = uint64(0x691ddff847fbe236)
 	if got := cs.CanonicalHash(); got != want {
 		t.Fatalf("compact canonical hash %#x, pinned %#x", got, want)
 	}
@@ -167,7 +163,7 @@ func TestCompactSystemChurnDeterministic(t *testing.T) {
 	}
 	// The post-churn state the former pointer-per-node overlay verified
 	// slot for slot; it pins which member each standard refill drew.
-	const postChurnGolden = uint64(0x13418b959962d164)
+	const postChurnGolden = uint64(0xce3469c0825cef62)
 	if ha != postChurnGolden {
 		t.Fatalf("post-churn canonical hash %#x, pinned %#x", ha, postChurnGolden)
 	}

@@ -35,17 +35,17 @@ func (cs *CompactSystem) emit(e trace.Event) {
 	}
 }
 
-// KeyDir returns the CA-backed key directory for snapshot and
-// accusation verification. It answers only for current members — a
-// departed signer's chain link stops verifying, the degraded outcome of
-// churn racing the protocol.
+// KeyDir returns the system's one key directory, for snapshot and
+// accusation verification. It reads the key slab, whose rows outlive
+// departures, so it answers for every identifier the system ever
+// admitted: a chain whose signer has since departed still verifies.
 func (cs *CompactSystem) KeyDir() KeyDirectory {
 	return func(x id.ID) (ed25519.PublicKey, bool) {
-		i, ok := cs.Overlay.IndexOf(x)
+		p, ok := cs.slabOf(x)
 		if !ok {
 			return nil, false
 		}
-		return cs.Keys(i).Public, true
+		return cs.keysOfSlab(p).Public, true
 	}
 }
 
@@ -629,8 +629,13 @@ func (cs *CompactSystem) publishSnapshot(p uint32, obs []tomography.LinkObservat
 
 // admitSnapshot archives a snapshot that verifies under a current
 // member's key, whole, under that member's slab handle; any other
-// snapshot, or one the archive refuses, archives nothing.
+// snapshot, or one the archive refuses, archives nothing. A departed
+// prober's key still resolves, but its snapshot is refused as an
+// unknown signer's: it adds no new evidence.
 func (cs *CompactSystem) admitSnapshot(snap *Snapshot) error {
+	if _, ok := cs.Overlay.IndexOf(snap.Prober); !ok {
+		return fmt.Errorf("%w: %s", ErrUnknownSigner, snap.Prober.Short())
+	}
 	validator := SnapshotValidator{Keys: cs.KeyDir()}
 	if err := validator.Validate(snap); err != nil {
 		return err

@@ -20,11 +20,61 @@ import (
 // produces a wrong tree outright. TreeOf (full BFS, BuildTreeBFS) shares
 // no code with the patch path, so it is the oracle.
 
+// treeCacheWatch counts what the tree cache did between two calls of
+// observe, read off the cache itself: a slot that went from nil to set
+// was built, a pointer that changed was patched, and a slot cs.treeStale
+// newly flags, or flags again after a patch, was marked stale. A consult
+// that leaves a current tree's pointer unchanged is a hit;
+// requireCoherentTrees counts those.
+type treeCacheWatch struct {
+	cs    *CompactSystem
+	trees []*tomography.Tree
+	stale []bool
+
+	built, patched, markedStale uint64
+}
+
+func newTreeCacheWatch(cs *CompactSystem) *treeCacheWatch {
+	w := &treeCacheWatch{cs: cs}
+	w.observe()
+	return w
+}
+
+// observe adds what changed since the last observation to the counts.
+// A slot patched twice in between counts once, so callers observe after
+// every event that can mark or patch.
+func (w *treeCacheWatch) observe() {
+	for p, tree := range w.cs.trees {
+		var prev *tomography.Tree
+		var wasStale bool
+		if p < len(w.trees) {
+			prev, wasStale = w.trees[p], w.stale[p]
+		}
+		switch {
+		case tree == nil || tree == prev:
+		case prev == nil:
+			w.built++
+		default:
+			w.patched++
+		}
+		// A changed pointer was patched, which clears the flag, so a
+		// flag on it is a new mark too. A departed slab's dropped tree
+		// keeps whatever flag it had.
+		if tree != nil && w.cs.treeStale[p] && (!wasStale || tree != prev) {
+			w.markedStale++
+		}
+	}
+	w.trees = append(w.trees[:0], w.cs.trees...)
+	w.stale = append(w.stale[:0], w.cs.treeStale...)
+}
+
 // requireCoherentTrees consults every live slab's cached tree and
 // compares it with a fresh build. A tree replaced by the consult must
 // leave its predecessor untouched and share no path storage with it:
 // messages in flight and the failure injector still read the old paths.
-func requireCoherentTrees(t *testing.T, cs *CompactSystem, scratch *topology.BFSScratch, step int) {
+// A current tree must come back as it was; the count of those hits is
+// returned.
+func requireCoherentTrees(t *testing.T, cs *CompactSystem, scratch *topology.BFSScratch, step int) (hits uint64) {
 	t.Helper()
 	for p := 0; p < cs.Overlay.Slabs(); p++ {
 		i := cs.Overlay.Pos(uint32(p))
@@ -42,9 +92,16 @@ func requireCoherentTrees(t *testing.T, cs *CompactSystem, scratch *topology.BFS
 			}
 			oldCopy = &c
 		}
+		current := old != nil && !cs.treeStale[p]
 		got, err := cs.treeOfSlab(uint32(p))
 		if err != nil {
 			t.Fatalf("step %d slab %d: %v", step, p, err)
+		}
+		if current {
+			if got != old {
+				t.Fatalf("step %d slab %d: current tree rebuilt", step, p)
+			}
+			hits++
 		}
 		want, err := cs.TreeOf(i, scratch)
 		if err != nil {
@@ -70,6 +127,7 @@ func requireCoherentTrees(t *testing.T, cs *CompactSystem, scratch *topology.BFS
 			}
 		}
 	}
+	return hits
 }
 
 // randomChurnEvent fails a random member, joins one at a random host,
@@ -129,10 +187,13 @@ func TestTreeCacheCoherentUnderChurn(t *testing.T) {
 			hosts := cs.Topo.EndHosts()
 			var scratch topology.BFSScratch
 			var midFlightErr error
+			watch := newTreeCacheWatch(cs)
 			requireCoherentTrees(t, cs, &scratch, -1)
+			watch.observe()
 			for step := 0; step < steps; step++ {
 				for events := 1 + pick.IntN(3); events > 0; events-- {
 					randomChurnEvent(t, cs, hosts, pick)
+					watch.observe()
 				}
 				for sends := 0; sends < 3; sends++ {
 					alive := cs.AliveIDs()
@@ -146,6 +207,7 @@ func TestTreeCacheCoherentUnderChurn(t *testing.T) {
 								if err := cs.FailNode(victim); err != nil {
 									midFlightErr = err
 								}
+								watch.observe()
 							})
 							if err != nil {
 								t.Fatal(err)
@@ -155,16 +217,18 @@ func TestTreeCacheCoherentUnderChurn(t *testing.T) {
 					if _, err := cs.SendMessage(src, dst); err != nil {
 						t.Fatalf("step %d: send: %v", step, err)
 					}
+					watch.observe()
 				}
 				cs.Run(time.Duration(pick.IntN(20)) * time.Second)
+				watch.observe()
 				if midFlightErr != nil {
 					t.Fatalf("step %d: mid-flight FailNode: %v", step, midFlightErr)
 				}
 				requireCoherentTrees(t, cs, &scratch, step)
+				watch.observe()
 			}
-			st := cs.treeStats
-			if st.Patched == 0 || st.MarkedStale < st.Patched {
-				t.Errorf("cache stats %+v: churn patched nothing, or patched more than it marked", st)
+			if watch.patched == 0 || watch.markedStale < watch.patched {
+				t.Errorf("cache patched %d trees, marked %d stale: churn patched nothing, or patched more than it marked", watch.patched, watch.markedStale)
 			}
 		})
 	}
@@ -180,10 +244,13 @@ func TestTreeCacheInvalidatesSelectively(t *testing.T) {
 		t.Fatal(err)
 	}
 	var scratch topology.BFSScratch
-	requireCoherentTrees(t, cs, &scratch, -1)
+	watch := newTreeCacheWatch(cs)
+	hits := requireCoherentTrees(t, cs, &scratch, -1)
+	watch.observe()
 	live := uint64(cs.Size())
-	if st := cs.treeStats; st.Built != live || st.Patched != 0 || st.Hits != 0 || st.MarkedStale != 0 {
-		t.Fatalf("after first consult of %d slabs: %+v", live, st)
+	if watch.built != live || watch.patched != 0 || hits != 0 || watch.markedStale != 0 {
+		t.Fatalf("after first consult of %d slabs: built %d, patched %d, hits %d, marked stale %d",
+			live, watch.built, watch.patched, hits, watch.markedStale)
 	}
 	hosts := cs.Topo.EndHosts()
 	events := []func() error{
@@ -191,20 +258,20 @@ func TestTreeCacheInvalidatesSelectively(t *testing.T) {
 		func() error { _, err := cs.JoinNode(hosts[len(hosts)/2]); return err },
 	}
 	for e, event := range events {
-		before := cs.treeStats
+		before := *watch
 		if err := event(); err != nil {
 			t.Fatal(err)
 		}
-		requireCoherentTrees(t, cs, &scratch, e)
-		after := cs.treeStats
-		rebuilt := after.Patched + after.Built - before.Patched - before.Built
-		marked := after.MarkedStale - before.MarkedStale
-		hits := after.Hits - before.Hits
+		watch.observe()
+		hits := requireCoherentTrees(t, cs, &scratch, e)
+		watch.observe()
+		rebuilt := watch.patched + watch.built - before.patched - before.built
+		marked := watch.markedStale - before.markedStale
 		if rebuilt == 0 || rebuilt > live/4 {
 			t.Errorf("event %d: rebuilt %d of %d trees, want a small non-zero share", e, rebuilt, live)
 		}
 		// A join adds one never-built tree to the stale ones.
-		if built := after.Built - before.Built; rebuilt != marked+built || built > 1 {
+		if built := watch.built - before.built; rebuilt != marked+built || built > 1 {
 			t.Errorf("event %d: rebuilt %d, marked stale %d, built from nothing %d", e, rebuilt, marked, built)
 		}
 		if hits+rebuilt != uint64(cs.Size()) {
@@ -238,8 +305,8 @@ func benchScaleConfig(n int) SystemConfig {
 // BenchmarkCompactChurn times one departure and one join at N≈10k, the
 // churn-n10k benchmark workload's event pair, without traffic. What is
 // left is overlay repair — the ring, row and ring↔slab splices plus the
-// slots the event changed — and, for a join, the newcomer's FillNode,
-// key generation and certificate signing.
+// slots the event changed — and, for a join, the newcomer's FillNode
+// and key generation.
 func BenchmarkCompactChurn(b *testing.B) {
 	cs, err := BuildCompactSystem(benchScaleConfig(10000), rand.New(rand.NewPCG(20070625, 11)))
 	if err != nil {

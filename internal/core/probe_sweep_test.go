@@ -59,15 +59,18 @@ func TestProbeRTTCensusMatchesPerLeaf(t *testing.T) {
 		pick := rand.New(rand.NewPCG(seed, 5))
 		hosts := cs.Topo.EndHosts()
 		cs.Run(3 * time.Minute)
+		watch := newTreeCacheWatch(cs)
 		for step := 0; step < 12; step++ {
 			randomChurnEvent(t, cs, hosts, pick)
 			alive := cs.AliveIDs()
 			if _, err := cs.SendMessage(alive[pick.IntN(len(alive))], alive[pick.IntN(len(alive))]); err != nil {
 				t.Fatal(err)
 			}
+			watch.observe()
 			cs.Run(time.Minute)
+			watch.observe()
 		}
-		if cs.treeStats.Patched == 0 {
+		if watch.patched == 0 {
 			t.Fatal("no tree was patched: the churn did not reach the census")
 		}
 		got := cfg.Metrics.Snapshot().Histograms["core/probe_rtt_ns"]

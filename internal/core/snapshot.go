@@ -17,7 +17,10 @@ import (
 // Validation errors a snapshot can fail with. Callers distinguish them
 // because each triggers a different response (§3.2): signature and
 // freshness failures justify an immediate fault accusation against the
-// prober; density failures mark the advert fraudulent.
+// prober; density failures mark the advert fraudulent. ErrUnknownSigner
+// means the key directory does not resolve the signer or, for a snapshot
+// the plane admits, that the prober is no longer a member; its message
+// still says "certificate", kept so rejection traces stay unchanged.
 var (
 	ErrBadSnapshotSignature = errors.New("core: snapshot signature invalid")
 	ErrBadEntrySignature    = errors.New("core: routing entry freshness signature invalid")
@@ -87,8 +90,9 @@ func (s *Snapshot) VerifySignature(pub ed25519.PublicKey) error {
 	return nil
 }
 
-// KeyDirectory resolves overlay identifiers to public keys — in a
-// deployment, by looking up CA certificates.
+// KeyDirectory resolves overlay identifiers to public keys. The
+// simulation's one directory is CompactSystem.KeyDir, which answers for
+// every identifier the system ever admitted.
 type KeyDirectory func(id.ID) (ed25519.PublicKey, bool)
 
 // SnapshotValidator performs the §3.2 checks a node runs on every

@@ -3,7 +3,6 @@ package core
 import (
 	"fmt"
 	"math"
-	"strconv"
 	"time"
 
 	"concilium/internal/metrics"
@@ -52,7 +51,7 @@ type SystemConfig struct {
 	// reserved wall-clock class is deterministic for a fixed seed.
 	Metrics *metrics.Registry
 	// Workers bounds the worker pool used for the parallel parts of
-	// system construction: per-node keygen and certificate issuance and
+	// system construction: per-node keygen and identifier draws, and
 	// routing-table fills (<= 0 selects GOMAXPROCS). Per-node randomness
 	// comes from substreams indexed by node position, so the built
 	// system is byte-identical for every worker count; see
@@ -162,11 +161,4 @@ func newSystemMetrics(r *metrics.Registry) systemMetrics {
 		blameProbes:   r.MustHistogram("core/blame_probes", metrics.CountBuckets),
 		chainLen:      r.MustHistogram("core/accusation_chain_len", metrics.CountBuckets),
 	}
-}
-
-// hostAddr formats a node's network address from its attachment router.
-// strconv.Itoa instead of fmt.Sprintf: issuance runs once per node and
-// the Sprintf boxing showed up in build-phase profiles.
-func hostAddr(router topology.RouterID) string {
-	return "host-" + strconv.Itoa(int(router))
 }

@@ -1,12 +1,12 @@
 package core
 
 import (
+	"crypto/ed25519"
 	"math/rand/v2"
 	"testing"
 	"time"
 
 	"concilium/internal/id"
-	"concilium/internal/sigcrypto"
 	"concilium/internal/tomography"
 	"concilium/internal/topology"
 	"concilium/internal/trace"
@@ -110,19 +110,17 @@ func TestBuildSystemStructure(t *testing.T) {
 		if len(tree.Leaves) != len(peers) {
 			t.Errorf("node %s: %d leaves for %d peers", nid.Short(), len(tree.Leaves), len(peers))
 		}
-		// Certificates verify against the CA.
-		cert := s.Cert(i)
-		if cert.NodeID != nid {
-			t.Errorf("certificate identity mismatch for %s", nid.Short())
+		// The public key is the private key's second half, and the key
+		// directory resolves every member to it.
+		kp := s.Keys(i)
+		if !kp.Public.Equal(kp.Private.Public().(ed25519.PublicKey)) {
+			t.Errorf("public key of %s is not its private key's", nid.Short())
 		}
-		if err := sigcrypto.VerifyCertificate(s.CA.PublicKey(), &cert); err != nil {
-			t.Errorf("certificate of %s: %v", nid.Short(), err)
+		if pub, ok := s.KeyDir()(nid); !ok || !pub.Equal(kp.Public) {
+			t.Errorf("key directory resolves %s to %x, %v; member key %x", nid.Short(), pub, ok, kp.Public)
 		}
 	}
 	keys := s.KeyDir()
-	if _, ok := keys(s.NodeID(0)); !ok {
-		t.Error("key directory missing member")
-	}
 	if _, ok := keys(id.Zero); ok {
 		t.Error("key directory invented a member")
 	}

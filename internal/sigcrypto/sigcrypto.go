@@ -1,8 +1,10 @@
 // Package sigcrypto implements Concilium's identity substrate: a central
-// certificate authority that binds a host's network address to a public
-// key and a randomly assigned overlay identifier (§2), plus the signing
-// primitives the protocol layers use for tomographic snapshots, freshness
-// timestamps, forwarding commitments, and accusations.
+// authority that assigns random, never-reused overlay identifiers (§2),
+// plus the signing primitives the protocol layers use for tomographic
+// snapshots, freshness timestamps, forwarding commitments, and
+// accusations. Every identity in the simulation is minted by the
+// authority itself, so nothing ever presents a certificate to check and
+// the authority signs none (DESIGN.md §2, "not modelled").
 //
 // The paper signs with PSS-R over 1024-bit RSA; this implementation signs
 // with Ed25519 (any EUF-CMA scheme gives the protocol the properties it
@@ -20,13 +22,8 @@ import (
 	"concilium/internal/id"
 )
 
-// Signing errors.
-var (
-	// ErrBadSignature indicates a signature that does not verify.
-	ErrBadSignature = errors.New("sigcrypto: signature verification failed")
-	// ErrWrongAuthority indicates a certificate signed by a different CA.
-	ErrWrongAuthority = errors.New("sigcrypto: certificate not signed by this authority")
-)
+// ErrBadSignature indicates a signature that does not verify.
+var ErrBadSignature = errors.New("sigcrypto: signature verification failed")
 
 // KeyPair is an Ed25519 key pair.
 type KeyPair struct {
@@ -57,7 +54,7 @@ func (kp KeyPair) Sign(msg []byte) []byte {
 
 // Verify checks sig over msg under pub. Outcomes are memoized in a
 // bounded LRU keyed by (pub, msg-hash, sig), so repeated verification
-// of the same certificates, timestamps, and chain links short-circuits
+// of the same timestamps, snapshots, and chain links short-circuits
 // to a hash lookup; see verifycache.go for the cache contract.
 func Verify(pub ed25519.PublicKey, msg, sig []byte) bool {
 	if len(pub) != ed25519.PublicKeySize {
@@ -72,90 +69,32 @@ func Verify(pub ed25519.PublicKey, msg, sig []byte) bool {
 	return ok
 }
 
-// Certificate binds a host's address, public key, and centrally assigned
-// overlay identifier, under the authority's signature. Identifiers are
-// static and random, so adversaries cannot position themselves in the
-// identifier space (§2).
-type Certificate struct {
-	Addr      string
-	NodeID    id.ID
-	PublicKey ed25519.PublicKey
-	Signature []byte
-}
-
-// payload returns the canonical byte string the authority signs.
-func (c *Certificate) payload() []byte {
-	buf := make([]byte, 0, 4+len(c.Addr)+id.Bytes+len(c.PublicKey))
-	buf = binary.BigEndian.AppendUint32(buf, uint32(len(c.Addr)))
-	buf = append(buf, c.Addr...)
-	buf = append(buf, c.NodeID[:]...)
-	buf = append(buf, c.PublicKey...)
-	return buf
-}
-
-// Authority is the central certificate authority. It assigns random
-// identifiers and signs certificates; it is safe for concurrent use.
+// Authority is the central authority of §2: it assigns random overlay
+// identifiers and never reuses one, so adversaries cannot position
+// themselves in the identifier space. It is safe for concurrent use.
 type Authority struct {
-	key KeyPair
-
 	mu     sync.Mutex
 	rng    id.RandSource
 	issued map[id.ID]struct{}
 }
 
-// NewAuthority creates an authority signing with key and drawing
-// identifiers from src.
-func NewAuthority(key KeyPair, src id.RandSource) *Authority {
-	return &Authority{key: key, rng: src, issued: make(map[id.ID]struct{})}
+// NewAuthority creates an authority drawing identifiers from src.
+func NewAuthority(src id.RandSource) *Authority {
+	return &Authority{rng: src, issued: make(map[id.ID]struct{})}
 }
 
-// PublicKey returns the authority's verification key.
-func (a *Authority) PublicKey() ed25519.PublicKey { return a.key.Public }
-
-// Issue assigns a fresh random identifier to the host at addr with the
-// given public key and returns the signed certificate.
-func (a *Authority) Issue(addr string, nodePub ed25519.PublicKey) (Certificate, error) {
-	if len(nodePub) != ed25519.PublicKeySize {
-		return Certificate{}, fmt.Errorf("sigcrypto: bad public key length %d", len(nodePub))
-	}
+// Issue assigns a fresh random identifier, redrawing on the (vanishingly
+// rare) collision with one already issued or claimed.
+func (a *Authority) Issue() id.ID {
 	a.mu.Lock()
-	var nodeID id.ID
+	defer a.mu.Unlock()
 	for {
-		nodeID = id.Random(a.rng)
+		nodeID := id.Random(a.rng)
 		if _, dup := a.issued[nodeID]; !dup {
 			a.issued[nodeID] = struct{}{}
-			break
+			return nodeID
 		}
 	}
-	a.mu.Unlock()
-
-	cert := Certificate{
-		Addr:      addr,
-		NodeID:    nodeID,
-		PublicKey: append(ed25519.PublicKey(nil), nodePub...),
-	}
-	cert.Signature = a.key.Sign(cert.payload())
-	return cert, nil
-}
-
-// IssueFor signs a certificate binding addr, nodeID, and nodePub without
-// touching the authority's rng or identifier registry — the parallel
-// half of issuance. Callers draw nodeID from their own substream and
-// must Claim it (serially, in a deterministic order) so the registry
-// still guards against reuse. Ed25519 signing is deterministic and the
-// authority key is immutable after construction, so concurrent IssueFor
-// calls are safe and scheduling-independent.
-func (a *Authority) IssueFor(addr string, nodeID id.ID, nodePub ed25519.PublicKey) (Certificate, error) {
-	if len(nodePub) != ed25519.PublicKeySize {
-		return Certificate{}, fmt.Errorf("sigcrypto: bad public key length %d", len(nodePub))
-	}
-	cert := Certificate{
-		Addr:      addr,
-		NodeID:    nodeID,
-		PublicKey: append(ed25519.PublicKey(nil), nodePub...),
-	}
-	cert.Signature = a.key.Sign(cert.payload())
-	return cert, nil
 }
 
 // Claim registers an externally drawn identifier with the authority,
@@ -168,18 +107,6 @@ func (a *Authority) Claim(nodeID id.ID) error {
 		return fmt.Errorf("sigcrypto: identifier %s already issued", nodeID.Short())
 	}
 	a.issued[nodeID] = struct{}{}
-	return nil
-}
-
-// VerifyCertificate checks that cert was signed by the authority holding
-// caPub.
-func VerifyCertificate(caPub ed25519.PublicKey, cert *Certificate) error {
-	if cert == nil {
-		return errors.New("sigcrypto: nil certificate")
-	}
-	if !Verify(caPub, cert.payload(), cert.Signature) {
-		return ErrWrongAuthority
-	}
 	return nil
 }
 

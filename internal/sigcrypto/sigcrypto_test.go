@@ -1,7 +1,6 @@
 package sigcrypto
 
 import (
-	"bytes"
 	"math/rand/v2"
 	"testing"
 
@@ -40,68 +39,16 @@ func TestKeyPairFromSeedDeterministic(t *testing.T) {
 	}
 }
 
-func TestAuthorityIssueAndVerify(t *testing.T) {
-	t.Parallel()
-	r := testRand()
-	ca := NewAuthority(KeyPairFromRand(r), r)
-	node := KeyPairFromRand(r)
-	cert, err := ca.Issue("10.0.0.1:9000", node.Public)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if cert.Addr != "10.0.0.1:9000" {
-		t.Errorf("addr = %q", cert.Addr)
-	}
-	if err := VerifyCertificate(ca.PublicKey(), &cert); err != nil {
-		t.Fatalf("valid certificate rejected: %v", err)
-	}
-
-	// A different authority must not validate it.
-	other := NewAuthority(KeyPairFromRand(r), r)
-	if err := VerifyCertificate(other.PublicKey(), &cert); err == nil {
-		t.Error("foreign CA accepted certificate")
-	}
-
-	// Tampering with any bound field must invalidate the signature.
-	tampered := cert
-	tampered.Addr = "10.0.0.2:9000"
-	if err := VerifyCertificate(ca.PublicKey(), &tampered); err == nil {
-		t.Error("tampered addr accepted")
-	}
-	tampered = cert
-	tampered.NodeID = id.MustParse("deadbeefdeadbeefdeadbeefdeadbeef")
-	if err := VerifyCertificate(ca.PublicKey(), &tampered); err == nil {
-		t.Error("tampered node id accepted")
-	}
-	if err := VerifyCertificate(ca.PublicKey(), nil); err == nil {
-		t.Error("nil certificate accepted")
-	}
-}
-
 func TestAuthorityAssignsDistinctRandomIDs(t *testing.T) {
 	t.Parallel()
-	r := testRand()
-	ca := NewAuthority(KeyPairFromRand(r), r)
-	node := KeyPairFromRand(r)
+	ca := NewAuthority(testRand())
 	seen := make(map[id.ID]struct{})
 	for i := 0; i < 200; i++ {
-		cert, err := ca.Issue("h", node.Public)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if _, dup := seen[cert.NodeID]; dup {
+		nodeID := ca.Issue()
+		if _, dup := seen[nodeID]; dup {
 			t.Fatal("authority reissued an identifier")
 		}
-		seen[cert.NodeID] = struct{}{}
-	}
-}
-
-func TestAuthorityRejectsBadKey(t *testing.T) {
-	t.Parallel()
-	r := testRand()
-	ca := NewAuthority(KeyPairFromRand(r), r)
-	if _, err := ca.Issue("h", []byte{1, 2, 3}); err == nil {
-		t.Error("short public key accepted")
+		seen[nodeID] = struct{}{}
 	}
 }
 
@@ -147,40 +94,14 @@ func BenchmarkVerify(b *testing.B) {
 	}
 }
 
-func TestAuthorityIssueForAndClaim(t *testing.T) {
+// TestAuthorityClaimNeverReassigned pins the registry's guard on
+// externally drawn identifiers: the first claim wins, reuse fails, and
+// Issue never reassigns a claimed identifier.
+func TestAuthorityClaimNeverReassigned(t *testing.T) {
 	t.Parallel()
 	r := testRand()
-	ca := NewAuthority(KeyPairFromRand(r), r)
-	node := KeyPairFromRand(r)
+	ca := NewAuthority(r)
 	nodeID := id.Random(r)
-
-	// IssueFor must produce a certificate indistinguishable from Issue's
-	// for the same identifier: verifiable, field-for-field bound.
-	cert, err := ca.IssueFor("10.0.0.1:9000", nodeID, node.Public)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if cert.NodeID != nodeID || cert.Addr != "10.0.0.1:9000" {
-		t.Errorf("cert fields wrong: %+v", cert)
-	}
-	if err := VerifyCertificate(ca.PublicKey(), &cert); err != nil {
-		t.Fatalf("IssueFor certificate rejected: %v", err)
-	}
-	if _, err := ca.IssueFor("h", nodeID, []byte{1, 2}); err == nil {
-		t.Error("short public key accepted")
-	}
-	// Deterministic: same inputs, same signature (parallel issuance must
-	// be scheduling-independent).
-	again, err := ca.IssueFor("10.0.0.1:9000", nodeID, node.Public)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(cert.Signature, again.Signature) {
-		t.Error("IssueFor signatures differ across calls with identical inputs")
-	}
-
-	// Claim guards the registry: first claim wins, reuse fails, and
-	// Issue never reassigns a claimed identifier.
 	if err := ca.Claim(nodeID); err != nil {
 		t.Fatalf("first Claim: %v", err)
 	}
@@ -188,12 +109,12 @@ func TestAuthorityIssueForAndClaim(t *testing.T) {
 		t.Error("duplicate Claim accepted")
 	}
 	for i := 0; i < 200; i++ {
-		c, err := ca.Issue("h", node.Public)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if c.NodeID == nodeID {
+		issued := ca.Issue()
+		if issued == nodeID {
 			t.Fatal("Issue reassigned a claimed identifier")
+		}
+		if err := ca.Claim(issued); err == nil {
+			t.Fatal("Claim accepted an issued identifier")
 		}
 	}
 }

@@ -5,6 +5,8 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
+
+	"concilium/internal/id"
 )
 
 func seedPair(b byte) KeyPair {
@@ -146,11 +148,13 @@ func TestVerifyCacheLRUPromotion(t *testing.T) {
 
 // TestVerifyCacheConcurrent hammers Verify and Authority.Issue from many
 // goroutines; under -race this exercises the cache locking and the
-// authority's identifier mutex.
+// authority's identifier mutex. Each goroutine verifies a freshness
+// timestamp for every identifier it is issued, so fresh (pub, msg, sig)
+// triples race the shared ones into the cache.
 func TestVerifyCacheConcurrent(t *testing.T) {
 	resetCache(t)
 	kp := seedPair(8)
-	auth := NewAuthority(kp, counterSource{n: new(atomic.Uint64)})
+	auth := NewAuthority(counterSource{n: new(atomic.Uint64)})
 
 	const goroutines = 8
 	msgs := make([][]byte, 4)
@@ -159,7 +163,11 @@ func TestVerifyCacheConcurrent(t *testing.T) {
 		msgs[i] = []byte(fmt.Sprintf("concurrent %d", i))
 		sigs[i] = kp.Sign(msgs[i])
 	}
-	var wg sync.WaitGroup
+	var (
+		wg     sync.WaitGroup
+		mu     sync.Mutex
+		issued = make(map[id.ID]struct{})
+	)
 	for g := 0; g < goroutines; g++ {
 		wg.Add(1)
 		go func(g int) {
@@ -170,13 +178,17 @@ func TestVerifyCacheConcurrent(t *testing.T) {
 					t.Error("valid signature rejected under concurrency")
 					return
 				}
-				cert, err := auth.Issue(fmt.Sprintf("host-%d-%d", g, i), node.Public)
-				if err != nil {
-					t.Errorf("issue: %v", err)
+				nodeID := auth.Issue()
+				mu.Lock()
+				_, dup := issued[nodeID]
+				issued[nodeID] = struct{}{}
+				mu.Unlock()
+				if dup {
+					t.Errorf("identifier %s issued twice", nodeID.Short())
 					return
 				}
-				if err := VerifyCertificate(kp.Public, &cert); err != nil {
-					t.Errorf("verify certificate: %v", err)
+				if err := VerifyTimestamp(node.Public, NewTimestamp(node, nodeID, int64(i))); err != nil {
+					t.Errorf("verify timestamp: %v", err)
 					return
 				}
 			}
