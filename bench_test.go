@@ -189,9 +189,9 @@ func BenchmarkFig4Coverage(b *testing.B) {
 }
 
 // BenchmarkBuildCompactSystem measures deterministic system construction — the
-// full topology + keygen + certificate + routing-table pipeline of
-// BuildCompactSystem — at several worker-pool sizes. The keygen and
-// routing phases fan out across the pool; the canonical snapshot is
+// full topology + identity + routing-table pipeline of
+// BuildCompactSystem — at several worker-pool sizes. The routing fills
+// fan out across the pool; the canonical snapshot is
 // byte-identical for every count (pinned by
 // TestCompactBuildWorkerInvariance), so the sweep measures pure engine
 // overhead.
@@ -516,8 +516,8 @@ func BenchmarkAblationCommitments(b *testing.B) {
 	accuserID := id.Random(rng)
 	victimID := id.Random(rng)
 	destID := id.Random(rng)
-	accuserKeys := sigcrypto.KeyPairFromRand(rng)
-	victimKeys := sigcrypto.KeyPairFromRand(rng)
+	accuserKeys := sigcrypto.KeyPairFromSeed(sigcrypto.SeedFromRand(rng))
+	victimKeys := sigcrypto.KeyPairFromSeed(sigcrypto.SeedFromRand(rng))
 
 	eng, err := core.NewBlameEngine(tomography.NewArchive(0), probers{}, core.DefaultBlameConfig())
 	if err != nil {

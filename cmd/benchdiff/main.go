@@ -8,7 +8,8 @@
 // figure vanished, when any figure's deterministic check values differ
 // from the baseline's (the baseline is generated at the same seed, so
 // that is a behaviour change), or when a count — allocs/op or bytes/op
-// above benchreport.MinAllocs, bytes/node always — grew by more than
+// of a figure whose run allocated more than benchreport.MinAllocs in
+// all, bytes/node always — grew by more than
 // benchreport.MaxCountRegress, or fell by more than that below its pin
 // (the baseline is stale and must be re-pinned, or it would pass the
 // same growth back unseen). A count the current report leaves at zero

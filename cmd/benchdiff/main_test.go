@@ -85,19 +85,35 @@ func TestAllocGate(t *testing.T) {
 	if err := run(&buf, []string{tinyBase, tinyCur}); err != nil {
 		t.Fatalf("allocs floor did not apply: %v\n%s", err, buf.String())
 	}
+
+	// The floor is on the run's total: 50 allocs/op over 80 ops is
+	// 4,000 allocations, gated.
+	cheapBase := writeReport(t, dir, "cheap-base.json", func(r *benchreport.Report) {
+		r.Figures[1].Timing = benchreport.Timing{Ops: 80, AllocsPerOp: 50, BytesPerOp: 25721}
+	})
+	cheapCur := writeReport(t, dir, "cheap-cur.json", func(r *benchreport.Report) {
+		r.Figures[1].Timing = benchreport.Timing{Ops: 80, AllocsPerOp: 70, BytesPerOp: 25721}
+	})
+	buf.Reset()
+	if err := run(&buf, []string{cheapBase, cheapCur}); err == nil {
+		t.Fatalf("count gate passed despite +40%% allocs/op over 80 ops:\n%s", buf.String())
+	}
+	if !strings.Contains(buf.String(), "COUNT REGRESSION chaos-short") {
+		t.Errorf("output missing chaos-short regression line:\n%s", buf.String())
+	}
 }
 
-// TestFootprintGateIgnoresAllocFloor: the Scale figure at N=100k makes
-// 17 allocs/op, under the allocs floor, yet its resident bytes per node
-// is the budget the gate exists to hold.
+// TestFootprintGateIgnoresAllocFloor: a Scale rung of 40 nodes at 17
+// allocs/op allocates under the allocs floor in all, yet its resident
+// bytes per node is the budget the gate exists to hold.
 func TestFootprintGateIgnoresAllocFloor(t *testing.T) {
 	dir := t.TempDir()
 	scale := func(perNode int64) func(*benchreport.Report) {
 		return func(r *benchreport.Report) {
 			r.Figures = append(r.Figures, benchreport.Figure{
-				Name:   "scale-n100000",
-				Checks: map[string]float64{"overlay_n": 99697},
-				Timing: benchreport.Timing{Ops: 99697, AllocsPerOp: 17, BytesPerOp: 2248, BytesPerNode: perNode},
+				Name:   "scale-n40",
+				Checks: map[string]float64{"overlay_n": 40},
+				Timing: benchreport.Timing{Ops: 40, AllocsPerOp: 17, BytesPerOp: 2248, BytesPerNode: perNode},
 			})
 		}
 	}
@@ -107,7 +123,7 @@ func TestFootprintGateIgnoresAllocFloor(t *testing.T) {
 	if err := run(&buf, []string{base, grown}); err == nil {
 		t.Fatalf("footprint gate passed despite +30%% bytes/node:\n%s", buf.String())
 	}
-	if !strings.Contains(buf.String(), "COUNT REGRESSION scale-n100000") || !strings.Contains(buf.String(), "bytes/node") {
+	if !strings.Contains(buf.String(), "COUNT REGRESSION scale-n40") || !strings.Contains(buf.String(), "bytes/node") {
 		t.Errorf("output missing footprint regression line:\n%s", buf.String())
 	}
 	within := writeReport(t, dir, "within.json", scale(1100)) // +19%

@@ -291,9 +291,12 @@ func VerifyCacheSnapshot() metrics.Snapshot {
 // (0.25 = +25%) over its baseline is a regression; one that falls by
 // more than MaxCountRegress below it is a stale pin, which would let
 // the same growth back in unseen, so it fails too. Figures whose
-// baseline allocs_per_op is at or below MinAllocs are exempt on the
-// allocs/op and bytes/op axes, where GC bookkeeping alone moves a tiny
-// count past any percentage; bytes_per_node is resident state, not
+// baseline run allocated at most MinAllocs in all (allocs_per_op ×
+// ops) are exempt on the allocs/op and bytes/op axes, where GC
+// bookkeeping alone moves a tiny count past any percentage. The floor
+// is on the run's total, not per op: a run of many cheap operations
+// (the traffic, chaos and scale figures) allocates thousands in all
+// and is gated like any other. bytes_per_node is resident state, not
 // allocation churn, so the floor does not apply to it.
 const (
 	MaxCountRegress = 0.25
@@ -359,7 +362,7 @@ func Compare(base, cur *Report) *CompareResult {
 		if !maps.Equal(bf.Checks, cf.Checks) {
 			res.ChecksDiverged = append(res.ChecksDiverged, bf.Name)
 		}
-		floored := bf.Timing.AllocsPerOp <= MinAllocs
+		floored := bf.Timing.AllocsPerOp*bf.Timing.Ops <= MinAllocs
 		axes := []struct {
 			metric    string
 			base, cur int64

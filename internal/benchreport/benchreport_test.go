@@ -212,6 +212,12 @@ func countFig(name string, allocs, bytes, perNode int64, checks map[string]float
 	return Figure{Name: name, Checks: checks, Timing: Timing{Ops: 1, AllocsPerOp: allocs, BytesPerOp: bytes, BytesPerNode: perNode}}
 }
 
+// manyOps is f run as ops operations at its per-op counts.
+func manyOps(f Figure, ops int64) Figure {
+	f.Timing.Ops = ops
+	return f
+}
+
 func TestCompare(t *testing.T) {
 	base := New("bench", 1, "small")
 	base.Figures = []Figure{
@@ -261,19 +267,23 @@ func TestCompareAllocs(t *testing.T) {
 		countFig("tiny", 500, 1<<10, 0, nil),
 		countFig("resident", 17, 2248, 926, nil),
 		countFig("zerobase", 0, 0, 0, nil),
+		manyOps(countFig("cheapops", 50, 25721, 0, nil), 80),
+		manyOps(countFig("flip", 4, 8230, 0, nil), 508),
 	}
 	cur := New("bench", 1, "small")
 	cur.Figures = []Figure{
-		countFig("steady", 11000, 1<<20+1<<16, 990, nil), // +10%, inside tolerance
-		countFig("allocheavy", 20000, 1<<20, 0, nil),     // allocs doubled
-		countFig("byteheavy", 10000, 1<<22, 0, nil),      // bytes quadrupled
-		countFig("tiny", 50000, 1<<20, 0, nil),           // 100x, but under the allocs floor
-		countFig("resident", 17, 2248, 1852, nil),        // footprint doubled, under the allocs floor
-		countFig("zerobase", 99999, 1<<30, 5000, nil),    // no baseline axis to gate
+		countFig("steady", 11000, 1<<20+1<<16, 990, nil),      // +10%, inside tolerance
+		countFig("allocheavy", 20000, 1<<20, 0, nil),          // allocs doubled
+		countFig("byteheavy", 10000, 1<<22, 0, nil),           // bytes quadrupled
+		countFig("tiny", 50000, 1<<20, 0, nil),                // 100x, but under the allocs floor
+		countFig("resident", 17, 2248, 1852, nil),             // footprint doubled, under the allocs floor
+		countFig("zerobase", 99999, 1<<30, 5000, nil),         // no baseline axis to gate
+		manyOps(countFig("cheapops", 100, 25721, 0, nil), 80), // 4,000 allocations in all: over the floor
+		manyOps(countFig("flip", 5, 8230, 0, nil), 508),       // a one-step integer flip: +25%, inside
 	}
 	regs := Compare(base, cur).Regressions
-	if len(regs) != 3 {
-		t.Fatalf("count regressions = %+v, want [allocheavy byteheavy resident]", regs)
+	if len(regs) != 4 {
+		t.Fatalf("count regressions = %+v, want [allocheavy byteheavy cheapops resident]", regs)
 	}
 	if regs[0].Figure != "allocheavy" || regs[0].Metric != "allocs/op" || regs[0].Ratio != 2.0 {
 		t.Errorf("regs[0] = %+v, want allocheavy allocs/op 2.0x", regs[0])
@@ -281,14 +291,18 @@ func TestCompareAllocs(t *testing.T) {
 	if regs[1].Figure != "byteheavy" || regs[1].Metric != "bytes/op" || regs[1].Ratio != 4.0 {
 		t.Errorf("regs[1] = %+v, want byteheavy bytes/op 4.0x", regs[1])
 	}
-	if regs[2].Figure != "resident" || regs[2].Metric != "bytes/node" || regs[2].Ratio != 2.0 {
-		t.Errorf("regs[2] = %+v, want resident bytes/node 2.0x", regs[2])
+	if regs[2].Figure != "cheapops" || regs[2].Metric != "allocs/op" || regs[2].Ratio != 2.0 {
+		t.Errorf("regs[2] = %+v, want cheapops allocs/op 2.0x", regs[2])
+	}
+	if regs[3].Figure != "resident" || regs[3].Metric != "bytes/node" || regs[3].Ratio != 2.0 {
+		t.Errorf("regs[3] = %+v, want resident bytes/node 2.0x", regs[3])
 	}
 }
 
 // TestCompareStalePins: a count more than MaxCountRegress below its
-// pin fails as stale; one inside the band, one under the allocs floor
-// and one the current report did not measure do not.
+// pin fails as stale, a few allocs/op over many ops included; one
+// inside the band, one under the allocs floor and one the current
+// report did not measure do not.
 func TestCompareStalePins(t *testing.T) {
 	base := New("bench", 1, "small")
 	base.Figures = []Figure{
@@ -297,20 +311,22 @@ func TestCompareStalePins(t *testing.T) {
 		countFig("resident", 17, 2248, 926, nil),
 		countFig("tiny", 500, 1<<16, 0, nil),
 		countFig("unmeasured", 42642, 1<<23, 0, nil),
+		manyOps(countFig("scale", 18, 1924, 578, nil), 1075),
 	}
 	cur := New("bench", 1, "small")
 	cur.Figures = []Figure{
-		countFig("steady", 8000, 1<<20-1<<16, 700, nil), // −20%, −6%, −22%: inside tolerance
-		countFig("shrunk", 4575, 95416, 0, nil),         // both allocation axes far below
-		countFig("resident", 17, 2248, 600, nil),        // footprint −35%: gated whatever the allocs floor
-		countFig("tiny", 50, 1<<10, 0, nil),             // under the allocs floor
-		countFig("unmeasured", 0, 0, 0, nil),            // the run measured no counts
+		countFig("steady", 8000, 1<<20-1<<16, 700, nil),      // −20%, −6%, −22%: inside tolerance
+		countFig("shrunk", 4575, 95416, 0, nil),              // both allocation axes far below
+		countFig("resident", 17, 2248, 600, nil),             // footprint −35%: gated whatever the allocs floor
+		countFig("tiny", 50, 1<<10, 0, nil),                  // under the allocs floor
+		countFig("unmeasured", 0, 0, 0, nil),                 // the run measured no counts
+		manyOps(countFig("scale", 12, 1924, 578, nil), 1075), // 19,350 allocations in all: gated
 	}
 	res := Compare(base, cur)
 	if len(res.Regressions) != 0 {
 		t.Errorf("regressions = %+v, want none", res.Regressions)
 	}
-	want := []string{"resident bytes/node", "shrunk allocs/op", "shrunk bytes/op"}
+	want := []string{"resident bytes/node", "scale allocs/op", "shrunk allocs/op", "shrunk bytes/op"}
 	var got []string
 	for _, d := range res.Stale {
 		got = append(got, d.Figure+" "+d.Metric)

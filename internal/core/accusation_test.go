@@ -24,7 +24,7 @@ func newIdentities(n int, r *rand.Rand) ([]testIdentity, KeyDirectory) {
 	ids := make([]testIdentity, n)
 	dir := make(map[id.ID]ed25519.PublicKey, n)
 	for i := range ids {
-		ids[i] = testIdentity{id: id.Random(r), keys: sigcrypto.KeyPairFromRand(r)}
+		ids[i] = testIdentity{id: id.Random(r), keys: sigcrypto.KeyPairFromSeed(sigcrypto.SeedFromRand(r))}
 		dir[ids[i].id] = ids[i].keys.Public
 	}
 	return ids, func(x id.ID) (ed25519.PublicKey, bool) {

@@ -8,12 +8,13 @@ import (
 )
 
 // buildAllocBudgetPerNode is the per-overlay-node allocation ceiling for
-// BuildCompactSystem. The build costs ~22 allocs per node at the test
-// topology (topology generation included; ~18 at N=1k), since keys,
-// certificates and routing tables land in shared slabs and trees are
-// not built. The budget leaves slack for runtime noise; if a change
-// pushes past it, a per-node temporary crept into the build loops.
-const buildAllocBudgetPerNode = 30
+// BuildCompactSystem. The build costs 15.7 allocs per node at the test
+// topology (42 nodes, topology generation included; 17.8 while it still
+// derived every key pair), since key seeds and routing tables land in
+// shared slabs, keys are derived on first use and trees are not built.
+// The budget leaves slack for runtime noise; if a change pushes past it,
+// a per-node temporary crept into the build loops.
+const buildAllocBudgetPerNode = 20
 
 // TestBuildSystemAllocBudget locks in the build path's allocation
 // profile: constructing a full system must stay within the per-node

@@ -24,9 +24,11 @@ import (
 // not pointer-per-node. Nodes are uint32 positions in the sorted ring;
 // keys live in one shared byte slab, 64 B per node: Go's Ed25519
 // private key is seed ‖ public key, so the public key is a view of its
-// second half and is stored nowhere else. Tomography trees, being a pure
-// deterministic function of the immutable graph and each node's routing
-// peers, are built lazily and cached per slab. A slab is a node's index
+// second half and is stored nowhere else. The build and joins store
+// only the seed; the public half is derived the first time the row is
+// read (keysOfSlab). Tomography trees, being a pure deterministic
+// function of the immutable graph and each node's routing peers, are
+// built lazily and cached per slab. A slab is a node's index
 // in build order, joiners appended; the overlay owns the ring↔slab
 // mapping (Overlay.Slab, Overlay.Pos), and every slab-indexed array
 // here follows it. Departures keep their slab rows — churn at compact
@@ -41,7 +43,6 @@ type CompactSystem struct {
 	Topo    *topology.Graph
 	Sim     *netsim.Simulator
 	Net     *netsim.Network
-	CA      *sigcrypto.Authority
 	Overlay *overlay.Compact
 	Archive *tomography.Archive
 	Engine  *BlameEngine
@@ -52,8 +53,9 @@ type CompactSystem struct {
 	// swallowed on hot paths, for the chaos invariant report.
 	Counters SystemCounters
 
+	ca           *sigcrypto.Authority
 	routers      []topology.RouterID // by slab position
-	privKeys     []byte              // ed25519.PrivateKeySize per slab row: seed ‖ public key
+	privKeys     []byte              // ed25519.PrivateKeySize per slab row: seed ‖ public key, zero until first use
 	behaviorBits []byte              // bit0 DropsMessages, bit1 InvertsProbes, bit2 extended
 	// extBehavior holds the full Behavior policy for slabs whose bit2 is
 	// set — probabilistic/periodic droppers and clique members, the
@@ -128,15 +130,14 @@ type CompactSystem struct {
 //   - The shared rng is consumed only by the serial prefix — topology,
 //     host permutation, four discarded draws — and by a single SeedFrom
 //     call that derives the build's substream family. Node p then draws
-//     exclusively from its own substreams: Stream(2p) for keygen and
-//     identifier assignment, Stream(2p+1) for routing-table fills.
-//   - Phase 1 (keygen, then the identifier draw) writes slab rows
-//     addressed by p; the authority's claim of each identifier is
-//     serial in build order, including the (vanishingly rare)
-//     collision redraws, which come from the colliding node's own
-//     substream.
-//   - Phase 2 (routing fills) runs against the completed ring; each
-//     node writes only its own table rows.
+//     exclusively from its own substreams: Stream(2p) for its key seed
+//     and identifier, Stream(2p+1) for routing-table fills.
+//   - The identity pass is serial in build order: node p draws its key
+//     seed, then its identifier, and the authority claims it; the
+//     (vanishingly rare) collision redraws keep drawing from the same
+//     substream. No key is derived here (see keysOfSlab).
+//   - The routing pass runs against the completed ring, fanned out;
+//     each node writes only its own table rows.
 //
 // The result is byte-identical for every Workers value, including 1.
 func BuildCompactSystem(cfg SystemConfig, rng stats.Rand) (*CompactSystem, error) {
@@ -189,8 +190,6 @@ func BuildCompactSystem(cfg SystemConfig, rng stats.Rand) (*CompactSystem, error
 	ca := sigcrypto.NewAuthority(rng)
 	buildSeed := parexec.SeedFrom(rng)
 
-	// Phase 1: keygen and identifier draws into flat slabs, fanned out.
-	// Slot p writes only its own slab rows, so workers never contend.
 	n := nOverlay
 	ids := make([]id.ID, n)
 	cs := &CompactSystem{
@@ -198,7 +197,7 @@ func BuildCompactSystem(cfg SystemConfig, rng stats.Rand) (*CompactSystem, error
 		Topo:         graph,
 		Sim:          sim,
 		Net:          net,
-		CA:           ca,
+		ca:           ca,
 		Archive:      tomography.NewArchive(graph.NumLinks()),
 		routers:      make([]topology.RouterID, n),
 		privKeys:     make([]byte, n*ed25519.PrivateKeySize),
@@ -213,34 +212,18 @@ func BuildCompactSystem(cfg SystemConfig, rng stats.Rand) (*CompactSystem, error
 		met:          newSystemMetrics(cfg.Metrics),
 	}
 	cs.Archive.SetMetrics(cfg.Metrics)
-	err = parexec.ForEachWorker(cfg.Workers, n, "compact-keygen", func(_, p int) error {
-		stream := buildSeed.Stream(2 * uint64(p))
-		keys := sigcrypto.KeyPairFromRand(stream)
-		ids[p] = id.Random(stream)
-		cs.routers[p] = hosts[perm[p]]
-		copy(cs.privKeys[p*ed25519.PrivateKeySize:], keys.Private)
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-
-	// Serial claim in build order. Collision redraws (~2^-128 per pair)
-	// come from the colliding node's own substream, re-derived and
-	// advanced past the six keygen/identifier draws phase 1 consumed.
-	const phase1Draws = ed25519.SeedSize/8 + id.Bytes/8
+	// Identities in build order: node p's key seed, then its identifier,
+	// claimed at once. Collision redraws (~2^-128 per pair) continue the
+	// node's own substream.
 	for p := 0; p < n; p++ {
-		var stream stats.Rand
+		stream := buildSeed.Stream(2 * uint64(p))
+		seed := sigcrypto.SeedFromRand(stream)
+		copy(cs.privKeys[p*ed25519.PrivateKeySize:], seed[:])
+		ids[p] = id.Random(stream)
 		for ca.Claim(ids[p]) != nil {
-			if stream == nil {
-				s := buildSeed.Stream(2 * uint64(p))
-				for skip := 0; skip < phase1Draws; skip++ {
-					s.Uint64()
-				}
-				stream = s
-			}
 			ids[p] = id.Random(stream)
 		}
+		cs.routers[p] = hosts[perm[p]]
 	}
 
 	// Built in slab order: node p owns overlay slab p.
@@ -255,7 +238,7 @@ func BuildCompactSystem(cfg SystemConfig, rng stats.Rand) (*CompactSystem, error
 		cs.behaviorBits[p] = 3 // drops + inverts
 	}
 
-	// Phase 2: routing fills, fanned out. Node p's standard-table draws
+	// Routing fills, fanned out. Node p's standard-table draws
 	// come from Stream(2p+1), consumed secure table first (no draws),
 	// then standard; each node writes only its own table rows.
 	err = parexec.ForEachWorker(cfg.Workers, n, "compact-routing", func(_, p int) error {
@@ -289,19 +272,31 @@ func (cs *CompactSystem) Router(i uint32) topology.RouterID {
 }
 
 // Keys returns node i's key pair as views into the shared slabs; the
-// returned slices must not be modified.
+// returned slices must not be modified. The first read of a node's keys
+// derives its public key into the slab, so like every traffic-plane
+// method Keys runs on the plane's one goroutine (DESIGN.md §9).
 func (cs *CompactSystem) Keys(i uint32) sigcrypto.KeyPair {
 	return cs.keysOfSlab(cs.Overlay.Slab(i))
 }
 
 // keysOfSlab returns slab row p's key pair: the row is the private
-// key, and the public key is its second half. Slab rows outlive
-// departures, so diagnosis code that captured a slab before a churn
-// event can still sign with it, and KeyDir still answers for it.
+// key, and the public key is its second half. The build and joins
+// write only the seed, so the first read derives the public half in
+// place; every reader of the slab comes through here. An all-zero half
+// means "not derived yet", and no derived key can read so: a derived
+// Ed25519 public key is a clamped scalar times the base point, a point
+// of the prime-order subgroup, while the all-zero encoding decodes to a
+// point of order 4. Slab rows outlive departures, so diagnosis code
+// that captured a slab before a churn event can still sign with it, and
+// KeyDir still answers for it.
 func (cs *CompactSystem) keysOfSlab(p uint32) sigcrypto.KeyPair {
 	lo, hi := int(p)*ed25519.PrivateKeySize, int(p+1)*ed25519.PrivateKeySize
 	priv := cs.privKeys[lo:hi:hi]
-	return sigcrypto.KeyPair{Public: ed25519.PublicKey(priv[ed25519.SeedSize:]), Private: ed25519.PrivateKey(priv)}
+	pub := priv[ed25519.SeedSize:]
+	if [ed25519.PublicKeySize]byte(pub) == [ed25519.PublicKeySize]byte{} {
+		copy(pub, sigcrypto.KeyPairFromSeed([ed25519.SeedSize]byte(priv)).Public)
+	}
+	return sigcrypto.KeyPair{Public: ed25519.PublicKey(pub), Private: ed25519.PrivateKey(priv)}
 }
 
 // BuildAdvert assembles node i's signed routing advertisement entries:
@@ -512,33 +507,34 @@ func (cs *CompactSystem) FailNode(failed id.ID) error {
 	return nil
 }
 
-// JoinNode admits a new node at the given router: fresh keys, then an
-// identifier the authority issues, both from the shared rng; slab rows
-// appended, every existing node patched in ring order, the newcomer's
-// tables filled from scratch, and — when probing is live — its probe
-// loop scheduled.
+// JoinNode admits a new node at the given router: a fresh key seed,
+// then an identifier the authority issues, both from the shared rng;
+// slab rows appended, every existing node patched in ring order, the
+// newcomer's tables filled from scratch, and — when probing is live —
+// its probe loop scheduled.
 func (cs *CompactSystem) JoinNode(router topology.RouterID) (id.ID, error) {
-	keys := sigcrypto.KeyPairFromRand(cs.rng)
-	return cs.admit(cs.CA.Issue(), keys, router)
+	seed := sigcrypto.SeedFromRand(cs.rng)
+	return cs.admit(cs.ca.Issue(), seed, router)
 }
 
 // JoinNodeAt admits a node with a caller-chosen identifier — the
 // eclipse threat model, where an adversary has defeated the CA's random
 // assignment (§2) and positions identifiers adjacent to a victim. The
 // adversary campaign uses it to measure whether the density checks
-// notice. Keys are drawn first, then the identifier is claimed; a
-// taken identifier fails before anything changes.
+// notice. The key seed is drawn first, then the identifier is claimed;
+// a taken identifier fails before anything changes.
 func (cs *CompactSystem) JoinNodeAt(router topology.RouterID, nid id.ID) (id.ID, error) {
-	keys := sigcrypto.KeyPairFromRand(cs.rng)
-	if err := cs.CA.Claim(nid); err != nil {
+	seed := sigcrypto.SeedFromRand(cs.rng)
+	if err := cs.ca.Claim(nid); err != nil {
 		return id.ID{}, err
 	}
-	return cs.admit(nid, keys, router)
+	return cs.admit(nid, seed, router)
 }
 
 // admit folds a node with a freshly issued identifier into the overlay
-// and the slabs.
-func (cs *CompactSystem) admit(nid id.ID, keys sigcrypto.KeyPair, router topology.RouterID) (id.ID, error) {
+// and the slabs. Its key row is the seed and a zero public half, filled
+// on first use as the build's rows are.
+func (cs *CompactSystem) admit(nid id.ID, seed [ed25519.SeedSize]byte, router topology.RouterID) (id.ID, error) {
 	k, changed, err := cs.Overlay.ApplyJoin(nid, cs.rng, cs.changedScratch[:0])
 	if err != nil {
 		return id.ID{}, err
@@ -546,7 +542,7 @@ func (cs *CompactSystem) admit(nid id.ID, keys sigcrypto.KeyPair, router topolog
 	cs.changedScratch = changed
 	slab := cs.Overlay.Slab(k)
 	cs.routers = append(cs.routers, router)
-	cs.privKeys = append(cs.privKeys, keys.Private...)
+	cs.privKeys = append(append(cs.privKeys, seed[:]...), make([]byte, ed25519.PublicKeySize)...)
 	cs.behaviorBits = append(cs.behaviorBits, 0)
 	cs.msgSeq = append(cs.msgSeq, 0)
 	cs.fwdSeq = append(cs.fwdSeq, 0)

@@ -18,7 +18,9 @@ import (
 // there covers what this stream leaves out (private-key seeds, trees).
 
 // AppendCanonical appends the compact system's canonical snapshot to
-// buf and returns the extended slice.
+// buf and returns the extended slice. It reads every member's public
+// key, deriving those not yet read (keysOfSlab), so it writes the key
+// slab as Keys does.
 func (cs *CompactSystem) AppendCanonical(buf []byte) []byte {
 	var scratch compactCanonScratch
 	for i := 0; i < cs.Size(); i++ {

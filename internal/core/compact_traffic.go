@@ -38,7 +38,10 @@ func (cs *CompactSystem) emit(e trace.Event) {
 // KeyDir returns the system's one key directory, for snapshot and
 // accusation verification. It reads the key slab, whose rows outlive
 // departures, so it answers for every identifier the system ever
-// admitted: a chain whose signer has since departed still verifies.
+// admitted: a chain whose signer has since departed still verifies. A
+// lookup derives the signer's public key on its first read (keysOfSlab)
+// and so writes the slab: the directory, like the rest of the traffic
+// plane, is used from one goroutine (DESIGN.md §9).
 func (cs *CompactSystem) KeyDir() KeyDirectory {
 	return func(x id.ID) (ed25519.PublicKey, bool) {
 		p, ok := cs.slabOf(x)

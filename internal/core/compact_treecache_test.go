@@ -306,7 +306,7 @@ func benchScaleConfig(n int) SystemConfig {
 // churn-n10k benchmark workload's event pair, without traffic. What is
 // left is overlay repair — the ring, row and ring↔slab splices plus the
 // slots the event changed — and, for a join, the newcomer's FillNode
-// and key generation.
+// and key-seed draw (its key is derived on first use).
 func BenchmarkCompactChurn(b *testing.B) {
 	cs, err := BuildCompactSystem(benchScaleConfig(10000), rand.New(rand.NewPCG(20070625, 11)))
 	if err != nil {

@@ -79,7 +79,7 @@ func ExampleRevisionChain() {
 	keys := make([]sigcrypto.KeyPair, 4)
 	for i := range ids {
 		ids[i] = id.Random(rng)
-		keys[i] = sigcrypto.KeyPairFromRand(rng)
+		keys[i] = sigcrypto.KeyPairFromSeed(sigcrypto.SeedFromRand(rng))
 	}
 	engine, err := core.NewBlameEngine(tomography.NewArchive(0), probers(ids), core.DefaultBlameConfig())
 	if err != nil {

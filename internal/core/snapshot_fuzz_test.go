@@ -85,7 +85,7 @@ func FuzzSignedSnapshot(f *testing.F) {
 		default:
 			r := rand.New(rand.NewPCG(uint64(pick), 0x5eed))
 			snap.Prober = id.Random(r)
-			keys = sigcrypto.KeyPairFromRand(r)
+			keys = sigcrypto.KeyPairFromSeed(sigcrypto.SeedFromRand(r))
 		}
 		snap.Sign(keys)
 		tampered := false

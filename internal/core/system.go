@@ -50,9 +50,9 @@ type SystemConfig struct {
 	// uncontended atomic adds per event, and every metric except the
 	// reserved wall-clock class is deterministic for a fixed seed.
 	Metrics *metrics.Registry
-	// Workers bounds the worker pool used for the parallel parts of
-	// system construction: per-node keygen and identifier draws, and
-	// routing-table fills (<= 0 selects GOMAXPROCS). Per-node randomness
+	// Workers bounds the worker pool used for the parallel part of
+	// system construction, the routing-table fills (<= 0 selects
+	// GOMAXPROCS). Per-node randomness
 	// comes from substreams indexed by node position, so the built
 	// system is byte-identical for every worker count; see
 	// BuildCompactSystem for the determinism contract.

@@ -300,7 +300,7 @@ func buildVerifiedChain(t *testing.T, r *rand.Rand) (*core.RevisionChain, core.K
 		keys sigcrypto.KeyPair
 	}
 	mk := func() identity {
-		return identity{id: id.Random(r), keys: sigcrypto.KeyPairFromRand(r)}
+		return identity{id: id.Random(r), keys: sigcrypto.KeyPairFromSeed(sigcrypto.SeedFromRand(r))}
 	}
 	accuser, accused, dest := mk(), mk(), mk()
 	dir := map[id.ID]ed25519.PublicKey{
@@ -712,7 +712,7 @@ func TestJoinerServesBeforeRebalance(t *testing.T) {
 
 	r := rand.New(rand.NewPCG(63, 64))
 	f, ids := newRepoFixture(t, r, 1)
-	kp := sigcrypto.KeyPairFromRand(r)
+	kp := sigcrypto.KeyPairFromSeed(sigcrypto.SeedFromRand(r))
 	f.dir[joiner], f.kp[joiner] = kp.Public, kp
 	repo, err := NewAccusationRepo(store, f.keys(), 0.4)
 	if err != nil {

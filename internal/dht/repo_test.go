@@ -37,7 +37,7 @@ func newRepoFixture(t testing.TB, r *rand.Rand, n int) (*repoFixture, []id.ID) {
 	ids := make([]id.ID, n)
 	for i := range ids {
 		ids[i] = id.Random(r)
-		kp := sigcrypto.KeyPairFromRand(r)
+		kp := sigcrypto.KeyPairFromSeed(sigcrypto.SeedFromRand(r))
 		f.dir[ids[i]] = kp.Public
 		f.kp[ids[i]] = kp
 	}

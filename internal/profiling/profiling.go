@@ -2,7 +2,7 @@
 // tools: opt-in CPU and heap profiles written to user-chosen paths,
 // plus the pprof goroutine labels the parallel execution layer attaches
 // to its workers so -cpuprofile output attributes samples to a phase
-// ("build-keygen", "build-routing", "trials", ...) and worker index.
+// ("compact-routing", "trials", ...) and worker index.
 package profiling
 
 import (

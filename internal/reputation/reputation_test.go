@@ -16,7 +16,7 @@ type identity struct {
 func identities(n int, r *rand.Rand) []identity {
 	out := make([]identity, n)
 	for i := range out {
-		out[i] = identity{id: id.Random(r), keys: sigcrypto.KeyPairFromRand(r)}
+		out[i] = identity{id: id.Random(r), keys: sigcrypto.KeyPairFromSeed(sigcrypto.SeedFromRand(r))}
 	}
 	return out
 }

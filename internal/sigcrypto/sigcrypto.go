@@ -38,13 +38,14 @@ func KeyPairFromSeed(seed [ed25519.SeedSize]byte) KeyPair {
 	return KeyPair{Public: priv.Public().(ed25519.PublicKey), Private: priv}
 }
 
-// KeyPairFromRand derives a key pair from a deterministic random source.
-func KeyPairFromRand(src id.RandSource) KeyPair {
+// SeedFromRand draws a key seed from a deterministic random source:
+// four words, big-endian. KeyPairFromSeed turns it into the key pair.
+func SeedFromRand(src id.RandSource) [ed25519.SeedSize]byte {
 	var seed [ed25519.SeedSize]byte
 	for i := 0; i < len(seed); i += 8 {
 		binary.BigEndian.PutUint64(seed[i:], src.Uint64())
 	}
-	return KeyPairFromSeed(seed)
+	return seed
 }
 
 // Sign signs msg with the private key.

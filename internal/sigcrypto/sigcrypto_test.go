@@ -11,7 +11,7 @@ func testRand() *rand.Rand { return rand.New(rand.NewPCG(7, 9)) }
 
 func TestKeyPairSignVerify(t *testing.T) {
 	t.Parallel()
-	kp := KeyPairFromRand(testRand())
+	kp := KeyPairFromSeed(SeedFromRand(testRand()))
 	msg := []byte("forward this message to Z")
 	sig := kp.Sign(msg)
 	if !Verify(kp.Public, msg, sig) {
@@ -20,7 +20,7 @@ func TestKeyPairSignVerify(t *testing.T) {
 	if Verify(kp.Public, []byte("tampered"), sig) {
 		t.Error("tampered message accepted")
 	}
-	other := KeyPairFromRand(rand.New(rand.NewPCG(1, 1)))
+	other := KeyPairFromSeed(SeedFromRand(rand.New(rand.NewPCG(1, 1))))
 	if Verify(other.Public, msg, sig) {
 		t.Error("wrong key accepted")
 	}
@@ -55,7 +55,7 @@ func TestAuthorityAssignsDistinctRandomIDs(t *testing.T) {
 func TestTimestampRoundTrip(t *testing.T) {
 	t.Parallel()
 	r := testRand()
-	kp := KeyPairFromRand(r)
+	kp := KeyPairFromSeed(SeedFromRand(r))
 	nid := id.Random(r)
 	ts := NewTimestamp(kp, nid, 123456789)
 	if err := VerifyTimestamp(kp.Public, ts); err != nil {
@@ -74,7 +74,7 @@ func TestTimestampRoundTrip(t *testing.T) {
 }
 
 func BenchmarkSign(b *testing.B) {
-	kp := KeyPairFromRand(testRand())
+	kp := KeyPairFromSeed(SeedFromRand(testRand()))
 	msg := make([]byte, 256)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
@@ -83,7 +83,7 @@ func BenchmarkSign(b *testing.B) {
 }
 
 func BenchmarkVerify(b *testing.B) {
-	kp := KeyPairFromRand(testRand())
+	kp := KeyPairFromSeed(SeedFromRand(testRand()))
 	msg := make([]byte, 256)
 	sig := kp.Sign(msg)
 	b.ReportAllocs()
