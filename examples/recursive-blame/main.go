@@ -1,19 +1,21 @@
 // Recursive blame: the paper's §3.5 walkthrough, end to end.
 //
-// D drops A's message along the forwarding chain A → B → C → D → Z while
-// every IP link on the chain is healthy. Naive next-hop blame would pin
-// B. With recursive stewardship, B and C also awaited Z's
-// acknowledgment: each produced its own verdict against its next hop,
-// and pushing those verdicts upstream amends A's accusation until it
-// lands on D — with B and C exonerated, and the whole chain
-// independently verifiable by third parties, then published to the
-// accusation DHT.
+// D drops A's message along the route A → B → C → D → Z while every IP
+// link on the route is healthy. Naive next-hop blame would pin B. With
+// recursive stewardship, B and C also awaited Z's acknowledgment: each
+// produced its own verdict against its next hop, and pushing those
+// verdicts upstream amends A's accusation until it lands on D — with B
+// and C exonerated, and the whole chain independently verifiable by
+// third parties, then published to the accusation DHT. SendMessage runs
+// every step; this program picks the route, plants the dropper and
+// reads the report.
 package main
 
 import (
 	"fmt"
 	"log"
 	"math/rand/v2"
+	"strings"
 	"time"
 
 	"concilium/internal/core"
@@ -25,96 +27,54 @@ import (
 func main() {
 	log.SetFlags(0)
 
+	// Twenty hosts per stub router give an overlay of about two
+	// thousand nodes, enough for routes of four overlay hops.
 	cfg := core.DefaultSystemConfig()
 	cfg.Topology = topology.TestConfig()
-	cfg.OverlayFraction = 0.5
+	cfg.Topology.HostsPerStubRouter = 20
+	cfg.OverlayFraction = 1
 	cfg.ArchiveRetention = 5 * time.Minute
 	rng := rand.New(rand.NewPCG(11, 13))
 	sys, err := core.BuildCompactSystem(cfg, rng)
 	if err != nil {
 		log.Fatal(err)
 	}
+	route := fourHopRoute(sys)
+	a, d, z := route[0], route[3], route[len(route)-1]
+	fmt.Printf("overlay of %d nodes; route: %s\n", sys.Size(), hops(route))
+	fmt.Printf("D (%s) silently drops the message; every IP link is healthy\n\n", d.Short())
+
 	if err := sys.StartProbing(); err != nil {
 		log.Fatal(err)
 	}
 	sys.Run(5 * time.Minute)
-	now := sys.Sim.Now()
-
-	// Build the forwarding chain A → B → C → D from routing-peer
-	// relationships, plus a destination Z past D.
-	chainIDs := buildChain(sys, 5) // A, B, C, D, Z
-	a, b, c, d, z := chainIDs[0], chainIDs[1], chainIDs[2], chainIDs[3], chainIDs[4]
-	fmt.Printf("forwarding chain: %s -> %s -> %s -> %s -> %s\n",
-		a.Short(), b.Short(), c.Short(), d.Short(), z.Short())
-	fmt.Printf("D (%s) silently drops the message; all chain links healthy\n\n", d.Short())
-
-	// Every steward holds the next hop's signed forwarding commitment
-	// (§3.6), batched onto availability-probe responses.
-	at := func(x id.ID) uint32 {
-		i, ok := sys.Overlay.IndexOf(x)
-		if !ok {
-			log.Fatalf("%s is not a member", x.Short())
-		}
-		return i
+	if err := sys.SetBehavior(d, core.Behavior{DropsMessages: true}); err != nil {
+		log.Fatal(err)
 	}
-	msgID := sys.NextMsgID(at(a))
-	commit := func(from, via id.ID) core.Commitment {
-		return core.NewCommitment(sys.Keys(at(via)), from, via, z, msgID, now)
-	}
-
-	// Z never acknowledges, so A, B, and C each judge their next hop
-	// over the IP links the message needed after leaving them.
-	stewards := []id.ID{a, b, c}
-	nexts := []id.ID{b, c, d}
-	var accusations []core.Accusation
-	fmt.Println("per-steward verdicts:")
-	for i, steward := range stewards {
-		span, err := sys.PathToPeer(at(steward), nexts[i])
-		if err != nil {
-			log.Fatal(err)
-		}
-		if i+1 < len(nexts) {
-			onward, err := sys.PathToPeer(at(nexts[i]), nexts[i+1])
-			if err != nil {
-				log.Fatal(err)
-			}
-			span = append(append([]topology.LinkID(nil), span...), onward...)
-		}
-		res, err := sys.Engine.Blame(nexts[i], span, now)
-		if err != nil {
-			log.Fatal(err)
-		}
-		fmt.Printf("  %s judges %s: blame %.2f -> %s\n",
-			steward.Short(), nexts[i].Short(), res.Blame, verdictWord(res.Guilty))
-		if !res.Guilty {
-			log.Fatalf("unexpected innocent verdict; a chain link was probably probed down")
-		}
-		acc, err := core.NewAccusation(sys.Keys(at(steward)), steward, res, msgID, span,
-			commit(steward, nexts[i]))
-		if err != nil {
-			log.Fatal(err)
-		}
-		accusations = append(accusations, acc)
-	}
-
-	// Revision: C pushes its verdict against D to B; B amends and pushes
-	// to A. Mechanically, the verdicts chain into one amended accusation.
-	chain, err := core.NewRevisionChain(accusations[:1])
+	rep, err := sys.SendMessage(a, z)
 	if err != nil {
 		log.Fatal(err)
 	}
-	fmt.Printf("\nA's original accusation blames: %s\n", chain.Culprit().Short())
-	for _, downstream := range accusations[1:] {
-		chain, err = chain.Extend(downstream)
-		if err != nil {
-			log.Fatal(err)
-		}
-		fmt.Printf("  amended with %s's verdict -> blames %s\n",
-			downstream.Accuser.Short(), chain.Culprit().Short())
+
+	// Z never acknowledges, so each steward that saw the message judges
+	// its next hop over the IP links the message needed after leaving
+	// it.
+	fmt.Println("per-steward verdicts:")
+	for k, v := range rep.Verdicts {
+		fmt.Printf("  %s judges %s: blame %.2f -> %s\n",
+			route[k].Short(), v.Judged.Short(), v.Blame, verdictWord(v.Guilty))
 	}
-	fmt.Printf("\nfinal culprit: %s (ground truth D: %v)\n", chain.Culprit().Short(), chain.Culprit() == d)
-	for _, ex := range chain.Exonerated() {
-		fmt.Printf("exonerated: %s\n", ex.Short())
+	if rep.Chain == nil {
+		log.Fatalf("no amended accusation (delivered %v, network blamed %v)", rep.Delivered, rep.NetworkBlamed)
+	}
+
+	// Revision: C pushed its verdict against D to B, and B to A, so A's
+	// accusation against B arrives amended into one chain.
+	chain := rep.Chain
+	fmt.Printf("\nA's original accusation blamed: %s\n", chain.Links[0].Accused.Short())
+	fmt.Printf("final culprit: %s (ground truth D: %v)\n", chain.Culprit().Short(), chain.Culprit() == d)
+	for _, l := range chain.Links[:len(chain.Links)-1] {
+		fmt.Printf("exonerated: %s\n", l.Accused.Short())
 	}
 	err = chain.Verify(sys.KeyDir(), cfg.Blame.GuiltyThreshold)
 	fmt.Printf("third-party verification of the amended accusation: %v\n", err == nil)
@@ -138,43 +98,36 @@ func main() {
 	fmt.Printf("accusations on record against %s in the DHT: %d\n", d.Short(), n)
 }
 
-// buildChain walks routing-peer edges to assemble a chain of distinct
-// nodes of the requested length.
-func buildChain(sys *core.CompactSystem, length int) []id.ID {
-	var walk func(chain []id.ID) []id.ID
-	walk = func(chain []id.ID) []id.ID {
-		if len(chain) == length {
-			return chain
-		}
-		cur, _ := sys.Overlay.IndexOf(chain[len(chain)-1])
-		tree, err := sys.Tree(cur)
-		if err != nil {
-			log.Fatal(err)
-		}
-		for _, leaf := range tree.Leaves {
-			dup := false
-			for _, seen := range chain {
-				if seen == leaf.Node {
-					dup = true
-					break
-				}
-			}
-			if dup {
+// fourHopRoute returns the first overlay route, in member order, that
+// takes at least four hops.
+func fourHopRoute(sys *core.CompactSystem) []id.ID {
+	n := uint32(sys.Size())
+	for i := uint32(0); i < n; i++ {
+		for j := uint32(0); j < n; j++ {
+			if i == j {
 				continue
 			}
-			if out := walk(append(chain, leaf.Node)); out != nil {
-				return out
+			idx, err := sys.Overlay.AppendRouteSecure(i, sys.NodeID(j), 0, nil)
+			if err != nil || len(idx) < 5 {
+				continue
 			}
+			route := make([]id.ID, len(idx))
+			for k, x := range idx {
+				route[k] = sys.NodeID(x)
+			}
+			return route
 		}
-		return nil
 	}
-	for _, start := range sys.AliveIDs() {
-		if out := walk([]id.ID{start}); out != nil {
-			return out
-		}
-	}
-	log.Fatal("no forwarding chain of required length")
+	log.Fatal("no route of four hops in this overlay; try another seed")
 	return nil
+}
+
+func hops(route []id.ID) string {
+	names := make([]string, len(route))
+	for k, x := range route {
+		names[k] = x.Short()
+	}
+	return strings.Join(names, " -> ")
 }
 
 func verdictWord(guilty bool) string {

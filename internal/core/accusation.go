@@ -228,17 +228,6 @@ func (rc *RevisionChain) Culprit() id.ID {
 	return rc.Links[len(rc.Links)-1].Accused
 }
 
-// Exonerated returns the hosts the chain clears of blame: every
-// intermediate accused that produced its own verifiable downstream
-// verdict.
-func (rc *RevisionChain) Exonerated() []id.ID {
-	out := make([]id.ID, 0, len(rc.Links)-1)
-	for _, l := range rc.Links[:len(rc.Links)-1] {
-		out = append(out, l.Accused)
-	}
-	return out
-}
-
 // Verify validates the chain's structure and every link in it; a valid
 // chain transfers the original accusation's blame onto the culprit.
 func (rc *RevisionChain) Verify(keys KeyDirectory, threshold float64) error {
@@ -251,13 +240,4 @@ func (rc *RevisionChain) Verify(keys KeyDirectory, threshold float64) error {
 		}
 	}
 	return nil
-}
-
-// Extend appends a further-downstream verdict (§3.5): the accused's own
-// verifiable verdict against its next hop, which pushes blame along.
-// The plane assembles whole chains at diagnosis; examples/recursive-blame
-// builds one link by link through Extend.
-func (rc *RevisionChain) Extend(downstream Accusation) (*RevisionChain, error) {
-	links := append(append([]Accusation(nil), rc.Links...), downstream)
-	return NewRevisionChain(links)
 }

@@ -299,24 +299,6 @@ func (cs *CompactSystem) keysOfSlab(p uint32) sigcrypto.KeyPair {
 	return sigcrypto.KeyPair{Public: ed25519.PublicKey(pub), Private: ed25519.PrivateKey(priv)}
 }
 
-// BuildAdvert assembles node i's signed routing advertisement entries:
-// each routing peer, in probe-set order, with a freshness timestamp
-// signed by that peer. In a deployment the timestamps arrive
-// piggybacked on availability-probe responses; the simulation holds
-// every key, so it signs them directly.
-func (cs *CompactSystem) BuildAdvert(i uint32, at int64) []AdvertEntry {
-	peers := cs.Overlay.AppendRoutingPeers(i, nil)
-	entries := make([]AdvertEntry, 0, len(peers))
-	for _, j := range peers {
-		p := cs.Overlay.ID(j)
-		entries = append(entries, AdvertEntry{
-			Peer:      p,
-			Freshness: sigcrypto.NewTimestamp(cs.Keys(j), p, at),
-		})
-	}
-	return entries
-}
-
 // Behavior returns node i's (mis)behavior marks.
 func (cs *CompactSystem) Behavior(i uint32) Behavior {
 	return cs.behaviorOfSlab(cs.Overlay.Slab(i))

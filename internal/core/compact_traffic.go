@@ -35,8 +35,8 @@ func (cs *CompactSystem) emit(e trace.Event) {
 	}
 }
 
-// KeyDir returns the system's one key directory, for snapshot and
-// accusation verification. It reads the key slab, whose rows outlive
+// KeyDir returns the system's one key directory, for accusation-chain
+// verification. It reads the key slab, whose rows outlive
 // departures, so it answers for every identifier the system ever
 // admitted: a chain whose signer has since departed still verifies. A
 // lookup derives the signer's public key on its first read (keysOfSlab)
@@ -127,17 +127,6 @@ func (cs *CompactSystem) PathToPeer(i uint32, peer id.ID) ([]topology.LinkID, er
 		return nil, fmt.Errorf("core: %s has no path to peer %s", cs.Overlay.ID(i).Short(), peer.Short())
 	}
 	return path, nil
-}
-
-// NextMsgID issues node i's next locally unique message number, from the
-// same per-slab sequence SendMessage numbers messages from.
-func (cs *CompactSystem) NextMsgID(i uint32) uint64 {
-	return cs.nextMsgIDOfSlab(cs.Overlay.Slab(i))
-}
-
-func (cs *CompactSystem) nextMsgIDOfSlab(p uint32) uint64 {
-	cs.msgSeq[p]++
-	return cs.msgSeq[p]
 }
 
 // capture is one send's route. ids escape into the report; slabs
@@ -254,7 +243,8 @@ func (cs *CompactSystem) SendMessage(src, dst id.ID) (*DeliveryReport, error) {
 	if err != nil {
 		return nil, err
 	}
-	rep := &DeliveryReport{MsgID: cs.nextMsgIDOfSlab(c.slabs[0]), Route: c.ids, Kind: DropNone}
+	cs.msgSeq[c.slabs[0]]++
+	rep := &DeliveryReport{MsgID: cs.msgSeq[c.slabs[0]], Route: c.ids, Kind: DropNone}
 	cs.met.msgsSent.Inc()
 	cs.emit(trace.Event{At: cs.Sim.Now(), Kind: trace.KindMessageSent, Node: src, Peer: dst})
 	if len(c.paths) == 0 {
@@ -605,20 +595,15 @@ func (cs *CompactSystem) reschedProbe(p uint32) {
 	}
 }
 
-// publishSnapshot runs the full §3.2 dissemination path for slab p: the
-// prober signs its snapshot (leaf spacing from the derived leaf set)
-// and receivers admit it (admitSnapshot) before archiving.
+// publishSnapshot runs the §3.2 dissemination path for slab p: the
+// prober signs its sweep's snapshot and receivers admit it
+// (admitSnapshot) before archiving.
 func (cs *CompactSystem) publishSnapshot(p uint32, obs []tomography.LinkObservation) {
 	i := cs.Overlay.Pos(p)
-	spacing, err := cs.Overlay.LeafMeanSpacing(i)
-	if err != nil {
-		spacing = 0
-	}
 	snap := &Snapshot{
 		Prober:       cs.Overlay.ID(i),
 		At:           cs.Sim.Now(),
 		Observations: obs,
-		LeafSpacing:  spacing,
 	}
 	snap.Sign(cs.keysOfSlab(p))
 	cs.met.snapshotBytes.Add(uint64(wire.SnapshotBytes(len(obs))))
@@ -636,12 +621,13 @@ func (cs *CompactSystem) publishSnapshot(p uint32, obs []tomography.LinkObservat
 // prober's key still resolves, but its snapshot is refused as an
 // unknown signer's: it adds no new evidence.
 func (cs *CompactSystem) admitSnapshot(snap *Snapshot) error {
-	if _, ok := cs.Overlay.IndexOf(snap.Prober); !ok {
+	i, ok := cs.Overlay.IndexOf(snap.Prober)
+	if !ok {
 		return fmt.Errorf("%w: %s", ErrUnknownSigner, snap.Prober.Short())
 	}
-	validator := SnapshotValidator{Keys: cs.KeyDir()}
-	if err := validator.Validate(snap); err != nil {
+	p := cs.Overlay.Slab(i)
+	if err := snap.VerifySignature(cs.keysOfSlab(p).Public); err != nil {
 		return err
 	}
-	return cs.Archive.Record(cs.ProberHandle(snap.Prober), snap.At, snap.Observations)
+	return cs.Archive.Record(tomography.ProberHandle(p+1), snap.At, snap.Observations)
 }

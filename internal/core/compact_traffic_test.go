@@ -164,9 +164,9 @@ func TestCompactTrafficEquivalence(t *testing.T) {
 
 // TestCompactSignedSnapshotEquivalence runs the full §3.2 signed
 // pipeline and checks every member's leaf mean spacing and the archive
-// contents against the pinned digest. The spacing is signed into every
-// snapshot, so this pins Compact.LeafMeanSpacing's reconstruction of the
-// leaf-set geometry along with the signing and validation path.
+// contents against the pinned digest, so it pins
+// Compact.LeafMeanSpacing's reconstruction of the leaf-set geometry (the
+// eclipse detector's input) along with the signing and admission path.
 func TestCompactSignedSnapshotEquivalence(t *testing.T) {
 	cfg := equivSystemConfig(false)
 	cfg.SignedSnapshots = true

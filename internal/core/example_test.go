@@ -1,6 +1,7 @@
 package core_test
 
 import (
+	"crypto/ed25519"
 	"fmt"
 	"math/rand/v2"
 	"time"
@@ -99,23 +100,27 @@ func ExampleRevisionChain() {
 		}
 		return acc
 	}
-	chain, err := core.NewRevisionChain([]core.Accusation{accuse(0, 1)})
+	// B's verdict against C amends A's accusation against B.
+	chain, err := core.NewRevisionChain([]core.Accusation{accuse(0, 1), accuse(1, 2)})
 	if err != nil {
 		fmt.Println(err)
 		return
 	}
-	fmt.Println("culprit before revision is B:", chain.Culprit() == ids[1])
-	chain, err = chain.Extend(accuse(1, 2))
-	if err != nil {
-		fmt.Println(err)
-		return
+	keyDir := func(x id.ID) (ed25519.PublicKey, bool) {
+		for i := range ids {
+			if ids[i] == x {
+				return keys[i].Public, true
+			}
+		}
+		return nil, false
 	}
+	fmt.Println("A's accusation blamed B:", chain.Links[0].Accused == ids[1])
 	fmt.Println("culprit after revision is C:", chain.Culprit() == ids[2])
-	fmt.Println("B exonerated:", len(chain.Exonerated()) == 1 && chain.Exonerated()[0] == ids[1])
+	fmt.Println("third parties verify it:", chain.Verify(keyDir, core.DefaultBlameConfig().GuiltyThreshold) == nil)
 	// Output:
-	// culprit before revision is B: true
+	// A's accusation blamed B: true
 	// culprit after revision is C: true
-	// B exonerated: true
+	// third parties verify it: true
 }
 
 // ExampleExpectedOccupancy shows the §3.1 occupancy analytics behind

@@ -131,7 +131,7 @@ func TestProbeSweepAllocatesNothing(t *testing.T) {
 // snapshot, its signing payload and signature, and the verification on
 // admission. Fewer is a gain to pin here; more is a regression.
 func TestSignedProbeSweepAllocs(t *testing.T) {
-	const want = 16
+	const want = 5
 	if n := warmSweepAllocs(t, true, 12*time.Minute); n != want {
 		t.Errorf("a warm signed probe sweep allocates %.2f/op, want %d", n, want)
 	}

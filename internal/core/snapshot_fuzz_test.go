@@ -23,8 +23,8 @@ import (
 //	byte 4     %9 observations, each three bytes: an int16 link (so
 //	           negative links and links ≥ NumLinks occur) and a status
 //	byte 5+    a signature bit to flip (0: none), then a payload field
-//	           to flip after signing (%6: none, time, prober, leaf
-//	           spacing, an observation's status, an observation's link)
+//	           to flip after signing (%5: none, time, prober, an
+//	           observation's status, an observation's link)
 //
 // Missing bytes read as zero. A snapshot must be archived exactly when
 // it verifies for a current member and every observation fits the
@@ -38,7 +38,7 @@ func FuzzSignedSnapshot(f *testing.F) {
 	f.Add(append([]byte{1, 0, 0, 1, 1}, obs(1, 1)...))                           // departed signer
 	f.Add(append([]byte{2, 0, 0, 1, 1}, obs(1, 1)...))                           // stranger
 	f.Add(append(append([]byte{0, 3, 0, 1, 1}, obs(1, 1)...), 9))                // flipped signature bit
-	f.Add(append(append([]byte{0, 3, 0, 1, 1}, obs(1, 1)...), 0, 4))             // flipped status after signing
+	f.Add(append(append([]byte{0, 3, 0, 1, 1}, obs(1, 1)...), 0, 3))             // flipped status after signing
 	f.Add(append([]byte{0, 7, 0, 1, 2}, append(obs(1, 1), obs(-1, 0)...)...))    // negative link
 	f.Add(append([]byte{0, 7, 0, 1, 2}, append(obs(2, 1), obs(30000, 0)...)...)) // link past NumLinks
 	f.Add(append([]byte{0, 2, 0xff, 0xc4, 1}, obs(1, 1)...))                     // a minute back
@@ -66,8 +66,7 @@ func FuzzSignedSnapshot(f *testing.F) {
 
 		kind, pick := next()%3, int(next())
 		snap := &Snapshot{
-			At:          cs.Sim.Now().Add(time.Duration(int16(binary.BigEndian.Uint16([]byte{next(), next()}))) * time.Second),
-			LeafSpacing: 1e30,
+			At: cs.Sim.Now().Add(time.Duration(int16(binary.BigEndian.Uint16([]byte{next(), next()}))) * time.Second),
 		}
 		for n := next() % 9; n > 0; n-- {
 			link := topology.LinkID(int16(binary.BigEndian.Uint16([]byte{next(), next()})))
@@ -93,20 +92,17 @@ func FuzzSignedSnapshot(f *testing.F) {
 			snap.Signature[int(b-1)%len(snap.Signature)] ^= 1 << (b % 8)
 			tampered = true
 		}
-		switch b := next(); b % 6 {
+		switch b := next(); b % 5 {
 		case 1:
 			snap.At ^= 1 << (b % 63)
 			tampered = true
 		case 2:
 			snap.Prober[b%id.Bytes] ^= 1 << (b % 8)
 			tampered = true
-		case 3:
-			snap.LeafSpacing = math.Float64frombits(math.Float64bits(snap.LeafSpacing) ^ 1<<(b%64))
-			tampered = true
-		case 4, 5:
+		case 3, 4:
 			if n := len(snap.Observations); n > 0 {
 				o := &snap.Observations[int(b)%n]
-				if b%6 == 4 {
+				if b%5 == 3 {
 					o.Up = !o.Up
 				} else {
 					o.Link ^= 1 << (b % 31)

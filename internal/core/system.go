@@ -36,10 +36,11 @@ type SystemConfig struct {
 	// ArchiveRetention prunes probe records older than this (0 keeps
 	// everything; experiments set a few minutes to bound memory).
 	ArchiveRetention time.Duration
-	// SignedSnapshots routes every probe result through the full §3.2
-	// pipeline: the prober signs a tomographic snapshot and receivers
-	// verify the signature before archiving. Costs one signature and
-	// one verification per probe; large-scale experiments leave it off.
+	// SignedSnapshots routes every probe sweep through §3.2's
+	// dissemination: the prober signs a snapshot of its observations,
+	// and receivers archive it only from a current member whose key
+	// verifies the signature. Costs one signature and one verification
+	// per sweep; experiments leave it off.
 	SignedSnapshots bool
 	// Tracer receives structured protocol events (probes, verdicts,
 	// accusations, link churn). Nil disables tracing.

@@ -207,8 +207,8 @@ func (r *AccusationRepo) Fetch(accused id.ID) ([]*core.RevisionChain, error) {
 }
 
 // FetchChecked is Fetch plus the replica health of the read, so callers
-// (the chaos campaign's durability invariant, sanctioning policies under
-// partial outage) can tell a full-quorum answer from a degraded one.
+// (the chaos campaign's durability invariant) can tell a full-quorum
+// answer from a degraded one.
 func (r *AccusationRepo) FetchChecked(accused id.ID) ([]*core.RevisionChain, Health, error) {
 	raws, health, err := r.store.GetChecked(accused)
 	if err != nil {
@@ -231,8 +231,8 @@ func (r *AccusationRepo) FetchChecked(accused id.ID) ([]*core.RevisionChain, Hea
 	return out, health, nil
 }
 
-// Count returns the number of verifiable accusations against accused —
-// the quantity sanctioning policies rate-limit on (§3.7).
+// Count returns the number of verifiable accusations against accused:
+// the record a §3.7 sanction would be decided on.
 func (r *AccusationRepo) Count(accused id.ID) (int, error) {
 	chains, err := r.Fetch(accused)
 	if err != nil {

@@ -695,13 +695,13 @@ func (t *compactTable) insertNode(dr int, k uint32) {
 }
 
 // LeafMeanSpacing returns the average inter-identifier gap across the
-// arc node i's derived leaf set spans (owner included), consumed by
-// signed-snapshot publication and the density checks; RingSize over it
-// estimates N (Mahajan et al.). The arc starts at the farthest of the
-// perSide counterclockwise leaves (the leaves sorted by counterclockwise
+// arc node i's derived leaf set spans (owner included), consumed by the
+// eclipse campaign's spacing detector; RingSize over it estimates N
+// (Mahajan et al.). The arc starts at the farthest of the perSide
+// counterclockwise leaves (the leaves sorted by counterclockwise
 // spacing from the owner, truncated to perSide), and the mean gap is the
-// arc length over the segment count. Cold path — snapshot signing
-// dominates it — so the small sorts allocate freely.
+// arc length over the segment count. Cold path, so the small sorts
+// allocate freely.
 func (c *Compact) LeafMeanSpacing(i uint32) (float64, error) {
 	members := c.AppendLeafIndices(i, nil)
 	if len(members) == 0 {

@@ -1,10 +1,10 @@
 // Package sigcrypto implements Concilium's identity substrate: a central
 // authority that assigns random, never-reused overlay identifiers (§2),
 // plus the signing primitives the protocol layers use for tomographic
-// snapshots, freshness timestamps, forwarding commitments, and
-// accusations. Every identity in the simulation is minted by the
-// authority itself, so nothing ever presents a certificate to check and
-// the authority signs none (DESIGN.md §2, "not modelled").
+// snapshots, forwarding commitments, and accusations. Every identity in
+// the simulation is minted by the authority itself, so nothing ever
+// presents a certificate to check and the authority signs none
+// (DESIGN.md §2, "not modelled").
 //
 // The paper signs with PSS-R over 1024-bit RSA; this implementation signs
 // with Ed25519 (any EUF-CMA scheme gives the protocol the properties it
@@ -15,15 +15,11 @@ package sigcrypto
 import (
 	"crypto/ed25519"
 	"encoding/binary"
-	"errors"
 	"fmt"
 	"sync"
 
 	"concilium/internal/id"
 )
-
-// ErrBadSignature indicates a signature that does not verify.
-var ErrBadSignature = errors.New("sigcrypto: signature verification failed")
 
 // KeyPair is an Ed25519 key pair.
 type KeyPair struct {
@@ -108,36 +104,5 @@ func (a *Authority) Claim(nodeID id.ID) error {
 		return fmt.Errorf("sigcrypto: identifier %s already issued", nodeID.Short())
 	}
 	a.issued[nodeID] = struct{}{}
-	return nil
-}
-
-// Timestamp is a signed liveness attestation: "node NodeID was alive at
-// virtual time At". Hosts piggyback these on availability-probe responses;
-// jump-table adverts must carry a fresh timestamp per entry to defeat
-// inflation attacks that reuse identifiers of departed peers (§3.1).
-type Timestamp struct {
-	NodeID    id.ID
-	At        int64 // virtual time, nanoseconds
-	Signature []byte
-}
-
-func timestampPayload(nodeID id.ID, at int64) []byte {
-	buf := make([]byte, 0, id.Bytes+8+2)
-	buf = append(buf, "ts"...)
-	buf = append(buf, nodeID[:]...)
-	buf = binary.BigEndian.AppendUint64(buf, uint64(at))
-	return buf
-}
-
-// NewTimestamp signs a liveness attestation for nodeID at virtual time at.
-func NewTimestamp(kp KeyPair, nodeID id.ID, at int64) Timestamp {
-	return Timestamp{NodeID: nodeID, At: at, Signature: kp.Sign(timestampPayload(nodeID, at))}
-}
-
-// VerifyTimestamp checks ts under the claimed node's public key.
-func VerifyTimestamp(pub ed25519.PublicKey, ts Timestamp) error {
-	if !Verify(pub, timestampPayload(ts.NodeID, ts.At), ts.Signature) {
-		return ErrBadSignature
-	}
 	return nil
 }

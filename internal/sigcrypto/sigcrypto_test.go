@@ -52,27 +52,6 @@ func TestAuthorityAssignsDistinctRandomIDs(t *testing.T) {
 	}
 }
 
-func TestTimestampRoundTrip(t *testing.T) {
-	t.Parallel()
-	r := testRand()
-	kp := KeyPairFromSeed(SeedFromRand(r))
-	nid := id.Random(r)
-	ts := NewTimestamp(kp, nid, 123456789)
-	if err := VerifyTimestamp(kp.Public, ts); err != nil {
-		t.Fatalf("valid timestamp rejected: %v", err)
-	}
-	forged := ts
-	forged.At = 987654321
-	if err := VerifyTimestamp(kp.Public, forged); err == nil {
-		t.Error("forged time accepted — inflation attack would succeed")
-	}
-	stolen := ts
-	stolen.NodeID = id.Random(r)
-	if err := VerifyTimestamp(kp.Public, stolen); err == nil {
-		t.Error("timestamp reassigned to another node accepted")
-	}
-}
-
 func BenchmarkSign(b *testing.B) {
 	kp := KeyPairFromSeed(SeedFromRand(testRand()))
 	msg := make([]byte, 256)

@@ -8,10 +8,9 @@ import (
 	"sync"
 )
 
-// The protocol re-verifies the same bytes constantly: a jump-table
-// advert carries one freshness timestamp per entry, and verifiers see
-// the same entries from many peers; accusation chains are re-verified
-// by every third party they are presented to. An Ed25519 verification
+// The protocol re-verifies the same bytes constantly: accusation chains
+// are re-verified by every third party they are presented to, on
+// publish and on every fetch. An Ed25519 verification
 // costs tens of microseconds, while recognizing an already-verified
 // (pub, msg, sig) triple costs one SHA-256 — so Verify consults a
 // bounded LRU of past outcomes first.
