@@ -126,8 +126,9 @@ type PatchScratch struct {
 // old does not already hold: the path of every peer old reached (same
 // node, same router) is kept, and one search runs that stops as soon as
 // the anchors of the remaining peers' routers are labelled — it reads
-// only the graph's 2-core, and a peer hanging below the root's own
-// anchor needs no search at all. Paths in a shortest-path tree depend
+// only the blocks of the graph's 2-core that lie between the root and
+// those peers, and a peer hanging below the root's own anchor needs no
+// search at all. Paths in a shortest-path tree depend
 // only on the graph and the root, and an early-stopped search labels
 // exactly as a full one (topology.BFSUntil), so the result equals a
 // from-scratch build leaf for leaf. A nil old is the case where

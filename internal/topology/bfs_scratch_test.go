@@ -1,6 +1,7 @@
 package topology
 
 import (
+	"math"
 	"math/rand/v2"
 	"slices"
 	"sync"
@@ -30,8 +31,8 @@ func benchScaleConfig(n int) Config {
 // path must agree, with the scratch recycled across sources. It runs
 // on the generated configurations (20 sources each) and on small random
 // graphs of every shape — forests with an empty 2-core, rings with
-// trees hanging off them, disconnected graphs, isolated routers and
-// dense cores — from every source.
+// trees hanging off them, disconnected graphs, isolated routers, dense
+// cores and nested blocks — from every source.
 func TestBFSIntoMatchesBFS(t *testing.T) {
 	t.Parallel()
 	configs := []struct {
@@ -83,7 +84,8 @@ func TestBFSIntoRejectsBadSource(t *testing.T) {
 // source, duplicates and (on a graph with an isolated router added) a
 // target no search can reach. The generated configurations must stop
 // early at least once; the small random graphs of every shape add
-// forests, rings, disconnected graphs and isolated routers.
+// forests, rings, disconnected graphs, isolated routers and nested
+// blocks.
 func TestBFSUntilMatchesBFSInto(t *testing.T) {
 	t.Parallel()
 	cases := []struct {
@@ -95,6 +97,7 @@ func TestBFSUntilMatchesBFSInto(t *testing.T) {
 		{"test-many", TestConfig(), 12},
 		{"treelike", TreelikeConfig(), 5},
 		{"default", DefaultConfig(), 40},
+		{"bench-n10k", benchScaleConfig(10_000), 48},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -240,9 +243,96 @@ func TestRouteIndexConcurrentFirstSearch(t *testing.T) {
 	requireSources(t, g, &BFSScratch{}, g.NumRouters()/5)
 }
 
-// BenchmarkBFSScale times the two searches a tomography tree pays for,
-// on the benchmark's topology at N≈10k: a full BFSInto from an end
-// host, and a BFSUntil from one end host to another.
+// TestBFSUntilCrossesPathBlocksOnly guards the two costs BFSUntil
+// saves. At the benchmark's N≈10k topology (a core of 7,215 routers,
+// its largest block 353), 50 searches from random hosts toward 48 hosts
+// each — a first tree build's search — must each label fewer than
+// 1,000 core routers: measured, they label 455 on average and 480 at
+// most, where a search of the whole core labels most of it. Every
+// target must still read as BFSInto has it. Then one scratch alternates
+// BFSInto, BFSUntil, a second graph with a smaller core and a stamp
+// generation that wraps, and every tree must equal a fresh scratch's,
+// so no label or stamp of an earlier search leaks into a later one.
+func TestBFSUntilCrossesPathBlocksOnly(t *testing.T) {
+	t.Parallel()
+	r := testRand()
+	big, err := Generate(benchScaleConfig(10_000), r)
+	if err != nil {
+		t.Fatal(err)
+	}
+	small, err := Generate(TestConfig(), r)
+	if err != nil {
+		t.Fatal(err)
+	}
+	hosts := big.EndHosts()
+	targets := make([]RouterID, 48)
+	var full, bounded BFSScratch
+	for round := 0; round < 50; round++ {
+		src := hosts[r.IntN(len(hosts))]
+		for i := range targets {
+			targets[i] = hosts[r.IntN(len(hosts))]
+		}
+		want, err := big.BFSInto(&full, src)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := big.BFSUntil(&bounded, src, targets)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if n := len(bounded.queue); n >= 1000 {
+			t.Fatalf("search from %d labelled %d core routers, want < 1,000", src, n)
+		}
+		for _, dst := range targets {
+			gp, gerr := got.PathTo(dst)
+			wp, werr := want.PathTo(dst)
+			if (gerr == nil) != (werr == nil) || !slices.Equal(gp, wp) {
+				t.Fatalf("src %d dst %d: path %v (%v), full search %v (%v)", src, dst, gp, gerr, wp, werr)
+			}
+		}
+	}
+
+	var reused BFSScratch
+	for round := 0; round < 12; round++ {
+		g := big
+		if round%3 == 2 {
+			g = small
+		}
+		if round == 7 {
+			reused.gen = math.MaxUint32
+		}
+		hs := g.EndHosts()
+		src := hs[r.IntN(len(hs))]
+		targets := []RouterID{hs[r.IntN(len(hs))], hs[r.IntN(len(hs))]}
+		var fresh BFSScratch
+		var got, want *RouteTree
+		if round%2 == 0 {
+			got, err = g.BFSInto(&reused, src)
+			want, _ = g.BFSInto(&fresh, src)
+		} else {
+			got, err = g.BFSUntil(&reused, src, targets)
+			want, _ = g.BFSUntil(&fresh, src, targets)
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got.Source != want.Source || got.anchor != want.anchor || got.depth != want.depth || len(got.label) != len(want.label) {
+			t.Fatalf("round %d: a reused scratch's tree differs from a fresh one's", round)
+		}
+		// An unlabelled entry's parent and link are never read.
+		for c, l := range want.label {
+			if gl := got.label[c]; gl.dist != l.dist || l.dist >= 0 && gl != l {
+				t.Fatalf("round %d: core index %d labelled %+v, a fresh scratch %+v", round, c, gl, l)
+			}
+		}
+	}
+}
+
+// BenchmarkBFSScale times the searches a tomography tree pays for, on
+// the benchmark's topology at N≈10k: a full BFSInto from an end host, a
+// BFSUntil from one end host to another, and a BFSUntil toward 48 hosts
+// — the search a first tree build runs. Each reports the core routers
+// it labelled per search.
 func BenchmarkBFSScale(b *testing.B) {
 	g, err := Generate(benchScaleConfig(10_000), testRand())
 	if err != nil {
@@ -253,24 +343,48 @@ func BenchmarkBFSScale(b *testing.B) {
 	if _, err := g.BFSInto(&s, hosts[0]); err != nil {
 		b.Fatal(err)
 	}
+	// report adds the per-search metrics; labelled sums len(s.queue).
+	report := func(b *testing.B, labelled int) {
+		b.ReportMetric(float64(b.Elapsed().Microseconds())/float64(b.N), "us/search")
+		b.ReportMetric(float64(labelled)/float64(b.N), "labelled/search")
+	}
 	b.Run("full", func(b *testing.B) {
 		b.ReportAllocs()
+		labelled := 0
 		for i := 0; i < b.N; i++ {
 			if _, err := g.BFSInto(&s, hosts[i%len(hosts)]); err != nil {
 				b.Fatal(err)
 			}
+			labelled += len(s.queue)
 		}
-		b.ReportMetric(float64(b.Elapsed().Microseconds())/float64(b.N), "us/search")
+		report(b, labelled)
 	})
 	b.Run("until-host", func(b *testing.B) {
 		b.ReportAllocs()
 		var target [1]RouterID
+		labelled := 0
 		for i := 0; i < b.N; i++ {
 			target[0] = hosts[(i*7919+1)%len(hosts)]
 			if _, err := g.BFSUntil(&s, hosts[i%len(hosts)], target[:]); err != nil {
 				b.Fatal(err)
 			}
+			labelled += len(s.queue)
 		}
-		b.ReportMetric(float64(b.Elapsed().Microseconds())/float64(b.N), "us/search")
+		report(b, labelled)
+	})
+	b.Run("until-peers", func(b *testing.B) {
+		b.ReportAllocs()
+		var peers [48]RouterID
+		labelled := 0
+		for i := 0; i < b.N; i++ {
+			for k := range peers {
+				peers[k] = hosts[(i*7919+k*104729+1)%len(hosts)]
+			}
+			if _, err := g.BFSUntil(&s, hosts[i%len(hosts)], peers[:]); err != nil {
+				b.Fatal(err)
+			}
+			labelled += len(s.queue)
+		}
+		report(b, labelled)
 	})
 }

@@ -128,19 +128,23 @@ const (
 	shapeDisconnected                   // two cyclic components and a tree
 	shapeIsolated                       // sparse edges, many isolated routers
 	shapeDense                          // many chords: most routers in the core
+	shapeBlocks                         // rings on shared cut vertices and bridges, nested
 	numShapes
 )
 
 func (s graphShape) String() string {
-	return [...]string{"forest", "cycle", "disconnected", "isolated", "dense"}[s]
+	return [...]string{"forest", "cycle", "disconnected", "isolated", "dense", "blocks"}[s]
 }
 
-// randomGraph builds a graph of up to 40 routers of the given shape.
-// Router numbering is shuffled so anchors and core indices do not
-// follow construction order.
+// randomGraph builds a graph of up to 40 routers of the given shape
+// (at least 12 for shapeBlocks). Router numbering is shuffled so
+// anchors and core indices do not follow construction order.
 func randomGraph(t testing.TB, r *rand.Rand, shape graphShape) *Graph {
 	t.Helper()
 	n := 1 + r.IntN(40)
+	if shape == shapeBlocks {
+		n = 12 + r.IntN(29)
+	}
 	perm := r.Perm(n)
 	g := mustGraph(t, n)
 	link := func(a, b int) {
@@ -188,6 +192,46 @@ func randomGraph(t testing.TB, r *rand.Rand, shape graphShape) *Graph {
 		for k := 0; k < 2*n; k++ {
 			link(r.IntN(n), r.IntN(n))
 		}
+	case shapeBlocks:
+		// used routers are placed; ring closes a ring of k routers
+		// through router at and k-1 new ones, and returns the first
+		// new one.
+		used := 1
+		ring := func(at, k int) int {
+			first, prev := used, at
+			for ; k > 1; k-- {
+				link(prev, used)
+				prev = used
+				used++
+			}
+			link(prev, at)
+			return first
+		}
+		// A chain of four blocks at least: a ring, a second ring on one
+		// of its routers, a bridge from a new router of that ring, and a
+		// triangle at the bridge's far end. The bridge is added twice;
+		// AddLink merges the parallel link, so it stays a bridge.
+		k0 := 3 + r.IntN(3)
+		ring(0, k0)
+		k1 := 3 + r.IntN(3)
+		from := ring(r.IntN(k0), k1) + r.IntN(k1-1)
+		bridge := used
+		used++
+		link(from, bridge)
+		ring(bridge, 3)
+		link(bridge, from)
+		// Then rings and bridges anywhere, until fewer than three
+		// routers are left; those hang as trees.
+		for used+3 <= n {
+			at := r.IntN(used)
+			if r.IntN(3) == 0 {
+				link(at, used)
+				at = used
+				used++
+			}
+			ring(at, 3+r.IntN(min(n-used, 4)-1))
+		}
+		attachTrees(used)
 	}
 	return g
 }
@@ -222,6 +266,9 @@ func FuzzRouteTree(f *testing.F) {
 	f.Add([]byte{4, 0, 1, 1, 2, 2, 3, 3, 0})          // a square
 	f.Add([]byte{6, 0, 1, 1, 2, 2, 0, 2, 3, 3, 4, 0}) // triangle with a tail
 	f.Add([]byte{9, 0, 1, 2, 3, 4, 5, 5, 6, 6, 4, 7, 4})
+	f.Add([]byte{5, 0, 1, 1, 2, 2, 0, 2, 3, 3, 4, 4, 2})                         // two triangles sharing a router
+	f.Add([]byte{8, 0, 1, 1, 2, 2, 3, 3, 0, 3, 4, 4, 5, 5, 6, 6, 7, 7, 4})       // two squares and a bridge
+	f.Add([]byte{8, 0, 1, 1, 2, 2, 3, 3, 0, 2, 4, 4, 5, 5, 2, 5, 6, 6, 7, 7, 5}) // triangle below triangle below square
 	f.Fuzz(func(t *testing.T, data []byte) {
 		g := graphFromBytes(t, data)
 		var s BFSScratch

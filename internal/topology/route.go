@@ -6,7 +6,8 @@ import (
 )
 
 // routeIndex is what a search reads instead of the whole graph: the
-// graph's 2-core, and the way into it from every other router.
+// graph's 2-core split into its biconnected blocks, and the way into
+// the core from every other router.
 //
 // Peeling routers of degree ≤ 1 until none is left leaves the 2-core.
 // Every peeled router hangs in a tree below exactly one core router,
@@ -36,10 +37,19 @@ import (
 // anchor finds the middle part. Two routers with the same anchor are
 // joined by their tree path, which is the only simple path between
 // them.
+//
+// The core itself is a tree of biconnected blocks: each CSR entry
+// carries its link's block, and each component's block tree is rooted
+// at its largest block (the lowest block on ties). home[c] is the block
+// nearest the root that holds core index c, and up[b] is block b's
+// parent. A path between two core routers crosses only blocks on the
+// block-tree path between them, which BFSUntil uses (see there).
 type routeIndex struct {
 	hang  []hang     // by router
 	off   []int32    // core index c's links are edges[off[c]:off[c+1]]
 	edges []coreEdge // the CSR adjacency
+	home  []int32    // by core index; -1 for a stand-in, which has no links
+	up    []int32    // by block; -1 for a root
 }
 
 // hang places a router relative to the core. A peeled router's up and
@@ -52,11 +62,12 @@ type hang struct {
 	link LinkID
 }
 
-// coreEdge is one CSR entry: the neighbour's core index and the link
-// to it.
+// coreEdge is one CSR entry: the neighbour's core index, the link to
+// it and the link's block.
 type coreEdge struct {
-	to   int32
-	link LinkID
+	to    int32
+	link  LinkID
+	block int32
 }
 
 // routes returns the graph's route index, building it on first use.
@@ -157,7 +168,125 @@ func buildRouteIndex(adj [][]Neighbor) *routeIndex {
 		ix.off = append(ix.off, int32(len(ix.edges)))
 		hangBelow(RouterID(r))
 	}
+	ix.splitBlocks()
 	return ix
+}
+
+// splitBlocks finds the core's biconnected blocks with an iterative
+// Tarjan search from the lowest core index of each component, then
+// roots each component's block tree at its largest block.
+//
+// In the search's tree every core index but a component's first has a
+// tree link to its parent; blk holds the block of that link, and a
+// link's block is blk of its endpoint discovered later (a tree link's
+// child, or the deeper end of a link back to an ancestor). A block
+// closes when its topmost child finishes with low ≥ its parent's
+// discovery time, and top holds that parent: the router the block
+// hangs from in the search's tree, whose own tree link lies in the
+// block above.
+func (ix *routeIndex) splitBlocks() {
+	n := int32(len(ix.off) - 1)
+	disc := make([]int32, n) // discovery time from 1; 0 when unvisited
+	low := make([]int32, n)
+	next := make([]int32, n) // the next CSR entry a visited index scans
+	blk := make([]int32, n)
+	var (
+		path, open        []int32 // the search's stack; indices whose block is open
+		top, size         []int32 // by block
+		roots, firstBlock []int32 // by component
+		clock             int32
+	)
+	for root := int32(0); root < n; root++ {
+		if disc[root] != 0 {
+			continue
+		}
+		if ix.off[root] == ix.off[root+1] {
+			blk[root] = -1 // a stand-in
+			continue
+		}
+		roots, firstBlock = append(roots, root), append(firstBlock, int32(len(top)))
+		clock++
+		disc[root], low[root], next[root] = clock, clock, ix.off[root]
+		path = append(path[:0], root)
+		for {
+			u := path[len(path)-1]
+			if i := next[u]; i < ix.off[u+1] {
+				next[u]++
+				v := ix.edges[i].to
+				if disc[v] == 0 {
+					clock++
+					disc[v], low[v], next[v] = clock, clock, ix.off[v]
+					path, open = append(path, v), append(open, v)
+				} else {
+					// Also taken for the link back to u's parent,
+					// which cannot change the low ≥ test below.
+					low[u] = min(low[u], disc[v])
+				}
+				continue
+			}
+			if path = path[:len(path)-1]; len(path) == 0 {
+				break
+			}
+			p := path[len(path)-1]
+			low[p] = min(low[p], low[u])
+			if low[u] < disc[p] {
+				continue
+			}
+			b, k := int32(len(top)), len(open)
+			for {
+				k--
+				blk[open[k]] = b
+				if open[k] == u {
+					break
+				}
+			}
+			top, size = append(top, p), append(size, int32(len(open)-k)+1)
+			open = open[:k]
+		}
+	}
+	for u := int32(0); u < n; u++ {
+		for i := ix.off[u]; i < ix.off[u+1]; i++ {
+			v := ix.edges[i].to
+			if disc[v] > disc[u] {
+				ix.edges[i].block = blk[v]
+			} else {
+				ix.edges[i].block = blk[u]
+			}
+		}
+	}
+
+	// Re-root each component at its largest block L: the blocks on the
+	// way from L up to the search's root turn over, each now hanging
+	// from the router it used to hang below. blk becomes home: a router
+	// off that way keeps its tree link's block, and one on it takes
+	// the block below it on the way.
+	firstBlock = append(firstBlock, int32(len(top))) // component k's blocks end at firstBlock[k+1]
+	for k, root := range roots {
+		l := firstBlock[k]
+		for b := l + 1; b < firstBlock[k+1]; b++ {
+			if size[b] > size[l] {
+				l = b
+			}
+		}
+		b, v := l, top[l]
+		top[l] = -1
+		for {
+			nb := blk[v]
+			blk[v] = b
+			if v == root {
+				break
+			}
+			v, top[nb] = top[nb], v
+			b = nb
+		}
+	}
+	// A block's parent is the home of the router it hangs from.
+	for b, v := range top {
+		if v >= 0 {
+			top[b] = blk[v]
+		}
+	}
+	ix.home, ix.up = blk, top
 }
 
 // anchor returns r's anchor as a core index, and r's depth below it.
@@ -221,15 +350,19 @@ func (g *Graph) BFS(src RouterID) (*RouteTree, error) {
 }
 
 // BFSScratch holds the reusable state of repeated searches: the
-// frontier queue and the core labels of one RouteTree. A system build
-// runs one search per overlay node against the same immutable graph;
-// reusing the scratch turns the per-node cost from an allocation into
-// a reset of already-hot memory the size of the 2-core. The zero value
-// is ready to use. A scratch belongs to one goroutine; parallel callers
-// keep one per worker.
+// frontier queue and the core labels of one RouteTree, and the block
+// stamps of BFSUntil. A system build runs one search per overlay node
+// against the same immutable graph; reusing the scratch turns the
+// per-node cost from an allocation into a reset of only what the last
+// search labelled. The zero value is ready to use, also across graphs.
+// A scratch belongs to one goroutine; parallel callers keep one per
+// worker.
 type BFSScratch struct {
 	tree  RouteTree
-	queue []int32
+	queue []int32 // the last search's labelled core indices, in order
+	marks []int32 // the target anchors BFSUntil marked
+	stamp []uint32
+	gen   uint32 // stamp[b] == gen: BFSUntil may cross block b
 }
 
 // BFSInto computes the shortest-path tree from src into s's reusable
@@ -242,7 +375,7 @@ func (g *Graph) BFSInto(s *BFSScratch, src RouterID) (*RouteTree, error) {
 		return nil, err
 	}
 	off, edges := t.ix.off, t.ix.edges
-	queue := append(s.queue[:0], t.anchor)
+	queue := append(s.queue, t.anchor)
 	for head := 0; head < len(queue); head++ {
 		u := queue[head]
 		d := t.label[u].dist + 1
@@ -258,24 +391,34 @@ func (g *Graph) BFSInto(s *BFSScratch, src RouterID) (*RouteTree, error) {
 	return t, nil
 }
 
-// startBFS readies s for a search from src: it sizes and clears the
-// scratch RouteTree's core labels and labels the source's anchor.
+// startBFS readies s for a search from src: it unlabels what the last
+// search labelled (its queue and its marks — the core labels are
+// otherwise all unlabelled, whichever graph they were last sized for),
+// sizes the scratch RouteTree's labels and labels the source's anchor.
+// It leaves the queue empty.
 func (g *Graph) startBFS(s *BFSScratch, src RouterID) (*RouteTree, error) {
 	if !g.validRouter(src) {
 		return nil, fmt.Errorf("topology: BFS from unknown router %d", src)
 	}
 	ix := g.routes()
 	t := &s.tree
+	for _, c := range s.queue {
+		t.label[c].dist = -1
+	}
+	for _, c := range s.marks {
+		t.label[c].dist = -1
+	}
+	s.queue, s.marks = s.queue[:0], s.marks[:0]
 	t.Source, t.ix = src, ix
 	t.anchor, t.depth = ix.anchor(src)
 	n := len(ix.off) - 1
 	if cap(t.label) < n {
 		t.label = make([]coreLabel, n)
+		for i := range t.label {
+			t.label[i].dist = -1
+		}
 	}
 	t.label = t.label[:n]
-	for i := range t.label {
-		t.label[i].dist = -1
-	}
 	t.label[t.anchor] = coreLabel{parent: t.anchor}
 	return t, nil
 }
@@ -286,17 +429,23 @@ func (g *Graph) startBFS(s *BFSScratch, src RouterID) (*RouteTree, error) {
 const unlabelledTarget = -2
 
 // BFSUntil is BFSInto stopped early: the search ends as soon as the
-// anchor of every router in targets is labelled (or the core component
+// anchor of every router in targets is labelled (or what it may cross
 // is exhausted), so a caller that needs paths to a few routers does not
-// pay for the whole core. The traversal order is BFSInto's, which makes
-// every core label assigned before the stop exactly the full search's:
+// pay for the whole core. It crosses only the blocks on the chains from
+// the source's and the targets' anchors up to their block-tree roots.
+// A block off those chains hangs, with everything below it, from the
+// rest of the core at one cut vertex, holds no source and no target,
+// and is entered only through that vertex, which the search labels
+// first; so no router outside it is first reached from inside, and
+// every label outside is assigned in BFSInto's order. That makes every
+// core label assigned before the stop exactly the full search's:
 // PathTo agrees with BFSInto for every router whose anchor is labelled
 // — the targets, the routers on the way to one, and everything hanging
 // below those anchors. Routers whose anchor the search did not get to
 // read as unreachable whether or not the graph connects them, so only
 // the targets' reachability means anything to the caller. The loop is
-// BFSInto's plus the stop test, kept apart so the full search pays
-// nothing for it.
+// BFSInto's plus the block and stop tests, kept apart so the full
+// search pays nothing for them.
 func (g *Graph) BFSUntil(s *BFSScratch, src RouterID, targets []RouterID) (*RouteTree, error) {
 	for _, r := range targets {
 		if !g.validRouter(r) {
@@ -307,21 +456,31 @@ func (g *Graph) BFSUntil(s *BFSScratch, src RouterID, targets []RouterID) (*Rout
 	if err != nil {
 		return nil, err
 	}
+	ix := t.ix
+	gen := s.nextGen(len(ix.up))
+	stamp := s.stamp
+	s.stampChain(ix, t.anchor, gen)
 	// pending counts the distinct target anchors not yet labelled.
 	pending := 0
 	for _, r := range targets {
-		if a, _ := t.ix.anchor(r); t.label[a].dist == -1 {
+		a, _ := ix.anchor(r)
+		if t.label[a].dist == -1 {
 			t.label[a].dist = unlabelledTarget
+			s.marks = append(s.marks, a)
+			s.stampChain(ix, a, gen)
 			pending++
 		}
 	}
-	off, edges := t.ix.off, t.ix.edges
-	queue := append(s.queue[:0], t.anchor)
+	off, edges := ix.off, ix.edges
+	queue := append(s.queue, t.anchor)
 search:
 	for head := 0; pending > 0 && head < len(queue); head++ {
 		u := queue[head]
 		d := t.label[u].dist + 1
 		for _, e := range edges[off[u]:off[u+1]] {
+			if stamp[e.block] != gen {
+				continue
+			}
 			was := t.label[e.to].dist
 			if was >= 0 {
 				continue
@@ -337,6 +496,29 @@ search:
 	}
 	s.queue = queue
 	return t, nil
+}
+
+// nextGen starts a new stamp generation over blocks blocks and returns
+// it. Stamps of earlier searches are older generations, so none needs
+// clearing except when the counter wraps.
+func (s *BFSScratch) nextGen(blocks int) uint32 {
+	if s.gen++; s.gen == 0 {
+		clear(s.stamp)
+		s.gen = 1
+	}
+	if len(s.stamp) < blocks {
+		s.stamp = append(s.stamp, make([]uint32, blocks-len(s.stamp))...)
+	}
+	return s.gen
+}
+
+// stampChain stamps the blocks from core index c's home up to its
+// block-tree root, stopping at one already stamped: the rest of the
+// chain is too.
+func (s *BFSScratch) stampChain(ix *routeIndex, c int32, gen uint32) {
+	for b := ix.home[c]; b >= 0 && s.stamp[b] != gen; b = ix.up[b] {
+		s.stamp[b] = gen
+	}
 }
 
 // pathShape is a labelled path's shape: up links from the source to
